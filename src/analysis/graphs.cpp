@@ -1,6 +1,7 @@
 #include "analysis/graphs.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <stdexcept>
 
@@ -273,6 +274,16 @@ GraphMetrics analyze_graphs(const Trace& trace, const ProximityCache& cache,
   return finalize(std::move(chunks), range);
 }
 
+namespace {
+
+constexpr std::size_t kWordBits = 64;
+
+constexpr std::uint64_t bit(std::size_t node) {
+  return std::uint64_t{1} << (node % kWordBits);
+}
+
+}  // namespace
+
 void GraphStream::on_snapshot(
     std::size_t node_count,
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs) {
@@ -292,8 +303,6 @@ void GraphStream::on_snapshot(
     csr_adj_[csr_cursor_[i]++] = j;
     csr_adj_[csr_cursor_[j]++] = i;
   }
-  const auto nbr_begin = [&](std::uint32_t i) { return csr_offsets_[i]; };
-  const auto nbr_end = [&](std::uint32_t i) { return csr_offsets_[i + 1]; };
 
   // Degree samples, in node order like the batch loop.
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -326,8 +335,115 @@ void GraphStream::on_snapshot(
     if (comp_.size() > largest_.size()) std::swap(largest_, comp_);
   }
 
-  // Diameter: BFS from every node of the largest component, resetting only
-  // that component's distances between sweeps.
+  // Diameter and clustering: the bitset kernel up to the node limit, the
+  // CSR loops above it. Both give the same integers, so the same samples.
+  std::size_t diameter = 0;
+  double total = 0.0;
+  if (node_count <= kBitsetMaxNodes) {
+    const std::size_t words = (node_count + kWordBits - 1) / kWordBits;
+    rows_.assign(node_count * words, 0);
+    sweep_.assign(4 * words, 0);
+    twice_links_.assign(n, 0);
+    level_.resize(n);
+    build_rows(pairs, words);
+    diameter = bitset_diameter(words);
+    total = bitset_clustering_sum(pairs, n, words);
+  } else {
+    diameter = csr_diameter(n);
+    total = csr_clustering_sum(n);
+  }
+  diameters_.add(static_cast<double>(diameter));
+  clustering_.add(total / static_cast<double>(n));
+  ++snapshots_analyzed_;
+}
+
+// slmob:alloc-free -- sets bits in rows_, which on_snapshot sized for this snapshot
+void GraphStream::build_rows(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs, std::size_t words) {
+  for (const auto& [i, j] : pairs) {
+    rows_[i * words + j / kWordBits] |= bit(j);
+    rows_[j * words + i / kWordBits] |= bit(i);
+  }
+}
+
+// Level-synchronous BFS from every node of the largest component: the next
+// frontier is the OR of the frontier nodes' rows minus the seen set. A sweep
+// stops once it has reached the whole component, so its level count is the
+// source's eccentricity. Each level first lists the frontier's nodes, so the
+// OR over their rows runs word by word in a register.
+// slmob:alloc-free -- word arithmetic over rows_/sweep_/level_, sized by on_snapshot
+std::size_t GraphStream::bitset_diameter(std::size_t words) {
+  if (largest_.size() < 2) return 0;
+  std::uint64_t* frontier = sweep_.data();
+  std::uint64_t* next = frontier + words;
+  std::uint64_t* seen = next + words;
+  std::uint64_t* component = seen + words;
+  const std::uint64_t* rows = rows_.data();
+  std::uint32_t* level = level_.data();
+  for (const std::uint32_t u : largest_) component[u / kWordBits] |= bit(u);
+  std::size_t diameter = 0;
+  for (const std::uint32_t src : largest_) {
+    std::fill_n(frontier, words, 0);
+    std::fill_n(seen, words, 0);
+    frontier[src / kWordBits] = bit(src);
+    seen[src / kWordBits] = bit(src);
+    std::size_t ecc = 0;
+    for (bool done = false; !done;) {
+      std::size_t width = 0;
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = frontier[w]; bits != 0; bits &= bits - 1) {
+          const auto lane = static_cast<std::size_t>(std::countr_zero(bits));
+          level[width++] = static_cast<std::uint32_t>(w * kWordBits + lane);
+        }
+      }
+      done = true;
+      for (std::size_t x = 0; x < words; ++x) {
+        std::uint64_t acc = 0;
+        for (std::size_t f = 0; f < width; ++f) acc |= rows[level[f] * words + x];
+        next[x] = acc & ~seen[x];
+        seen[x] |= next[x];
+        done &= seen[x] == component[x];
+      }
+      ++ecc;
+      std::swap(frontier, next);
+    }
+    diameter = std::max(diameter, ecc);
+  }
+  return diameter;
+}
+
+// Sum over nodes of the Watts-Strogatz coefficient. popcount(row_i & row_j)
+// counts the triangles on edge (i, j), and summed over i's edges it counts
+// each link between two neighbours of i twice.
+// slmob:alloc-free -- popcounts over rows_/twice_links_, sized by on_snapshot
+double GraphStream::bitset_clustering_sum(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs, std::uint32_t n,
+    std::size_t words) {
+  const std::uint64_t* rows = rows_.data();
+  for (const auto& [i, j] : pairs) {
+    const std::uint64_t* row_i = rows + i * words;
+    const std::uint64_t* row_j = rows + j * words;
+    std::uint32_t common = 0;
+    for (std::size_t x = 0; x < words; ++x) {
+      common += static_cast<std::uint32_t>(std::popcount(row_i[x] & row_j[x]));
+    }
+    twice_links_[i] += common;
+    twice_links_[j] += common;
+  }
+  double total = 0.0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::size_t k = nbr_end(i) - nbr_begin(i);
+    if (k < 2) continue;
+    const std::size_t links = twice_links_[i] / 2;
+    total += 2.0 * static_cast<double>(links) /
+             (static_cast<double>(k) * static_cast<double>(k - 1));
+  }
+  return total;
+}
+
+// Diameter above the node limit: BFS from every node of the largest
+// component, resetting only that component's distances between sweeps.
+std::size_t GraphStream::csr_diameter(std::uint32_t n) {
   std::size_t diameter = 0;
   if (largest_.size() >= 2) {
     dist_.assign(n, -1);
@@ -351,10 +467,13 @@ void GraphStream::on_snapshot(
       diameter = std::max(diameter, ecc);
     }
   }
-  diameters_.add(static_cast<double>(diameter));
+  return diameter;
+}
 
-  // Mean clustering by neighbour marking, same integer link counts (and so
-  // the same floating-point sum) as LosGraph::mean_clustering.
+// Clustering sum above the node limit by neighbour marking, same integer
+// link counts (and so the same floating-point sum) as
+// LosGraph::mean_clustering.
+double GraphStream::csr_clustering_sum(std::uint32_t n) {
   marked_.assign(n, 0);
   double total = 0.0;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -373,8 +492,7 @@ void GraphStream::on_snapshot(
     total += 2.0 * static_cast<double>(links) /
              (static_cast<double>(k) * static_cast<double>(k - 1));
   }
-  clustering_.add(total / static_cast<double>(n));
-  ++snapshots_analyzed_;
+  return total;
 }
 
 GraphMetrics GraphStream::finish() {

@@ -85,15 +85,26 @@ GraphMetrics analyze_graphs(const Trace& trace, const ProximityCache& cache,
 // insertion order equals the batch single-chunk order, so results are
 // bit-identical to analyze_graphs.
 //
-// Unlike the batch path, which builds a LosGraph (a vector-of-vectors with
-// per-node allocations and sorts) for every snapshot, the stream keeps one
-// flat CSR adjacency plus BFS/marker scratch and rebuilds them in place —
-// zero allocations per snapshot once warm, and contiguous neighbour scans
-// in the BFS and triangle loops. Degree, diameter and clustering values
-// don't depend on neighbour order (distances are exact, link counts are set
-// cardinalities), so the metrics stay bit-identical to the LosGraph path.
+// Each snapshot is rebuilt in place into a flat CSR adjacency, which gives
+// the degree samples and the largest component. Up to kBitsetMaxNodes nodes,
+// diameter and clustering then come from a bitset kernel: one row of
+// ceil(n/64) 64-bit words per node. The diameter is a level-synchronous BFS
+// from each node of the largest component, whose next frontier is the OR of
+// the frontier's rows minus the seen set. popcount(row_i & row_j) counts
+// the triangles on edge (i, j); summed over i's edges it is twice the
+// number of links among i's neighbours. Larger snapshots fall back to BFS
+// and neighbour marking over the CSR. Both paths compute the same exact
+// integers and sum the clustering coefficients in node order, so the
+// metrics are bit-identical to the LosGraph path. All scratch is reused
+// across calls: zero allocations per snapshot once warm.
 class GraphStream {
  public:
+  // Largest snapshot the bitset kernel takes. Rows cost n^2/8 bytes, and a
+  // trace frame can hold about 10^6 fixes, so the limit guards memory
+  // against untrusted input: 1024 nodes make 16-word rows, 128 KiB in all,
+  // which stays in L2 cache. Real lands hold at most a few hundred avatars.
+  static constexpr std::size_t kBitsetMaxNodes = 1024;
+
   explicit GraphStream(double range) : range_(range) {}
 
   void on_snapshot(std::size_t node_count,
@@ -101,6 +112,17 @@ class GraphStream {
   [[nodiscard]] GraphMetrics finish();
 
  private:
+  [[nodiscard]] std::uint32_t nbr_begin(std::uint32_t i) const { return csr_offsets_[i]; }
+  [[nodiscard]] std::uint32_t nbr_end(std::uint32_t i) const { return csr_offsets_[i + 1]; }
+  void build_rows(const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
+                  std::size_t words);
+  [[nodiscard]] std::size_t bitset_diameter(std::size_t words);
+  [[nodiscard]] double bitset_clustering_sum(
+      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs, std::uint32_t n,
+      std::size_t words);
+  [[nodiscard]] std::size_t csr_diameter(std::uint32_t n);
+  [[nodiscard]] double csr_clustering_sum(std::uint32_t n);
+
   double range_;
   Ecdf degrees_;
   Ecdf diameters_;
@@ -119,6 +141,15 @@ class GraphStream {
   std::vector<std::int32_t> dist_;
   std::vector<char> visited_;
   std::vector<char> marked_;
+  // Bitset kernel scratch: rows_ holds `words` words per node; sweep_ holds
+  // the BFS frontier, next frontier, seen set and the largest component's
+  // nodes, `words` words each;
+  // level_ lists the frontier's nodes; twice_links_[i] is twice the number
+  // of links among i's neighbours.
+  std::vector<std::uint64_t> rows_;
+  std::vector<std::uint64_t> sweep_;
+  std::vector<std::uint32_t> level_;
+  std::vector<std::uint32_t> twice_links_;
 };
 
 }  // namespace slmob

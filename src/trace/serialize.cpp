@@ -17,6 +17,8 @@ constexpr std::uint8_t kMagic[4] = {'S', 'L', 'T', 'R'};
 // sampling-degradation block after it. Version-1 and -2 inputs are still
 // decoded (as gap-free / degradation-free traces respectively).
 constexpr std::uint16_t kVersion = 3;
+// Per-fix wire size: u32 id + 3 x f32 position.
+constexpr std::size_t kFixBytes = 16;
 
 }  // namespace
 
@@ -69,6 +71,11 @@ Trace decode_trace(std::span<const std::uint8_t> bytes) {
     Snapshot snap;
     snap.time = r.f64();
     const std::uint32_t fix_count = r.u32();
+    // The count comes from the file: check it against the bytes left before
+    // sizing anything by it.
+    if (kFixBytes * fix_count > r.remaining()) {
+      throw DecodeError("decode_trace: truncated snapshot block");
+    }
     snap.fixes.reserve(fix_count);
     for (std::uint32_t j = 0; j < fix_count; ++j) {
       AvatarFix fix;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
+
 #include "util/rng.hpp"
 
 namespace slmob {
@@ -195,6 +199,287 @@ TEST_P(GraphProperty, Invariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
+
+// Brute-force oracles for GraphStream: every metric of one snapshot
+// recomputed from an adjacency matrix, straight from its definition.
+using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+struct OracleMetrics {
+  std::vector<double> degrees;  // sorted
+  double diameter{0.0};
+  double clustering{0.0};
+  std::size_t isolated{0};
+};
+
+OracleMetrics graph_oracle(std::size_t n, const PairList& pairs) {
+  std::vector<char> adj(n * n, 0);
+  for (const auto& [i, j] : pairs) {
+    adj[i * n + j] = 1;
+    adj[j * n + i] = 1;
+  }
+  const auto edge = [&](std::size_t a, std::size_t b) { return adj[a * n + b] != 0; };
+  OracleMetrics out;
+  std::vector<std::size_t> degree(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (edge(i, j)) ++degree[i];
+    }
+    out.degrees.push_back(static_cast<double>(degree[i]));
+    if (degree[i] == 0) ++out.isolated;
+  }
+  std::sort(out.degrees.begin(), out.degrees.end());
+
+  // Components labelled from the lowest unlabelled node upwards; the first
+  // one discovered wins a size tie.
+  std::vector<std::size_t> label(n, n);
+  std::vector<std::size_t> largest;
+  for (std::size_t start = 0; start < n; ++start) {
+    if (label[start] != n) continue;
+    std::vector<std::size_t> members{start};
+    label[start] = start;
+    for (std::size_t head = 0; head < members.size(); ++head) {
+      for (std::size_t v = 0; v < n; ++v) {
+        if (edge(members[head], v) && label[v] == n) {
+          label[v] = start;
+          members.push_back(v);
+        }
+      }
+    }
+    if (members.size() > largest.size()) largest = members;
+  }
+
+  // Floyd-Warshall on the largest component.
+  const std::size_t m = largest.size();
+  constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max() / 4;
+  std::vector<std::size_t> dist(m * m, kInf);
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t b = 0; b < m; ++b) {
+      if (a == b) {
+        dist[a * m + b] = 0;
+      } else if (edge(largest[a], largest[b])) {
+        dist[a * m + b] = 1;
+      }
+    }
+  }
+  for (std::size_t k = 0; k < m; ++k) {
+    for (std::size_t a = 0; a < m; ++a) {
+      for (std::size_t b = 0; b < m; ++b) {
+        dist[a * m + b] = std::min(dist[a * m + b], dist[a * m + k] + dist[k * m + b]);
+      }
+    }
+  }
+  std::size_t diameter = 0;
+  for (const std::size_t d : dist) diameter = std::max(diameter, d);
+  out.diameter = static_cast<double>(diameter);
+
+  // Triangle counts: every pair of neighbours of i that is itself linked.
+  // The mean keeps the production expression and node order.
+  if (n == 0) return out;
+  double total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t k = degree[i];
+    if (k < 2) continue;
+    std::size_t links = 0;
+    for (std::size_t a = 0; a < n; ++a) {
+      if (!edge(i, a)) continue;
+      for (std::size_t b = a + 1; b < n; ++b) {
+        if (edge(i, b) && edge(a, b)) ++links;
+      }
+    }
+    total += 2.0 * static_cast<double>(links) /
+             (static_cast<double>(k) * static_cast<double>(k - 1));
+  }
+  out.clustering = total / static_cast<double>(n);
+  return out;
+}
+
+void expect_stream_matches_oracle(std::size_t n, const PairList& pairs) {
+  SCOPED_TRACE("n=" + std::to_string(n) + " edges=" + std::to_string(pairs.size()));
+  GraphStream stream(80.0);
+  stream.on_snapshot(n, pairs);
+  const GraphMetrics got = stream.finish();
+  const OracleMetrics want = graph_oracle(n, pairs);
+  ASSERT_EQ(got.snapshots_analyzed, 1u);
+  const auto degrees = got.degrees.sorted();
+  EXPECT_EQ(std::vector<double>(degrees.begin(), degrees.end()), want.degrees);
+  ASSERT_EQ(got.diameters.size(), 1u);
+  EXPECT_EQ(got.diameters.min(), want.diameter);
+  ASSERT_EQ(got.clustering.size(), 1u);
+  EXPECT_EQ(got.clustering.min(), want.clustering);  // bit for bit
+  EXPECT_EQ(got.isolated_fraction,
+            static_cast<double>(want.isolated) / static_cast<double>(n));
+}
+
+// Each pair i < j linked with probability p, listed in shuffled order.
+PairList random_pairs(std::size_t n, double p, Rng& rng) {
+  PairList pairs;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t j = i + 1; j < n; ++j) {
+      if (rng.bernoulli(p)) pairs.emplace_back(i, j);
+    }
+  }
+  std::shuffle(pairs.begin(), pairs.end(), rng);
+  return pairs;
+}
+
+// Node labels 0..n-1 in a random order, so paths and cliques straddle words.
+std::vector<std::uint32_t> shuffled_nodes(std::size_t n, Rng& rng) {
+  std::vector<std::uint32_t> nodes(n);
+  std::iota(nodes.begin(), nodes.end(), 0u);
+  std::shuffle(nodes.begin(), nodes.end(), rng);
+  return nodes;
+}
+
+std::pair<std::uint32_t, std::uint32_t> ordered(std::uint32_t a, std::uint32_t b) {
+  return {std::min(a, b), std::max(a, b)};
+}
+
+PairList path_over(const std::vector<std::uint32_t>& nodes) {
+  PairList pairs;
+  for (std::size_t k = 0; k + 1 < nodes.size(); ++k) {
+    pairs.push_back(ordered(nodes[k], nodes[k + 1]));
+  }
+  return pairs;
+}
+
+PairList clique_over(const std::vector<std::uint32_t>& nodes) {
+  PairList pairs;
+  for (std::size_t a = 0; a < nodes.size(); ++a) {
+    for (std::size_t b = a + 1; b < nodes.size(); ++b) {
+      pairs.push_back(ordered(nodes[a], nodes[b]));
+    }
+  }
+  return pairs;
+}
+
+TEST(GraphOracle, EmptySnapshotIsSkipped) {
+  GraphStream stream(80.0);
+  stream.on_snapshot(0, {});
+  const GraphMetrics got = stream.finish();
+  EXPECT_EQ(got.snapshots_analyzed, 0u);
+  EXPECT_TRUE(got.degrees.empty());
+  EXPECT_TRUE(got.diameters.empty());
+  EXPECT_TRUE(got.clustering.empty());
+}
+
+TEST(GraphOracle, Singleton) { expect_stream_matches_oracle(1, {}); }
+
+TEST(GraphOracle, Path) {
+  Rng rng(11);
+  expect_stream_matches_oracle(5, path_over({0, 1, 2, 3, 4}));
+  expect_stream_matches_oracle(130, path_over(shuffled_nodes(130, rng)));
+}
+
+TEST(GraphOracle, Star) {
+  PairList pairs;
+  for (std::uint32_t leaf = 1; leaf < 100; ++leaf) pairs.emplace_back(0, leaf);
+  expect_stream_matches_oracle(100, pairs);
+}
+
+TEST(GraphOracle, Clique) {
+  Rng rng(12);
+  const auto nodes = shuffled_nodes(70, rng);
+  expect_stream_matches_oracle(70, clique_over(nodes));
+  // A clique on part of the nodes, the rest isolated.
+  expect_stream_matches_oracle(
+      70, clique_over(std::vector<std::uint32_t>(nodes.begin(), nodes.begin() + 40)));
+}
+
+TEST(GraphOracle, TwoEqualComponentsFirstDiscoveredWins) {
+  // A 5-path (diameter 4) and a 5-clique (diameter 1); whichever holds the
+  // lowest node index is discovered first and sets the diameter.
+  PairList path_first = path_over({0, 2, 4, 6, 8});
+  const PairList clique_odd = clique_over({1, 3, 5, 7, 9});
+  path_first.insert(path_first.end(), clique_odd.begin(), clique_odd.end());
+  expect_stream_matches_oracle(10, path_first);
+  EXPECT_EQ(graph_oracle(10, path_first).diameter, 4.0);
+
+  PairList clique_first = clique_over({0, 2, 4, 6, 8});
+  const PairList path_odd = path_over({1, 3, 5, 7, 9});
+  clique_first.insert(clique_first.end(), path_odd.begin(), path_odd.end());
+  expect_stream_matches_oracle(10, clique_first);
+  EXPECT_EQ(graph_oracle(10, clique_first).diameter, 1.0);
+}
+
+class GraphOracleWords : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GraphOracleWords, RandomGraphsAtWordBoundaries) {
+  const std::size_t n = GetParam();
+  Rng rng(100 + n);
+  // Sparse (many components, long paths) through dense.
+  for (const double mean_degree : {1.0, 2.5, 6.0, 20.0, 0.9 * static_cast<double>(n)}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      expect_stream_matches_oracle(
+          n, random_pairs(n, mean_degree / static_cast<double>(n - 1), rng));
+    }
+  }
+  const auto nodes = shuffled_nodes(n, rng);
+  expect_stream_matches_oracle(n, path_over(nodes));
+  expect_stream_matches_oracle(n, clique_over(nodes));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, GraphOracleWords,
+                         ::testing::Values(63, 64, 65, 127, 128, 129));
+
+// Sparse snapshots at and just above the bitset kernel's node limit: a
+// random graph on a few dozen nodes plus scattered pairs, the rest isolated.
+// Above the limit the CSR loops run, checked against the same oracle.
+PairList sparse_large(std::size_t n, Rng& rng) {
+  const auto nodes = shuffled_nodes(n, rng);
+  PairList pairs;
+  for (std::size_t a = 0; a < 40; ++a) {
+    for (std::size_t b = a + 1; b < 40; ++b) {
+      if (rng.bernoulli(0.12)) pairs.push_back(ordered(nodes[a], nodes[b]));
+    }
+  }
+  for (std::size_t k = 40; k + 1 < 200; k += 2) {
+    pairs.push_back(ordered(nodes[k], nodes[k + 1]));
+  }
+  return pairs;
+}
+
+TEST(GraphOracle, AtNodeLimit) {
+  Rng rng(13);
+  const std::size_t n = GraphStream::kBitsetMaxNodes;
+  expect_stream_matches_oracle(n, sparse_large(n, rng));
+}
+
+TEST(GraphOracle, AboveNodeLimitFallsBackToCsr) {
+  Rng rng(14);
+  const std::size_t n = GraphStream::kBitsetMaxNodes + 1;
+  expect_stream_matches_oracle(n, sparse_large(n, rng));
+}
+
+TEST(GraphOracle, ScratchReusedAcrossSnapshotSizes) {
+  // One stream over snapshots that grow, shrink and cross the node limit:
+  // stale scratch from a larger snapshot must not leak into a smaller one.
+  Rng rng(15);
+  GraphStream stream(80.0);
+  std::vector<double> want_degrees;
+  std::vector<double> want_diameters;
+  std::vector<double> want_clustering;
+  const std::size_t sizes[] = {129, 3, 64, GraphStream::kBitsetMaxNodes + 1, 65, 1, 128, 2};
+  for (const std::size_t n : sizes) {
+    const PairList pairs = n > 200 ? sparse_large(n, rng) : random_pairs(n, 0.3, rng);
+    stream.on_snapshot(n, pairs);
+    const OracleMetrics want = graph_oracle(n, pairs);
+    want_degrees.insert(want_degrees.end(), want.degrees.begin(), want.degrees.end());
+    want_diameters.push_back(want.diameter);
+    want_clustering.push_back(want.clustering);
+  }
+  const GraphMetrics got = stream.finish();
+  const auto sorted = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  const auto as_vector = [](std::span<const double> s) {
+    return std::vector<double>(s.begin(), s.end());
+  };
+  EXPECT_EQ(as_vector(got.degrees.sorted()), sorted(want_degrees));
+  EXPECT_EQ(as_vector(got.diameters.sorted()), sorted(want_diameters));
+  EXPECT_EQ(as_vector(got.clustering.sorted()), sorted(want_clustering));
+}
+
 
 }  // namespace
 }  // namespace slmob

@@ -80,6 +80,27 @@ TEST(Serialize, TruncatedThrows) {
   EXPECT_THROW((void)decode_trace(bytes), DecodeError);
 }
 
+TEST(Serialize, InflatedFixCountThrowsBeforeAllocating) {
+  // One snapshot claiming 2^32 - 1 fixes (~64 GiB once decoded) with no fix
+  // bytes behind it: the count must be rejected, not reserved.
+  constexpr std::uint8_t kMagic[4] = {'S', 'L', 'T', 'R'};
+  ByteWriter w;
+  w.raw(kMagic);
+  w.u16(3);
+  w.str("x");
+  w.f64(10.0);
+  w.u32(1);
+  w.f64(0.0);
+  w.u32(0xffffffffu);
+  const auto bytes = w.take();
+  try {
+    (void)decode_trace(bytes);
+    FAIL() << "decode_trace accepted an inflated fix count";
+  } catch (const DecodeError& e) {
+    EXPECT_STREQ(e.what(), "decode_trace: truncated snapshot block");
+  }
+}
+
 TEST(Serialize, TrailingBytesThrow) {
   const Trace t = make_random_trace(9, 2);
   auto bytes = encode_trace(t);
