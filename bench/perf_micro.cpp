@@ -3,6 +3,9 @@
 // LSL interpretation and world stepping.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "alloc_counter.hpp"
 #include "analysis/contacts.hpp"
 #include "analysis/graphs.hpp"
@@ -151,6 +154,40 @@ void BM_GraphMetricsPerSnapshot(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GraphMetricsPerSnapshot)->Arg(64)->Arg(100);
+
+// The streaming contact consumer at the 80 m WiFi range with its tables
+// warm, on precomputed pair lists (BM_ContactExtraction also builds the
+// proximity cache). A ring of 32 snapshots of avatars random-walking 8 m
+// per step, so each step continues most contacts and opens and closes a
+// few.
+void BM_ContactStreamPerSnapshot(benchmark::State& state) {
+  Rng rng(3);
+  Snapshot snap = random_snapshot(static_cast<std::size_t>(state.range(0)), rng);
+  std::vector<Snapshot> ring;
+  std::vector<ContactStream::PairList> pairs;
+  for (int k = 0; k < 32; ++k) {
+    std::vector<Vec3> positions;
+    for (auto& f : snap.fixes) {
+      f.pos.x = std::clamp(f.pos.x + rng.uniform(-8.0, 8.0), 0.0, 255.0);
+      f.pos.y = std::clamp(f.pos.y + rng.uniform(-8.0, 8.0), 0.0, 255.0);
+      positions.push_back(f.pos);
+    }
+    pairs.push_back(SpatialGrid(positions, 80.0).pairs_within());
+    ring.push_back(snap);
+  }
+  const GapTracker gaps;
+  ContactStream contacts(80.0, 10.0, gaps);
+  std::size_t fed = 0;
+  for (auto _ : state) {
+    const std::size_t k = fed % ring.size();
+    ring[k].time = 10.0 * static_cast<double>(fed);
+    contacts.on_snapshot(ring[k], pairs[k]);
+    // A fresh stream now and then bounds the accumulated intervals.
+    if (++fed % 4096 == 0) contacts = ContactStream(80.0, 10.0, gaps);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ContactStreamPerSnapshot)->Arg(64)->Arg(100);
 
 void BM_WorldTickHour(benchmark::State& state) {
   for (auto _ : state) {

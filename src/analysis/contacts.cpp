@@ -1,174 +1,48 @@
 #include "analysis/contacts.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "analysis/proximity_cache.hpp"
 
 namespace slmob {
 namespace {
 
-using PairKey = std::uint64_t;
+constexpr Seconds kNoCap = std::numeric_limits<double>::infinity();
+constexpr Seconds kUnset = std::numeric_limits<double>::quiet_NaN();
 
-PairKey pair_key(AvatarId a, AvatarId b) {
+std::uint64_t pair_key(AvatarId a, AvatarId b) {
   const auto lo = std::min(a.value, b.value);
   const auto hi = std::max(a.value, b.value);
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
 }
 
-struct OpenContact {
-  Seconds start;
-  Seconds last_seen;
-};
+// MurmurHash3's 64-bit finalizer: pair keys and avatar ids are small,
+// structured integers, so every bit must reach the masked low bits.
+std::uint64_t mix(std::uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdull;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ull;
+  k ^= k >> 33;
+  return k;
+}
 
 }  // namespace
 
 ContactAnalysis analyze_contacts(const Trace& trace, const ProximityCache& cache,
                                  double range, const ContactOptions& options) {
   (void)options;
-  ContactAnalysis out;
-  out.range = range;
-  const Seconds tau = trace.sampling_interval();
-  // Censoring only engages when the trace records coverage gaps; a gap-free
-  // trace takes exactly the historical path (bit-identical results).
-  const bool gap_aware = !trace.gaps().empty();
-
-  std::unordered_map<PairKey, OpenContact> open;
-  // Per-pair end time of the previous contact, for ICT.
-  std::unordered_map<PairKey, Seconds> last_contact_end;
-  // Per-user first appearance and first-contact time, for FT.
-  std::unordered_map<AvatarId, Seconds> first_seen;
-  std::unordered_map<AvatarId, Seconds> first_contact;
-  // Distinct users over covered snapshots; only maintained when gap-aware
-  // (first_seen entries get censored away at gaps, so its size undercounts).
-  std::unordered_set<AvatarId> seen_ever;
-
-  const auto close_contact = [&](PairKey key, const OpenContact& contact,
-                                 Seconds end_cap) {
-    const Seconds end = std::min(contact.last_seen + tau, end_cap);
-    const auto a = AvatarId{static_cast<std::uint32_t>(key >> 32)};
-    const auto b = AvatarId{static_cast<std::uint32_t>(key & 0xffffffffu)};
-    out.intervals.push_back({a, b, contact.start, end});
-    out.contact_times.add(end - contact.start);
-    if (const auto prev = last_contact_end.find(key); prev != last_contact_end.end()) {
-      out.inter_contact_times.add(contact.start - prev->second);
-    }
-    last_contact_end[key] = end;
-  };
-  constexpr Seconds kNoCap = std::numeric_limits<double>::infinity();
-
-  // Censor all running observations at a coverage gap starting at `cap`:
-  // open contacts are truncated there (never bridged), the ICT chain is cut
-  // (an inter-contact time spanning unobserved time would be fabricated),
-  // and users still waiting for a first contact restart their FT clock if
-  // they reappear after the gap.
-  const auto censor_at_gap = [&](Seconds cap) {
-    std::vector<PairKey> keys;
-    keys.reserve(open.size());
-    // slmob-lint: allow(ordered-iteration) -- collects keys only; sorted on the next line before any consumer
-    for (const auto& [key, contact] : open) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    for (const PairKey key : keys) close_contact(key, open.at(key), cap);
-    open.clear();
-    last_contact_end.clear();
-    for (auto it = first_seen.begin(); it != first_seen.end();) {
-      if (first_contact.find(it->first) == first_contact.end()) {
-        it = first_seen.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-
-  // Start of the first gap after covered instant `t` (callers guarantee one
-  // exists); the truncation point for observations running at `t`.
-  const auto next_gap_start = [&](Seconds t) {
-    for (const auto& gap : trace.gaps()) {
-      if (gap.end > t) return gap.start;
-    }
-    return t;
-  };
-
+  GapTracker gaps;
+  for (const auto& gap : trace.gaps()) gaps.add(gap.start, gap.end);
+  ContactStream stream(range, trace.sampling_interval(), gaps);
   const auto& snaps = trace.snapshots();
-  bool have_prev = false;
-  Seconds prev_time = 0.0;
   for (std::size_t s = 0; s < snaps.size(); ++s) {
-    const auto& snap = snaps[s];
-    if (gap_aware) {
-      if (!trace.covered_at(snap.time)) continue;
-      if (have_prev && trace.spans_gap(prev_time, snap.time)) {
-        censor_at_gap(next_gap_start(prev_time));
-      }
-      have_prev = true;
-      prev_time = snap.time;
-      for (const auto& fix : snap.fixes) seen_ever.insert(fix.id);
-    }
-    for (const auto& fix : snap.fixes) {
-      first_seen.try_emplace(fix.id, snap.time);
-    }
-
-    // In-range pairs of this snapshot, from the shared cache.
-    const auto& pairs = cache.pairs(s, range);
-    std::vector<PairKey> current;
-    current.reserve(pairs.size());
-    for (const auto& [i, j] : pairs) {
-      const AvatarId a = snap.fixes[i].id;
-      const AvatarId b = snap.fixes[j].id;
-      const PairKey key = pair_key(a, b);
-      current.push_back(key);
-      auto [it, inserted] = open.try_emplace(key, OpenContact{snap.time, snap.time});
-      if (!inserted) it->second.last_seen = snap.time;
-      first_contact.try_emplace(a, snap.time);
-      first_contact.try_emplace(b, snap.time);
-    }
-    std::sort(current.begin(), current.end());
-
-    // Close contacts not present in this snapshot.
-    for (auto it = open.begin(); it != open.end();) {
-      if (it->second.last_seen < snap.time &&
-          !std::binary_search(current.begin(), current.end(), it->first)) {
-        close_contact(it->first, it->second, kNoCap);
-        it = open.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    // A snapshot inside a coverage gap carries no valid observation.
+    if (gaps.covered_at(snaps[s].time)) stream.on_snapshot(snaps[s], cache.pairs(s, range));
   }
-  // Close whatever is still open at the end of the trace. If the trace ends
-  // inside (or right before) a recorded gap, those contacts are truncated at
-  // the gap edge like any other.
-  Seconds final_cap = kNoCap;
-  if (gap_aware && have_prev && !trace.covered_at(prev_time + tau)) {
-    final_cap = next_gap_start(prev_time);
-  }
-  // slmob-lint: allow(ordered-iteration) -- intervals are re-sorted just below; Ecdf samples are order-invisible (every reader sorts)
-  for (const auto& [key, contact] : open) close_contact(key, contact, final_cap);
-
-  std::sort(out.intervals.begin(), out.intervals.end(),
-            [](const ContactInterval& x, const ContactInterval& y) {
-              return std::tie(x.start, x.a.value, x.b.value) <
-                     std::tie(y.start, y.a.value, y.b.value);
-            });
-
-  out.users_seen = gap_aware ? seen_ever.size() : first_seen.size();
-  out.users_with_contact = first_contact.size();
-  std::vector<Seconds> first_contact_samples;
-  first_contact_samples.reserve(first_contact.size());
-  // slmob-lint: allow(ordered-iteration) -- FT samples are sorted below before entering the Ecdf
-  for (const auto& [id, t_contact] : first_contact) {
-    const Seconds t_seen = first_seen.at(id);
-    // FT = 0 would vanish on the paper's log axis; credit half a sampling
-    // interval to a user already in contact at its first snapshot.
-    const Seconds ft = t_contact - t_seen;
-    first_contact_samples.push_back(ft > 0.0 ? ft : tau / 2.0);
-  }
-  // unordered_map iteration order is implementation-defined; sort so the FT
-  // sample sequence does not depend on hashing details.
-  std::sort(first_contact_samples.begin(), first_contact_samples.end());
-  for (const Seconds ft : first_contact_samples) out.first_contact_times.add(ft);
-  return out;
+  return stream.finish();
 }
 
 ContactAnalysis analyze_contacts(const Trace& trace, double range,
@@ -178,106 +52,148 @@ ContactAnalysis analyze_contacts(const Trace& trace, double range,
 }
 
 // ---------------------------------------------------------------------------
-// ContactStream: the batch loop above, unrolled one snapshot at a time. The
-// censoring logic runs unconditionally against the tracker's gaps-so-far; on
-// a gap-free stream every censor predicate is vacuously false and the code
-// path is the historical one.
+// ContactStream::KeyTable
 
-namespace {
-constexpr Seconds kStreamNoCap = std::numeric_limits<double>::infinity();
-}  // namespace
+std::uint32_t ContactStream::KeyTable::find(std::uint64_t key) const {
+  if (size_ == 0) return kMissing;
+  for (std::size_t i = mix(key) & mask_;; i = (i + 1) & mask_) {
+    const Bucket& b = buckets_[i];
+    if (b.generation != generation_) return kMissing;
+    if (b.key == key) return b.index;
+  }
+}
+
+std::uint32_t ContactStream::KeyTable::insert(std::uint64_t key, std::uint32_t index) {
+  if (2 * (size_ + 1) > buckets_.size()) grow(size_ + 1);
+  for (std::size_t i = mix(key) & mask_;; i = (i + 1) & mask_) {
+    Bucket& b = buckets_[i];
+    if (b.generation != generation_) {
+      b = {key, index, generation_};
+      ++size_;
+      return kMissing;
+    }
+    if (b.key == key) return b.index;
+  }
+}
+
+void ContactStream::KeyTable::clear() {
+  size_ = 0;
+  if (++generation_ == 0) {
+    // Stamp wrap-around: reset every bucket once per 2^32 clears.
+    for (Bucket& b : buckets_) b.generation = 0;
+    generation_ = 1;
+  }
+}
+
+void ContactStream::KeyTable::grow(std::size_t keys) {
+  std::size_t capacity = 16;
+  while (capacity < 2 * keys) capacity *= 2;
+  std::vector<Bucket> old(capacity);
+  old.swap(buckets_);
+  mask_ = capacity - 1;
+  for (const Bucket& b : old) {
+    if (b.generation != generation_) continue;
+    std::size_t i = mix(b.key) & mask_;
+    while (buckets_[i].generation == generation_) i = (i + 1) & mask_;
+    buckets_[i] = b;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ContactStream. The censoring logic runs unconditionally against the
+// tracker's gaps-so-far; on a gap-free stream every censor predicate is
+// vacuously false.
 
 ContactStream::ContactStream(double range, Seconds tau, const GapTracker& gaps)
     : tau_(tau), gaps_(&gaps) {
   out_.range = range;
 }
 
-void ContactStream::close_contact(std::uint64_t key, const OpenContact& contact,
-                                  Seconds end_cap) {
+void ContactStream::close_contact(const OpenContact& contact, Seconds end_cap) {
   const Seconds end = std::min(contact.last_seen + tau_, end_cap);
-  const auto a = AvatarId{static_cast<std::uint32_t>(key >> 32)};
-  const auto b = AvatarId{static_cast<std::uint32_t>(key & 0xffffffffu)};
+  const auto a = AvatarId{static_cast<std::uint32_t>(contact.key >> 32)};
+  const auto b = AvatarId{static_cast<std::uint32_t>(contact.key & 0xffffffffu)};
   out_.intervals.push_back({a, b, contact.start, end});
   out_.contact_times.add(end - contact.start);
   if (epochs_active_) interval_epochs_.push_back(censor_epoch_);
   if (sink_) sink_(out_.intervals.back());
 }
 
+// Censors all running observations at a coverage gap starting at `cap`:
+// open contacts are truncated there (never bridged), the ICT chain is cut
+// (an inter-contact time spanning unobserved time would be fabricated), and
+// users still waiting for a first contact restart their FT clock if they
+// reappear after the gap. Open contacts close in key order, so the interval
+// sink sees a closure order that does not depend on the pair lists' order.
 void ContactStream::censor_at_gap(Seconds cap) {
   if (!epochs_active_) {
     epochs_active_ = true;
     interval_epochs_.assign(out_.intervals.size(), 0);
   }
-  std::vector<std::uint64_t> keys;
-  keys.reserve(open_.size());
-  for (const auto& [key, contact] : open_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  for (const std::uint64_t key : keys) close_contact(key, open_.at(key), cap);
-  open_.clear();
+  std::sort(prev_open_.begin(), prev_open_.end(),
+            [](const OpenContact& x, const OpenContact& y) { return x.key < y.key; });
+  for (const OpenContact& contact : prev_open_) close_contact(contact, cap);
+  prev_open_.clear();
+  prev_table_.clear();
   ++censor_epoch_;
-  for (auto it = first_seen_.begin(); it != first_seen_.end();) {
-    if (first_contact_.find(it->first) == first_contact_.end()) {
-      it = first_seen_.erase(it);
-    } else {
-      ++it;
-    }
+  for (std::size_t u = 0; u < first_seen_.size(); ++u) {
+    if (std::isnan(first_contact_[u])) first_seen_[u] = kUnset;
   }
 }
 
-// users_seen falls back to first_seen_ on a gap-free stream (exactly like the
-// batch loop), so the covered-users set only needs maintaining once a gap
-// exists. Until the first gap no censoring has happened, so first_seen_ still
-// holds every user ever seen and can seed the set retroactively.
-void ContactStream::seed_seen_ever() {
-  for (const auto& [id, t] : first_seen_) seen_ever_.insert(id);
-  seen_seeded_ = true;
-}
-
 void ContactStream::on_snapshot(const Snapshot& snap, const PairList& pairs) {
-  if (!seen_seeded_ && gaps_->any()) seed_seen_ever();
   if (have_prev_ && gaps_->spans_gap(prev_time_, snap.time)) {
     censor_at_gap(gaps_->next_gap_start(prev_time_));
   }
   have_prev_ = true;
   prev_time_ = snap.time;
-  if (seen_seeded_) {
-    for (const auto& fix : snap.fixes) seen_ever_.insert(fix.id);
-  }
-  for (const auto& fix : snap.fixes) {
-    first_seen_.try_emplace(fix.id, snap.time);
-  }
+  const Seconds t = snap.time;
 
-  current_.clear();
-  current_.reserve(pairs.size());
-  for (const auto& [i, j] : pairs) {
-    const AvatarId a = snap.fixes[i].id;
-    const AvatarId b = snap.fixes[j].id;
-    const std::uint64_t key = pair_key(a, b);
-    current_.push_back(key);
-    auto [it, inserted] = open_.try_emplace(key, OpenContact{snap.time, snap.time});
-    if (!inserted) it->second.last_seen = snap.time;
-    first_contact_.try_emplace(a, snap.time);
-    first_contact_.try_emplace(b, snap.time);
-  }
-  std::sort(current_.begin(), current_.end());
-
-  for (auto it = open_.begin(); it != open_.end();) {
-    if (it->second.last_seen < snap.time &&
-        !std::binary_search(current_.begin(), current_.end(), it->first)) {
-      close_contact(it->first, it->second, kStreamNoCap);
-      it = open_.erase(it);
-    } else {
-      ++it;
+  fix_user_.resize(snap.fixes.size());
+  for (std::size_t i = 0; i < snap.fixes.size(); ++i) {
+    const auto next = static_cast<std::uint32_t>(first_seen_.size());
+    std::uint32_t u = users_.insert(snap.fixes[i].id.value, next);
+    if (u == KeyTable::kMissing) {
+      u = next;
+      first_seen_.push_back(t);
+      first_contact_.push_back(kUnset);
+    } else if (std::isnan(first_seen_[u])) {
+      first_seen_[u] = t;
     }
+    fix_user_[i] = u;
   }
+
+  cur_table_.clear();
+  cur_open_.clear();
+  for (const auto& [i, j] : pairs) {
+    const std::uint32_t ua = fix_user_[i];
+    const std::uint32_t ub = fix_user_[j];
+    if (ua == ub) continue;  // two fixes of one avatar id: not a contact
+    const std::uint64_t key = pair_key(snap.fixes[i].id, snap.fixes[j].id);
+    const auto record = static_cast<std::uint32_t>(cur_open_.size());
+    if (cur_table_.insert(key, record) != KeyTable::kMissing) continue;  // duplicate pair
+    Seconds start = t;
+    if (const std::uint32_t p = prev_table_.find(key); p != KeyTable::kMissing) {
+      start = prev_open_[p].start;
+      prev_open_[p].last_seen = t;  // continued
+    }
+    cur_open_.push_back({key, start, t});
+    if (std::isnan(first_contact_[ua])) first_contact_[ua] = t;
+    if (std::isnan(first_contact_[ub])) first_contact_[ub] = t;
+  }
+
+  for (const OpenContact& contact : prev_open_) {
+    if (contact.last_seen < t) close_contact(contact, kNoCap);
+  }
+  std::swap(prev_table_, cur_table_);
+  std::swap(prev_open_, cur_open_);
 }
 
 // Emits one ICT sample per consecutive pair of same-pair intervals whose
-// censoring epochs match (see the header note for why this equals the
-// batch per-pair-map rule). Per pair, closure order is chronological, so
-// ordering intervals by (pair, start) recovers the chains; the samples land
-// in the distribution in a different order than the batch loop emits them,
-// which is invisible — every consumer of an Ecdf reads it sorted.
+// censoring epochs match (see the header note). Per pair, closure order is
+// chronological, so ordering intervals by (pair, start) recovers the
+// chains; sample order is invisible, as every consumer of an Ecdf reads it
+// sorted.
 void ContactStream::derive_inter_contact_times() {
   auto& intervals = out_.intervals;
   if (intervals.size() < 2) return;
@@ -319,14 +235,17 @@ void ContactStream::derive_inter_contact_times() {
 }
 
 ContactAnalysis ContactStream::finish() {
-  // A trailing gap (journal salvage) may arrive after the last snapshot.
-  if (!seen_seeded_ && gaps_->any()) seed_seen_ever();
-  Seconds final_cap = kStreamNoCap;
-  if (gaps_->any() && have_prev_ && !gaps_->covered_at(prev_time_ + tau_)) {
+  // Close whatever is still open. A gap after the last snapshot (a
+  // trailing gap may arrive after it) truncates them at its start, exactly
+  // like a censor mid-stream — even a gap shorter than tau that ends before
+  // last_seen + tau.
+  Seconds final_cap = kNoCap;
+  if (have_prev_ && gaps_->spans_gap(prev_time_, kNoCap)) {
     final_cap = gaps_->next_gap_start(prev_time_);
   }
-  for (const auto& [key, contact] : open_) close_contact(key, contact, final_cap);
-  open_.clear();
+  for (const OpenContact& contact : prev_open_) close_contact(contact, final_cap);
+  prev_open_.clear();
+  prev_table_.clear();
 
   derive_inter_contact_times();
   std::sort(out_.intervals.begin(), out_.intervals.end(),
@@ -335,17 +254,15 @@ ContactAnalysis ContactStream::finish() {
                      std::tie(y.start, y.a.value, y.b.value);
             });
 
-  out_.users_seen = gaps_->any() ? seen_ever_.size() : first_seen_.size();
-  out_.users_with_contact = first_contact_.size();
-  std::vector<Seconds> first_contact_samples;
-  first_contact_samples.reserve(first_contact_.size());
-  for (const auto& [id, t_contact] : first_contact_) {
-    const Seconds t_seen = first_seen_.at(id);
-    const Seconds ft = t_contact - t_seen;
-    first_contact_samples.push_back(ft > 0.0 ? ft : tau_ / 2.0);
+  out_.users_seen = first_seen_.size();
+  for (std::size_t u = 0; u < first_contact_.size(); ++u) {
+    if (std::isnan(first_contact_[u])) continue;
+    // FT = 0 would vanish on the paper's log axis; credit half a sampling
+    // interval to a user already in contact at its first snapshot.
+    const Seconds ft = first_contact_[u] - first_seen_[u];
+    out_.first_contact_times.add(ft > 0.0 ? ft : tau_ / 2.0);
   }
-  std::sort(first_contact_samples.begin(), first_contact_samples.end());
-  for (const Seconds ft : first_contact_samples) out_.first_contact_times.add(ft);
+  out_.users_with_contact = out_.first_contact_times.size();
   return std::move(out_);
 }
 

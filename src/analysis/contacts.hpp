@@ -23,8 +23,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -67,8 +65,9 @@ ContactAnalysis analyze_contacts(const Trace& trace, double range,
                                  const ContactOptions& options = {});
 
 // Same, but reads per-snapshot in-range pairs from a prebuilt cache instead
-// of building a SpatialGrid per snapshot. `range` must be one of the radii
-// the cache was built with; `cache` must cover the same trace.
+// of building one. `range` must be one of the radii the cache was built
+// with; `cache` must cover the same trace. Both overloads drive a
+// ContactStream over the trace's covered snapshots.
 ContactAnalysis analyze_contacts(const Trace& trace, const ProximityCache& cache,
                                  double range, const ContactOptions& options = {});
 
@@ -76,9 +75,11 @@ ContactAnalysis analyze_contacts(const Trace& trace, const ProximityCache& cache
 // snapshot (empty ones too — absence is what closes contacts) with its
 // in-range pair list, in time order, and call finish() once. Censoring reads
 // the shared GapTracker, which by the stream ordering contract already holds
-// every gap relevant to the snapshot being processed, so results are
-// bit-identical to analyze_contacts on the completed trace (gap-free traces
-// included: with no gaps tracked, the censor branches never fire).
+// every gap relevant to the snapshot being processed, so a stream over a
+// trace's covered snapshots equals analyze_contacts on the completed trace
+// (which is implemented as exactly that). On a gap-free stream the censor
+// branches never fire. Pairs of two fixes carrying the same avatar id (a
+// duplicate id within one snapshot) are not contacts and are skipped.
 class ContactStream {
  public:
   using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
@@ -95,11 +96,44 @@ class ContactStream {
   [[nodiscard]] ContactAnalysis finish();
 
  private:
+  // Open-addressing map from a 64-bit key to a dense record index, with
+  // linear probing. Buckets carry a generation stamp, so clear() is O(1);
+  // capacity is a power of two kept >= 2x the live keys, grown on insert.
+  class KeyTable {
+   public:
+    static constexpr std::uint32_t kMissing = 0xffffffffu;
+
+    // The index stored for `key`, or kMissing.
+    [[nodiscard]] std::uint32_t find(std::uint64_t key) const;
+    // Stores key -> index unless `key` is present; returns the index already
+    // stored, or kMissing when this call inserted.
+    std::uint32_t insert(std::uint64_t key, std::uint32_t index);
+    void clear();
+
+   private:
+    struct Bucket {
+      std::uint64_t key{0};
+      std::uint32_t index{0};
+      std::uint32_t generation{0};  // live iff == generation_
+    };
+    void grow(std::size_t keys);
+
+    std::vector<Bucket> buckets_;
+    std::size_t mask_{0};
+    std::size_t size_{0};
+    std::uint32_t generation_{1};
+  };
+
+  // A contact running through the previous (or current) snapshot. Every
+  // record of a snapshot's table was seen in that snapshot; last_seen is
+  // raised to the next snapshot's time when the pair is seen again, so a
+  // previous record still below the current time has ended.
   struct OpenContact {
+    std::uint64_t key;
     Seconds start;
     Seconds last_seen;
   };
-  void close_contact(std::uint64_t key, const OpenContact& contact, Seconds end_cap);
+  void close_contact(const OpenContact& contact, Seconds end_cap);
   void censor_at_gap(Seconds cap);
   void derive_inter_contact_times();
 
@@ -107,28 +141,36 @@ class ContactStream {
   const GapTracker* gaps_;
   std::function<void(const ContactInterval&)> sink_;
   ContactAnalysis out_;
-  std::unordered_map<std::uint64_t, OpenContact> open_;
-  std::unordered_map<AvatarId, Seconds> first_seen_;
-  std::unordered_map<AvatarId, Seconds> first_contact_;
-  std::unordered_set<AvatarId> seen_ever_;
-  std::vector<std::uint64_t> current_;  // scratch: this snapshot's pair keys
+  // Users: avatar id -> dense index, looked up once per fix. Per user, the
+  // time of its first (covered) appearance and of its first contact; NaN
+  // means unset. A censor unsets first_seen_ for users still without a
+  // contact, so their FT clock restarts when they reappear. Every indexed
+  // user was seen in a covered snapshot, so users_seen is the index size.
+  KeyTable users_;
+  std::vector<Seconds> first_seen_;
+  std::vector<Seconds> first_contact_;
+  std::vector<std::uint32_t> fix_user_;  // scratch: this snapshot's fix -> user
+  // Open contacts of the previous snapshot (prev_) and the one being
+  // processed (cur_), each a key table over a dense record vector. A pair
+  // of the current snapshot carries its start over from prev_; records of
+  // prev_ left uncontinued are closed, then the two sides swap.
+  KeyTable prev_table_;
+  KeyTable cur_table_;
+  std::vector<OpenContact> prev_open_;
+  std::vector<OpenContact> cur_open_;
   // ICT is derived at finish() from consecutive intervals of the same pair
   // instead of a per-pair "end of previous contact" map — that map holds an
   // entry for every pair that ever met and was the stream's largest
-  // non-output allocation on a day-long trace. The batch rule "a gap cuts
-  // the ICT chain" (the map is cleared at every censor) is reproduced by a
-  // censoring epoch: every censor bumps it, every interval records the
-  // epoch of its closure, and consecutive contacts of a pair chain only
-  // when their epochs match. An interval closed by the censor itself
-  // records the pre-bump epoch, so — exactly like the map, which the
-  // censor clears right after writing it — it can never chain forward.
-  // Epoch storage is allocated lazily at the first censor; a gap-free
-  // stream (no censors, every pair chains) records nothing.
+  // non-output allocation on a day-long trace. The rule "a gap cuts the ICT
+  // chain" is reproduced by a censoring epoch: every censor bumps it, every
+  // interval records the epoch of its closure, and consecutive contacts of
+  // a pair chain only when their epochs match. An interval closed by the
+  // censor itself records the pre-bump epoch, so it can never chain
+  // forward. Epoch storage is allocated lazily at the first censor; a
+  // gap-free stream (no censors, every pair chains) records nothing.
   std::uint32_t censor_epoch_{0};
   std::vector<std::uint32_t> interval_epochs_;
   bool epochs_active_{false};
-  void seed_seen_ever();
-  bool seen_seeded_{false};
   bool have_prev_{false};
   Seconds prev_time_{0.0};
 };

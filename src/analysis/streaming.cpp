@@ -58,7 +58,13 @@ StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
   });
 }
 
-StreamingAnalyzer::~StreamingAnalyzer() = default;
+StreamingAnalyzer::~StreamingAnalyzer() {
+  // A window may still be in flight on the pool (finish was never called):
+  // wait for it before any consumer it touches is destroyed. Its error, if
+  // any, has no one left to report to.
+  std::unique_lock<std::mutex> lock(drain_mutex_);
+  drained_.wait(lock, [this] { return !in_flight_; });
+}
 
 void StreamingAnalyzer::on_begin(const std::string& /*land_name*/,
                                  Seconds sampling_interval) {
@@ -76,30 +82,30 @@ void StreamingAnalyzer::on_begin(const std::string& /*land_name*/,
     per_range_.push_back(std::move(rc));
   }
 
-  // One task list, rebuilt never: each task walks the buffered window as a
-  // tight per-consumer loop (window_[0, win_used_) is read-only during a
-  // flush) and appends to exactly one consumer. Looping per consumer rather
-  // than fanning out per snapshot keeps each consumer's hot loop resident
-  // instead of cycling all six through the instruction cache every 10
-  // simulated seconds.
+  // One task list, rebuilt never: each task walks the draining window as a
+  // tight per-consumer loop (draining_[0, drain_used_) is read-only while
+  // in flight) and appends to exactly one consumer. Looping per consumer
+  // rather than fanning out per snapshot keeps each consumer's hot loop
+  // resident instead of cycling all six through the instruction cache
+  // every 10 simulated seconds.
   for (auto& rc : per_range_) {
     RangeConsumers* c = rc.get();
     window_tasks_.emplace_back([this, c] {
-      for (std::size_t k = 0; k < win_used_; ++k)
-        c->contacts.on_snapshot(window_[k].snap, window_[k].lists[c->ri]);
+      for (std::size_t k = 0; k < drain_used_; ++k)
+        c->contacts.on_snapshot(draining_[k].snap, draining_[k].lists[c->ri]);
     });
     window_tasks_.emplace_back([this, c] {
-      for (std::size_t k = 0; k < win_used_; ++k)
-        c->graphs.on_snapshot(window_[k].snap.fixes.size(), window_[k].lists[c->ri]);
+      for (std::size_t k = 0; k < drain_used_; ++k)
+        c->graphs.on_snapshot(draining_[k].snap.fixes.size(), draining_[k].lists[c->ri]);
     });
   }
   window_tasks_.emplace_back([this] {
-    for (std::size_t k = 0; k < win_used_; ++k)
-      zones_->on_snapshot(window_[k].positions, window_[k].weight);
+    for (std::size_t k = 0; k < drain_used_; ++k)
+      zones_->on_snapshot(draining_[k].positions, draining_[k].weight);
   });
   window_tasks_.emplace_back([this] {
-    for (std::size_t k = 0; k < win_used_; ++k)
-      sessions_->on_snapshot(window_[k].snap);
+    for (std::size_t k = 0; k < drain_used_; ++k)
+      sessions_->on_snapshot(draining_[k].snap);
   });
 }
 
@@ -163,14 +169,50 @@ void StreamingAnalyzer::on_snapshot(const Snapshot& snapshot) {
   if (++win_used_ == window_.size()) flush_window();
 }
 
+// Hands the filled window to the pool and returns at once, so the caller
+// goes on advancing proximity into the other window while the consumers
+// drain this one. The previous window is joined first: windows are consumed
+// in order, one at a time. With a one-thread pool submit runs the driver
+// inline, so this is the plain sequential loop.
 void StreamingAnalyzer::flush_window() {
   if (win_used_ == 0) return;
-  parallel_for(pool_, window_tasks_.size(),
-               [&](std::size_t i) { window_tasks_[i](); });
+  join_window();
+  // The second window is allocated here rather than in the constructor, so
+  // an analyzer that never fills one window does not pay for it.
+  if (draining_.size() != window_.size()) draining_.resize(window_.size());
+  std::swap(window_, draining_);
+  drain_used_ = win_used_;
   win_used_ = 0;
+  {
+    const std::lock_guard<std::mutex> lock(drain_mutex_);
+    in_flight_ = true;
+  }
+  pool_.submit([this] {
+    std::exception_ptr error;
+    try {
+      parallel_for(pool_, window_tasks_.size(),
+                   [this](std::size_t i) { window_tasks_[i](); });
+    } catch (...) {
+      error = std::current_exception();
+    }
+    // Notify under the lock: once in_flight_ reads false the joining thread
+    // may destroy the analyzer, condition variable included.
+    const std::lock_guard<std::mutex> lock(drain_mutex_);
+    drain_error_ = error;
+    in_flight_ = false;
+    drained_.notify_all();
+  });
+}
+
+void StreamingAnalyzer::join_window() {
+  std::unique_lock<std::mutex> lock(drain_mutex_);
+  drained_.wait(lock, [this] { return !in_flight_; });
+  if (drain_error_) std::rethrow_exception(std::exchange(drain_error_, nullptr));
 }
 
 void StreamingAnalyzer::on_gap(Seconds start, Seconds end) {
+  // Consumers in flight read gaps_, and add may reallocate it.
+  join_window();
   gaps_.add(start, end);
   ++progress_.gaps;
 }
@@ -187,6 +229,7 @@ AnalysisReport StreamingAnalyzer::finish() {
   // the batch empty-trace report.
   if (!begun_) on_begin("", 10.0);
   flush_window();  // drain the partially filled last window
+  join_window();
 
   AnalysisReport report;
   TraceSummary& s = report.summary;

@@ -17,13 +17,23 @@
 // fanned across a thread pool. Windowing exists purely for throughput:
 // switching six consumer hot loops every snapshot thrashes the instruction
 // cache and branch predictors enough to lose to the batch pipeline, while
-// per-window loops match batch's tight per-analysis passes. Tasks own
-// disjoint consumer state and every consumer sees its inputs in time order
-// with a barrier between windows, so results are identical for any thread
-// count, 1 included. Deferring consumption is sound by the stream ordering
-// contract: every gap covering a buffered snapshot was recorded before that
-// snapshot arrived, and later gaps start strictly after it, so gap
-// predicates answer identically at flush time.
+// per-window loops match batch's tight per-analysis passes.
+//
+// Windows are double-buffered. A full window is swapped with the drained
+// one and handed to the pool as a single driver task (which fans the
+// consumer tasks out with parallel_for); the caller returns at once and
+// goes on advancing proximity into the other window, so the serial
+// producer work overlaps the consumers. The window in flight is joined
+// before the next flush, before a gap is recorded (consumers read the gap
+// list, which recording may reallocate), in finish and in the destructor;
+// a consumer's exception is rethrown at that join. Windows are thus
+// consumed one at a time, in order, and tasks own disjoint consumer state,
+// so every consumer sees its inputs in time order and results are
+// identical for any thread count, 1 included (a one-thread pool runs the
+// driver inline at the flush). Deferring consumption is sound by the
+// stream ordering contract: every gap covering a buffered snapshot was
+// recorded before that snapshot arrived, and later gaps start strictly
+// after it, so gap predicates answer identically at flush time.
 //
 // Gap handling is always on: consumers censor against the gaps seen so far
 // (GapTracker), which by the stream ordering contract (trace/stream.hpp)
@@ -32,9 +42,12 @@
 // are reproduced exactly.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -138,6 +151,9 @@ class StreamingAnalyzer final : public LiveTraceSink {
   };
 
   void flush_window();
+  // Waits for the window in flight, if any, and rethrows a consumer's
+  // exception from it.
+  void join_window();
 
   StreamingOptions options_;
   ThreadPool pool_;
@@ -150,10 +166,19 @@ class StreamingAnalyzer final : public LiveTraceSink {
   std::unique_ptr<TripStream> trips_;
   std::unique_ptr<FlightStream> flights_;
   std::unique_ptr<RelationStream> relations_;
-  // Per-consumer loops over window_[0, win_used_); built once in on_begin.
+  // Per-consumer loops over draining_[0, drain_used_); built once in
+  // on_begin.
   std::vector<std::function<void()>> window_tasks_;
+  // Double buffer: the producer fills window_[0, win_used_) while the pool
+  // drains draining_[0, drain_used_); flush_window swaps them.
   std::vector<WindowEntry> window_;
   std::size_t win_used_{0};
+  std::vector<WindowEntry> draining_;
+  std::size_t drain_used_{0};
+  std::mutex drain_mutex_;
+  std::condition_variable drained_;
+  bool in_flight_{false};           // guarded by drain_mutex_
+  std::exception_ptr drain_error_;  // guarded by drain_mutex_
 
   // Summary bookkeeping (matches Trace::summary on the accumulated trace).
   std::set<AvatarId> unique_users_;

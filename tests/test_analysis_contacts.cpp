@@ -2,6 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <optional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "analysis/streaming.hpp"
+#include "util/rng.hpp"
+
 namespace slmob {
 namespace {
 
@@ -208,6 +220,335 @@ TEST(ContactsCensoring, UncoveredSnapshotsAreIgnored) {
     EXPECT_LE(interval.b.value, 2u);
     EXPECT_FALSE(b.trace.spans_gap(interval.start, interval.end));
   }
+}
+
+TEST(Contacts, DuplicateAvatarIdIsNotASelfContact) {
+  // Two fixes of avatar 7 one metre apart: the same user, not a pair.
+  Trace trace("dup", 10.0);
+  Snapshot snap;
+  snap.time = 0.0;
+  snap.fixes.push_back({AvatarId{7}, {10.0, 10.0, 22.0}});
+  snap.fixes.push_back({AvatarId{7}, {11.0, 10.0, 22.0}});
+  trace.add(snap);
+  const auto analysis = analyze_contacts(trace, 10.0);
+  EXPECT_TRUE(analysis.intervals.empty());
+  EXPECT_TRUE(analysis.contact_times.empty());
+  EXPECT_EQ(analysis.users_seen, 1u);
+  EXPECT_EQ(analysis.users_with_contact, 0u);
+  EXPECT_TRUE(analysis.first_contact_times.empty());
+}
+
+TEST(Contacts, DuplicateAvatarIdStillMeetsOthersOnce) {
+  // Both copies of avatar 7 are near avatar 8: one 7-8 contact, not two.
+  TraceBuilder b;
+  b.snap({{7, 0.0}, {7, 2.0}, {8, 4.0}});
+  b.snap({{7, 0.0}, {8, 4.0}});
+  const auto analysis = analyze_contacts(b.trace, 10.0);
+  ASSERT_EQ(analysis.intervals.size(), 1u);
+  EXPECT_EQ(analysis.intervals[0].a.value, 7u);
+  EXPECT_EQ(analysis.intervals[0].b.value, 8u);
+  EXPECT_DOUBLE_EQ(analysis.intervals[0].duration(), 20.0);
+  EXPECT_EQ(analysis.users_with_contact, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// ContactOracle: the paper's §3.1 contact rules transcribed literally —
+// O(n²) in-range pairs per snapshot, whole-trace scans per pair and per
+// user, no incremental state — and compared bit for bit with every entry
+// point of the contact analysis.
+
+struct OracleContacts {
+  std::vector<ContactInterval> intervals;  // sorted by (start, a, b)
+  std::vector<double> contact_times;       // sorted
+  std::vector<double> inter_contact_times;
+  std::vector<double> first_contact_times;
+  std::size_t users_seen{0};
+  std::size_t users_with_contact{0};
+};
+
+using IdPair = std::pair<std::uint32_t, std::uint32_t>;
+
+OracleContacts contact_oracle(const Trace& trace, double r) {
+  const Seconds tau = trace.sampling_interval();
+  const auto& gaps = trace.gaps();
+  const auto in_gap = [&](Seconds t) {
+    for (const auto& g : gaps) {
+      if (g.start <= t && t < g.end) return true;
+    }
+    return false;
+  };
+  const auto gap_between = [&](Seconds t0, Seconds t1) {
+    for (const auto& g : gaps) {
+      if (g.start < t1 && g.end > t0) return true;
+    }
+    return false;
+  };
+  const auto first_gap_after = [&](Seconds t) -> std::optional<Seconds> {
+    for (const auto& g : gaps) {
+      if (g.start > t) return g.start;
+    }
+    return std::nullopt;
+  };
+
+  // Covered snapshots only; a new coverage segment starts after every gap.
+  struct Observation {
+    Seconds t;
+    std::size_t segment;
+    std::set<std::uint32_t> users;
+    std::set<IdPair> pairs;  // distinct ids within r
+  };
+  std::vector<Observation> obs;
+  for (const Snapshot& snap : trace.snapshots()) {
+    if (in_gap(snap.time)) continue;
+    Observation o{snap.time, 0, {}, {}};
+    if (!obs.empty()) {
+      o.segment = obs.back().segment + (gap_between(obs.back().t, snap.time) ? 1 : 0);
+    }
+    for (const AvatarFix& f : snap.fixes) o.users.insert(f.id.value);
+    for (std::size_t i = 0; i < snap.fixes.size(); ++i) {
+      for (std::size_t j = i + 1; j < snap.fixes.size(); ++j) {
+        const AvatarFix& p = snap.fixes[i];
+        const AvatarFix& q = snap.fixes[j];
+        if (p.id == q.id) continue;
+        const double dx = p.pos.x - q.pos.x;
+        const double dy = p.pos.y - q.pos.y;
+        if (std::sqrt(dx * dx + dy * dy) <= r) {
+          o.pairs.insert(std::minmax(p.id.value, q.id.value));
+        }
+      }
+    }
+    obs.push_back(std::move(o));
+  }
+
+  OracleContacts out;
+  std::set<IdPair> all_pairs;
+  std::set<std::uint32_t> all_users;
+  for (const Observation& o : obs) {
+    all_pairs.insert(o.pairs.begin(), o.pairs.end());
+    all_users.insert(o.users.begin(), o.users.end());
+  }
+  out.users_seen = all_users.size();
+
+  // CT: per pair, maximal runs [s, e] of consecutive covered snapshots of
+  // one segment with the pair in range; CT = (t_e - t_s) + tau, truncated
+  // at the start of the gap that ends the segment. ICT: start of a contact
+  // minus end of the pair's previous contact in the same segment.
+  for (const IdPair& pair : all_pairs) {
+    std::optional<std::pair<Seconds, std::size_t>> previous;  // end, segment
+    std::size_t k = 0;
+    while (k < obs.size()) {
+      if (obs[k].pairs.count(pair) == 0) {
+        ++k;
+        continue;
+      }
+      const std::size_t s = k;
+      std::size_t e = k;
+      while (e + 1 < obs.size() && obs[e + 1].segment == obs[s].segment &&
+             obs[e + 1].pairs.count(pair) != 0) {
+        ++e;
+      }
+      Seconds end = obs[e].t + tau;
+      const bool ends_segment = e + 1 == obs.size() || obs[e + 1].segment != obs[e].segment;
+      if (ends_segment) {
+        if (const auto cap = first_gap_after(obs[e].t)) end = std::min(end, *cap);
+      }
+      out.intervals.push_back({AvatarId{pair.first}, AvatarId{pair.second}, obs[s].t, end});
+      out.contact_times.push_back(end - obs[s].t);
+      if (previous && previous->second == obs[s].segment) {
+        out.inter_contact_times.push_back(obs[s].t - previous->first);
+      }
+      previous = std::make_pair(end, obs[s].segment);
+      k = e + 1;
+    }
+  }
+
+  // FT: per user, the first contact minus the user's first appearance in
+  // that contact's segment (the clock restarts after every gap); tau/2 for
+  // a user in contact at first sight.
+  for (const std::uint32_t user : all_users) {
+    std::optional<std::size_t> contact_at;
+    for (std::size_t k = 0; k < obs.size() && !contact_at; ++k) {
+      for (const IdPair& pair : obs[k].pairs) {
+        if (pair.first == user || pair.second == user) contact_at = k;
+      }
+    }
+    if (!contact_at) continue;
+    ++out.users_with_contact;
+    std::size_t seen_at = *contact_at;
+    while (seen_at > 0 && obs[seen_at - 1].segment == obs[*contact_at].segment) --seen_at;
+    while (obs[seen_at].users.count(user) == 0) ++seen_at;
+    const Seconds t_contact = obs[*contact_at].t;
+    const Seconds t_seen = obs[seen_at].t;
+    out.first_contact_times.push_back(t_contact == t_seen ? tau / 2.0 : t_contact - t_seen);
+  }
+
+  std::sort(out.intervals.begin(), out.intervals.end(),
+            [](const ContactInterval& x, const ContactInterval& y) {
+              return std::tie(x.start, x.a.value, x.b.value) <
+                     std::tie(y.start, y.a.value, y.b.value);
+            });
+  std::sort(out.contact_times.begin(), out.contact_times.end());
+  std::sort(out.inter_contact_times.begin(), out.inter_contact_times.end());
+  std::sort(out.first_contact_times.begin(), out.first_contact_times.end());
+  return out;
+}
+
+std::vector<double> sorted_samples(const Ecdf& ecdf) {
+  const auto view = ecdf.sorted();
+  return {view.begin(), view.end()};
+}
+
+void expect_matches_oracle(const ContactAnalysis& got, const OracleContacts& want,
+                           const std::string& where) {
+  ASSERT_EQ(got.intervals.size(), want.intervals.size()) << where;
+  for (std::size_t i = 0; i < want.intervals.size(); ++i) {
+    const ContactInterval& g = got.intervals[i];
+    const ContactInterval& w = want.intervals[i];
+    EXPECT_EQ(g.a, w.a) << where << " interval " << i;
+    EXPECT_EQ(g.b, w.b) << where << " interval " << i;
+    EXPECT_EQ(g.start, w.start) << where << " interval " << i;
+    EXPECT_EQ(g.end, w.end) << where << " interval " << i;
+  }
+  EXPECT_EQ(sorted_samples(got.contact_times), want.contact_times) << where;
+  EXPECT_EQ(sorted_samples(got.inter_contact_times), want.inter_contact_times) << where;
+  EXPECT_EQ(sorted_samples(got.first_contact_times), want.first_contact_times) << where;
+  EXPECT_EQ(got.users_seen, want.users_seen) << where;
+  EXPECT_EQ(got.users_with_contact, want.users_with_contact) << where;
+}
+
+// Small random traces on integer coordinates (so ties at exactly r are
+// common: 6-8-10 triangles) with logouts, position holds, missed snapshots,
+// empty snapshots, duplicate ids and random coverage gaps — including gaps
+// starting or ending exactly on a snapshot, covering snapshots, and short
+// gaps after the last snapshot.
+Trace random_contact_trace(std::uint64_t seed) {
+  Rng rng(seed);
+  Trace trace("oracle", 10.0);
+  const auto users = static_cast<std::size_t>(rng.uniform_int(2, 9));
+  const auto slots = rng.uniform_int(1, 40);
+  std::vector<bool> online(users);
+  std::vector<Vec3> pos(users);
+  for (std::size_t u = 0; u < users; ++u) {
+    online[u] = rng.bernoulli(0.6);
+    pos[u] = {static_cast<double>(rng.uniform_int(0, 30)),
+              static_cast<double>(rng.uniform_int(0, 30)), 22.0};
+  }
+  for (std::int64_t slot = 0; slot < slots; ++slot) {
+    Snapshot snap;
+    snap.time = static_cast<double>(slot) * 10.0;
+    for (std::size_t u = 0; u < users; ++u) {
+      if (rng.bernoulli(0.15)) online[u] = !online[u];
+      if (rng.bernoulli(0.35)) {
+        pos[u] = {static_cast<double>(rng.uniform_int(0, 30)),
+                  static_cast<double>(rng.uniform_int(0, 30)), 22.0};
+      }
+    }
+    if (rng.bernoulli(0.1)) continue;  // missed, and not recorded as a gap
+    if (!rng.bernoulli(0.05)) {
+      for (std::size_t u = 0; u < users; ++u) {
+        if (online[u]) snap.fixes.push_back({AvatarId{static_cast<std::uint32_t>(u + 1)}, pos[u]});
+      }
+      if (!snap.fixes.empty() && rng.bernoulli(0.15)) {
+        const auto dup = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(snap.fixes.size()) - 1));
+        const Vec3 near{snap.fixes[dup].pos.x + static_cast<double>(rng.uniform_int(0, 12)),
+                        snap.fixes[dup].pos.y, 22.0};
+        snap.fixes.push_back({snap.fixes[dup].id, near});
+      }
+    }
+    trace.add(std::move(snap));
+  }
+  const double last_slot = static_cast<double>(slots - 1) * 10.0;
+  Seconds free_from = -5.0;  // gaps are ordered and disjoint
+  if (rng.bernoulli(0.7)) {
+    for (Seconds start = free_from + static_cast<double>(rng.uniform_int(0, 40)) * 2.5;
+         start < last_slot;) {
+      const Seconds end = start + static_cast<double>(rng.uniform_int(1, 12)) * 2.5;
+      trace.add_gap(start, end);
+      free_from = end;
+      start = end + static_cast<double>(rng.uniform_int(0, 40)) * 2.5;
+    }
+  }
+  if (rng.bernoulli(0.4)) {  // a trailing gap, often shorter than tau
+    const Seconds start =
+        std::max(free_from, last_slot) + static_cast<double>(rng.uniform_int(1, 4)) * 2.5;
+    trace.add_gap(start, start + static_cast<double>(rng.uniform_int(1, 12)) * 2.5);
+  }
+  return trace;
+}
+
+constexpr std::uint64_t kOracleSeeds = 120;
+
+TEST(ContactOracle, RandomTracesMatchBatchAnalysis) {
+  std::size_t intervals = 0;
+  std::size_t chained = 0;
+  std::size_t gapped = 0;
+  for (std::uint64_t seed = 1; seed <= kOracleSeeds; ++seed) {
+    const Trace trace = random_contact_trace(seed);
+    if (!trace.gaps().empty()) ++gapped;
+    for (const double r : {10.0, 20.0}) {
+      const OracleContacts want = contact_oracle(trace, r);
+      intervals += want.intervals.size();
+      chained += want.inter_contact_times.size();
+      expect_matches_oracle(analyze_contacts(trace, r), want,
+                            "seed " + std::to_string(seed) + " r " + std::to_string(r));
+    }
+  }
+  // The generator must exercise what the oracle checks.
+  EXPECT_GT(intervals, 1000u);
+  EXPECT_GT(chained, 100u);
+  EXPECT_GT(gapped, kOracleSeeds / 2);
+}
+
+TEST(ContactOracle, RandomTracesMatchStreamingAnalyzerAtAnyWindowAndThreadCount) {
+  for (std::uint64_t seed = 1; seed <= kOracleSeeds; seed += 3) {
+    const Trace trace = random_contact_trace(seed);
+    const OracleContacts want10 = contact_oracle(trace, 10.0);
+    const OracleContacts want20 = contact_oracle(trace, 20.0);
+    for (const std::size_t threads : {1u, 4u}) {
+      for (const std::size_t window : {1u, 3u, 64u}) {
+        StreamingOptions opt;
+        opt.ranges = {10.0, 20.0};
+        opt.threads = threads;
+        opt.window = window;
+        MemoryTraceStream stream(trace);
+        const AnalysisReport report = analyze_stream(stream, opt);
+        const std::string where = "seed " + std::to_string(seed) + " threads " +
+                                  std::to_string(threads) + " window " +
+                                  std::to_string(window);
+        expect_matches_oracle(report.contacts.at(10.0), want10, where + " r 10");
+        expect_matches_oracle(report.contacts.at(20.0), want20, where + " r 20");
+      }
+    }
+  }
+}
+
+TEST(ContactOracle, ShortGapAfterTheLastSnapshotTruncatesOpenContacts) {
+  TraceBuilder b;
+  b.snap({{1, 0.0}, {2, 5.0}});
+  b.snap({{1, 0.0}, {2, 5.0}});  // t=10, last snapshot
+  b.trace.add_gap(12.5, 15.0);   // ends before t=10 + tau
+  const OracleContacts want = contact_oracle(b.trace, 10.0);
+  ASSERT_EQ(want.intervals.size(), 1u);
+  EXPECT_EQ(want.intervals[0].end, 12.5);
+  expect_matches_oracle(analyze_contacts(b.trace, 10.0), want, "short trailing gap");
+}
+
+TEST(ContactOracle, TieAtExactlyRangeIsAContact) {
+  // A 6-8-10 triangle: distance exactly r.
+  Trace trace("tie", 10.0);
+  for (int k = 0; k < 3; ++k) {
+    Snapshot snap;
+    snap.time = 10.0 * k;
+    snap.fixes.push_back({AvatarId{1}, {0.0, 0.0, 22.0}});
+    snap.fixes.push_back({AvatarId{2}, {k == 1 ? 7.0 : 6.0, 8.0, 22.0}});
+    trace.add(std::move(snap));
+  }
+  const OracleContacts want = contact_oracle(trace, 10.0);
+  ASSERT_EQ(want.intervals.size(), 2u);
+  ASSERT_EQ(want.inter_contact_times.size(), 1u);
+  EXPECT_EQ(want.inter_contact_times[0], 10.0);
+  expect_matches_oracle(analyze_contacts(trace, 10.0), want, "tie");
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -166,6 +167,53 @@ TEST(StreamingGolden, ChaosScenario) {
 
 TEST(StreamingGolden, CollectorCrashScenario) {
   expect_land_equivalence(LandArchetype::kIsleOfView, "collector-crash");
+}
+
+TEST(StreamingPipeline, WindowAndThreadCountNeverChangeAGappedChaosTrace) {
+  // Gaps arrive mid-stream, so at window 1 (a flush per covered snapshot)
+  // every on_gap after the first snapshot lands with a window in flight on
+  // a multi-thread pool and must join it first. Relations and flights ride
+  // along: the relation stream is fed by a contact sink inside the window.
+  const Trace& trace = golden_run(LandArchetype::kIsleOfView, "chaos").results.trace;
+  ASSERT_FALSE(trace.gaps().empty());
+  ASSERT_GT(trace.gaps().front().start, trace.snapshots().front().time);
+  std::optional<AnalysisReport> first;
+  for (const std::size_t window : {1u, 2u, 3u, 64u}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      StreamingOptions opt;
+      opt.window = window;
+      opt.threads = threads;
+      opt.relations = true;
+      opt.flights = true;
+      const AnalysisReport report = stream_report(trace, opt);
+      if (!first) {
+        first = report;
+        continue;
+      }
+      const std::string diff = analysis_diff(*first, report);
+      EXPECT_TRUE(diff.empty()) << "window " << window << " threads " << threads << ": "
+                                << diff;
+      EXPECT_EQ(analysis_fingerprint(*first), analysis_fingerprint(report));
+    }
+  }
+}
+
+TEST(StreamingPipeline, DestroyingMidStreamWithAWindowInFlightIsClean) {
+  // No finish(): the destructor must wait for the window the last flush
+  // handed to the pool before any consumer it touches goes away.
+  const Trace trace = seeded_trace(17, 41, 60);
+  for (const std::size_t window : {1u, 2u, 8u}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      StreamingOptions opt;
+      opt.window = window;
+      opt.threads = threads;
+      opt.relations = true;
+      StreamingAnalyzer analyzer(opt);
+      analyzer.on_begin(trace.land_name(), trace.sampling_interval());
+      for (const Snapshot& snap : trace.snapshots()) analyzer.on_snapshot(snap);
+      EXPECT_EQ(analyzer.progress().snapshots, trace.snapshots().size());
+    }
+  }
 }
 
 TEST(StreamingEquivalence, SalvagedTornJournal) {
