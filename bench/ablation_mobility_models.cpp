@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
                [&](Seconds now, Seconds dt) { recorder.tick(now, dt); });
     engine.run_until(options.hours * kSecondsPerHour);
 
-    const ExperimentResults res = analyze_trace(recorder.take_trace(),
-                                                {kBluetoothRange}, world->land().size());
+    const AnalysisReport res =
+        analyze_trace(recorder.take_trace(), {kBluetoothRange}, world->land().size());
     const auto& c = res.contacts.at(kBluetoothRange);
     const auto& g = res.graphs.at(kBluetoothRange);
     std::printf("%-16s %9.1f%% %10zu %12.0f %12.0f %12.0f %12.2f\n", names[model],

@@ -51,10 +51,10 @@ int main(int argc, char** argv) {
     };
     for (const auto& v : variants) {
       const ExperimentResults res = run_variant(archetype, options, v.mimicry, v.curiosity);
-      const auto& ct = res.contacts.at(kBluetoothRange).contact_times;
-      const auto& deg = res.graphs.at(kBluetoothRange).degrees;
+      const auto& ct = res.analysis.contacts.at(kBluetoothRange).contact_times;
+      const auto& deg = res.analysis.graphs.at(kBluetoothRange).degrees;
       std::printf("%-14s %-22s %10zu %12.0f %12.0f %10llu\n",
-                  res.trace.land_name().c_str(), v.name, res.zones.max_occupancy,
+                  res.trace.land_name().c_str(), v.name, res.analysis.zones.max_occupancy,
                   ct.empty() ? 0.0 : ct.median(), deg.empty() ? 0.0 : deg.median(),
                   static_cast<unsigned long long>(res.world_stats.curiosity_approaches));
     }

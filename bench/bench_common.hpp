@@ -39,7 +39,8 @@ void prewarm_lands(const std::vector<LandArchetype>& archetypes,
 // Peak RSS (high-water mark) of this process in MiB; 0 when the platform
 // probe is unavailable. Thin wrapper over util/sysinfo. Note the kernel
 // counter is a process-lifetime maximum: comparing two pipelines' footprints
-// requires one process per pipeline (fork, as streaming_throughput does).
+// requires one process per pipeline (perfbench/run.py runs each stage in
+// its own process for this reason).
 double peak_rss_mib();
 
 // JSON output ----------------------------------------------------------------

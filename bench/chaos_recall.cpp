@@ -94,14 +94,14 @@ ScenarioScore score_scenario(const std::string& scenario, double hours,
   score.name = scenario;
   score.recall = recall_vs_truth(res.trace, truth, /*covered_only=*/false);
   score.covered_recall = recall_vs_truth(res.trace, truth, /*covered_only=*/true);
-  score.gap_count = res.summary.gap_count;
-  score.gap_seconds = res.summary.gap_seconds;
-  score.snapshots = res.summary.snapshot_count;
+  score.gap_count = res.analysis.summary.gap_count;
+  score.gap_seconds = res.analysis.summary.gap_seconds;
+  score.snapshots = res.analysis.summary.snapshot_count;
   score.relogins = res.crawler_stats.relogins;
-  score.ks_ct = ks_distance(res.contacts.at(kBluetoothRange).contact_times,
-                            baseline.contacts.at(kBluetoothRange).contact_times);
-  score.ks_ict = ks_distance(res.contacts.at(kBluetoothRange).inter_contact_times,
-                             baseline.contacts.at(kBluetoothRange).inter_contact_times);
+  score.ks_ct = ks_distance(res.analysis.contacts.at(kBluetoothRange).contact_times,
+                            baseline.analysis.contacts.at(kBluetoothRange).contact_times);
+  score.ks_ict = ks_distance(res.analysis.contacts.at(kBluetoothRange).inter_contact_times,
+                             baseline.analysis.contacts.at(kBluetoothRange).inter_contact_times);
   return score;
 }
 

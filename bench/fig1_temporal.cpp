@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     const ExperimentResults& res = land_results(archetype, options);
     const std::string land = res.trace.land_name();
     for (const double r : {kBluetoothRange, kWifiRange}) {
-      const ContactAnalysis& c = res.contacts.at(r);
+      const ContactAnalysis& c = res.analysis.contacts.at(r);
       const std::string tag = land + " r=" + std::to_string(static_cast<int>(r));
       print_ccdf_log("CT " + tag, c.contact_times, 10.0);
       print_ccdf_log("ICT " + tag, c.inter_contact_times, 10.0);
@@ -58,17 +58,17 @@ int main(int argc, char** argv) {
     const MedianTargets& t = targets(archetype);
     const auto median = [](const Ecdf& e) { return e.empty() ? 0.0 : e.median(); };
     print_compare(land + " median CT  r=10", t.ct10,
-                  median(res.contacts.at(kBluetoothRange).contact_times));
+                  median(res.analysis.contacts.at(kBluetoothRange).contact_times));
     print_compare(land + " median CT  r=80", t.ct80,
-                  median(res.contacts.at(kWifiRange).contact_times));
+                  median(res.analysis.contacts.at(kWifiRange).contact_times));
     print_compare(land + " median ICT r=10", t.ict,
-                  median(res.contacts.at(kBluetoothRange).inter_contact_times));
+                  median(res.analysis.contacts.at(kBluetoothRange).inter_contact_times));
     print_compare(land + " median ICT r=80", t.ict,
-                  median(res.contacts.at(kWifiRange).inter_contact_times));
+                  median(res.analysis.contacts.at(kWifiRange).inter_contact_times));
     print_compare(land + " median FT  r=10", t.ft10,
-                  median(res.contacts.at(kBluetoothRange).first_contact_times));
+                  median(res.analysis.contacts.at(kBluetoothRange).first_contact_times));
     print_compare(land + " median FT  r=80", t.ft80,
-                  median(res.contacts.at(kWifiRange).first_contact_times));
+                  median(res.analysis.contacts.at(kWifiRange).first_contact_times));
   }
 
   std::printf(
@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
     const ExperimentResults& res = land_results(archetype, options);
     for (const char* which : {"CT", "ICT"}) {
       const auto& dist = which[0] == 'C'
-                             ? res.contacts.at(kBluetoothRange).contact_times
-                             : res.contacts.at(kBluetoothRange).inter_contact_times;
+                             ? res.analysis.contacts.at(kBluetoothRange).contact_times
+                             : res.analysis.contacts.at(kBluetoothRange).inter_contact_times;
       if (dist.size() < 20) continue;
       const TwoPhaseFit fit = fit_two_phase(dist.sorted(), 10.0);
       std::printf("%-14s %-4s r=10: head alpha=%5.2f  tail rate=%8.5f  "

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
     const ExperimentResults& res = land_results(archetype, options);
     const std::string land = res.trace.land_name();
     for (const double r : {kBluetoothRange, kWifiRange}) {
-      const GraphMetrics& g = res.graphs.at(r);
+      const GraphMetrics& g = res.analysis.graphs.at(r);
       const std::string tag = land + " r=" + std::to_string(static_cast<int>(r));
       std::printf("# degree CCDF %s (n=%zu samples)\n", tag.c_str(), g.degrees.size());
       for (int d = 0; d <= static_cast<int>(g.degrees.max()); ++d) {
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n# paper-vs-measured qualitative checks\n");
   const auto isolated = [&](LandArchetype a, double r) {
-    return land_results(a, options).graphs.at(r).isolated_fraction * 100.0;
+    return land_results(a, options).analysis.graphs.at(r).isolated_fraction * 100.0;
   };
   print_compare("Apfelland %users no neighbour r=10", 60.0,
                 isolated(LandArchetype::kApfelLand, kBluetoothRange));
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   for (const LandArchetype archetype : kAllArchetypes) {
     const ExperimentResults& res = land_results(archetype, options);
     for (const double r : {kBluetoothRange, kWifiRange}) {
-      const auto& cl = res.graphs.at(r).clustering;
+      const auto& cl = res.analysis.graphs.at(r).clustering;
       std::printf("%-14s r=%2.0f median clustering = %.3f\n",
                   res.trace.land_name().c_str(), r, cl.empty() ? 0.0 : cl.median());
     }
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   std::printf("# because small r fragments the land into small components)\n");
   const auto& apfel = land_results(LandArchetype::kApfelLand, options);
   std::printf("Apfelland max diameter r=10: %.0f   r=80: %.0f\n",
-              apfel.graphs.at(kBluetoothRange).diameters.max(),
-              apfel.graphs.at(kWifiRange).diameters.max());
+              apfel.analysis.graphs.at(kBluetoothRange).diameters.max(),
+              apfel.analysis.graphs.at(kWifiRange).diameters.max());
   return 0;
 }

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   std::printf("%-14s %6s %10s\n", "land", "users", "F(x)");
   for (const LandArchetype archetype : kAllArchetypes) {
     const ExperimentResults& res = land_results(archetype, options);
-    const ZoneAnalysis& z = res.zones;
+    const ZoneAnalysis& z = res.analysis.zones;
     for (int users = 0; users <= 25; ++users) {
       std::printf("%-14s %6d %10.4f\n", res.trace.land_name().c_str(), users,
                   z.occupancy.cdf(static_cast<double>(users)));
@@ -29,16 +29,16 @@ int main(int argc, char** argv) {
   for (const LandArchetype archetype : kAllArchetypes) {
     const ExperimentResults& res = land_results(archetype, options);
     std::printf("%-14s empty cells=%5.1f%%  max occupancy=%zu users\n",
-                res.trace.land_name().c_str(), res.zones.empty_fraction * 100.0,
-                res.zones.max_occupancy);
+                res.trace.land_name().c_str(), res.analysis.zones.empty_fraction * 100.0,
+                res.analysis.zones.max_occupancy);
   }
 
   std::printf("\n# mean-occupancy heat map (Dance Island, 13x13 cells, x10)\n");
   const ExperimentResults& dance = land_results(LandArchetype::kDanceIsland, options);
-  const auto side = dance.zones.cells_per_side;
+  const auto side = dance.analysis.zones.cells_per_side;
   for (std::size_t row = side; row-- > 0;) {
     for (std::size_t col = 0; col < side; ++col) {
-      const double mean = dance.zones.mean_per_cell[row * side + col];
+      const double mean = dance.analysis.zones.mean_per_cell[row * side + col];
       const int shade = static_cast<int>(mean * 10.0);
       std::printf("%4d", shade);
     }

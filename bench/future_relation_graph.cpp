@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
               "acq-frac", "enc med", "strength med", "recontact med");
   for (const LandArchetype archetype : kAllArchetypes) {
     const ExperimentResults& res = land_results(archetype, options);
-    const RelationGraph graph(res.contacts.at(kBluetoothRange).intervals);
+    const RelationGraph graph(res.analysis.contacts.at(kBluetoothRange).intervals);
     Ecdf gaps;
     for (const auto& rel : graph.relations()) {
       if (rel.encounters >= 2) gaps.add(rel.mean_recontact_gap());
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   std::printf("\n# strongest ties on Dance Island (regulars who dance together)\n");
   {
     const ExperimentResults& res = land_results(LandArchetype::kDanceIsland, options);
-    const RelationGraph graph(res.contacts.at(kBluetoothRange).intervals);
+    const RelationGraph graph(res.analysis.contacts.at(kBluetoothRange).intervals);
     for (const auto& rel : graph.strongest(5)) {
       std::printf("users %u-%u: %zu encounters, %.0f s together, knew each other "
                   "for %.0f s\n",

@@ -71,7 +71,7 @@ void BM_SpatialGridPairs(benchmark::State& state) {
 BENCHMARK(BM_SpatialGridPairs)->Arg(50)->Arg(100)->Arg(400);
 
 // The batched kernel on the same snapshots, reusing one kernel across
-// iterations (the ProximityCache warm path). items = pairs found;
+// iterations (IncrementalProximity's warm rebuild path). items = pairs found;
 // allocs_per_run must sit at zero once the scratch is warm.
 void BM_PairKernelPairs(benchmark::State& state) {
   Rng rng(1);
@@ -94,7 +94,7 @@ void BM_PairKernelPairs(benchmark::State& state) {
 BENCHMARK(BM_PairKernelPairs)->Arg(50)->Arg(100)->Arg(400);
 
 // One enumeration at the WiFi range plus single-pass classification into
-// the Bluetooth and WiFi lists — the exact ProximityCache build step.
+// the Bluetooth and WiFi lists — IncrementalProximity's full-rebuild step.
 void BM_PairKernelClassify(benchmark::State& state) {
   Rng rng(1);
   const Snapshot snap = random_snapshot(static_cast<std::size_t>(state.range(0)), rng);

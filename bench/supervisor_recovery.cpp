@@ -197,7 +197,7 @@ CellScore score_failed_partial(Seconds duration, std::uint64_t seed) {
   s.partial_snapshots = partial.snapshots().size();
   s.partial_gap_end = partial.gaps().empty() ? 0.0 : partial.gaps().back().end;
   try {
-    const ExperimentResults res = analyze_trace(Trace(partial), {kBluetoothRange}, kDefaultLandSize, 1);
+    const AnalysisReport res = analyze_trace(partial, {kBluetoothRange}, kDefaultLandSize, 1);
     s.partial_analysis_ok =
         res.summary.gap_count >= 1 && res.summary.snapshot_count == s.partial_snapshots;
   } catch (const std::exception& e) {

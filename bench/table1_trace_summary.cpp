@@ -33,14 +33,14 @@ int main(int argc, char** argv) {
     const double scale = options.hours / 24.0;
     std::printf("%-14s %10.0f %10zu %12.0f %12.1f %10zu %10zu\n",
                 res.trace.land_name().c_str(), row.unique * scale,
-                res.summary.unique_users, row.concurrent, res.summary.avg_concurrent,
-                res.summary.max_concurrent, res.summary.snapshot_count);
+                res.analysis.summary.unique_users, row.concurrent, res.analysis.summary.avg_concurrent,
+                res.analysis.summary.max_concurrent, res.analysis.summary.snapshot_count);
   }
 
   std::printf("\n# session-time sanity (paper: longest ~4 h, 90%% of users < 1 h)\n");
   for (const auto& row : paper_rows) {
     const ExperimentResults& res = land_results(row.archetype, options);
-    const auto& tt = res.trips.travel_times;
+    const auto& tt = res.analysis.trips.travel_times;
     if (tt.empty()) continue;
     std::printf("%-14s p90_session=%6.0fs  max_session=%6.0fs\n",
                 res.trace.land_name().c_str(), tt.quantile(0.9), tt.max());

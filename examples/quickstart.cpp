@@ -27,14 +27,14 @@ int main(int argc, char** argv) {
   const ExperimentResults res = run_experiment(cfg);
 
   std::printf("\n--- trace summary ---\n");
-  std::printf("unique visitors: %zu\n", res.summary.unique_users);
-  std::printf("avg concurrent:  %.1f (max %zu)\n", res.summary.avg_concurrent,
-              res.summary.max_concurrent);
-  std::printf("snapshots:       %zu (every %.0f s)\n", res.summary.snapshot_count,
+  std::printf("unique visitors: %zu\n", res.analysis.summary.unique_users);
+  std::printf("avg concurrent:  %.1f (max %zu)\n", res.analysis.summary.avg_concurrent,
+              res.analysis.summary.max_concurrent);
+  std::printf("snapshots:       %zu (every %.0f s)\n", res.analysis.summary.snapshot_count,
               res.trace.sampling_interval());
 
   std::printf("\n--- contact opportunities ---\n");
-  for (const auto& [range, contacts] : res.contacts) {
+  for (const auto& [range, contacts] : res.analysis.contacts) {
     const auto median = [](const Ecdf& e) { return e.empty() ? 0.0 : e.median(); };
     std::printf("r=%2.0fm: %6zu contacts | median CT %5.0fs | median ICT %5.0fs | "
                 "median FT %5.0fs\n",
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n--- line-of-sight networks ---\n");
-  for (const auto& [range, graphs] : res.graphs) {
+  for (const auto& [range, graphs] : res.analysis.graphs) {
     std::printf("r=%2.0fm: median degree %.0f | %4.1f%% isolated | median diameter %.0f "
                 "| median clustering %.2f\n",
                 range, graphs.degrees.empty() ? 0.0 : graphs.degrees.median(),
@@ -55,11 +55,11 @@ int main(int argc, char** argv) {
 
   std::printf("\n--- space & trips ---\n");
   std::printf("empty 20m cells: %.1f%% | busiest cell: %zu users\n",
-              res.zones.empty_fraction * 100.0, res.zones.max_occupancy);
-  if (!res.trips.travel_lengths.empty()) {
+              res.analysis.zones.empty_fraction * 100.0, res.analysis.zones.max_occupancy);
+  if (!res.analysis.trips.travel_lengths.empty()) {
     std::printf("travel length: median %.0fm, p90 %.0fm | session: median %.0fs, max %.0fs\n",
-                res.trips.travel_lengths.median(), res.trips.travel_lengths.quantile(0.9),
-                res.trips.travel_times.median(), res.trips.travel_times.max());
+                res.analysis.trips.travel_lengths.median(), res.analysis.trips.travel_lengths.quantile(0.9),
+                res.analysis.trips.travel_times.median(), res.analysis.trips.travel_times.max());
   }
 
   const std::string path = "dance_island.slt";

@@ -1,16 +1,15 @@
 // The complete result of analyzing one trace, as a plain value.
 //
-// Batch (run_experiment / analyze_*) and streaming (StreamingAnalyzer)
-// pipelines both produce an AnalysisReport, and the two must agree bit for
-// bit on the same input — that equivalence is the streaming engine's
-// correctness contract and is asserted by tests and by the
-// streaming_throughput bench. analysis_diff explains the first mismatch in
-// words; analysis_fingerprint condenses a report to a CRC so forked bench
-// processes can compare results across address spaces.
+// StreamingAnalyzer (analysis/streaming.hpp) is the only producer; an
+// in-memory trace reaches it through analyze_trace (core/experiment.hpp).
+// analysis_diff explains the first mismatch between two reports in words;
+// analysis_fingerprint condenses a report to a CRC. Committed fingerprints
+// (tests/analysis_goldens.hpp, perfbench/spec.json) pin the results of
+// every land, fault scenario and synthetic trace they cover, at any thread
+// count.
 //
 // Equality convention: Ecdfs compare by their sorted() sample sequence,
-// bitwise. Sample *insertion* order is not part of the contract — the batch
-// contact extractor already closes final contacts in hash-map order, so no
+// bitwise. Sample *insertion* order is not part of the contract, so no
 // reported quantity may depend on it (Ecdf::mean() is the only accessor
 // that does, and nothing report-facing uses it).
 #pragma once
@@ -37,7 +36,7 @@ struct AnalysisReport {
   std::map<double, GraphMetrics> graphs;
   ZoneAnalysis zones;
   TripAnalysis trips;
-  // Optional heavier analyses (off by default in both pipelines).
+  // Optional heavier analyses (off by default).
   std::optional<FlightAnalysis> flights;
   std::optional<RelationSummary> relations;
 };
@@ -54,8 +53,8 @@ struct AnalysisReport {
 
 // CRC-32 over a canonical serialization of the report (sorted Ecdf samples
 // as raw f64 bits). Two reports are fingerprint-equal iff analysis_equal —
-// up to CRC collision — which lets forked bench children compare results
-// through tiny result files.
+// up to CRC collision — so a committed constant can stand for a whole
+// report.
 [[nodiscard]] std::uint32_t analysis_fingerprint(const AnalysisReport& report);
 
 }  // namespace slmob

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "analysis/proximity_cache.hpp"
+#include "analysis/incremental_proximity.hpp"
 
 namespace slmob {
 namespace {
@@ -31,24 +31,14 @@ std::uint64_t mix(std::uint64_t k) {
 
 }  // namespace
 
-ContactAnalysis analyze_contacts(const Trace& trace, const ProximityCache& cache,
-                                 double range, const ContactOptions& options) {
-  (void)options;
+ContactAnalysis analyze_contacts(const Trace& trace, double range) {
   GapTracker gaps;
   for (const auto& gap : trace.gaps()) gaps.add(gap.start, gap.end);
   ContactStream stream(range, trace.sampling_interval(), gaps);
-  const auto& snaps = trace.snapshots();
-  for (std::size_t s = 0; s < snaps.size(); ++s) {
-    // A snapshot inside a coverage gap carries no valid observation.
-    if (gaps.covered_at(snaps[s].time)) stream.on_snapshot(snaps[s], cache.pairs(s, range));
-  }
+  for_each_covered_snapshot(trace, range, [&](const Snapshot& snap, const auto& pairs) {
+    stream.on_snapshot(snap, pairs);
+  });
   return stream.finish();
-}
-
-ContactAnalysis analyze_contacts(const Trace& trace, double range,
-                                 const ContactOptions& options) {
-  const ProximityCache cache(trace, {range});
-  return analyze_contacts(trace, cache, range, options);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@
 // is censored at gap edges — contacts running into a gap are truncated at
 // the gap start (never bridged across it), no ICT sample spans a gap, and
 // users awaiting a first contact restart their FT observation after the gap.
-// Gap-free traces are analyzed exactly as before, bit for bit.
+// On a gap-free trace no censoring applies.
 #pragma once
 
 #include <cstdint>
@@ -52,34 +52,21 @@ struct ContactAnalysis {
   std::size_t users_with_contact{0};
 };
 
-struct ContactOptions {
-  // A pair unobserved (either user absent from a snapshot) is out of
-  // contact; no gap tolerance is applied — this matches the conservative
-  // reading of the paper's definition.
-};
-
-class ProximityCache;
-
-// Extracts all contacts from `trace` with communication range `range`.
-ContactAnalysis analyze_contacts(const Trace& trace, double range,
-                                 const ContactOptions& options = {});
-
-// Same, but reads per-snapshot in-range pairs from a prebuilt cache instead
-// of building one. `range` must be one of the radii the cache was built
-// with; `cache` must cover the same trace. Both overloads drive a
-// ContactStream over the trace's covered snapshots.
-ContactAnalysis analyze_contacts(const Trace& trace, const ProximityCache& cache,
-                                 double range, const ContactOptions& options = {});
+// Extracts all contacts from `trace` with communication range `range`:
+// IncrementalProximity supplies each covered snapshot's in-range pairs to one
+// ContactStream.
+ContactAnalysis analyze_contacts(const Trace& trace, double range);
 
 // Incremental contact extraction over a snapshot stream: feed every covered
 // snapshot (empty ones too — absence is what closes contacts) with its
 // in-range pair list, in time order, and call finish() once. Censoring reads
 // the shared GapTracker, which by the stream ordering contract already holds
-// every gap relevant to the snapshot being processed, so a stream over a
-// trace's covered snapshots equals analyze_contacts on the completed trace
-// (which is implemented as exactly that). On a gap-free stream the censor
-// branches never fire. Pairs of two fixes carrying the same avatar id (a
-// duplicate id within one snapshot) are not contacts and are skipped.
+// every gap relevant to the snapshot being processed, so the censoring
+// decisions equal those made with the finished trace's gap list. On a
+// gap-free stream the censor branches never fire. Pairs of two fixes
+// carrying the same avatar id (a duplicate id within one snapshot) are not
+// contacts and are skipped. ContactOracle.* (tests/test_analysis_contacts.cpp)
+// checks CT, ICT and FT against a per-pair brute force, gaps included.
 class ContactStream {
  public:
   using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;

@@ -19,45 +19,6 @@
 
 namespace slmob {
 
-class ProximityCache;
-class ThreadPool;
-
-// Adjacency-list graph of one snapshot. Adjacency lists are sorted at
-// construction so edge lookups (clustering) can binary-search.
-class LosGraph {
- public:
-  LosGraph(const Snapshot& snapshot, double range);
-  // Builds the graph from a precomputed pair list (i < j, indices into the
-  // snapshot's fixes) — the ProximityCache fast path.
-  LosGraph(std::size_t node_count,
-           const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs);
-
-  [[nodiscard]] std::size_t node_count() const { return adj_.size(); }
-  // Neighbour indices of node i, ascending.
-  [[nodiscard]] const std::vector<std::uint32_t>& neighbors(std::size_t i) const {
-    return adj_.at(i);
-  }
-  [[nodiscard]] std::size_t degree(std::size_t i) const { return adj_.at(i).size(); }
-  [[nodiscard]] std::size_t edge_count() const;
-
-  // Connected components as vectors of node indices.
-  [[nodiscard]] std::vector<std::vector<std::uint32_t>> components() const;
-  // Longest shortest path within the largest connected component. 0 for an
-  // empty graph or singleton component.
-  [[nodiscard]] std::size_t largest_component_diameter() const;
-  // Watts-Strogatz clustering coefficient of node i (0 when degree < 2).
-  [[nodiscard]] double clustering(std::size_t i) const;
-  // Mean clustering over all nodes (0 for an empty graph).
-  [[nodiscard]] double mean_clustering() const;
-
- private:
-  void add_pairs(const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs);
-  void sort_adjacency();
-  // BFS eccentricity of `start` restricted to its component.
-  [[nodiscard]] std::size_t eccentricity(std::uint32_t start) const;
-  std::vector<std::vector<std::uint32_t>> adj_;
-};
-
 struct GraphMetrics {
   double range{0.0};
   Ecdf degrees;     // per (avatar, snapshot)
@@ -67,23 +28,16 @@ struct GraphMetrics {
   double isolated_fraction{0.0};  // fraction of degree samples equal to 0
 };
 
-// Computes graph metrics over all snapshots with >= 1 avatar. `stride`
-// analyses every stride-th snapshot (1 = all; larger for quick looks).
-GraphMetrics analyze_graphs(const Trace& trace, double range, std::size_t stride = 1);
-
-// Same, but builds each snapshot's graph from the shared cache, and — when
-// `pool` is non-null — fans contiguous snapshot chunks across it, merging
-// partial results in snapshot order so the output (including ECDF sample
-// order) is identical for any thread count.
-GraphMetrics analyze_graphs(const Trace& trace, const ProximityCache& cache,
-                            double range, std::size_t stride = 1,
-                            ThreadPool* pool = nullptr);
+// Graph metrics of every covered snapshot of `trace`: IncrementalProximity
+// supplies each snapshot's pairs within `range` to one GraphStream.
+GraphMetrics analyze_graphs(const Trace& trace, double range);
 
 // Incremental graph metrics over a snapshot stream: feed every covered
-// snapshot (stride 1) with its in-range pair list, in time order. Empty
-// snapshots are skipped internally, matching the batch guard. Sample
-// insertion order equals the batch single-chunk order, so results are
-// bit-identical to analyze_graphs.
+// snapshot with its in-range pair list, in time order. Empty snapshots are
+// skipped. The result does not depend on the order of the pair list.
+// GraphOracle.* (tests/test_analysis_graphs.cpp) checks every metric
+// against an adjacency-matrix oracle, and the golden fingerprints of
+// tests/analysis_goldens.hpp pin the aggregate.
 //
 // Each snapshot is rebuilt in place into a flat CSR adjacency, which gives
 // the degree samples and the largest component. Up to kBitsetMaxNodes nodes,
@@ -94,9 +48,9 @@ GraphMetrics analyze_graphs(const Trace& trace, const ProximityCache& cache,
 // the triangles on edge (i, j); summed over i's edges it is twice the
 // number of links among i's neighbours. Larger snapshots fall back to BFS
 // and neighbour marking over the CSR. Both paths compute the same exact
-// integers and sum the clustering coefficients in node order, so the
-// metrics are bit-identical to the LosGraph path. All scratch is reused
-// across calls: zero allocations per snapshot once warm.
+// integers and sum the clustering coefficients in node order, so they give
+// bit-identical metrics. All scratch is reused across calls: zero
+// allocations per snapshot once warm.
 class GraphStream {
  public:
   // Largest snapshot the bitset kernel takes. Rows cost n^2/8 bytes, and a

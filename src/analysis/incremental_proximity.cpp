@@ -13,7 +13,9 @@ IncrementalProximity::IncrementalProximity(std::vector<double> ranges,
   std::sort(ranges_.begin(), ranges_.end());
   ranges_.erase(std::unique(ranges_.begin(), ranges_.end()), ranges_.end());
   for (const double r : ranges_) {
-    if (r <= 0.0) throw std::invalid_argument("ProximityCache: ranges must be positive");
+    if (!(r > 0.0) || !std::isfinite(r)) {
+      throw std::invalid_argument("IncrementalProximity: ranges must be positive and finite");
+    }
   }
   if (!ranges_.empty()) cell_ = ranges_.back();
   lists_.resize(ranges_.size());
@@ -22,7 +24,7 @@ IncrementalProximity::IncrementalProximity(std::vector<double> ranges,
 std::size_t IncrementalProximity::range_index(double range) const {
   const auto it = std::lower_bound(ranges_.begin(), ranges_.end(), range);
   if (it == ranges_.end() || *it != range) {
-    throw std::invalid_argument("ProximityCache: range was not requested at build time");
+    throw std::invalid_argument("IncrementalProximity: range was not requested at construction");
   }
   return static_cast<std::size_t>(it - ranges_.begin());
 }

@@ -1,13 +1,13 @@
-// Incrementally maintained proximity pairs for streaming analysis.
+// Incrementally maintained proximity pairs: the one source of "all avatar
+// pairs within r" for every analysis.
 //
-// ProximityCache rebuilds a SpatialGrid from scratch for every snapshot; at
-// tau = 10 s most avatars have not moved between samples, so nearly all of
-// that work recomputes pairs that cannot have changed. IncrementalProximity
-// keeps a persistent structure-of-arrays state across snapshots — one slot
-// per live avatar (id, position, grid cell) plus a cell -> slots map and a
-// per-slot adjacency list of (partner, twin index, planar distance) — and on
-// each
-// advance() only touches avatars that entered, left or moved:
+// Rebuilding a spatial grid from scratch for every snapshot would, at
+// tau = 10 s, mostly recompute pairs that cannot have changed: most avatars
+// have not moved between samples. IncrementalProximity keeps a persistent
+// structure-of-arrays state across snapshots — one slot per live avatar (id,
+// position, grid cell) plus a cell -> slots map and a per-slot adjacency
+// list of (partner, twin index, planar distance) — and on each advance()
+// only touches avatars that entered, left or moved:
 //
 //   departures  drop the slot, its cell entry and its adjacency edges;
 //   moves       drop the slot's edges and re-home its cell entry;
@@ -19,9 +19,10 @@
 // dist2d(a, b) <= r_max }, each edge stored once per endpoint with the same
 // distance value SpatialGrid would compute. Stored distances stay bit-exact
 // across snapshots because distance2d_to of two unmoved points is a pure
-// function of their coordinates, so emitted pair lists are bit-identical to
-// ProximityCache's per-snapshot rebuild (as sets; emission order differs,
-// which no downstream consumer observes).
+// function of their coordinates, so emitted pair lists equal a fresh
+// per-snapshot PairKernel pass as sets (emission order differs, which no
+// downstream consumer observes). ProximityOracle.* checks every snapshot
+// against an O(n^2) brute force at several radii.
 //
 // When the fraction of changed avatars exceeds `churn_threshold` the delta
 // path would touch most slots anyway, so the snapshot is answered by a full
@@ -46,9 +47,9 @@ class IncrementalProximity {
  public:
   using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
-  // `ranges` as in ProximityCache: deduplicated ascending, each > 0 (throws
-  // std::invalid_argument otherwise). Pairs are maintained at the largest
-  // radius; smaller radii filter by the recorded distance.
+  // `ranges` are sorted and deduplicated; each must be positive and finite
+  // (throws std::invalid_argument otherwise). Pairs are maintained at the
+  // largest radius; smaller radii filter by the recorded distance.
   explicit IncrementalProximity(std::vector<double> ranges,
                                 double churn_threshold = 0.35);
 
@@ -138,5 +139,19 @@ class IncrementalProximity {
   std::size_t rebuilds_{0};
   std::size_t delta_updates_{0};
 };
+
+// Advances one IncrementalProximity at the single radius `range` through the
+// snapshots of `trace` that lie outside its coverage gaps, in time order,
+// calling fn(snapshot, pairs) after each advance. The per-trace
+// analyze_contacts and analyze_graphs feed their stream consumers with it.
+template <typename Fn>
+void for_each_covered_snapshot(const Trace& trace, double range, Fn&& fn) {
+  IncrementalProximity prox({range});
+  for (const Snapshot& snap : trace.snapshots()) {
+    if (!trace.covered_at(snap.time)) continue;
+    prox.advance(snap);
+    fn(snap, prox.pairs(0));
+  }
+}
 
 }  // namespace slmob

@@ -45,8 +45,8 @@ StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
   // The session chain is shared: one SessionStream feeds trips (always) and
   // flights (optional). Sessions are extracted with options_.sessions;
   // flight_options.sessions is unused here (FlightStream only applies the
-  // speed/length thresholds), so batch equivalence with analyze_flights
-  // requires flight_options.sessions == sessions — true for the defaults.
+  // speed/length thresholds), so agreement with analyze_flights requires
+  // flight_options.sessions == sessions — true for the defaults.
   sessions_ = std::make_unique<SessionStream>(gaps_, options_.sessions);
   trips_ = std::make_unique<TripStream>(options_.sessions);
   if (options_.flights) {
@@ -140,7 +140,7 @@ void StreamingAnalyzer::on_snapshot(const Snapshot& snapshot) {
   progress_.last_time = use->time;
 
   // A snapshot inside a recorded coverage gap carries no valid observation:
-  // every batch analysis skips it (it still counts toward the summary,
+  // every consumer skips it (it still counts toward the summary,
   // which Trace::summary computes over all snapshots). The stream ordering
   // contract guarantees any gap covering this snapshot is already known, so
   // the gaps-so-far answer equals the finished trace's.
@@ -226,7 +226,7 @@ AnalysisReport StreamingAnalyzer::finish() {
   finished_ = true;
   // A source with zero events never called on_begin; with no snapshots the
   // sampling interval is unobservable in any output, so any value yields
-  // the batch empty-trace report.
+  // the same empty report.
   if (!begun_) on_begin("", 10.0);
   flush_window();  // drain the partially filled last window
   join_window();
@@ -247,7 +247,7 @@ AnalysisReport StreamingAnalyzer::finish() {
   }
 
   // Pre-create map nodes so finish tasks only write through references
-  // (same discipline as batch analyze_trace).
+  // (std::map never invalidates mapped references).
   if (options_.flights) report.flights.emplace();
   if (relations_) report.relations.emplace();
   std::vector<std::function<void()>> tasks;

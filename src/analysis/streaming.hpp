@@ -1,9 +1,12 @@
-// Streaming incremental analysis engine.
+// The analysis engine: the one implementation of every §3 metric.
 //
 // StreamingAnalyzer consumes a trace one snapshot at a time (as a
 // LiveTraceSink — fed by drive_stream over any TraceStream, or live by the
-// crawler) and produces the same AnalysisReport the batch pipeline
-// (analyze_trace) computes from a fully materialised Trace, bit for bit.
+// crawler) and produces its AnalysisReport. An in-memory Trace goes through
+// the same engine via MemoryTraceStream (analyze_trace in
+// core/experiment.hpp). Correctness is pinned by brute-force oracles per
+// consumer (ProximityOracle, ContactOracle, GraphOracle) and by committed
+// golden fingerprints of whole reports (tests/analysis_goldens.hpp).
 // Memory is bounded by *concurrent* users — the persistent proximity state,
 // per-consumer open records, buffered per-session samples and a fixed-size
 // snapshot window — never by trace duration; no snapshot is retained beyond
@@ -16,8 +19,8 @@
 // trips/flights chain — each run over the whole window as one tight loop,
 // fanned across a thread pool. Windowing exists purely for throughput:
 // switching six consumer hot loops every snapshot thrashes the instruction
-// cache and branch predictors enough to lose to the batch pipeline, while
-// per-window loops match batch's tight per-analysis passes.
+// cache and branch predictors, while per-window loops keep each consumer's
+// hot loop resident.
 //
 // Windows are double-buffered. A full window is swapped with the drained
 // one and handed to the pool as a single driver task (which fans the
@@ -38,8 +41,7 @@
 // Gap handling is always on: consumers censor against the gaps seen so far
 // (GapTracker), which by the stream ordering contract (trace/stream.hpp)
 // answers exactly as the finished trace's gap list would. On gap-free
-// traces no censor predicate ever fires and the historical batch results
-// are reproduced exactly.
+// traces no censor predicate ever fires.
 #pragma once
 
 #include <condition_variable>
@@ -65,8 +67,7 @@
 namespace slmob {
 
 struct StreamingOptions {
-  // Communication radii, as in analyze_trace (defaults: the paper's
-  // Bluetooth and WiFi ranges).
+  // Communication radii (defaults: the paper's Bluetooth and WiFi ranges).
   std::vector<double> ranges{10.0, 80.0};
   double land_size{256.0};
   double zone_cell_size{20.0};
@@ -81,11 +82,11 @@ struct StreamingOptions {
   // every value.
   std::size_t window{64};
   // Drop (0,0,0) fixes per snapshot — equals Trace::strip_sitting_fixes on
-  // the whole trace, making results comparable to run_experiment (which
-  // strips before analyzing). The CLI batch path does not strip.
+  // the whole trace, which run_experiment applies before analyzing. The CLI
+  // does not strip.
   bool strip_sitting_fixes{false};
-  // Optional heavier analyses, off by default (batch analyze_trace does not
-  // compute them either).
+  // Optional heavier analyses, off by default (analyze_trace and
+  // run_experiment do not compute them).
   bool flights{false};
   bool relations{false};
   // Contact range feeding the relation graph; must be one of `ranges`.
@@ -125,8 +126,8 @@ class StreamingAnalyzer final : public LiveTraceSink {
   void on_gap(Seconds start, Seconds end) override;
   // Rate-change events from the overload ladder: snapshots arriving while a
   // degradation window is open carry integer weight = factor into every
-  // time-weighted consumer (currently zones), matching the batch pipeline's
-  // Trace::degradation_factor_at correction.
+  // time-weighted consumer (currently zones), as
+  // Trace::degradation_factor_at would weight them on the finished trace.
   void on_rate_change(Seconds time, std::uint32_t factor) override;
 
   // Finalises every consumer and assembles the report. Call once, after the

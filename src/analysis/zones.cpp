@@ -4,105 +4,19 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "analysis/proximity_cache.hpp"
-
 namespace slmob {
-namespace {
-
-// Snapshot indices the zone analysis may use: all of them for a gap-free
-// trace, only snapshots outside coverage gaps otherwise (occupancy inside a
-// gap is unknown, not zero).
-std::vector<std::size_t> covered_indices(const Trace& trace) {
-  const auto& snaps = trace.snapshots();
-  std::vector<std::size_t> indices;
-  indices.reserve(snaps.size());
-  const bool gap_aware = !trace.gaps().empty();
-  for (std::size_t s = 0; s < snaps.size(); ++s) {
-    if (gap_aware && !trace.covered_at(snaps[s].time)) continue;
-    indices.push_back(s);
-  }
-  return indices;
-}
-
-// Shared core: `for_each_position(s, fn)` calls fn(pos) for every avatar
-// position of snapshot s, in fix order; `weight_of(s)` is snapshot s's
-// rate-correction weight (1 at the nominal sampling rate, the degradation
-// factor inside a degraded window). With all weights 1 the arithmetic is
-// exactly the historical unweighted computation.
-template <typename ForEachPosition, typename WeightOf>
-ZoneAnalysis analyze_zones_impl(const std::vector<std::size_t>& indices,
-                                ForEachPosition&& for_each_position, WeightOf&& weight_of,
-                                double land_size, double cell_size) {
-  if (land_size <= 0.0 || cell_size <= 0.0) {
-    throw std::invalid_argument("analyze_zones: bad sizes");
-  }
-  ZoneAnalysis out;
-  out.cell_size = cell_size;
-  const auto side = static_cast<std::size_t>(std::ceil(land_size / cell_size));
-  out.cells_per_side = side;
-  const std::size_t n_cells = side * side;
-  out.mean_per_cell.assign(n_cells, 0.0);
-
-  std::vector<std::uint32_t> counts(n_cells);
-  std::size_t empty_samples = 0;
-  std::size_t total_samples = 0;
-  std::size_t total_weight = 0;
-  for (const std::size_t s : indices) {
-    std::fill(counts.begin(), counts.end(), 0);
-    for_each_position(s, [&](const Vec3& pos) {
-      auto cx = static_cast<std::size_t>(std::clamp(pos.x, 0.0, land_size - 1e-9) /
-                                         cell_size);
-      auto cy = static_cast<std::size_t>(std::clamp(pos.y, 0.0, land_size - 1e-9) /
-                                         cell_size);
-      cx = std::min(cx, side - 1);
-      cy = std::min(cy, side - 1);
-      ++counts[cy * side + cx];
-    });
-    const std::uint32_t w = weight_of(s);
-    total_weight += w;
-    for (std::size_t c = 0; c < n_cells; ++c) {
-      for (std::uint32_t rep = 0; rep < w; ++rep) {
-        out.occupancy.add(static_cast<double>(counts[c]));
-      }
-      out.mean_per_cell[c] += static_cast<double>(w) * static_cast<double>(counts[c]);
-      out.max_occupancy = std::max(out.max_occupancy, static_cast<std::size_t>(counts[c]));
-      if (counts[c] == 0) empty_samples += w;
-      total_samples += w;
-    }
-  }
-  if (total_samples > 0) {
-    out.empty_fraction =
-        static_cast<double>(empty_samples) / static_cast<double>(total_samples);
-    for (auto& m : out.mean_per_cell) {
-      m /= static_cast<double>(total_weight);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 ZoneAnalysis analyze_zones(const Trace& trace, double land_size, double cell_size) {
-  const auto& snaps = trace.snapshots();
-  return analyze_zones_impl(
-      covered_indices(trace),
-      [&](std::size_t s, auto&& fn) {
-        for (const auto& fix : snaps[s].fixes) fn(fix.pos);
-      },
-      [&](std::size_t s) { return trace.degradation_factor_at(snaps[s].time); },
-      land_size, cell_size);
-}
-
-ZoneAnalysis analyze_zones(const Trace& trace, const ProximityCache& cache,
-                           double land_size, double cell_size) {
-  const auto& snaps = trace.snapshots();
-  return analyze_zones_impl(
-      covered_indices(trace),
-      [&](std::size_t s, auto&& fn) {
-        for (const Vec3& pos : cache.positions(s)) fn(pos);
-      },
-      [&](std::size_t s) { return trace.degradation_factor_at(snaps[s].time); },
-      land_size, cell_size);
+  ZoneStream stream(land_size, cell_size);
+  std::vector<Vec3> positions;
+  for (const Snapshot& snap : trace.snapshots()) {
+    // Occupancy inside a coverage gap is unknown, not zero.
+    if (!trace.covered_at(snap.time)) continue;
+    positions.clear();
+    for (const auto& fix : snap.fixes) positions.push_back(fix.pos);
+    stream.on_snapshot(positions, trace.degradation_factor_at(snap.time));
+  }
+  return stream.finish();
 }
 
 ZoneStream::ZoneStream(double land_size, double cell_size) : land_size_(land_size) {

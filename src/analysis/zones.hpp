@@ -16,8 +16,7 @@ namespace slmob {
 // stands for `factor` nominal sampling intervals of observation, so it
 // contributes with integer weight = factor to every time-weighted quantity
 // (occupancy samples, empty fraction, per-cell means). Traces without
-// degradation windows weight every snapshot 1 and reproduce the historical
-// results bit for bit.
+// degradation windows weight every snapshot 1.
 struct ZoneAnalysis {
   double cell_size{20.0};
   std::size_t cells_per_side{0};
@@ -28,23 +27,19 @@ struct ZoneAnalysis {
   std::vector<double> mean_per_cell;
 };
 
-class ProximityCache;
-
+// Zone occupation of every covered snapshot of `trace`, through one
+// ZoneStream; each snapshot carries its degradation factor as weight.
 ZoneAnalysis analyze_zones(const Trace& trace, double land_size = 256.0,
                            double cell_size = 20.0);
 
-// Same, but reads per-snapshot position arrays from the shared cache instead
-// of walking each snapshot's fixes again. `cache` must cover `trace`.
-ZoneAnalysis analyze_zones(const Trace& trace, const ProximityCache& cache,
-                           double land_size = 256.0, double cell_size = 20.0);
-
 // Incremental zone occupation over a snapshot stream: feed the position
 // array (fix order) of every covered snapshot — empty snapshots included,
-// they contribute all-zero cell samples exactly as in batch. Bit-identical
-// to analyze_zones, including Ecdf sample insertion order.
+// they contribute all-zero cell samples. Zones.* checks the cell counts on
+// hand-built traces; the golden fingerprints of tests/analysis_goldens.hpp
+// pin the aggregate.
 class ZoneStream {
  public:
-  // Throws std::invalid_argument on non-positive sizes (as analyze_zones).
+  // Throws std::invalid_argument on non-positive sizes.
   explicit ZoneStream(double land_size = 256.0, double cell_size = 20.0);
 
   // `weight` is the snapshot's rate-correction factor (the degradation

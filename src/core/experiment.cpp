@@ -1,9 +1,8 @@
 #include "core/experiment.hpp"
 
-#include <functional>
 #include <stdexcept>
 
-#include "analysis/proximity_cache.hpp"
+#include "analysis/streaming.hpp"
 
 namespace slmob {
 
@@ -36,9 +35,10 @@ ExperimentResults run_experiment(const ExperimentConfig& config) {
   }
   trace.strip_sitting_fixes();
 
-  ExperimentResults results = analyze_trace(std::move(trace), config.ranges,
-                                            bed.world().land().size(),
-                                            config.analysis_threads);
+  ExperimentResults results;
+  results.analysis = analyze_trace(trace, config.ranges, bed.world().land().size(),
+                                   config.analysis_threads);
+  results.trace = std::move(trace);
   results.world_stats = bed.world().stats();
   results.server_stats = bed.server().stats();
   if (bed.crawler() != nullptr) results.crawler_stats = bed.crawler()->stats();
@@ -50,48 +50,14 @@ ExperimentResults run_experiment(const ExperimentConfig& config) {
   return results;
 }
 
-ExperimentResults analyze_trace(Trace trace, const std::vector<double>& ranges,
-                                double land_size, std::size_t threads) {
-  ExperimentResults results;
-  results.summary = trace.summary();
-
-  ThreadPool pool(threads);
-  const ProximityCache cache(trace, ranges, &pool);
-
-  // Each task owns one disjoint slot of `results`; map nodes are created
-  // up front so workers never mutate the maps themselves (std::map never
-  // invalidates mapped references).
-  std::vector<std::function<void()>> tasks;
-  // cache.ranges() is deduplicated, so no two tasks share a map slot.
-  for (const double r : cache.ranges()) {
-    ContactAnalysis& contacts = results.contacts[r];
-    tasks.emplace_back([&trace, &cache, &contacts, r] {
-      contacts = analyze_contacts(trace, cache, r);
-    });
-    GraphMetrics& graphs = results.graphs[r];
-    tasks.emplace_back([&trace, &cache, &graphs, r, &pool] {
-      graphs = analyze_graphs(trace, cache, r, 1, &pool);
-    });
-  }
-  tasks.emplace_back([&trace, &cache, &results, land_size] {
-    results.zones = analyze_zones(trace, cache, land_size);
-  });
-  tasks.emplace_back([&trace, &results] { results.trips = analyze_trips(trace); });
-
-  parallel_for(pool, tasks.size(), [&](std::size_t i) { tasks[i](); });
-
-  results.trace = std::move(trace);
-  return results;
-}
-
-AnalysisReport to_analysis_report(const ExperimentResults& results) {
-  AnalysisReport report;
-  report.summary = results.summary;
-  report.contacts = results.contacts;
-  report.graphs = results.graphs;
-  report.zones = results.zones;
-  report.trips = results.trips;
-  return report;
+AnalysisReport analyze_trace(const Trace& trace, const std::vector<double>& ranges,
+                             double land_size, std::size_t threads) {
+  StreamingOptions options;
+  options.ranges = ranges;
+  options.land_size = land_size;
+  options.threads = threads;
+  MemoryTraceStream stream(trace);
+  return analyze_stream(stream, options);
 }
 
 }  // namespace slmob

@@ -9,20 +9,15 @@
 //   cfg.archetype = LandArchetype::kDanceIsland;
 //   cfg.duration = 24 * kSecondsPerHour;
 //   ExperimentResults res = run_experiment(cfg);
-//   res.contacts.at(kBluetoothRange).contact_times.median();
+//   res.analysis.contacts.at(kBluetoothRange).contact_times.median();
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "analysis/analysis_report.hpp"
-#include "analysis/contacts.hpp"
-#include "analysis/graphs.hpp"
-#include "analysis/trips.hpp"
-#include "analysis/zones.hpp"
 #include "core/testbed.hpp"
-#include "util/thread_pool.hpp"
 
 namespace slmob {
 
@@ -52,12 +47,8 @@ struct ExperimentConfig {
 };
 
 struct ExperimentResults {
-  Trace trace;  // the analysed trace
-  TraceSummary summary;
-  std::map<double, ContactAnalysis> contacts;  // keyed by range
-  std::map<double, GraphMetrics> graphs;       // keyed by range
-  ZoneAnalysis zones;
-  TripAnalysis trips;
+  Trace trace;              // the analysed trace
+  AnalysisReport analysis;  // every §3 metric of `trace`
   WorldStats world_stats;
   SimServerStats server_stats;  // region admission / shed counters
   CrawlerStats crawler_stats;   // zero-initialised when crawler disabled
@@ -74,22 +65,14 @@ TestbedConfig make_testbed_config(const ExperimentConfig& config);
 // Runs the testbed for cfg.duration and computes all analyses.
 ExperimentResults run_experiment(const ExperimentConfig& config);
 
-// Runs only the analyses on an existing trace (e.g. loaded from disk).
-//
-// Builds one ProximityCache over the trace (one SpatialGrid per snapshot at
-// the largest range, smaller radii derived by distance filtering) and fans
-// the independent analyses — contacts and graphs per range, zones, trips —
-// plus per-snapshot graph chunks across a thread pool of `threads` total
-// threads (0 = SLMOB_THREADS env var, else hardware_concurrency()). Output
-// is bit-identical for every thread count.
-ExperimentResults analyze_trace(Trace trace, const std::vector<double>& ranges,
-                                double land_size = kDefaultLandSize,
-                                std::size_t threads = 0);
-
-// The analysis slice of `results` in the report form shared with the
-// streaming pipeline (analysis/streaming.hpp), enabling direct
-// analysis_diff / analysis_equal comparison. Flights and relations stay
-// empty — the batch experiment does not compute them.
-AnalysisReport to_analysis_report(const ExperimentResults& results);
+// Runs the §3 analyses on an in-memory trace: the trace streams through one
+// StreamingAnalyzer (analysis/streaming.hpp) over a MemoryTraceStream view,
+// with `threads` total analysis threads (0 = SLMOB_THREADS env var, else
+// hardware_concurrency()). `ranges` are deduplicated; each must be positive
+// and finite (std::invalid_argument otherwise). The report is identical for every
+// thread count; tests/analysis_goldens.hpp pins it for the paper's lands,
+// fault scenarios and seeded synthetic traces.
+AnalysisReport analyze_trace(const Trace& trace, const std::vector<double>& ranges,
+                             double land_size = kDefaultLandSize, std::size_t threads = 0);
 
 }  // namespace slmob

@@ -40,7 +40,7 @@ void series_table(std::ostringstream& os, const std::string& name, const Ecdf& d
 
 std::string render_report(const ExperimentResults& results, const ReportOptions& options) {
   std::ostringstream os;
-  const TraceSummary& s = results.summary;
+  const TraceSummary& s = results.analysis.summary;
 
   os << "# Mobility measurement report: " << results.trace.land_name() << "\n\n";
   os << "## Trace\n\n";
@@ -83,11 +83,11 @@ std::string render_report(const ExperimentResults& results, const ReportOptions&
      << " escalations / " << results.crawler_stats.degrade_recoveries
      << " recoveries |\n";
   os << "| degraded snapshots | " << results.crawler_stats.degraded_snapshots << " ("
-     << fmt(results.summary.degraded_seconds, 0) << " s at reduced rate) |\n";
+     << fmt(results.analysis.summary.degraded_seconds, 0) << " s at reduced rate) |\n";
 
   os << "\n## Contact opportunities\n\n";
   os << "| metric | n | p10 | median | p90 | max |\n|---|---|---|---|---|---|\n";
-  for (const auto& [range, contacts] : results.contacts) {
+  for (const auto& [range, contacts] : results.analysis.contacts) {
     const std::string tag = " (r=" + fmt(range, 0) + "m, s)";
     quantile_row(os, "contact time" + tag, contacts.contact_times);
     quantile_row(os, "inter-contact time" + tag, contacts.inter_contact_times);
@@ -96,29 +96,29 @@ std::string render_report(const ExperimentResults& results, const ReportOptions&
 
   os << "\n## Line-of-sight networks\n\n";
   os << "| metric | n | p10 | median | p90 | max |\n|---|---|---|---|---|---|\n";
-  for (const auto& [range, graphs] : results.graphs) {
+  for (const auto& [range, graphs] : results.analysis.graphs) {
     const std::string tag = " (r=" + fmt(range, 0) + "m)";
     quantile_row(os, "node degree" + tag, graphs.degrees);
     quantile_row(os, "diameter" + tag, graphs.diameters);
     quantile_row(os, "clustering" + tag, graphs.clustering, 2);
   }
-  for (const auto& [range, graphs] : results.graphs) {
+  for (const auto& [range, graphs] : results.analysis.graphs) {
     os << "- isolated users at r=" << fmt(range, 0) << "m: "
        << fmt(graphs.isolated_fraction * 100.0) << "%\n";
   }
 
   os << "\n## Space and trips\n\n";
-  os << "- empty " << fmt(results.zones.cell_size, 0)
-     << "m cells: " << fmt(results.zones.empty_fraction * 100.0) << "%\n";
-  os << "- busiest cell: " << results.zones.max_occupancy << " users\n\n";
+  os << "- empty " << fmt(results.analysis.zones.cell_size, 0)
+     << "m cells: " << fmt(results.analysis.zones.empty_fraction * 100.0) << "%\n";
+  os << "- busiest cell: " << results.analysis.zones.max_occupancy << " users\n\n";
   os << "| metric | n | p10 | median | p90 | max |\n|---|---|---|---|---|---|\n";
-  quantile_row(os, "travel length (m)", results.trips.travel_lengths);
-  quantile_row(os, "effective travel time (s)", results.trips.effective_travel_times);
-  quantile_row(os, "travel/login time (s)", results.trips.travel_times);
+  quantile_row(os, "travel length (m)", results.analysis.trips.travel_lengths);
+  quantile_row(os, "effective travel time (s)", results.analysis.trips.effective_travel_times);
+  quantile_row(os, "travel/login time (s)", results.analysis.trips.travel_times);
 
   if (options.include_series) {
     os << "\n## Distributions\n";
-    for (const auto& [range, contacts] : results.contacts) {
+    for (const auto& [range, contacts] : results.analysis.contacts) {
       const std::string tag = " r=" + fmt(range, 0) + "m";
       series_table(os, "contact time" + tag, contacts.contact_times,
                    options.series_points);

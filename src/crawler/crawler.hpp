@@ -136,8 +136,8 @@ class Crawler {
   // recorded, every coverage gap as it closes (including the trailing gap
   // take_trace records for an outage still open at hand-over). Events
   // arrive per the stream ordering contract of trace/stream.hpp, so an
-  // attached StreamingAnalyzer computes during the run the exact report the
-  // batch pipeline would compute from take_trace(). Snapshots are forwarded
+  // attached StreamingAnalyzer computes during the run the exact report
+  // analyze_trace would compute from take_trace(). Snapshots are forwarded
   // unstripped — a sink comparing against run_experiment (which strips
   // sitting fixes) should enable its own strip option. The sink draws
   // nothing from the crawler's RNG: runs are bit-identical with or without

@@ -1,10 +1,11 @@
 // Streaming trace access: event-at-a-time readers and live sinks.
 //
-// Batch analysis loads a whole Trace into RAM; a TraceStream instead yields
-// snapshots, coverage gaps and session events one at a time from a .slt
-// file, a .sltj journal or an in-memory trace, so a single forward pass can
-// analyze traces of any length with memory bounded by *concurrent* users
-// rather than trace duration.
+// A TraceStream yields snapshots, coverage gaps and session events one at a
+// time from a .slt file, a .sltj journal or an in-memory trace, so a single
+// forward pass can analyze traces of any length with memory bounded by
+// *concurrent* users rather than trace duration. It is how every trace
+// reaches the analysis engine (analysis/streaming.hpp), in-memory ones
+// included.
 //
 // Every stream honours one ordering contract consumers may rely on:
 //
@@ -15,7 +16,7 @@
 // t is emitted before any snapshot with time >= t. A consumer that applies
 // each change as it arrives therefore knows the exact factor in force for
 // every snapshot it processes, and reconstructs the same closed windows the
-// batch Trace carries (every stream closes its last window — with a change
+// finished Trace carries (every stream closes its last window — with a change
 // back to factor 1 — before kEnd).
 //
 // With that contract, censoring decisions made from the gaps seen so far
@@ -23,8 +24,11 @@
 // in hand: when a snapshot at time t is processed, every gap that could
 // contain t or start before t is already known, and gaps still unseen start
 // strictly after t, so covered_at / spans_gap / next_gap_start answer
-// exactly as they would on the finished Trace. That equivalence is what
-// makes streaming analysis bit-identical to the batch pipeline.
+// exactly as they would on the finished Trace. That equivalence is why a
+// file, a journal and a live capture analyze exactly like the in-memory
+// trace they form; tests/test_trace_stream.cpp checks every reader against
+// the loaded or salvaged trace, and the golden fingerprints of
+// tests/analysis_goldens.hpp pin the resulting reports.
 #pragma once
 
 #include <cstdio>

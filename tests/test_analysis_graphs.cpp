@@ -21,27 +21,38 @@ Snapshot line_of_users(std::size_t n, double spacing) {
   return s;
 }
 
-TEST(LosGraph, EmptySnapshot) {
-  const Snapshot s{};
-  const LosGraph g(s, 10.0);
-  EXPECT_EQ(g.node_count(), 0u);
-  EXPECT_EQ(g.edge_count(), 0u);
-  EXPECT_EQ(g.largest_component_diameter(), 0u);
-  EXPECT_EQ(g.mean_clustering(), 0.0);
+// The metrics of one snapshot's graph: a one-snapshot trace through
+// analyze_graphs, i.e. IncrementalProximity into a GraphStream.
+GraphMetrics one_snapshot(const Snapshot& snapshot, double range) {
+  Trace t("x", 10.0);
+  t.add(snapshot);
+  return analyze_graphs(t, range);
 }
 
-TEST(LosGraph, PathGraphMetrics) {
+std::vector<double> sorted_degrees(const GraphMetrics& m) {
+  const auto d = m.degrees.sorted();
+  return {d.begin(), d.end()};
+}
+
+TEST(GraphStream, EmptySnapshot) {
+  const GraphMetrics m = one_snapshot(Snapshot{}, 10.0);
+  EXPECT_EQ(m.snapshots_analyzed, 0u);
+  EXPECT_TRUE(m.degrees.empty());
+  EXPECT_TRUE(m.diameters.empty());
+  EXPECT_TRUE(m.clustering.empty());
+}
+
+TEST(GraphStream, PathGraphMetrics) {
   // 5 users spaced 8 m apart with r=10: a path graph P5.
-  const LosGraph g(line_of_users(5, 8.0), 10.0);
-  EXPECT_EQ(g.node_count(), 5u);
-  EXPECT_EQ(g.edge_count(), 4u);
-  EXPECT_EQ(g.largest_component_diameter(), 4u);
-  EXPECT_EQ(g.components().size(), 1u);
+  const GraphMetrics m = one_snapshot(line_of_users(5, 8.0), 10.0);
+  EXPECT_EQ(sorted_degrees(m), (std::vector<double>{1, 1, 2, 2, 2}));  // 4 edges
+  EXPECT_EQ(m.diameters.max(), 4.0);
   // Path graphs have zero clustering.
-  EXPECT_DOUBLE_EQ(g.mean_clustering(), 0.0);
+  EXPECT_EQ(m.clustering.max(), 0.0);
+  EXPECT_EQ(m.isolated_fraction, 0.0);  // one component
 }
 
-TEST(LosGraph, CliqueMetrics) {
+TEST(GraphStream, CliqueMetrics) {
   // 4 users within 10 m of each other: K4.
   Snapshot s;
   s.time = 0.0;
@@ -49,14 +60,14 @@ TEST(LosGraph, CliqueMetrics) {
              {AvatarId{2}, {3.0, 0.0, 22.0}},
              {AvatarId{3}, {0.0, 3.0, 22.0}},
              {AvatarId{4}, {3.0, 3.0, 22.0}}};
-  const LosGraph g(s, 10.0);
-  EXPECT_EQ(g.edge_count(), 6u);
-  EXPECT_EQ(g.largest_component_diameter(), 1u);
-  EXPECT_DOUBLE_EQ(g.mean_clustering(), 1.0);
+  const GraphMetrics m = one_snapshot(s, 10.0);
+  EXPECT_EQ(sorted_degrees(m), (std::vector<double>{3, 3, 3, 3}));  // 6 edges
+  EXPECT_EQ(m.diameters.max(), 1.0);
+  EXPECT_DOUBLE_EQ(m.clustering.max(), 1.0);
 }
 
-TEST(LosGraph, DisconnectedComponents) {
-  // Two pairs far apart.
+TEST(GraphStream, DisconnectedComponents) {
+  // Two pairs far apart plus an isolated user: three components.
   Snapshot s;
   s.time = 0.0;
   s.fixes = {{AvatarId{1}, {0.0, 0.0, 22.0}},
@@ -64,13 +75,13 @@ TEST(LosGraph, DisconnectedComponents) {
              {AvatarId{3}, {200.0, 200.0, 22.0}},
              {AvatarId{4}, {205.0, 200.0, 22.0}},
              {AvatarId{5}, {100.0, 100.0, 22.0}}};
-  const LosGraph g(s, 10.0);
-  EXPECT_EQ(g.components().size(), 3u);
-  EXPECT_EQ(g.largest_component_diameter(), 1u);
-  EXPECT_EQ(g.degree(4), 0u);
+  const GraphMetrics m = one_snapshot(s, 10.0);
+  EXPECT_EQ(sorted_degrees(m), (std::vector<double>{0, 1, 1, 1, 1}));
+  EXPECT_EQ(m.diameters.max(), 1.0);
+  EXPECT_DOUBLE_EQ(m.isolated_fraction, 1.0 / 5.0);
 }
 
-TEST(LosGraph, TrianglePlusTailClustering) {
+TEST(GraphStream, TrianglePlusTailClustering) {
   // Nodes 0-1-2 form a triangle; node 3 hangs off node 2 (positions chosen
   // so only 2-3 are within range).
   Snapshot s;
@@ -79,22 +90,22 @@ TEST(LosGraph, TrianglePlusTailClustering) {
              {AvatarId{2}, {6.0, 0.0, 22.0}},
              {AvatarId{3}, {3.0, 5.0, 22.0}},
              {AvatarId{4}, {3.0, 14.0, 22.0}}};
-  const LosGraph g(s, 10.0);
-  ASSERT_EQ(g.edge_count(), 4u);
+  const GraphMetrics m = one_snapshot(s, 10.0);
+  ASSERT_EQ(sorted_degrees(m), (std::vector<double>{1, 2, 2, 3}));  // 4 edges
+  EXPECT_EQ(m.diameters.max(), 2.0);
   // Clustering: node0=1, node1=1, node2=1/3 (3 neighbors, 1 link), node3=0.
-  EXPECT_NEAR(g.clustering(0), 1.0, 1e-12);
-  EXPECT_NEAR(g.clustering(1), 1.0, 1e-12);
-  EXPECT_NEAR(g.clustering(2), 1.0 / 3.0, 1e-12);
-  EXPECT_NEAR(g.clustering(3), 0.0, 1e-12);
-  EXPECT_NEAR(g.mean_clustering(), (1.0 + 1.0 + 1.0 / 3.0 + 0.0) / 4.0, 1e-12);
+  ASSERT_EQ(m.clustering.size(), 1u);
+  EXPECT_NEAR(m.clustering.max(), (1.0 + 1.0 + 1.0 / 3.0 + 0.0) / 4.0, 1e-12);
 }
 
-TEST(LosGraph, SingletonDiameterZero) {
+TEST(GraphStream, SingletonDiameterZero) {
   Snapshot s;
   s.time = 0.0;
   s.fixes = {{AvatarId{1}, {10.0, 10.0, 22.0}}};
-  const LosGraph g(s, 10.0);
-  EXPECT_EQ(g.largest_component_diameter(), 0u);
+  const GraphMetrics m = one_snapshot(s, 10.0);
+  EXPECT_EQ(m.snapshots_analyzed, 1u);
+  EXPECT_EQ(m.diameters.max(), 0.0);
+  EXPECT_EQ(m.isolated_fraction, 1.0);
 }
 
 TEST(AnalyzeGraphs, AggregatesOverSnapshots) {
@@ -146,18 +157,6 @@ TEST(AnalyzeGraphs, UncoveredSnapshotsSkipped) {
   EXPECT_EQ(m.degrees.size(), 5u);  // 3 + 2, nothing from the gap snapshot
 }
 
-TEST(AnalyzeGraphs, StrideSkipsSnapshots) {
-  Trace t("x", 10.0);
-  for (int i = 0; i < 10; ++i) {
-    Snapshot s = line_of_users(2, 5.0);
-    s.time = i * 10.0;
-    t.add(std::move(s));
-  }
-  EXPECT_EQ(analyze_graphs(t, 10.0, 1).snapshots_analyzed, 10u);
-  EXPECT_EQ(analyze_graphs(t, 10.0, 3).snapshots_analyzed, 4u);
-  EXPECT_THROW((void)analyze_graphs(t, 10.0, 0), std::invalid_argument);
-}
-
 TEST(AnalyzeGraphs, DiameterShrinksWithLargerRange) {
   // The paper's Fig 2(b)/(e): larger radio range, smaller diameter (for a
   // connected population).
@@ -180,21 +179,25 @@ TEST_P(GraphProperty, Invariants) {
     s.fixes.push_back({AvatarId{static_cast<std::uint32_t>(i + 1)},
                        {rng.uniform(0.0, 256.0), rng.uniform(0.0, 256.0), 22.0}});
   }
-  const LosGraph g(s, 20.0);
-  // Diameter < n; clustering in [0,1]; degree sum = 2*edges; components
-  // partition the nodes.
-  EXPECT_LT(g.largest_component_diameter(), n);
-  std::size_t degree_sum = 0;
+  const GraphMetrics m = one_snapshot(s, 20.0);
+  // Diameter < n; mean clustering in [0,1]; one degree sample per node,
+  // summing to twice the edge count; isolated fraction = zero-degree share.
+  ASSERT_EQ(m.snapshots_analyzed, 1u);
+  EXPECT_LT(m.diameters.max(), static_cast<double>(n));
+  EXPECT_GE(m.clustering.max(), 0.0);
+  EXPECT_LE(m.clustering.max(), 1.0);
+  std::size_t edges = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    degree_sum += g.degree(i);
-    const double c = g.clustering(i);
-    EXPECT_GE(c, 0.0);
-    EXPECT_LE(c, 1.0);
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (s.fixes[i].pos.distance2d_to(s.fixes[j].pos) <= 20.0) ++edges;
+    }
   }
-  EXPECT_EQ(degree_sum, 2 * g.edge_count());
-  std::size_t covered = 0;
-  for (const auto& comp : g.components()) covered += comp.size();
-  EXPECT_EQ(covered, n);
+  const std::vector<double> degrees = sorted_degrees(m);
+  ASSERT_EQ(degrees.size(), n);
+  EXPECT_EQ(std::accumulate(degrees.begin(), degrees.end(), 0.0),
+            2.0 * static_cast<double>(edges));
+  const auto isolated = std::count(degrees.begin(), degrees.end(), 0.0);
+  EXPECT_EQ(m.isolated_fraction, static_cast<double>(isolated) / static_cast<double>(n));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphProperty,

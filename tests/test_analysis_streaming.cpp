@@ -1,8 +1,10 @@
-// Streaming <-> batch equivalence: StreamingAnalyzer must reproduce the
-// batch pipeline's AnalysisReport bit for bit — every Ecdf sample, interval
-// and scalar — on gap-free and gapped traces, on every land archetype, under
-// fault scenarios, on a salvaged torn journal, and at any thread count.
-// Failures print analysis_diff, which names the first differing field.
+// StreamingAnalyzer, the one implementation of the §3 analysis: its reports
+// must reproduce the committed golden fingerprints (analysis_goldens.hpp) at
+// 1, 2 and 4 threads — on gap-free and gapped synthetic traces, on every land
+// archetype and under fault scenarios — and every way of feeding it (files,
+// a salvaged torn journal, a live crawler, per-snapshot stripping) must give
+// the report of the equivalent in-memory trace. Failures print
+// analysis_diff, which names the first differing field.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -16,90 +18,53 @@
 #include <vector>
 
 #include "analysis/streaming.hpp"
+#include "analysis_goldens.hpp"
 #include "core/experiment.hpp"
 #include "core/testbed.hpp"
 #include "trace/journal.hpp"
 #include "trace/serialize.hpp"
-#include "util/rng.hpp"
 
 namespace slmob {
 namespace {
 
-// Avatars random-walking around two hotspots with churn, so every analysis
-// produces non-trivial output (same generator as test_core_parallel).
-Trace seeded_trace(std::uint64_t seed, std::size_t snapshots, std::size_t users) {
-  Rng rng(seed);
-  std::vector<Vec3> pos(users);
-  std::vector<bool> online(users, false);
-  for (std::size_t u = 0; u < users; ++u) {
-    const double cx = (u % 2 == 0) ? 64.0 : 192.0;
-    pos[u] = {cx + rng.uniform(-30.0, 30.0), 128.0 + rng.uniform(-30.0, 30.0), 22.0};
-    online[u] = rng.uniform(0.0, 1.0) < 0.7;
-  }
-  Trace t("streaming-golden", 10.0);
-  for (std::size_t s = 0; s < snapshots; ++s) {
-    Snapshot snap;
-    snap.time = static_cast<double>(s) * 10.0;
-    for (std::size_t u = 0; u < users; ++u) {
-      if (rng.uniform(0.0, 1.0) < 0.02) online[u] = !online[u];
-      if (!online[u]) continue;
-      pos[u].x = std::clamp(pos[u].x + rng.uniform(-5.0, 5.0), 0.0, 255.0);
-      pos[u].y = std::clamp(pos[u].y + rng.uniform(-5.0, 5.0), 0.0, 255.0);
-      snap.fixes.push_back({AvatarId{static_cast<std::uint32_t>(u + 1)}, pos[u]});
-    }
-    t.add(std::move(snap));
-  }
-  return t;
-}
-
-AnalysisReport batch_report(const Trace& trace, std::size_t threads = 1) {
-  return to_analysis_report(
-      analyze_trace(Trace(trace), {kBluetoothRange, kWifiRange}, kDefaultLandSize, threads));
-}
+using golden::seeded_trace;
 
 AnalysisReport stream_report(const Trace& trace, StreamingOptions options = {}) {
   MemoryTraceStream stream(trace);
   return analyze_stream(stream, options);
 }
 
-void expect_equivalent(const AnalysisReport& batch, const AnalysisReport& streamed) {
-  const std::string diff = analysis_diff(batch, streamed);
+void expect_equivalent(const AnalysisReport& want, const AnalysisReport& got) {
+  const std::string diff = analysis_diff(want, got);
   EXPECT_TRUE(diff.empty()) << diff;
-  EXPECT_EQ(analysis_fingerprint(batch), analysis_fingerprint(streamed));
+  EXPECT_EQ(analysis_fingerprint(want), analysis_fingerprint(got));
+}
+
+// Streams `trace` at 1, 2 and 4 threads; each report must hash to `golden`.
+void expect_golden_at_every_thread_count(const Trace& trace, std::uint32_t golden) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    StreamingOptions opt;
+    opt.threads = threads;
+    EXPECT_EQ(analysis_fingerprint(stream_report(trace, opt)), golden)
+        << "threads " << threads;
+  }
 }
 
 TEST(StreamingEquivalence, GapFreeTraceAt1And2And4Threads) {
-  const Trace trace = seeded_trace(99, 120, 60);
-  const AnalysisReport batch = batch_report(trace);
-  ASSERT_FALSE(batch.contacts.at(kBluetoothRange).contact_times.empty());
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    StreamingOptions opt;
-    opt.threads = threads;
-    expect_equivalent(batch, stream_report(trace, opt));
-  }
+  const Trace trace = golden::gap_free_trace();
+  ASSERT_FALSE(stream_report(trace).contacts.at(kBluetoothRange).contact_times.empty());
+  expect_golden_at_every_thread_count(trace, golden::kGapFree);
 }
 
 TEST(StreamingEquivalence, GappedTraceAt1And2And4Threads) {
-  Trace trace = seeded_trace(7, 150, 50);
-  trace.add_gap(295.0, 355.0);
-  trace.add_gap(820.0, 900.0);
-  const AnalysisReport batch = batch_report(trace);
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    StreamingOptions opt;
-    opt.threads = threads;
-    expect_equivalent(batch, stream_report(trace, opt));
-  }
-}
-
-TEST(StreamingEquivalence, BatchThreadCountDoesNotMatterEither) {
-  Trace trace = seeded_trace(13, 80, 40);
-  trace.add_gap(205.0, 245.0);
-  expect_equivalent(batch_report(trace, 4), stream_report(trace));
+  const Trace trace = golden::gapped_trace();
+  ASSERT_EQ(trace.gaps().size(), 2u);
+  expect_golden_at_every_thread_count(trace, golden::kGapped);
 }
 
 TEST(StreamingEquivalence, StripSittingFixesMatchesWholeTraceStrip) {
   // A trace with origin fixes: streaming's per-snapshot strip must equal
-  // Trace::strip_sitting_fixes on the whole trace before batch analysis.
+  // Trace::strip_sitting_fixes on the whole trace before analysis.
   Trace trace = seeded_trace(21, 60, 30);
   Trace polluted(trace.land_name(), trace.sampling_interval());
   for (const auto& snap : trace.snapshots()) {
@@ -111,62 +76,41 @@ TEST(StreamingEquivalence, StripSittingFixesMatchesWholeTraceStrip) {
   stripped.strip_sitting_fixes();
   StreamingOptions opt;
   opt.strip_sitting_fixes = true;
-  expect_equivalent(batch_report(stripped), stream_report(polluted, opt));
+  expect_equivalent(stream_report(stripped), stream_report(polluted, opt));
 }
 
 // One run_experiment per land / scenario, shared across tests.
-struct GoldenRun {
-  ExperimentResults results;
-};
-
-const GoldenRun& golden_run(LandArchetype archetype, const std::string& scenario) {
-  static std::map<std::pair<int, std::string>, GoldenRun> cache;
-  auto key = std::make_pair(static_cast<int>(archetype), scenario);
-  auto it = cache.find(key);
+const ExperimentResults& golden_run(const golden::LandGolden& land) {
+  static std::map<std::string, ExperimentResults> cache;
+  auto it = cache.find(land.name);
   if (it == cache.end()) {
-    ExperimentConfig cfg;
-    cfg.archetype = archetype;
-    cfg.duration = 2.0 * kSecondsPerHour;
-    cfg.seed = 42;
-    cfg.fault_scenario = scenario;
-    it = cache.emplace(key, GoldenRun{run_experiment(cfg)}).first;
+    it = cache.emplace(land.name, run_experiment(golden::config_of(land))).first;
   }
   return it->second;
 }
 
-void expect_land_equivalence(LandArchetype archetype, const std::string& scenario) {
-  const auto& run = golden_run(archetype, scenario);
+void expect_land_golden(const golden::LandGolden& land) {
+  const ExperimentResults& run = golden_run(land);
+  EXPECT_EQ(analysis_fingerprint(run.analysis), land.fingerprint);
   // run_experiment analyzed the stripped trace; results.trace IS that
   // stripped trace, so streaming it without re-stripping must match.
-  const AnalysisReport batch = to_analysis_report(run.results);
-  for (const std::size_t threads : {1u, 2u}) {
-    StreamingOptions opt;
-    opt.threads = threads;
-    expect_equivalent(batch, stream_report(run.results.trace, opt));
-  }
+  expect_golden_at_every_thread_count(run.trace, land.fingerprint);
 }
 
-TEST(StreamingGolden, IsleOfView) {
-  expect_land_equivalence(LandArchetype::kIsleOfView, "none");
-}
+TEST(StreamingGolden, IsleOfView) { expect_land_golden(golden::kIsleOfView); }
 
-TEST(StreamingGolden, DanceIsland) {
-  expect_land_equivalence(LandArchetype::kDanceIsland, "none");
-}
+TEST(StreamingGolden, DanceIsland) { expect_land_golden(golden::kDanceIsland); }
 
-TEST(StreamingGolden, ApfelLand) {
-  expect_land_equivalence(LandArchetype::kApfelLand, "none");
-}
+TEST(StreamingGolden, ApfelLand) { expect_land_golden(golden::kApfelLand); }
 
 TEST(StreamingGolden, ChaosScenario) {
-  const auto& run = golden_run(LandArchetype::kIsleOfView, "chaos");
   // Chaos must actually have censored something for this to test gap paths.
-  EXPECT_FALSE(run.results.trace.gaps().empty());
-  expect_land_equivalence(LandArchetype::kIsleOfView, "chaos");
+  EXPECT_FALSE(golden_run(golden::kIsleChaos).trace.gaps().empty());
+  expect_land_golden(golden::kIsleChaos);
 }
 
 TEST(StreamingGolden, CollectorCrashScenario) {
-  expect_land_equivalence(LandArchetype::kIsleOfView, "collector-crash");
+  expect_land_golden(golden::kIsleCollectorCrash);
 }
 
 TEST(StreamingPipeline, WindowAndThreadCountNeverChangeAGappedChaosTrace) {
@@ -174,7 +118,7 @@ TEST(StreamingPipeline, WindowAndThreadCountNeverChangeAGappedChaosTrace) {
   // every on_gap after the first snapshot lands with a window in flight on
   // a multi-thread pool and must join it first. Relations and flights ride
   // along: the relation stream is fed by a contact sink inside the window.
-  const Trace& trace = golden_run(LandArchetype::kIsleOfView, "chaos").results.trace;
+  const Trace& trace = golden_run(golden::kIsleChaos).trace;
   ASSERT_FALSE(trace.gaps().empty());
   ASSERT_GT(trace.gaps().front().start, trace.snapshots().front().time);
   std::optional<AnalysisReport> first;
@@ -249,7 +193,7 @@ TEST(StreamingEquivalence, SalvagedTornJournal) {
 
   StreamingProgress progress;
   const AnalysisReport streamed = analyze_stream_file(path, {}, &progress);
-  expect_equivalent(batch_report(salvage.trace), streamed);
+  expect_equivalent(stream_report(salvage.trace), streamed);
   EXPECT_EQ(progress.snapshots, salvage.trace.snapshots().size());
   std::remove(path.c_str());
 }
@@ -259,9 +203,9 @@ TEST(StreamingEquivalence, SltFileMatchesInMemory) {
   trace.add_gap(125.0, 165.0);
   const std::string path = ::testing::TempDir() + "streaming_file.slt";
   save_trace(trace, path);
-  // Batch loads the same file: .slt stores f32 positions, so equivalence is
-  // against the loaded trace, not the pre-save doubles.
-  expect_equivalent(batch_report(load_trace(path)), analyze_stream_file(path));
+  // .slt stores f32 positions, so equivalence is against the loaded trace,
+  // not the pre-save doubles.
+  expect_equivalent(stream_report(load_trace(path)), analyze_stream_file(path));
   std::remove(path.c_str());
 }
 
@@ -272,9 +216,9 @@ TEST(StreamingEquivalence, FlightsMatchAnalyzeFlights) {
   const AnalysisReport streamed = stream_report(trace, opt);
   ASSERT_TRUE(streamed.flights.has_value());
 
-  AnalysisReport batch = batch_report(trace);
-  batch.flights = analyze_flights(trace, opt.flight_options);
-  expect_equivalent(batch, streamed);
+  AnalysisReport want = streamed;
+  want.flights = analyze_flights(trace, opt.flight_options);
+  expect_equivalent(want, streamed);
   EXPECT_GT(streamed.flights->sessions_analyzed, 0u);
 }
 
@@ -285,18 +229,18 @@ TEST(StreamingEquivalence, RelationsMatchRelationGraph) {
   const AnalysisReport streamed = stream_report(trace, opt);
   ASSERT_TRUE(streamed.relations.has_value());
 
-  AnalysisReport batch = batch_report(trace);
-  const RelationGraph graph(batch.contacts.at(opt.relation_range).intervals,
+  AnalysisReport want = streamed;
+  const RelationGraph graph(streamed.contacts.at(opt.relation_range).intervals,
                             opt.relation_options);
-  batch.relations = summarize_relations(graph);
-  expect_equivalent(batch, streamed);
+  want.relations = summarize_relations(graph);
+  expect_equivalent(want, streamed);
   EXPECT_GT(streamed.relations->relations.size(), 0u);
 }
 
-TEST(StreamingEquivalence, CrawlerLiveSinkMatchesBatchOnTakenTrace) {
+TEST(StreamingEquivalence, CrawlerLiveSinkMatchesTakenTrace) {
   // The crawler feeds an attached analyzer the same events it records; at
-  // take_trace time the live report must equal batch analysis of the taken
-  // trace (strip enabled on both sides, as run_experiment does).
+  // take_trace time the live report must equal the analysis of the taken
+  // trace (stripped on both sides, as run_experiment does).
   TestbedConfig cfg;
   cfg.archetype = LandArchetype::kApfelLand;
   cfg.seed = 11;
@@ -311,9 +255,9 @@ TEST(StreamingEquivalence, CrawlerLiveSinkMatchesBatchOnTakenTrace) {
 
   Trace trace = bed.crawler()->take_trace();
   trace.strip_sitting_fixes();
-  const AnalysisReport batch = batch_report(trace);
+  const AnalysisReport taken = stream_report(trace);
   const AnalysisReport streamed = live.finish();
-  const std::string diff = analysis_diff(batch, streamed);
+  const std::string diff = analysis_diff(taken, streamed);
   EXPECT_TRUE(diff.empty()) << diff;
   EXPECT_GT(streamed.summary.snapshot_count, 0u);
 }
@@ -384,7 +328,7 @@ TEST(StreamingAnalyzer, UsageErrors) {
 
 TEST(AnalysisReportDiff, NamesTheFirstDifferingField) {
   const Trace trace = seeded_trace(5, 20, 15);
-  const AnalysisReport a = batch_report(trace);
+  const AnalysisReport a = stream_report(trace);
   AnalysisReport b = a;
   EXPECT_TRUE(analysis_equal(a, b));
   b.summary.snapshot_count += 1;

@@ -15,15 +15,15 @@ ExperimentConfig short_config(LandArchetype archetype, std::uint64_t seed = 1) {
 
 TEST(Experiment, ProducesAllAnalyses) {
   const ExperimentResults res = run_experiment(short_config(LandArchetype::kDanceIsland));
-  EXPECT_GT(res.summary.snapshot_count, 300u);
-  EXPECT_GT(res.summary.unique_users, 20u);
-  ASSERT_EQ(res.contacts.size(), 2u);
-  ASSERT_EQ(res.graphs.size(), 2u);
-  EXPECT_TRUE(res.contacts.contains(kBluetoothRange));
-  EXPECT_TRUE(res.contacts.contains(kWifiRange));
-  EXPECT_FALSE(res.contacts.at(kBluetoothRange).contact_times.empty());
-  EXPECT_FALSE(res.trips.travel_times.empty());
-  EXPECT_GT(res.zones.cells_per_side, 0u);
+  EXPECT_GT(res.analysis.summary.snapshot_count, 300u);
+  EXPECT_GT(res.analysis.summary.unique_users, 20u);
+  ASSERT_EQ(res.analysis.contacts.size(), 2u);
+  ASSERT_EQ(res.analysis.graphs.size(), 2u);
+  EXPECT_TRUE(res.analysis.contacts.contains(kBluetoothRange));
+  EXPECT_TRUE(res.analysis.contacts.contains(kWifiRange));
+  EXPECT_FALSE(res.analysis.contacts.at(kBluetoothRange).contact_times.empty());
+  EXPECT_FALSE(res.analysis.trips.travel_times.empty());
+  EXPECT_GT(res.analysis.zones.cells_per_side, 0u);
   EXPECT_GT(res.crawler_stats.snapshots_taken, 0u);
   EXPECT_GT(res.network_stats.sent, 0u);
 }
@@ -31,17 +31,17 @@ TEST(Experiment, ProducesAllAnalyses) {
 TEST(Experiment, DeterministicForSeed) {
   const ExperimentResults a = run_experiment(short_config(LandArchetype::kApfelLand, 5));
   const ExperimentResults b = run_experiment(short_config(LandArchetype::kApfelLand, 5));
-  EXPECT_EQ(a.summary.unique_users, b.summary.unique_users);
-  EXPECT_DOUBLE_EQ(a.summary.avg_concurrent, b.summary.avg_concurrent);
-  EXPECT_EQ(a.contacts.at(kBluetoothRange).intervals.size(),
-            b.contacts.at(kBluetoothRange).intervals.size());
+  EXPECT_EQ(a.analysis.summary.unique_users, b.analysis.summary.unique_users);
+  EXPECT_DOUBLE_EQ(a.analysis.summary.avg_concurrent, b.analysis.summary.avg_concurrent);
+  EXPECT_EQ(a.analysis.contacts.at(kBluetoothRange).intervals.size(),
+            b.analysis.contacts.at(kBluetoothRange).intervals.size());
 }
 
 TEST(Experiment, SeedsChangeOutcome) {
   const ExperimentResults a = run_experiment(short_config(LandArchetype::kApfelLand, 1));
   const ExperimentResults b = run_experiment(short_config(LandArchetype::kApfelLand, 2));
-  EXPECT_NE(a.contacts.at(kBluetoothRange).intervals.size(),
-            b.contacts.at(kBluetoothRange).intervals.size());
+  EXPECT_NE(a.analysis.contacts.at(kBluetoothRange).intervals.size(),
+            b.analysis.contacts.at(kBluetoothRange).intervals.size());
 }
 
 TEST(Experiment, GroundTruthAnalysisMode) {
@@ -60,8 +60,8 @@ TEST(Experiment, GroundTruthAnalysisMode) {
 
 TEST(Experiment, WifiContactsDominateBluetooth) {
   const ExperimentResults res = run_experiment(short_config(LandArchetype::kIsleOfView));
-  const auto& bt = res.contacts.at(kBluetoothRange);
-  const auto& wifi = res.contacts.at(kWifiRange);
+  const auto& bt = res.analysis.contacts.at(kBluetoothRange);
+  const auto& wifi = res.analysis.contacts.at(kWifiRange);
   // A superset radius yields at least as much total contact time.
   double bt_total = 0.0;
   double wifi_total = 0.0;
@@ -80,7 +80,7 @@ TEST(Experiment, AnalyzeTraceStandalone) {
     s.fixes = {{AvatarId{1}, {i * 2.0, 0.0, 22.0}}, {AvatarId{2}, {i * 2.0 + 5.0, 0.0, 22.0}}};
     t.add(std::move(s));
   }
-  const ExperimentResults res = analyze_trace(std::move(t), {10.0});
+  const AnalysisReport res = analyze_trace(t, {10.0});
   EXPECT_EQ(res.summary.unique_users, 2u);
   EXPECT_EQ(res.contacts.at(10.0).intervals.size(), 1u);
   EXPECT_EQ(res.trips.sessions, 2u);
@@ -104,8 +104,8 @@ TEST(Experiment, CuriosityPerturbationBiasesNaiveCrawler) {
 
   // The crawler sits at the spawn point; users converging on it inflate
   // contact counts near that location (they pile on one spot).
-  const auto biased_zone = biased.zones.max_occupancy;
-  const auto clean_zone = clean.zones.max_occupancy;
+  const auto biased_zone = biased.analysis.zones.max_occupancy;
+  const auto clean_zone = clean.analysis.zones.max_occupancy;
   EXPECT_GT(biased_zone, clean_zone);
 }
 

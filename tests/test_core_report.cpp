@@ -70,7 +70,9 @@ TEST(Report, SeriesOptIn) {
 
 TEST(Report, HandlesEmptyResults) {
   // An empty trace analysed directly must not crash the renderer.
-  ExperimentResults res = analyze_trace(Trace("empty", 10.0), {10.0});
+  ExperimentResults res;
+  res.trace = Trace("empty", 10.0);
+  res.analysis = analyze_trace(res.trace, {10.0});
   const std::string report = render_report(res);
   EXPECT_NE(report.find("| unique visitors | 0 |"), std::string::npos);
   EXPECT_NE(report.find("| contact time (r=10m, s) | 0 | - |"), std::string::npos);

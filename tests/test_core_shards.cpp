@@ -160,9 +160,9 @@ TEST(Shards, ExperimentsShardedMatchSerial) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(encode_trace(serial[i].trace), encode_trace(parallel[i].trace));
-    EXPECT_EQ(serial[i].summary.unique_users, parallel[i].summary.unique_users);
-    EXPECT_EQ(serial[i].contacts.at(10.0).intervals.size(),
-              parallel[i].contacts.at(10.0).intervals.size());
+    EXPECT_EQ(serial[i].analysis.summary.unique_users, parallel[i].analysis.summary.unique_users);
+    EXPECT_EQ(serial[i].analysis.contacts.at(10.0).intervals.size(),
+              parallel[i].analysis.contacts.at(10.0).intervals.size());
   }
 }
 

@@ -77,7 +77,7 @@ TEST(ChaosBlackouts, NoSnapshotInsideAGap) {
 TEST(ChaosBlackouts, NoContactSpansAGap) {
   const auto& run = blackout_run();
   const Trace& trace = run.results.trace;
-  const auto& contacts = run.results.contacts.at(kBluetoothRange);
+  const auto& contacts = run.results.analysis.contacts.at(kBluetoothRange);
   ASSERT_GT(contacts.intervals.size(), 0u);
   for (const auto& interval : contacts.intervals) {
     EXPECT_FALSE(trace.spans_gap(interval.start, interval.end))
@@ -88,7 +88,7 @@ TEST(ChaosBlackouts, NoContactSpansAGap) {
 TEST(ChaosBlackouts, NoInterContactSpansAGap) {
   const auto& run = blackout_run();
   const Trace& trace = run.results.trace;
-  const auto& contacts = run.results.contacts.at(kBluetoothRange);
+  const auto& contacts = run.results.analysis.contacts.at(kBluetoothRange);
   // Reconstruct the expected ICT count: consecutive contacts of the same
   // pair contribute one sample iff the span between them is fully covered.
   std::map<std::pair<std::uint32_t, std::uint32_t>, const ContactInterval*> last;
@@ -125,7 +125,7 @@ TEST(ChaosBlackouts, ZonesNormalizeByCoveredSnapshots) {
   // Mean occupancy summed over cells ~= average concurrent users; if the
   // divisor wrongly included gap time this would undershoot.
   double mean_total = 0.0;
-  for (const double m : run.results.zones.mean_per_cell) mean_total += m;
+  for (const double m : run.results.analysis.zones.mean_per_cell) mean_total += m;
   double fixes_per_covered = 0.0;
   for (const auto& snap : trace.snapshots()) {
     fixes_per_covered += static_cast<double>(snap.fixes.size());
@@ -144,12 +144,12 @@ TEST(ChaosFaultFree, AnalysisBitIdenticalAcrossThreadCounts) {
   cfg.ranges = {kBluetoothRange};
   cfg.analysis_threads = 1;
   const ExperimentResults one = run_experiment(cfg);
-  EXPECT_EQ(one.summary.gap_count, 0u);
+  EXPECT_EQ(one.analysis.summary.gap_count, 0u);
   cfg.analysis_threads = 4;
   const ExperimentResults four = run_experiment(cfg);
 
-  const auto& c1 = one.contacts.at(kBluetoothRange);
-  const auto& c4 = four.contacts.at(kBluetoothRange);
+  const auto& c1 = one.analysis.contacts.at(kBluetoothRange);
+  const auto& c4 = four.analysis.contacts.at(kBluetoothRange);
   ASSERT_EQ(c1.intervals.size(), c4.intervals.size());
   for (std::size_t i = 0; i < c1.intervals.size(); ++i) {
     EXPECT_EQ(c1.intervals[i].a, c4.intervals[i].a);
@@ -161,8 +161,8 @@ TEST(ChaosFaultFree, AnalysisBitIdenticalAcrossThreadCounts) {
   const auto s4 = c4.contact_times.sorted();
   ASSERT_EQ(s1.size(), s4.size());
   for (std::size_t i = 0; i < s1.size(); ++i) EXPECT_EQ(s1[i], s4[i]);
-  const auto& g1 = one.graphs.at(kBluetoothRange);
-  const auto& g4 = four.graphs.at(kBluetoothRange);
+  const auto& g1 = one.analysis.graphs.at(kBluetoothRange);
+  const auto& g4 = four.analysis.graphs.at(kBluetoothRange);
   EXPECT_EQ(g1.snapshots_analyzed, g4.snapshots_analyzed);
   EXPECT_EQ(g1.isolated_fraction, g4.isolated_fraction);
 }
@@ -177,13 +177,13 @@ TEST(ChaosScenarios, AllScenariosCompleteAndAreDeterministic) {
     cfg.fault_scenario = name;
     const ExperimentResults a = run_experiment(cfg);
     const ExperimentResults b = run_experiment(cfg);
-    EXPECT_EQ(a.summary.snapshot_count, b.summary.snapshot_count) << name;
-    EXPECT_EQ(a.summary.gap_count, b.summary.gap_count) << name;
-    EXPECT_EQ(a.summary.gap_seconds, b.summary.gap_seconds) << name;
-    EXPECT_EQ(a.contacts.at(kBluetoothRange).intervals.size(),
-              b.contacts.at(kBluetoothRange).intervals.size())
+    EXPECT_EQ(a.analysis.summary.snapshot_count, b.analysis.summary.snapshot_count) << name;
+    EXPECT_EQ(a.analysis.summary.gap_count, b.analysis.summary.gap_count) << name;
+    EXPECT_EQ(a.analysis.summary.gap_seconds, b.analysis.summary.gap_seconds) << name;
+    EXPECT_EQ(a.analysis.contacts.at(kBluetoothRange).intervals.size(),
+              b.analysis.contacts.at(kBluetoothRange).intervals.size())
         << name;
-    for (const auto& interval : a.contacts.at(kBluetoothRange).intervals) {
+    for (const auto& interval : a.analysis.contacts.at(kBluetoothRange).intervals) {
       EXPECT_FALSE(a.trace.spans_gap(interval.start, interval.end)) << name;
     }
   }

@@ -9,7 +9,9 @@
 //   slmob convert <trace.slt> <trace.csv>   (direction by extension)
 //   slmob dtn     <trace.slt> [--scheme epidemic|two-hop|direct] [--messages N]
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -29,6 +31,7 @@
 #include "trace/serialize.hpp"
 #include "trace/stream.hpp"
 #include "util/bytes.hpp"
+#include "util/strings.hpp"
 #include "util/sysinfo.hpp"
 #include "util/wallclock.hpp"
 
@@ -53,13 +56,32 @@ int usage() {
                "  slmob salvage <journal.sltj> [--out T.slt]\n"
                "  slmob summary <trace.slt|journal.sltj> [--stream]\n"
                "  slmob analyze <trace.slt|journal.sltj> [--range R]... [--threads N]\n"
-               "                [--stream]\n"
                "  slmob sweep --land <l>[,<l>...] --seeds N [--seed-base S] [--hours H]\n"
                "              [--jobs J]\n"
                "  slmob convert <in.(slt|csv)> <out.(csv|slt)>\n"
                "  slmob dtn <trace.slt> [--scheme epidemic|two-hop|direct] [--messages N]\n"
                "  slmob report <trace.slt> <report.md> [--series]\n");
   return 2;
+}
+
+// Integer flag values (counts, seeds, thread budgets) must be non-negative
+// decimals; anything else is a usage error.
+template <typename T>
+bool read_count(const std::string& text, T& out) {
+  const long long value = parse_non_negative_int(text);
+  if (value < 0) return false;
+  out = static_cast<T>(value);
+  return true;
+}
+
+// Hours, metres and seconds must be positive finite decimals.
+bool read_positive(const std::string& text, double& out) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value) || value <= 0.0) return false;
+  out = value;
+  return true;
 }
 
 std::optional<LandArchetype> parse_land(const std::string& name) {
@@ -227,15 +249,15 @@ int cmd_run(const std::vector<std::string>& args) {
       if (!parsed) return usage();
       lands = *parsed;
     } else if (args[i] == "--jobs" && i + 1 < args.size()) {
-      jobs = static_cast<std::size_t>(std::atoll(args[++i].c_str()));
+      if (!read_count(args[++i], jobs)) return usage();
     } else if (args[i] == "--hours" && i + 1 < args.size()) {
-      hours = std::atof(args[++i].c_str());
+      if (!read_positive(args[++i], hours)) return usage();
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = static_cast<std::uint64_t>(std::atoll(args[++i].c_str()));
+      if (!read_count(args[++i], seed)) return usage();
     } else if (args[i] == "--faults" && i + 1 < args.size()) {
       faults = args[++i];
     } else if (args[i] == "--fault-seed" && i + 1 < args.size()) {
-      fault_seed = static_cast<std::uint64_t>(std::atoll(args[++i].c_str()));
+      if (!read_count(args[++i], fault_seed)) return usage();
     } else if (args[i] == "--out" && i + 1 < args.size()) {
       out = args[++i];
     } else if (args[i] == "--journal" && i + 1 < args.size()) {
@@ -243,15 +265,15 @@ int cmd_run(const std::vector<std::string>& args) {
     } else if (args[i] == "--checkpoint" && i + 1 < args.size()) {
       checkpoint_dir = args[++i];
     } else if (args[i] == "--checkpoint-every" && i + 1 < args.size()) {
-      checkpoint_every = std::atof(args[++i].c_str());
+      if (!read_positive(args[++i], checkpoint_every)) return usage();
     } else if (args[i] == "--resume" && i + 1 < args.size()) {
       resume_dir = args[++i];
     } else if (args[i] == "--supervise") {
       supervise = true;
     } else if (args[i] == "--max-restarts" && i + 1 < args.size()) {
-      max_restarts = static_cast<std::uint64_t>(std::atoll(args[++i].c_str()));
+      if (!read_count(args[++i], max_restarts)) return usage();
     } else if (args[i] == "--watchdog-timeout" && i + 1 < args.size()) {
-      watchdog_timeout = std::atof(args[++i].c_str());
+      if (!read_positive(args[++i], watchdog_timeout)) return usage();
     } else if (args[i] == "--stats-csv" && i + 1 < args.size()) {
       stats_csv = args[++i];
     } else {
@@ -279,9 +301,8 @@ int cmd_run(const std::vector<std::string>& args) {
     return rc;
   }
 
-  if (lands.empty() || out.empty() || hours <= 0.0) return usage();
+  if (lands.empty() || out.empty()) return usage();
   if (!journal.empty() && !checkpoint_dir.empty()) return usage();
-  if (!checkpoint_dir.empty() && checkpoint_every <= 0.0) return usage();
   if (!stats_csv.empty() && !supervise && lands.size() == 1) {
     std::fprintf(stderr,
                  "error: --stats-csv needs a sharded (multi-land) or --supervise run\n");
@@ -434,21 +455,21 @@ int cmd_run(const std::vector<std::string>& args) {
     }
 
     const ExperimentResults res = run_experiment(cfg);
+    const TraceSummary& s = res.analysis.summary;
     save_trace(res.trace, out);
     std::printf("wrote %s: %zu snapshots, %zu unique users, avg conc %.1f\n", out.c_str(),
-                res.summary.snapshot_count, res.summary.unique_users,
-                res.summary.avg_concurrent);
-    if (res.summary.gap_count > 0) {
+                s.snapshot_count, s.unique_users, s.avg_concurrent);
+    if (s.gap_count > 0) {
       std::printf(
           "coverage: %zu gaps, %.0f s uncovered (%zu relogins, %zu crawler backoff resets)\n",
-          res.summary.gap_count, res.summary.gap_seconds,
+          s.gap_count, s.gap_seconds,
           static_cast<std::size_t>(res.crawler_stats.relogins),
           static_cast<std::size_t>(res.crawler_stats.backoff_resets));
     }
-    if (res.summary.degradation_count > 0) {
+    if (s.degradation_count > 0) {
       std::printf("degradation: %zu windows, %.0f s at reduced sampling rate "
                   "(%zu escalations, %zu recoveries)\n",
-                  res.summary.degradation_count, res.summary.degraded_seconds,
+                  s.degradation_count, s.degraded_seconds,
                   static_cast<std::size_t>(res.crawler_stats.degrade_escalations),
                   static_cast<std::size_t>(res.crawler_stats.degrade_recoveries));
     }
@@ -626,7 +647,7 @@ int cmd_summary(const std::vector<std::string>& args) {
       s.gap_seconds += ev.gap.length();
     } else if (ev.kind == StreamEventKind::kRateChange) {
       // A factor > 1 opens a degraded window (closing any open one first —
-      // an escalation 2 -> 4 is two windows, matching the batch trace);
+      // an escalation 2 -> 4 is two windows, matching the loaded trace);
       // factor 1 closes the open window.
       if (degrade_open_at >= 0.0) {
         s.degraded_seconds += ev.time - degrade_open_at;
@@ -655,8 +676,6 @@ int cmd_summary(const std::vector<std::string>& args) {
   return 0;
 }
 
-// Shared by the batch and streaming analyze paths — both produce an
-// AnalysisReport, so identical results print identically.
 void print_report(const AnalysisReport& res) {
   for (const auto& [r, c] : res.contacts) {
     const auto& g = res.graphs.at(r);
@@ -676,55 +695,30 @@ void print_report(const AnalysisReport& res) {
   }
 }
 
+// One bounded-memory pass over the file: the trace streams through the
+// analyzer without being materialised.
 int cmd_analyze(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
-  std::vector<double> ranges;
-  std::size_t threads = 0;  // 0 = SLMOB_THREADS env / hardware_concurrency
-  bool stream = false;
+  StreamingOptions options;
+  options.ranges.clear();
   for (std::size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--range" && i + 1 < args.size()) {
-      ranges.push_back(std::atof(args[++i].c_str()));
+      double range = 0.0;
+      if (!read_positive(args[++i], range)) return usage();
+      options.ranges.push_back(range);
     } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      threads = static_cast<std::size_t>(std::atoll(args[++i].c_str()));
-    } else if (args[i] == "--stream") {
-      stream = true;
+      // 0 = SLMOB_THREADS env / hardware_concurrency
+      if (!read_count(args[++i], options.threads)) return usage();
     } else {
       return usage();
     }
   }
-  if (ranges.empty()) ranges = {kBluetoothRange, kWifiRange};
+  if (options.ranges.empty()) options.ranges = {kBluetoothRange, kWifiRange};
 
-  if (stream) {
-    // Single-pass bounded-memory pipeline; bit-identical results to the
-    // batch path below.
-    StreamingOptions options;
-    options.ranges = ranges;
-    options.threads = threads;
-    const auto t0 = wallclock::now();
-    const auto reader = open_trace_stream(args[0]);
-    StreamingAnalyzer analyzer(options);
-    drive_stream(*reader, analyzer);
-    const AnalysisReport report = analyzer.finish();
-    const double secs =
-        wallclock::seconds_since(t0);
-    warn_if_torn(reader.get(), args[0]);
-    print_report(report);
-    const StreamingProgress p = analyzer.progress();
-    std::printf("stream: %zu snapshots in %.2f s (%.0f snapshots/s), peak RSS %.1f MiB, "
-                "%zu threads\n",
-                p.snapshots, secs,
-                secs > 0.0 ? static_cast<double>(p.snapshots) / secs : 0.0,
-                static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0),
-                analyzer.threads_used());
-    std::printf("proximity: %zu delta updates, %zu rebuilds\n", p.proximity_delta_updates,
-                p.proximity_rebuilds);
-    return 0;
-  }
-
-  Trace trace = read_any(args[0]);
-  const ExperimentResults res =
-      analyze_trace(std::move(trace), ranges, kDefaultLandSize, threads);
-  print_report(to_analysis_report(res));
+  const auto reader = open_trace_stream(args[0]);
+  const AnalysisReport report = analyze_stream(*reader, options);
+  warn_if_torn(reader.get(), args[0]);
+  print_report(report);
   return 0;
 }
 
@@ -744,18 +738,18 @@ int cmd_sweep(const std::vector<std::string>& args) {
       if (!parsed) return usage();
       lands = *parsed;
     } else if (args[i] == "--seeds" && i + 1 < args.size()) {
-      seeds = static_cast<std::size_t>(std::atoll(args[++i].c_str()));
+      if (!read_count(args[++i], seeds)) return usage();
     } else if (args[i] == "--seed-base" && i + 1 < args.size()) {
-      seed_base = static_cast<std::uint64_t>(std::atoll(args[++i].c_str()));
+      if (!read_count(args[++i], seed_base)) return usage();
     } else if (args[i] == "--hours" && i + 1 < args.size()) {
-      hours = std::atof(args[++i].c_str());
+      if (!read_positive(args[++i], hours)) return usage();
     } else if (args[i] == "--jobs" && i + 1 < args.size()) {
-      jobs = static_cast<std::size_t>(std::atoll(args[++i].c_str()));
+      if (!read_count(args[++i], jobs)) return usage();
     } else {
       return usage();
     }
   }
-  if (lands.empty() || seeds == 0 || hours <= 0.0) return usage();
+  if (lands.empty() || seeds == 0) return usage();
 
   std::vector<ExperimentConfig> cells;
   for (const LandArchetype land : lands) {
@@ -777,13 +771,14 @@ int cmd_sweep(const std::vector<std::string>& args) {
               "ct_med", "ict_med", "deg_med");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& res = results[i];
-    const auto& c = res.contacts.at(kBluetoothRange);
-    const auto& g = res.graphs.at(kBluetoothRange);
+    const auto& c = res.analysis.contacts.at(kBluetoothRange);
+    const auto& g = res.analysis.graphs.at(kBluetoothRange);
     const auto median = [](const Ecdf& e) { return e.empty() ? 0.0 : e.median(); };
     std::printf("%-12s %6llu %8zu %8.1f %10.0f %10.0f %10.0f\n",
                 archetype_name(cells[i].archetype).c_str(),
-                static_cast<unsigned long long>(cells[i].seed), res.summary.unique_users,
-                res.summary.avg_concurrent, median(c.contact_times),
+                static_cast<unsigned long long>(cells[i].seed),
+                res.analysis.summary.unique_users, res.analysis.summary.avg_concurrent,
+                median(c.contact_times),
                 median(c.inter_contact_times), median(g.degrees));
   }
   return 0;
@@ -814,8 +809,9 @@ int cmd_report(const std::vector<std::string>& args) {
       return usage();
     }
   }
-  Trace trace = read_any(args[0]);
-  const ExperimentResults res = analyze_trace(std::move(trace), {kBluetoothRange, kWifiRange});
+  ExperimentResults res;
+  res.trace = read_any(args[0]);
+  res.analysis = analyze_trace(res.trace, {kBluetoothRange, kWifiRange});
   write_report(res, args[1], options);
   std::printf("wrote %s\n", args[1].c_str());
   return 0;
@@ -838,11 +834,11 @@ int cmd_dtn(const std::vector<std::string>& args) {
         return usage();
       }
     } else if (args[i] == "--messages" && i + 1 < args.size()) {
-      cfg.message_count = static_cast<std::size_t>(std::atoll(args[++i].c_str()));
+      if (!read_count(args[++i], cfg.message_count)) return usage();
     } else if (args[i] == "--range" && i + 1 < args.size()) {
-      cfg.range = std::atof(args[++i].c_str());
+      if (!read_positive(args[++i], cfg.range)) return usage();
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(args[++i].c_str()));
+      if (!read_count(args[++i], cfg.seed)) return usage();
     } else {
       return usage();
     }
