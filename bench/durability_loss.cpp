@@ -63,21 +63,6 @@ std::string fresh_dir(const std::string& name) {
   return dir.string();
 }
 
-std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[65536];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.insert(bytes.end(), buf, buf + n);
-  // slmob-lint: allow(checked-durability) -- read-only stream; close failure cannot lose data
-  std::fclose(f);
-  return bytes;
-}
-
 bool snapshots_equal(const Snapshot& a, const Snapshot& b) {
   if (a.time != b.time || a.fixes.size() != b.fixes.size()) return false;
   for (std::size_t i = 0; i < a.fixes.size(); ++i) {
@@ -120,9 +105,11 @@ CellScore score_cell(const std::string& scenario, double kill_fraction, double h
 
   // Now tear the final frame mid-byte, as a SIGKILL during fwrite would,
   // and salvage the remains.
-  std::vector<std::uint8_t> torn_bytes = read_file_bytes(dead.journal_path);
-  torn_bytes.resize(torn_bytes.size() - 1);
-  const JournalSalvage torn = salvage_journal_bytes(torn_bytes);
+  const std::string torn_path = dead.journal_path + ".torn.sltj";
+  std::filesystem::copy_file(dead.journal_path, torn_path,
+                             std::filesystem::copy_options::overwrite_existing);
+  std::filesystem::resize_file(torn_path, std::filesystem::file_size(torn_path) - 1);
+  const JournalSalvage torn = salvage_journal(torn_path);
   score.snapshots_after_tear = torn.snapshots;
   score.frames_lost = clean.snapshots - torn.snapshots;
   score.recall_after_salvage =

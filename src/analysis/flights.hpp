@@ -38,13 +38,15 @@ struct FlightAnalysis {
   PowerLawFit pause_fit;
 };
 
+// A FlightStream over stream_sessions(trace, options.sessions).
 FlightAnalysis analyze_flights(const Trace& trace,
                                const FlightAnalysisOptions& options = {});
 
-// Incremental flight/pause decomposition fed by a SessionStream sink. Each
-// session is decomposed on arrival (only its samples are buffered, not the
-// fixes); finish() replays the per-session sample runs in (avatar, login)
-// order, matching analyze_flights bit for bit, fits included.
+// Incremental flight/pause decomposition fed by a SessionStream sink: the one
+// pause/flight state machine. Each session is decomposed on arrival (only
+// its samples are buffered, not the fixes); finish() replays the
+// per-session sample runs in (avatar, login) order, so the result does not
+// depend on closure order, fits included.
 class FlightStream {
  public:
   explicit FlightStream(const FlightAnalysisOptions& options = {})

@@ -47,7 +47,7 @@ StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
   // flight_options.sessions is unused here (FlightStream only applies the
   // speed/length thresholds), so agreement with analyze_flights requires
   // flight_options.sessions == sessions — true for the defaults.
-  sessions_ = std::make_unique<SessionStream>(gaps_, options_.sessions);
+  sessions_ = std::make_unique<SessionStream>(summary_.gaps(), options_.sessions);
   trips_ = std::make_unique<TripStream>(options_.sessions);
   if (options_.flights) {
     flights_ = std::make_unique<FlightStream>(options_.flight_options);
@@ -73,7 +73,7 @@ void StreamingAnalyzer::on_begin(const std::string& /*land_name*/,
 
   for (std::size_t ri = 0; ri < prox_.ranges().size(); ++ri) {
     const double r = prox_.ranges()[ri];
-    auto rc = std::make_unique<RangeConsumers>(r, ri, sampling_interval, gaps_);
+    auto rc = std::make_unique<RangeConsumers>(r, ri, sampling_interval, summary_.gaps());
     if (relations_ && r == options_.relation_range) {
       rc->feeds_relations = true;
       rc->contacts.set_interval_sink(
@@ -123,27 +123,20 @@ void StreamingAnalyzer::on_snapshot(const Snapshot& snapshot) {
     use = &stripped_;
   }
 
-  // Summary bookkeeping, replicating Trace::summary on the trace the
-  // snapshots would have formed. Every snapshot counts, covered or not.
-  total_fixes_ += use->fixes.size();
-  for (const auto& fix : use->fixes) unique_users_.insert(fix.id);
-  if (!have_first_) {
-    have_first_ = true;
-    first_time_ = use->time;
-  }
-  last_time_ = use->time;
+  // Every snapshot counts toward the summary, covered or not.
+  summary_.on_snapshot(*use);
   ++progress_.snapshots;
-  const bool covered = gaps_.covered_at(use->time);
+  const bool covered = summary_.gaps().covered_at(use->time);
   if (covered) ++progress_.covered_snapshots;
-  progress_.users_seen = unique_users_.size();
-  progress_.max_concurrent = std::max(progress_.max_concurrent, use->fixes.size());
+  progress_.users_seen = summary_.users_seen();
+  progress_.max_concurrent = summary_.max_concurrent();
   progress_.last_time = use->time;
 
   // A snapshot inside a recorded coverage gap carries no valid observation:
-  // every consumer skips it (it still counts toward the summary,
-  // which Trace::summary computes over all snapshots). The stream ordering
-  // contract guarantees any gap covering this snapshot is already known, so
-  // the gaps-so-far answer equals the finished trace's.
+  // every consumer skips it (it still counted toward the summary above).
+  // The stream ordering contract guarantees any gap covering this snapshot
+  // is already known, so the gaps-so-far answer equals the finished
+  // trace's.
   if (!covered) return;
 
   prox_.advance(*use);
@@ -152,7 +145,7 @@ void StreamingAnalyzer::on_snapshot(const Snapshot& snapshot) {
 
   // Buffer the snapshot with its proximity answer; consumers run when the
   // window fills (or in finish). Deferring is safe: by the stream ordering
-  // contract every gap relevant to this snapshot is already in gaps_, and
+  // contract every gap relevant to this snapshot is already known, and
   // gaps arriving later start strictly after use->time, so every censor
   // predicate a consumer evaluates at flush time answers exactly as it
   // would have here. Copy-assignment into a reused entry keeps the window's
@@ -160,7 +153,7 @@ void StreamingAnalyzer::on_snapshot(const Snapshot& snapshot) {
   WindowEntry& entry = window_[win_used_];
   entry.snap.time = use->time;
   entry.snap.fixes = use->fixes;
-  entry.weight = rates_.current_factor();
+  entry.weight = summary_.rates().current_factor();
   entry.positions = prox_.positions();
   entry.lists.resize(prox_.ranges().size());
   for (std::size_t ri = 0; ri < entry.lists.size(); ++ri) {
@@ -211,14 +204,14 @@ void StreamingAnalyzer::join_window() {
 }
 
 void StreamingAnalyzer::on_gap(Seconds start, Seconds end) {
-  // Consumers in flight read gaps_, and add may reallocate it.
+  // Consumers in flight read the gap list, and adding may reallocate it.
   join_window();
-  gaps_.add(start, end);
+  summary_.on_gap(start, end);
   ++progress_.gaps;
 }
 
 void StreamingAnalyzer::on_rate_change(Seconds time, std::uint32_t factor) {
-  rates_.set_factor(time, factor);
+  summary_.on_rate_change(time, factor);
 }
 
 AnalysisReport StreamingAnalyzer::finish() {
@@ -232,19 +225,7 @@ AnalysisReport StreamingAnalyzer::finish() {
   join_window();
 
   AnalysisReport report;
-  TraceSummary& s = report.summary;
-  s.snapshot_count = progress_.snapshots;
-  s.gap_count = gaps_.gaps().size();
-  s.gap_seconds = gaps_.gap_seconds();
-  s.degradation_count = rates_.windows().size();
-  s.degraded_seconds = rates_.degraded_seconds();
-  if (progress_.snapshots > 0) {
-    s.unique_users = unique_users_.size();
-    s.max_concurrent = progress_.max_concurrent;
-    s.avg_concurrent =
-        static_cast<double>(total_fixes_) / static_cast<double>(progress_.snapshots);
-    s.duration = last_time_ - first_time_;
-  }
+  report.summary = summary_.summary();
 
   // Pre-create map nodes so finish tasks only write through references
   // (std::map never invalidates mapped references).

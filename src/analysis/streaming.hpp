@@ -39,9 +39,11 @@
 // after it, so gap predicates answer identically at flush time.
 //
 // Gap handling is always on: consumers censor against the gaps seen so far
-// (GapTracker), which by the stream ordering contract (trace/stream.hpp)
-// answers exactly as the finished trace's gap list would. On gap-free
-// traces no censor predicate ever fires.
+// (the SummaryTracker's GapTracker), which by the stream ordering contract
+// (trace/stream.hpp) answers exactly as the finished trace's gap list
+// would. On gap-free traces no censor predicate ever fires. The report's
+// summary comes from the same SummaryTracker that Trace::summary and
+// `slmob summary` use.
 #pragma once
 
 #include <condition_variable>
@@ -50,7 +52,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -158,8 +159,9 @@ class StreamingAnalyzer final : public LiveTraceSink {
 
   StreamingOptions options_;
   ThreadPool pool_;
-  GapTracker gaps_;
-  DegradationTracker rates_;
+  // The report's TraceSummary, and the gaps and degradation windows seen so
+  // far that the consumers censor and rate-correct against.
+  SummaryTracker summary_;
   IncrementalProximity prox_;
   std::unique_ptr<ZoneStream> zones_;
   std::vector<std::unique_ptr<RangeConsumers>> per_range_;
@@ -180,13 +182,6 @@ class StreamingAnalyzer final : public LiveTraceSink {
   std::condition_variable drained_;
   bool in_flight_{false};           // guarded by drain_mutex_
   std::exception_ptr drain_error_;  // guarded by drain_mutex_
-
-  // Summary bookkeeping (matches Trace::summary on the accumulated trace).
-  std::set<AvatarId> unique_users_;
-  std::size_t total_fixes_{0};
-  bool have_first_{false};
-  Seconds first_time_{0.0};
-  Seconds last_time_{0.0};
 
   StreamingProgress progress_;
   Snapshot stripped_;  // scratch for strip_sitting_fixes

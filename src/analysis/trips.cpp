@@ -5,16 +5,9 @@
 namespace slmob {
 
 TripAnalysis analyze_trips(const Trace& trace, const SessionExtractionOptions& options) {
-  TripAnalysis out;
-  const auto sessions = extract_sessions(trace, options);
-  out.sessions = sessions.size();
-  for (const auto& session : sessions) {
-    const TripMetrics m = trip_metrics(session, options.movement_epsilon);
-    out.travel_lengths.add(m.travel_length);
-    out.effective_travel_times.add(m.effective_travel_time);
-    out.travel_times.add(m.travel_time);
-  }
-  return out;
+  TripStream trips(options);
+  stream_sessions(trace, options, [&trips](Session&& s) { trips.on_session(s); });
+  return trips.finish();
 }
 
 void TripStream::on_session(const Session& session) {

@@ -18,14 +18,14 @@ struct TripAnalysis {
   std::size_t sessions{0};
 };
 
+// A TripStream over stream_sessions(trace, options).
 TripAnalysis analyze_trips(const Trace& trace,
                            const SessionExtractionOptions& options = {});
 
 // Incremental trip analysis fed by a SessionStream sink. Sessions arrive in
 // closure order; per-session metrics are buffered (the session itself is
-// not) and emitted at finish() in (avatar, login) order — the batch
-// extractor's order — so Ecdf sample sequences are bit-identical to
-// analyze_trips.
+// not) and emitted at finish() in (avatar, login) order — extract_sessions'
+// order — so Ecdf sample sequences do not depend on closure order.
 class TripStream {
  public:
   explicit TripStream(const SessionExtractionOptions& options = {})

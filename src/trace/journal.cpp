@@ -1,18 +1,12 @@
 #include "trace/journal.hpp"
 
-#include <algorithm>
 #include <filesystem>
 #include <stdexcept>
 
+#include "trace/stream.hpp"
+
 namespace slmob {
 namespace {
-
-constexpr std::uint8_t kJournalMagic[4] = {'S', 'L', 'T', 'J'};
-constexpr std::uint16_t kJournalVersion = 1;
-constexpr std::size_t kHeaderBytes = 6;  // magic + version
-// Frames are one snapshot (or less); a length beyond this is torn garbage,
-// not a record.
-constexpr std::uint32_t kMaxFramePayload = 16u * 1024u * 1024u;
 
 void write_or_throw(std::FILE* file, const std::string& path,
                     std::span<const std::uint8_t> bytes) {
@@ -42,7 +36,7 @@ TraceJournalWriter TraceJournalWriter::resume(const std::string& path,
   std::error_code ec;
   const auto size = std::filesystem::file_size(path, ec);
   if (ec) throw std::runtime_error("TraceJournalWriter::resume: cannot stat " + path);
-  if (offset < kHeaderBytes || offset > size) {
+  if (offset < kJournalHeaderBytes || offset > size) {
     throw std::runtime_error("TraceJournalWriter::resume: offset " +
                              std::to_string(offset) + " out of range for " + path);
   }
@@ -171,158 +165,18 @@ void TraceJournalWriter::append_end(Seconds time) {
   append_frame(w);
 }
 
-JournalSalvage salvage_journal_bytes(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kHeaderBytes ||
-      !std::equal(bytes.begin(), bytes.begin() + 4, kJournalMagic)) {
-    throw DecodeError("salvage_journal: bad magic");
-  }
-  {
-    ByteReader header(bytes.subspan(4, 2));
-    if (header.u16() != kJournalVersion) {
-      throw DecodeError("salvage_journal: unsupported version");
-    }
-  }
-
-  JournalSalvage out;
-  Seconds sampling_interval = 10.0;
-  Seconds last_snapshot_time = 0.0;
-  Seconds last_gap_end = 0.0;
-  bool have_snapshot = false;
-  bool gap_pending = false;
-  Seconds gap_pending_start = 0.0;
-  bool degrade_pending = false;
-  Seconds degrade_pending_start = 0.0;
-  std::uint32_t degrade_pending_factor = 0;
-  bool have_begin = false;
-
-  std::size_t pos = kHeaderBytes;
-  while (pos < bytes.size()) {
-    // A frame that cannot be read in full is the torn tail; stop here. So is
-    // everything after it — frame boundaries downstream of a tear cannot be
-    // trusted (the length prefix itself may be garbage).
-    if (bytes.size() - pos < 8) break;
-    ByteReader head(bytes.subspan(pos, 8));
-    const std::uint32_t len = head.u32();
-    const std::uint32_t crc = head.u32();
-    if (len > kMaxFramePayload || bytes.size() - pos - 8 < len) break;
-    const auto payload = bytes.subspan(pos + 8, len);
-    if (crc32(payload) != crc) break;
-
-    ByteReader r(payload);
-    bool frame_ok = true;
-    try {
-      const auto type = static_cast<JournalRecord>(r.u8());
-      switch (type) {
-        case JournalRecord::kBegin: {
-          const std::string land = r.str();
-          sampling_interval = r.f64();
-          out.planned_end = r.f64();
-          out.trace = Trace(land, sampling_interval);
-          have_begin = true;
-          break;
-        }
-        case JournalRecord::kSnapshot: {
-          Snapshot snap;
-          snap.time = r.f64();
-          const std::uint32_t n = r.u32();
-          snap.fixes.reserve(n);
-          for (std::uint32_t i = 0; i < n; ++i) {
-            AvatarFix fix;
-            fix.id = AvatarId{r.u32()};
-            fix.pos.x = r.f32();
-            fix.pos.y = r.f32();
-            fix.pos.z = r.f32();
-            snap.fixes.push_back(fix);
-          }
-          const Seconds snap_time = snap.time;
-          out.trace.add(std::move(snap));
-          last_snapshot_time = snap_time;
-          have_snapshot = true;
-          ++out.snapshots;
-          break;
-        }
-        case JournalRecord::kGapOpen:
-          gap_pending = true;
-          gap_pending_start = r.f64();
-          break;
-        case JournalRecord::kGapClose: {
-          const Seconds start = r.f64();
-          const Seconds end = r.f64();
-          out.trace.add_gap(start, end);
-          last_gap_end = end;
-          gap_pending = false;
-          break;
-        }
-        case JournalRecord::kSession:
-          ++out.session_events;
-          break;
-        case JournalRecord::kDegradeOpen:
-          degrade_pending = true;
-          degrade_pending_start = r.f64();
-          degrade_pending_factor = r.u32();
-          break;
-        case JournalRecord::kDegradeClose: {
-          const Seconds start = r.f64();
-          const Seconds end = r.f64();
-          const std::uint32_t factor = r.u32();
-          out.trace.add_degradation(start, end, factor);
-          degrade_pending = false;
-          break;
-        }
-        case JournalRecord::kEnd:
-          out.clean_end = true;
-          break;
-        default:
-          frame_ok = false;
-          break;
-      }
-      if (type != JournalRecord::kEnd && out.clean_end) out.clean_end = false;
-    } catch (const std::exception&) {
-      // A CRC-valid frame that still fails to decode (or violates trace
-      // ordering) means the writer itself was broken; treat it as the tear.
-      frame_ok = false;
-    }
-    if (!frame_ok) break;
-    if (!have_begin) throw DecodeError("salvage_journal: first frame is not kBegin");
-    pos += 8 + len;
-    ++out.frames_read;
-  }
-  if (!have_begin) throw DecodeError("salvage_journal: no intact begin frame");
-  out.bytes_kept = pos;
-  out.torn = pos < bytes.size();
-
-  // A journal that did not finish with kEnd belongs to a run that died; the
-  // remainder of the planned run is censored with a trailing gap so analyses
-  // never mistake "the process was killed" for "the land emptied". Outages
-  // before the first snapshot are simply a later trace start (the crawler's
-  // own convention), so an empty salvaged trace carries no gap.
-  if (!out.clean_end && have_snapshot) {
-    const Seconds start = gap_pending
-                              ? gap_pending_start
-                              : std::max(last_snapshot_time + sampling_interval,
-                                         last_gap_end);
-    // A degradation window left open by the crash closes at the censoring
-    // boundary: the degraded snapshots already captured stay rate-corrected,
-    // and the unrun remainder is covered by the trailing gap instead.
-    if (degrade_pending && degrade_pending_start < start) {
-      out.trace.add_degradation(degrade_pending_start, start, degrade_pending_factor);
-    }
-    const Seconds end = std::max(out.planned_end, start + sampling_interval);
-    out.trace.add_gap(start, end);
-  }
-  return out;
-}
-
 JournalSalvage salvage_journal(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) throw std::runtime_error("salvage_journal: cannot open " + path);
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[65536];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.insert(bytes.end(), buf, buf + n);
-  // slmob-lint: allow(checked-durability) -- read-only stream; close failure cannot lose data
-  std::fclose(f);
-  return salvage_journal_bytes(bytes);
+  JournalFileStream stream(path);
+  JournalSalvage out;
+  out.trace = collect_trace(stream);
+  out.planned_end = stream.planned_end();
+  out.frames_read = stream.frames_read();
+  out.snapshots = stream.snapshot_frames();
+  out.session_events = stream.session_events();
+  out.bytes_kept = stream.bytes_kept();
+  out.torn = stream.torn();
+  out.clean_end = stream.clean_end();
+  return out;
 }
 
 }  // namespace slmob

@@ -21,11 +21,14 @@
 //   kDegradeClose u8 type | f64 start | f64 end | u32 factor
 //
 // Salvage never throws on a torn or bit-flipped tail: frames are read until
-// the first frame that is truncated, oversized or fails its CRC; that frame
-// and everything after it are discarded, and the reconstructed Trace gets a
-// trailing CoverageGap marking the censored remainder of the planned run.
-// Only a file whose header or kBegin frame is unreadable is rejected
-// (DecodeError) — such a file never held a single complete record.
+// the first frame that is truncated, oversized, fails its CRC or holds a
+// record the trace cannot take (JournalFileStream in trace/stream.hpp lists
+// the rules, a second kBegin included); that frame and everything after it
+// are discarded, and the reconstructed Trace gets a trailing CoverageGap
+// marking the censored remainder of the planned run. Only a file whose
+// header or kBegin frame is unreadable is rejected (DecodeError) — such a
+// file never held a single complete record. JournalFileStream is the one
+// reader: salvage_journal collects it.
 #pragma once
 
 #include <cstdio>
@@ -35,6 +38,11 @@
 #include "util/bytes.hpp"
 
 namespace slmob {
+
+// File header: magic "SLTJ", then the u16 format version.
+inline constexpr std::uint8_t kJournalMagic[4] = {'S', 'L', 'T', 'J'};
+inline constexpr std::uint16_t kJournalVersion = 1;
+inline constexpr std::size_t kJournalHeaderBytes = 6;
 
 enum class JournalRecord : std::uint8_t {
   kBegin = 0,
@@ -122,11 +130,10 @@ struct JournalSalvage {
   bool clean_end{false};            // journal finished with a kEnd frame
 };
 
-// Reconstructs a Trace from journal bytes, truncating any torn tail (see
+// Reconstructs a Trace from a journal file, truncating any torn tail (see
 // file comment for the exact semantics). Throws DecodeError only when the
-// header or the kBegin frame is unreadable.
-JournalSalvage salvage_journal_bytes(std::span<const std::uint8_t> bytes);
-// File variant; throws std::runtime_error when the file cannot be read.
+// header or the kBegin frame is unreadable, std::runtime_error when the
+// file cannot be opened.
 JournalSalvage salvage_journal(const std::string& path);
 
 }  // namespace slmob

@@ -1,31 +1,19 @@
 #include "trace/serialize.hpp"
 
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 
+#include "trace/stream.hpp"
 #include "util/bytes.hpp"
 #include "util/csv.hpp"
 #include "util/fileio.hpp"
 #include "util/strings.hpp"
 
 namespace slmob {
-namespace {
-
-constexpr std::uint8_t kMagic[4] = {'S', 'L', 'T', 'R'};
-// Version 2 added the trailing coverage-gap block; version 3 appends the
-// sampling-degradation block after it. Version-1 and -2 inputs are still
-// decoded (as gap-free / degradation-free traces respectively).
-constexpr std::uint16_t kVersion = 3;
-// Per-fix wire size: u32 id + 3 x f32 position.
-constexpr std::size_t kFixBytes = 16;
-
-}  // namespace
 
 std::vector<std::uint8_t> encode_trace(const Trace& trace) {
   ByteWriter w;
-  w.raw(kMagic);
-  w.u16(kVersion);
+  w.raw(kSltMagic);
+  w.u16(kSltVersion);
   w.str(trace.land_name());
   w.f64(trace.sampling_interval());
   w.u32(static_cast<std::uint32_t>(trace.snapshots().size()));
@@ -51,61 +39,6 @@ std::vector<std::uint8_t> encode_trace(const Trace& trace) {
     w.u32(d.factor);
   }
   return w.take();
-}
-
-Trace decode_trace(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  const auto magic = r.raw(4);
-  if (!std::equal(magic.begin(), magic.end(), kMagic)) {
-    throw DecodeError("decode_trace: bad magic");
-  }
-  const auto version = r.u16();
-  if (version < 1 || version > 3) {
-    throw DecodeError("decode_trace: unsupported version");
-  }
-  const std::string land = r.str();
-  const double interval = r.f64();
-  Trace trace(land, interval);
-  const std::uint32_t snap_count = r.u32();
-  for (std::uint32_t i = 0; i < snap_count; ++i) {
-    Snapshot snap;
-    snap.time = r.f64();
-    const std::uint32_t fix_count = r.u32();
-    // The count comes from the file: check it against the bytes left before
-    // sizing anything by it.
-    if (kFixBytes * fix_count > r.remaining()) {
-      throw DecodeError("decode_trace: truncated snapshot block");
-    }
-    snap.fixes.reserve(fix_count);
-    for (std::uint32_t j = 0; j < fix_count; ++j) {
-      AvatarFix fix;
-      fix.id = AvatarId{r.u32()};
-      fix.pos.x = r.f32();
-      fix.pos.y = r.f32();
-      fix.pos.z = r.f32();
-      snap.fixes.push_back(fix);
-    }
-    trace.add(std::move(snap));
-  }
-  if (version >= 2) {
-    const std::uint32_t gap_count = r.u32();
-    for (std::uint32_t i = 0; i < gap_count; ++i) {
-      const double start = r.f64();
-      const double end = r.f64();
-      trace.add_gap(start, end);
-    }
-  }
-  if (version >= 3) {
-    const std::uint32_t degradation_count = r.u32();
-    for (std::uint32_t i = 0; i < degradation_count; ++i) {
-      const double start = r.f64();
-      const double end = r.f64();
-      const std::uint32_t factor = r.u32();
-      trace.add_degradation(start, end, factor);
-    }
-  }
-  if (!r.at_end()) throw DecodeError("decode_trace: trailing bytes");
-  return trace;
 }
 
 std::string trace_to_csv(const Trace& trace) {
@@ -174,11 +107,8 @@ void save_trace_csv(const Trace& trace, const std::string& path) {
 }
 
 Trace load_trace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("load_trace: cannot open " + path);
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
-  return decode_trace(bytes);
+  SltFileStream stream(path);
+  return collect_trace(stream);
 }
 
 }  // namespace slmob

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -21,12 +20,11 @@ namespace slmob {
 // count, per fix: u32 avatar id, 3x f32 position. Version 2 appends the
 // coverage gaps: u32 gap count, per gap f64 start, f64 end. Version 3 appends
 // the sampling degradations: u32 count, per window f64 start, f64 end,
-// u32 factor.
+// u32 factor. Versions 1 and 2 still load, as gap-free and
+// degradation-free traces.
+inline constexpr std::uint8_t kSltMagic[4] = {'S', 'L', 'T', 'R'};
+inline constexpr std::uint16_t kSltVersion = 3;
 std::vector<std::uint8_t> encode_trace(const Trace& trace);
-
-// Decodes a binary trace (version 1, 2 or 3); throws DecodeError on
-// malformed input or unsupported version.
-Trace decode_trace(std::span<const std::uint8_t> bytes);
 
 // CSV with header "time,avatar,x,y,z". Coverage gaps are emitted as trailing
 // sentinel rows: "gap",start,end,0,0 — external tools filtering on numeric
@@ -36,7 +34,9 @@ std::string trace_to_csv(const Trace& trace);
 Trace trace_from_csv(std::string_view text, std::string land_name,
                      Seconds sampling_interval);
 
-// File helpers (binary format). Throw std::runtime_error on I/O failure.
+// File helpers (binary format). Throw std::runtime_error on I/O failure;
+// load_trace throws DecodeError on malformed content. load_trace collects
+// an SltFileStream (trace/stream.hpp), the one .slt decoder.
 void save_trace(const Trace& trace, const std::string& path);
 Trace load_trace(const std::string& path);
 

@@ -1,56 +1,26 @@
 #include "trace/sessions.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace slmob {
 
+void stream_sessions(const Trace& trace, const SessionExtractionOptions& options,
+                     const std::function<void(Session&&)>& sink) {
+  GapTracker gaps;
+  for (const auto& gap : trace.gaps()) gaps.add(gap.start, gap.end);
+  SessionStream stream(gaps, options);
+  stream.set_sink(sink);
+  for (const auto& snap : trace.snapshots()) {
+    if (gaps.covered_at(snap.time)) stream.on_snapshot(snap);
+  }
+  stream.finish();
+}
+
 std::vector<Session> extract_sessions(const Trace& trace,
                                       const SessionExtractionOptions& options) {
-  // Open sessions per avatar.
-  std::map<AvatarId, Session> open;
   std::vector<Session> done;
-
-  // Gap-aware mode: a coverage gap censors every open session — presence
-  // across unobserved time may not be assumed, however short the gap is
-  // relative to the absence threshold.
-  const bool gap_aware = !trace.gaps().empty();
-  bool have_prev = false;
-  Seconds prev_time = 0.0;
-
-  for (const auto& snap : trace.snapshots()) {
-    if (gap_aware) {
-      if (!trace.covered_at(snap.time)) continue;
-      if (have_prev && trace.spans_gap(prev_time, snap.time)) {
-        for (auto& [id, s] : open) done.push_back(std::move(s));
-        open.clear();
-      }
-      have_prev = true;
-      prev_time = snap.time;
-    }
-    // Close sessions whose avatar has been absent too long.
-    for (auto it = open.begin(); it != open.end();) {
-      if (snap.time - it->second.times.back() > options.absence_threshold) {
-        done.push_back(std::move(it->second));
-        it = open.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (const auto& fix : snap.fixes) {
-      auto [it, inserted] = open.try_emplace(fix.id);
-      Session& s = it->second;
-      if (inserted) {
-        s.avatar = fix.id;
-        s.login = snap.time;
-      }
-      s.logout = snap.time;
-      s.times.push_back(snap.time);
-      s.positions.push_back(fix.pos);
-    }
-  }
-  for (auto& [id, s] : open) done.push_back(std::move(s));
-
+  stream_sessions(trace, options, [&done](Session&& s) { done.push_back(std::move(s)); });
+  // (avatar, login) pairs are unique, so this order is total.
   std::sort(done.begin(), done.end(), [](const Session& a, const Session& b) {
     if (a.avatar != b.avatar) return a.avatar < b.avatar;
     return a.login < b.login;
@@ -63,8 +33,10 @@ void SessionStream::emit(Session&& session) {
 }
 
 void SessionStream::on_snapshot(const Snapshot& snap) {
-  // Mirrors one iteration of extract_sessions' loop: gap censoring first,
-  // then absence closes, then this snapshot's fixes.
+  // Gap censoring first, then absence closes, then this snapshot's fixes.
+  // A coverage gap censors every open session — presence across unobserved
+  // time may not be assumed, however short the gap is relative to the
+  // absence threshold.
   if (have_prev_ && gaps_->spans_gap(prev_time_, snap.time)) {
     for (auto& [id, s] : open_) emit(std::move(s));
     open_.clear();

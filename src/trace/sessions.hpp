@@ -47,6 +47,12 @@ struct SessionExtractionOptions {
 std::vector<Session> extract_sessions(const Trace& trace,
                                       const SessionExtractionOptions& options = {});
 
+// Drives a SessionStream over the covered snapshots of `trace`, handing each
+// session to `sink` as it closes (stream order). extract_sessions,
+// analyze_trips and analyze_flights all read a trace through this.
+void stream_sessions(const Trace& trace, const SessionExtractionOptions& options,
+                     const std::function<void(Session&&)>& sink);
+
 // Trip metrics of one session.
 struct TripMetrics {
   AvatarId avatar;
@@ -57,14 +63,12 @@ struct TripMetrics {
 
 TripMetrics trip_metrics(const Session& session, double movement_epsilon = 0.5);
 
-// Incremental session reconstruction over a snapshot stream. Feed every
-// *covered* snapshot in time order; each session is handed to the sink as it
-// closes (absence timeout, gap censoring, or finish()). Sessions close in
-// stream order, not the (avatar, login) order extract_sessions returns —
-// consumers that need that order buffer and sort (the keys are unique).
-//
-// The gap handling is always on: against an empty GapTracker the gap branch
-// never fires, which is exactly the batch extractor's gap-free behaviour.
+// Incremental session reconstruction over a snapshot stream: the one
+// session loop. Feed every *covered* snapshot in time order; each session is
+// handed to the sink as it closes (absence timeout, gap censoring, or
+// finish()). Sessions close in stream order, not the (avatar, login) order
+// extract_sessions returns — consumers that need that order buffer and sort
+// (the keys are unique).
 class SessionStream {
  public:
   explicit SessionStream(const GapTracker& gaps,
@@ -73,7 +77,7 @@ class SessionStream {
 
   void set_sink(std::function<void(Session&&)> sink) { sink_ = std::move(sink); }
   void on_snapshot(const Snapshot& snapshot);
-  // Closes every still-open session (batch: logout at last sighting).
+  // Closes every still-open session (logout at last sighting).
   void finish();
 
  private:

@@ -1,8 +1,10 @@
 #include "trace/stream.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 
 #include "trace/journal.hpp"
@@ -12,20 +14,24 @@
 namespace slmob {
 namespace {
 
-constexpr std::uint8_t kSltMagic[4] = {'S', 'L', 'T', 'R'};
-constexpr std::uint8_t kJournalMagic[4] = {'S', 'L', 'T', 'J'};
-constexpr std::uint16_t kJournalVersion = 1;
-constexpr std::size_t kJournalHeaderBytes = 6;  // magic + version
+// Frames are one snapshot (or less); a length beyond this is torn garbage,
+// not a record.
 constexpr std::uint32_t kMaxFramePayload = 16u * 1024u * 1024u;
-// Per-fix wire size in both .slt and .sltj: u32 id + 3 x f32 position.
+// Wire sizes shared by .slt and .sltj: a fix is u32 id + 3 x f32 position,
+// a gap f64 start + f64 end, a degradation window those plus u32 factor.
 constexpr std::size_t kFixBytes = 16;
+constexpr std::size_t kGapBytes = 16;
+constexpr std::size_t kDegradationBytes = 20;
 
 bool has_suffix(const std::string& s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+// The count comes from the file: it is checked against the bytes left
+// before anything is sized by it.
 void decode_fixes(ByteReader& r, std::uint32_t count, Snapshot& out) {
+  if (kFixBytes * count > r.remaining()) throw DecodeError("truncated fix block");
   out.fixes.clear();
   out.fixes.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -105,6 +111,33 @@ Seconds DegradationTracker::degraded_seconds() const {
   Seconds total = 0.0;
   for (const auto& w : windows_) total += w.length();
   return total;
+}
+
+// ---------------------------------------------------------------------------
+// SummaryTracker
+
+void SummaryTracker::on_snapshot(const Snapshot& snapshot) {
+  if (snapshots_ == 0) first_time_ = snapshot.time;
+  last_time_ = snapshot.time;
+  ++snapshots_;
+  total_fixes_ += snapshot.fixes.size();
+  max_concurrent_ = std::max(max_concurrent_, snapshot.fixes.size());
+  for (const auto& fix : snapshot.fixes) users_.insert(fix.id);
+}
+
+TraceSummary SummaryTracker::summary() const {
+  TraceSummary s;
+  s.snapshot_count = snapshots_;
+  s.gap_count = gaps_.gaps().size();
+  s.gap_seconds = gaps_.gap_seconds();
+  s.degradation_count = rates_.windows().size();
+  s.degraded_seconds = rates_.degraded_seconds();
+  if (snapshots_ == 0) return s;
+  s.unique_users = users_.size();
+  s.max_concurrent = max_concurrent_;
+  s.avg_concurrent = static_cast<double>(total_fixes_) / static_cast<double>(snapshots_);
+  s.duration = last_time_ - first_time_;
+  return s;
 }
 
 namespace {
@@ -191,19 +224,22 @@ SltFileStream::SltFileStream(const std::string& path) : path_(path) {
   }
   const long file_size = std::ftell(file_);
   std::rewind(file_);
+  // Counts read from the file are checked against this before anything is
+  // sized or skipped by them.
+  const auto bytes_left = [&] { return static_cast<std::uint64_t>(file_size - std::ftell(file_)); };
 
   // Header: magic, version, land name, sampling interval, snapshot count.
   read_exact(6);
   if (!std::equal(buf_.begin(), buf_.begin() + 4, kSltMagic)) {
-    throw DecodeError("decode_trace: bad magic");
+    throw DecodeError("load_trace: bad magic");
   }
   std::uint16_t version = 0;
   {
     ByteReader r(std::span{buf_}.subspan(4, 2));
     version = r.u16();
   }
-  if (version < 1 || version > 3) {
-    throw DecodeError("decode_trace: unsupported version");
+  if (version < 1 || version > kSltVersion) {
+    throw DecodeError("load_trace: unsupported version");
   }
   read_exact(2);
   std::uint16_t land_len = 0;
@@ -222,8 +258,9 @@ SltFileStream::SltFileStream(const std::string& path) : path_(path) {
   const long data_offset = std::ftell(file_);
 
   // Skip-scan: walk the snapshot headers (seeking over the fixes) to reach
-  // the v2 gap footer and validate framing, then rewind. This touches 12
-  // bytes per snapshot, so it is I/O-cheap even for very long traces.
+  // the gap and degradation blocks and validate framing, then rewind. This
+  // touches 12 bytes per snapshot, so it is I/O-cheap even for very long
+  // traces.
   Seconds prev_time = 0.0;
   for (std::uint32_t i = 0; i < snap_count_; ++i) {
     read_exact(12);
@@ -234,15 +271,15 @@ SltFileStream::SltFileStream(const std::string& path) : path_(path) {
       time = r.f64();
       fix_count = r.u32();
     }
-    if (i > 0 && time < prev_time) {
-      throw std::invalid_argument("Trace::add: snapshots must be time-ordered");
+    if (i > 0 && !(time >= prev_time)) {
+      throw DecodeError("load_trace: snapshot times go backwards");
     }
     prev_time = time;
-    const long fix_bytes = static_cast<long>(kFixBytes * static_cast<std::size_t>(fix_count));
-    if (std::ftell(file_) + fix_bytes > file_size) {
-      throw DecodeError("decode_trace: truncated snapshot block");
+    const std::uint64_t fix_bytes = kFixBytes * fix_count;
+    if (fix_bytes > bytes_left()) {
+      throw DecodeError("load_trace: truncated snapshot block");
     }
-    if (std::fseek(file_, fix_bytes, SEEK_CUR) != 0) {
+    if (std::fseek(file_, static_cast<long>(fix_bytes), SEEK_CUR) != 0) {
       throw std::runtime_error("open_trace_stream: cannot seek " + path);
     }
   }
@@ -253,18 +290,17 @@ SltFileStream::SltFileStream(const std::string& path) : path_(path) {
       ByteReader r(buf_);
       gap_count = r.u32();
     }
+    if (kGapBytes * gap_count > bytes_left()) {
+      throw DecodeError("load_trace: truncated gap block");
+    }
     gaps_.reserve(gap_count);
     for (std::uint32_t i = 0; i < gap_count; ++i) {
-      read_exact(16);
+      read_exact(kGapBytes);
       ByteReader r(buf_);
       const Seconds start = r.f64();
       const Seconds end = r.f64();
-      // Same validation Trace::add_gap applies during decode_trace.
-      if (!(start < end)) {
-        throw std::invalid_argument("Trace::add_gap: gap must have start < end");
-      }
-      if (!gaps_.empty() && start < gaps_.back().end) {
-        throw std::invalid_argument("Trace::add_gap: gaps must be ordered and disjoint");
+      if (!(start < end) || (!gaps_.empty() && !(start >= gaps_.back().end))) {
+        throw DecodeError("load_trace: gaps must be non-empty, ordered and disjoint");
       }
       gaps_.push_back({start, end});
     }
@@ -276,26 +312,27 @@ SltFileStream::SltFileStream(const std::string& path) : path_(path) {
       ByteReader r(buf_);
       degr_count = r.u32();
     }
+    if (kDegradationBytes * degr_count > bytes_left()) {
+      throw DecodeError("load_trace: truncated degradation block");
+    }
     degradations_.reserve(degr_count);
     for (std::uint32_t i = 0; i < degr_count; ++i) {
-      read_exact(20);
+      read_exact(kDegradationBytes);
       ByteReader r(buf_);
       const Seconds start = r.f64();
       const Seconds end = r.f64();
       const std::uint32_t factor = r.u32();
-      // Same validation Trace::add_degradation applies during decode_trace.
-      if (!(start < end) || factor < 2) {
-        throw std::invalid_argument("Trace::add_degradation: window must have start < end");
-      }
-      if (!degradations_.empty() && start < degradations_.back().end) {
-        throw std::invalid_argument(
-            "Trace::add_degradation: windows must be ordered and disjoint");
+      if (!(start < end) || factor < 2 ||
+          (!degradations_.empty() && !(start >= degradations_.back().end))) {
+        throw DecodeError(
+            "load_trace: degradation windows must be non-empty, ordered, disjoint "
+            "and have factor >= 2");
       }
       degradations_.push_back({start, end, factor});
     }
   }
   if (std::ftell(file_) != file_size) {
-    throw DecodeError("decode_trace: trailing bytes");
+    throw DecodeError("load_trace: trailing bytes");
   }
   if (std::fseek(file_, data_offset, SEEK_SET) != 0) {
     throw std::runtime_error("open_trace_stream: cannot seek " + path);
@@ -310,7 +347,7 @@ SltFileStream::~SltFileStream() {
 void SltFileStream::read_exact(std::size_t n) {
   buf_.resize(n);
   if (n > 0 && std::fread(buf_.data(), 1, n, file_) != n) {
-    throw DecodeError("decode_trace: unexpected end of file");
+    throw DecodeError("load_trace: unexpected end of file");
   }
 }
 
@@ -390,16 +427,21 @@ JournalFileStream::JournalFileStream(const std::string& path) : path_(path) {
   if (!read_frame()) {
     throw DecodeError("salvage_journal: no intact begin frame");
   }
+  ByteReader r(frame_buf_);
+  if (r.remaining() == 0 || static_cast<JournalRecord>(r.u8()) != JournalRecord::kBegin) {
+    throw DecodeError("salvage_journal: first frame is not kBegin");
+  }
   try {
-    ByteReader r(frame_buf_);
-    if (static_cast<JournalRecord>(r.u8()) != JournalRecord::kBegin) {
-      throw DecodeError("salvage_journal: first frame is not kBegin");
-    }
     land_ = r.str();
     interval_ = r.f64();
     planned_end_ = r.f64();
   } catch (const DecodeError&) {
     throw DecodeError("salvage_journal: no intact begin frame");
+  }
+  // Every censoring boundary is computed from these two; a value that
+  // cannot bound a gap makes the journal unreadable, not the tear.
+  if (!(interval_ > 0.0) || !std::isfinite(interval_) || !std::isfinite(planned_end_)) {
+    throw DecodeError("salvage_journal: begin frame has an unusable interval or end");
   }
   bytes_kept_ += 8 + frame_buf_.size();
   frames_read_ = 1;
@@ -441,43 +483,58 @@ bool JournalFileStream::read_frame() {
   return true;
 }
 
+bool JournalFileStream::gap_start_ok(Seconds start) const {
+  // Gaps are ordered and disjoint, and go out before any snapshot at or
+  // past their start (the ordering contract).
+  return std::isfinite(start) && !(have_gap_ && start < last_gap_end_) &&
+         !(have_snapshot_ && start <= last_snapshot_time_);
+}
+
+bool JournalFileStream::rate_change_ok(Seconds time, std::uint32_t factor) const {
+  // DegradationTracker's rules: changes never go back in time, and one that
+  // closes a window comes strictly after the window opened.
+  if (factor == rate_factor_) return true;
+  return rate_factor_ > 1 ? time > rate_since_ : time >= rate_since_;
+}
+
+StreamEvent JournalFileStream::rate_change(Seconds time, std::uint32_t factor) {
+  if (factor != rate_factor_) {
+    rate_factor_ = factor;
+    rate_since_ = time;
+  }
+  StreamEvent ev;
+  ev.kind = StreamEventKind::kRateChange;
+  ev.time = time;
+  ev.factor = factor;
+  return ev;
+}
+
 StreamEvent JournalFileStream::finalize() {
   if (!finalized_) {
     finalized_ = true;
-    // Same censoring rule as salvage_journal: a journal that did not finish
-    // with kEnd belongs to a run that died, so the unrun remainder of the
-    // planned run becomes a trailing gap (unless no snapshot was ever taken,
-    // in which case the trace simply starts later).
+    // A journal that did not finish with kEnd belongs to a run that died,
+    // so the unrun remainder of the planned run becomes a trailing gap
+    // (unless no snapshot was ever taken, in which case the trace simply
+    // starts later). Analyses then never mistake "the process was killed"
+    // for "the land emptied".
     if (!clean_end_ && have_snapshot_) {
       const Seconds start =
           gap_pending_ ? gap_pending_start_
                        : std::max(last_snapshot_time_ + interval_, last_gap_end_);
-      const Seconds end = std::max(planned_end_, start + interval_);
-      if (!(start < end)) {
-        throw std::invalid_argument("Trace::add_gap: gap must have start < end");
-      }
-      if (start < last_gap_end_) {
-        throw std::invalid_argument("Trace::add_gap: gaps must be ordered and disjoint");
-      }
-      trailing_gap_ = {start, end};
-      have_trailing_gap_ = true;
-      // Same closure salvage applies: a degradation window still open at the
-      // tear ends at the censoring boundary, and the rate change back to 1
-      // precedes the trailing gap.
-      if (degrade_pending_ && degrade_pending_start_ < start) {
-        trailing_rate_time_ = start;
-        have_trailing_rate_ = true;
-        degrade_pending_ = false;
-      }
+      trailing_gap_ = {start, std::max(planned_end_, start + interval_)};
+      // Only times too large to add an interval to leave it empty.
+      have_trailing_gap_ = trailing_gap_.start < trailing_gap_.end;
+      // A degradation window still open at the tear ends at the censoring
+      // boundary: the degraded snapshots already captured stay
+      // rate-corrected, the unrun remainder is covered by the gap, and the
+      // rate change back to 1 precedes it.
+      have_trailing_rate_ = rate_factor_ > 1 && rate_since_ < start;
+      trailing_rate_time_ = start;
     }
   }
   if (have_trailing_rate_) {
     have_trailing_rate_ = false;
-    StreamEvent ev;
-    ev.kind = StreamEventKind::kRateChange;
-    ev.time = trailing_rate_time_;
-    ev.factor = 1;
-    return ev;
+    return rate_change(trailing_rate_time_, 1);
   }
   if (have_trailing_gap_) {
     have_trailing_gap_ = false;
@@ -502,16 +559,11 @@ StreamEvent JournalFileStream::next() {
       ByteReader r(frame_buf_);
       const auto type = static_cast<JournalRecord>(r.u8());
       switch (type) {
-        case JournalRecord::kBegin:
-          // salvage_journal can restart the trace on a duplicate kBegin; a
-          // stream cannot take back emitted events, so treat it as the tear.
-          frame_ok = false;
-          break;
         case JournalRecord::kSnapshot: {
           const Seconds time = r.f64();
           const std::uint32_t n = r.u32();
-          if (have_snapshot_ && time < last_snapshot_time_) {
-            // Trace::add would throw here during salvage, tearing the frame.
+          if (!std::isfinite(time) || (have_snapshot_ && time < last_snapshot_time_) ||
+              (gap_pending_ && time >= gap_pending_start_)) {
             frame_ok = false;
             break;
           }
@@ -525,15 +577,20 @@ StreamEvent JournalFileStream::next() {
           have_event = true;
           break;
         }
-        case JournalRecord::kGapOpen:
+        case JournalRecord::kGapOpen: {
+          const Seconds start = r.f64();
+          if (!gap_start_ok(start)) {
+            frame_ok = false;
+            break;
+          }
           gap_pending_ = true;
-          gap_pending_start_ = r.f64();
+          gap_pending_start_ = start;
           break;
+        }
         case JournalRecord::kGapClose: {
           const Seconds start = r.f64();
           const Seconds end = r.f64();
-          // Trace::add_gap validation; a violating frame is the tear point.
-          if (!(start < end) || (have_gap_ && start < last_gap_end_)) {
+          if (!gap_start_ok(start) || !(start < end) || !std::isfinite(end)) {
             frame_ok = false;
             break;
           }
@@ -554,15 +611,11 @@ StreamEvent JournalFileStream::next() {
         case JournalRecord::kDegradeOpen: {
           const Seconds start = r.f64();
           const std::uint32_t factor = r.u32();
-          if (factor < 2) {
+          if (factor < 2 || !rate_change_ok(start, factor)) {
             frame_ok = false;
             break;
           }
-          degrade_pending_ = true;
-          degrade_pending_start_ = start;
-          ev.kind = StreamEventKind::kRateChange;
-          ev.time = start;
-          ev.factor = factor;
+          ev = rate_change(start, factor);
           have_event = true;
           break;
         }
@@ -570,16 +623,11 @@ StreamEvent JournalFileStream::next() {
           const Seconds start = r.f64();
           const Seconds end = r.f64();
           const std::uint32_t factor = r.u32();
-          // Trace::add_degradation validation; a violating frame is the tear.
-          if (!(start < end) || factor < 2 || start < last_degrade_end_) {
+          if (!(start < end) || factor < 2 || !rate_change_ok(end, 1)) {
             frame_ok = false;
             break;
           }
-          last_degrade_end_ = end;
-          degrade_pending_ = false;
-          ev.kind = StreamEventKind::kRateChange;
-          ev.time = end;
-          ev.factor = 1;
+          ev = rate_change(end, 1);
           have_event = true;
           break;
         }
@@ -587,11 +635,13 @@ StreamEvent JournalFileStream::next() {
           clean_end_ = true;
           break;
         default:
+          // Includes a second kBegin: events already emitted cannot be
+          // taken back, so a restarted journal tears there.
           frame_ok = false;
           break;
       }
       if (type != JournalRecord::kEnd && clean_end_) clean_end_ = false;
-    } catch (const std::exception&) {
+    } catch (const DecodeError&) {
       frame_ok = false;
     }
     if (!frame_ok) {
@@ -620,6 +670,36 @@ std::unique_ptr<TraceStream> open_trace_stream(const std::string& path) {
     return std::make_unique<MemoryTraceStream>(trace_from_csv(text, path, 10.0));
   }
   return std::make_unique<SltFileStream>(path);
+}
+
+Trace collect_trace(TraceStream& stream) {
+  Trace trace(stream.land_name(), stream.sampling_interval());
+  DegradationTracker rates;
+  for (;;) {
+    const StreamEvent ev = stream.next();
+    switch (ev.kind) {
+      case StreamEventKind::kSnapshot:
+        trace.add(*ev.snapshot);
+        break;
+      case StreamEventKind::kGap:
+        trace.add_gap(ev.gap.start, ev.gap.end);
+        break;
+      case StreamEventKind::kRateChange:
+        rates.set_factor(ev.time, ev.factor);
+        break;
+      case StreamEventKind::kSessionEvent:
+        break;
+      case StreamEventKind::kEnd:
+        for (const auto& w : rates.windows()) trace.add_degradation(w.start, w.end, w.factor);
+        return trace;
+    }
+  }
+}
+
+TraceSummary summarize(TraceStream& stream) {
+  SummaryTracker tracker;
+  drive_stream(stream, tracker);
+  return tracker.summary();
 }
 
 void drive_stream(TraceStream& stream, LiveTraceSink& sink) {

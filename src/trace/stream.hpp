@@ -7,6 +7,14 @@
 // reaches the analysis engine (analysis/streaming.hpp), in-memory ones
 // included.
 //
+// The file readers here are the only decoders of their formats:
+// load_trace and salvage_journal are collect_trace over SltFileStream and
+// JournalFileStream, so every command reads a file the same way. Malformed
+// content never escapes as anything but DecodeError (.slt) or a tear
+// (.sltj): counts read from a file are checked against the bytes left
+// before anything is sized by them, and records that would break the
+// ordering contract below are rejected rather than handed on.
+//
 // Every stream honours one ordering contract consumers may rely on:
 //
 //   a gap [start, end) is emitted before any snapshot with time >= start.
@@ -16,8 +24,7 @@
 // t is emitted before any snapshot with time >= t. A consumer that applies
 // each change as it arrives therefore knows the exact factor in force for
 // every snapshot it processes, and reconstructs the same closed windows the
-// finished Trace carries (every stream closes its last window — with a change
-// back to factor 1 — before kEnd).
+// finished Trace carries.
 //
 // With that contract, censoring decisions made from the gaps seen so far
 // (GapTracker) are identical to decisions made with the complete gap list
@@ -27,12 +34,14 @@
 // exactly as they would on the finished Trace. That equivalence is why a
 // file, a journal and a live capture analyze exactly like the in-memory
 // trace they form; tests/test_trace_stream.cpp checks every reader against
-// the loaded or salvaged trace, and the golden fingerprints of
+// independently built expectations, and the golden fingerprints of
 // tests/analysis_goldens.hpp pin the resulting reports.
 #pragma once
 
 #include <cstdio>
+#include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -130,6 +139,39 @@ class LiveTraceSink {
   }
 };
 
+// The one TraceSummary computation: fed every snapshot, gap and rate change
+// of a stream, summary() equals what the trace those events form reports.
+// Every snapshot counts, covered or not. It also holds the gaps and
+// degradation windows seen so far, for consumers that censor or rate-correct
+// against them (StreamingAnalyzer).
+class SummaryTracker final : public LiveTraceSink {
+ public:
+  void on_begin(const std::string& /*land_name*/, Seconds /*sampling_interval*/) override {}
+  void on_snapshot(const Snapshot& snapshot) override;
+  // Validated by GapTracker::add / DegradationTracker::set_factor.
+  void on_gap(Seconds start, Seconds end) override { gaps_.add(start, end); }
+  void on_rate_change(Seconds time, std::uint32_t factor) override {
+    rates_.set_factor(time, factor);
+  }
+
+  [[nodiscard]] const GapTracker& gaps() const { return gaps_; }
+  [[nodiscard]] const DegradationTracker& rates() const { return rates_; }
+  [[nodiscard]] std::size_t snapshots() const { return snapshots_; }
+  [[nodiscard]] std::size_t users_seen() const { return users_.size(); }
+  [[nodiscard]] std::size_t max_concurrent() const { return max_concurrent_; }
+  [[nodiscard]] TraceSummary summary() const;
+
+ private:
+  GapTracker gaps_;
+  DegradationTracker rates_;
+  std::set<AvatarId> users_;
+  std::size_t snapshots_{0};
+  std::size_t total_fixes_{0};
+  std::size_t max_concurrent_{0};
+  Seconds first_time_{0.0};
+  Seconds last_time_{0.0};
+};
+
 // Streams an in-memory Trace (snapshots and gaps merge-ordered per the gap
 // contract above). The viewing constructor keeps a reference — the trace
 // must outlive the stream; the owning constructor moves the trace in.
@@ -156,12 +198,14 @@ class MemoryTraceStream final : public TraceStream {
   std::size_t rate_next_{0};
 };
 
-// Streams a binary .slt trace file without materialising it. The gap block
-// of the v2 format trails the snapshots, so construction makes one cheap
-// skip-scan pass (read each snapshot's header, seek over its fixes) to
-// collect the gaps and validate framing, then rewinds; snapshots decode one
-// at a time on demand. Throws DecodeError / std::invalid_argument on the
-// same malformed inputs decode_trace rejects.
+// Streams a binary .slt trace file (layout in trace/serialize.hpp) without
+// materialising it. The gap and degradation blocks trail the snapshots, so
+// construction makes one cheap skip-scan pass (read each snapshot's header,
+// seek over its fixes) to collect them and validate framing, then rewinds;
+// snapshots decode one at a time on demand. Throws DecodeError on any
+// malformed content: bad magic or version, truncation, trailing bytes,
+// snapshot times going backwards, and gap or degradation records that are
+// empty, out of order or (degradations) have a factor below 2.
 class SltFileStream final : public TraceStream {
  public:
   explicit SltFileStream(const std::string& path);
@@ -193,14 +237,19 @@ class SltFileStream final : public TraceStream {
   std::vector<std::uint8_t> buf_;
 };
 
-// Streams a .sltj write-ahead journal with salvage semantics: frames are
-// decoded until the first torn / oversized / CRC-failing / undecodable
-// frame, which (with everything after it) is discarded; a journal that did
-// not end with kEnd gets a synthetic trailing gap censoring the unrun
-// remainder of the planned run, exactly as salvage_journal would record it.
-// Unlike salvage (which can restart on a duplicate kBegin frame because it
-// holds the whole trace), a second kBegin mid-stream is treated as the tear
-// point — events already emitted cannot be taken back.
+// Streams a .sltj write-ahead journal (layout in trace/journal.hpp) with
+// salvage semantics: frames are decoded until the first torn frame, which
+// (with everything after it) is discarded. A frame is torn when it is
+// truncated, oversized, fails its CRC or cannot be decoded, and also when
+// its record would break the ordering contract or the trace it forms: a
+// second kBegin, a snapshot time going backwards or inside a gap left open,
+// a fix count larger than the frame, a gap that is empty, overlaps an
+// earlier gap or starts at or before an emitted snapshot, a degradation
+// factor below 2, or a rate change that goes back in time or closes a
+// window at its own start.
+// A journal that did not end with kEnd gets a synthetic trailing gap
+// censoring the unrun remainder of the planned run. Throws DecodeError only
+// when the header or kBegin frame is unreadable.
 class JournalFileStream final : public TraceStream {
  public:
   explicit JournalFileStream(const std::string& path);
@@ -212,8 +261,8 @@ class JournalFileStream final : public TraceStream {
   [[nodiscard]] Seconds sampling_interval() const override { return interval_; }
   StreamEvent next() override;
 
-  // Salvage-equivalent statistics; torn/clean_end/bytes_kept are final once
-  // next() has returned kEnd.
+  // Salvage statistics (copied into JournalSalvage); torn/clean_end/
+  // bytes_kept are final once next() has returned kEnd.
   [[nodiscard]] bool torn() const { return torn_; }
   [[nodiscard]] bool clean_end() const { return clean_end_; }
   [[nodiscard]] Seconds planned_end() const { return planned_end_; }
@@ -225,6 +274,10 @@ class JournalFileStream final : public TraceStream {
  private:
   // Reads one frame into frame_buf_; false on clean EOF or tear (torn_ set).
   bool read_frame();
+  [[nodiscard]] bool gap_start_ok(Seconds start) const;
+  [[nodiscard]] bool rate_change_ok(Seconds time, std::uint32_t factor) const;
+  // Records an emitted rate change and returns its event.
+  StreamEvent rate_change(Seconds time, std::uint32_t factor);
   StreamEvent finalize();
 
   std::string path_;
@@ -240,9 +293,9 @@ class JournalFileStream final : public TraceStream {
   bool have_gap_{false};
   bool gap_pending_{false};
   Seconds gap_pending_start_{0.0};
-  bool degrade_pending_{false};
-  Seconds degrade_pending_start_{0.0};
-  Seconds last_degrade_end_{0.0};
+  // Factor in force after the last emitted rate change, and its time.
+  std::uint32_t rate_factor_{1};
+  Seconds rate_since_{-std::numeric_limits<double>::infinity()};
   bool clean_end_{false};
   bool torn_{false};
   bool finalized_{false};
@@ -263,6 +316,14 @@ class JournalFileStream final : public TraceStream {
 // .csv -> an owning in-memory stream (CSV has no incremental framing), else
 // binary .slt stream.
 std::unique_ptr<TraceStream> open_trace_stream(const std::string& path);
+
+// Materialises every event of `stream` as a Trace: snapshots, gaps, and the
+// degradation windows its rate changes close. A window the stream leaves
+// open is dropped.
+[[nodiscard]] Trace collect_trace(TraceStream& stream);
+
+// The TraceSummary of every event of `stream`, in one bounded-memory pass.
+[[nodiscard]] TraceSummary summarize(TraceStream& stream);
 
 // Pumps every event of `stream` into `sink` (session events are dropped —
 // they carry no trace data). Calls sink.on_begin first.

@@ -4,6 +4,8 @@
 #include <set>
 #include <stdexcept>
 
+#include "trace/stream.hpp"
+
 namespace slmob {
 
 std::optional<Vec3> Snapshot::find(AvatarId id) const {
@@ -81,24 +83,8 @@ Seconds Trace::gap_seconds() const {
 }
 
 TraceSummary Trace::summary() const {
-  TraceSummary s;
-  s.snapshot_count = snapshots_.size();
-  s.gap_count = gaps_.size();
-  s.gap_seconds = gap_seconds();
-  s.degradation_count = degradations_.size();
-  s.degraded_seconds = degraded_seconds();
-  if (snapshots_.empty()) return s;
-  std::set<AvatarId> unique;
-  std::size_t total_fixes = 0;
-  for (const auto& snap : snapshots_) {
-    total_fixes += snap.fixes.size();
-    s.max_concurrent = std::max(s.max_concurrent, snap.fixes.size());
-    for (const auto& fix : snap.fixes) unique.insert(fix.id);
-  }
-  s.unique_users = unique.size();
-  s.avg_concurrent = static_cast<double>(total_fixes) / static_cast<double>(snapshots_.size());
-  s.duration = snapshots_.back().time - snapshots_.front().time;
-  return s;
+  MemoryTraceStream stream(*this);
+  return summarize(stream);
 }
 
 std::vector<AvatarId> Trace::unique_avatars() const {

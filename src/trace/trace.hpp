@@ -120,6 +120,7 @@ class Trace {
   [[nodiscard]] bool empty() const { return snapshots_.empty(); }
   [[nodiscard]] std::size_t size() const { return snapshots_.size(); }
 
+  // summarize() over a MemoryTraceStream of this trace (trace/stream.hpp).
   [[nodiscard]] TraceSummary summary() const;
 
   // All distinct avatar ids observed anywhere in the trace, ascending.

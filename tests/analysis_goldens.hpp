@@ -59,6 +59,19 @@ inline Trace gapped_trace() {
 }
 inline constexpr std::uint32_t kGapped = 0xdabf1153u;
 
+// seeded_trace(43, 100, 40) analysed with flights on (other options
+// default), without and with a coverage gap. Recorded when analyze_flights
+// still ran its own copy of the pause/flight state machine and agreed with
+// FlightStream on both.
+inline Trace flights_trace() { return seeded_trace(43, 100, 40); }
+inline constexpr std::uint32_t kFlights = 0x9c583c90u;
+inline Trace flights_gapped_trace() {
+  Trace t = seeded_trace(43, 100, 40);
+  t.add_gap(395.0, 455.0);
+  return t;
+}
+inline constexpr std::uint32_t kFlightsGapped = 0xd700cd98u;
+
 // One run_experiment per row: 2 h, seed 42.
 struct LandGolden {
   const char* name;

@@ -161,8 +161,8 @@ TEST(StreamingPipeline, DestroyingMidStreamWithAWindowInFlightIsClean) {
 }
 
 TEST(StreamingEquivalence, SalvagedTornJournal) {
-  // A journal torn mid-frame streams exactly what salvage_journal keeps —
-  // including the synthetic trailing gap — and analyzes identically.
+  // A journal torn mid-frame analyzes exactly like the trace salvage_journal
+  // collects from it, synthetic trailing gap included.
   Trace trace = seeded_trace(31, 40, 25);
   const std::string path = ::testing::TempDir() + "streaming_torn.sltj";
   {
@@ -210,16 +210,26 @@ TEST(StreamingEquivalence, SltFileMatchesInMemory) {
 }
 
 TEST(StreamingEquivalence, FlightsMatchAnalyzeFlights) {
-  const Trace trace = seeded_trace(43, 100, 40);
-  StreamingOptions opt;
-  opt.flights = true;
-  const AnalysisReport streamed = stream_report(trace, opt);
-  ASSERT_TRUE(streamed.flights.has_value());
+  // Flights ride the analyzer's session chain; the per-trace analyze_flights
+  // drives the same FlightStream over stream_sessions. Both are pinned to
+  // goldens recorded when each still had its own state machine.
+  for (const auto& [trace, golden] :
+       {std::pair{golden::flights_trace(), golden::kFlights},
+        std::pair{golden::flights_gapped_trace(), golden::kFlightsGapped}}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      StreamingOptions opt;
+      opt.flights = true;
+      opt.threads = threads;
+      const AnalysisReport streamed = stream_report(trace, opt);
+      ASSERT_TRUE(streamed.flights.has_value());
+      EXPECT_GT(streamed.flights->sessions_analyzed, 0u);
+      EXPECT_EQ(analysis_fingerprint(streamed), golden) << "threads " << threads;
 
-  AnalysisReport want = streamed;
-  want.flights = analyze_flights(trace, opt.flight_options);
-  expect_equivalent(want, streamed);
-  EXPECT_GT(streamed.flights->sessions_analyzed, 0u);
+      AnalysisReport per_trace = streamed;
+      per_trace.flights = analyze_flights(trace, opt.flight_options);
+      expect_equivalent(streamed, per_trace);
+    }
+  }
 }
 
 TEST(StreamingEquivalence, RelationsMatchRelationGraph) {

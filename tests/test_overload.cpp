@@ -5,6 +5,7 @@
 // layer is invisible until it is needed).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -415,7 +416,10 @@ TEST(OverloadTrace, SerializeRoundTripsDegradations) {
   trace.add_degradation(115.0, 155.0, 4);
 
   const auto bytes = encode_trace(trace);
-  const Trace back = decode_trace(bytes);
+  const std::string path = ::testing::TempDir() + "/overload_roundtrip.slt";
+  save_trace(trace, path);
+  const Trace back = load_trace(path);
+  std::remove(path.c_str());
   ASSERT_EQ(back.degradations().size(), 2u);
   EXPECT_EQ(back.degradations()[0], (SamplingDegradation{75.0, 115.0, 2}));
   EXPECT_EQ(back.degradations()[1], (SamplingDegradation{115.0, 155.0, 4}));

@@ -1,0 +1,249 @@
+// Crafted inputs against every reader of a trace file: load_trace /
+// salvage_journal, the analysis entry point (analyze_stream_file), and the
+// `slmob summary`, `slmob analyze` and `slmob salvage` commands. Each input
+// must give a value or a DecodeError — never std::bad_alloc from a count
+// read in the file, never std::invalid_argument from a record the trace
+// cannot take — and every surface must report the same snapshots and gaps.
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <vector>
+
+#include "analysis/streaming.hpp"
+#include "trace/journal.hpp"
+#include "trace/serialize.hpp"
+#include "util/bytes.hpp"
+
+namespace slmob {
+namespace {
+
+// Journal bytes frame by frame, with valid CRCs and no writer-side checks.
+class JournalBytes {
+ public:
+  JournalBytes() {
+    out_.raw(kJournalMagic);
+    out_.u16(kJournalVersion);
+  }
+  JournalBytes& begin() {
+    ByteWriter p = record(JournalRecord::kBegin);
+    p.str("crafted");
+    p.f64(10.0);   // sampling interval
+    p.f64(100.0);  // planned end
+    return frame(p);
+  }
+  // A snapshot frame claiming `n` fixes; the first min(n, 1) is written.
+  JournalBytes& snapshot(Seconds time, std::uint32_t n = 1) {
+    ByteWriter p = record(JournalRecord::kSnapshot);
+    p.f64(time);
+    p.u32(n);
+    if (n == 1) {
+      p.u32(7);
+      p.f32(10.0F);
+      p.f32(20.0F);
+      p.f32(22.0F);
+    }
+    return frame(p);
+  }
+  JournalBytes& gap_open(Seconds start) {
+    ByteWriter p = record(JournalRecord::kGapOpen);
+    p.f64(start);
+    return frame(p);
+  }
+  JournalBytes& gap_close(Seconds start, Seconds end) {
+    ByteWriter p = record(JournalRecord::kGapClose);
+    p.f64(start);
+    p.f64(end);
+    return frame(p);
+  }
+  JournalBytes& degrade_open(Seconds start, std::uint32_t factor) {
+    ByteWriter p = record(JournalRecord::kDegradeOpen);
+    p.f64(start);
+    p.u32(factor);
+    return frame(p);
+  }
+  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return out_.bytes(); }
+
+ private:
+  static ByteWriter record(JournalRecord type) {
+    ByteWriter p;
+    p.u8(static_cast<std::uint8_t>(type));
+    return p;
+  }
+  JournalBytes& frame(const ByteWriter& payload) {
+    out_.u32(static_cast<std::uint32_t>(payload.size()));
+    out_.u32(crc32(payload.bytes()));
+    out_.raw(payload.bytes());
+    return *this;
+  }
+  ByteWriter out_;
+};
+
+// The .slt header up to and including the (empty) snapshot block.
+ByteWriter slt_header(std::uint16_t version) {
+  ByteWriter w;
+  w.raw(kSltMagic);
+  w.u16(version);
+  w.str("x");
+  w.f64(10.0);
+  w.u32(0);  // snapshots
+  return w;
+}
+
+// Writes `bytes` to a file named after the running test; removed on scope
+// exit.
+class CraftedFile {
+ public:
+  CraftedFile(const std::vector<std::uint8_t>& bytes, const char* ext) {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "/crafted_" + info->name() + ext;
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
+    EXPECT_NE(f, nullptr) << path_;
+    EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    EXPECT_EQ(std::fclose(f), 0);
+  }
+  ~CraftedFile() { std::remove(path_.c_str()); }
+  CraftedFile(const CraftedFile&) = delete;
+  CraftedFile& operator=(const CraftedFile&) = delete;
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+struct CliRun {
+  int status{-1};
+  std::string output;  // stdout and stderr
+};
+
+CliRun run_cli(const std::string& args) {
+  const std::string command = std::string(SLMOB_CLI) + " " + args + " 2>&1";
+  std::FILE* pipe = popen(command.c_str(), "r");
+  EXPECT_NE(pipe, nullptr) << command;
+  CliRun run;
+  if (pipe == nullptr) return run;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) run.output.append(buf, n);
+  const int rc = pclose(pipe);
+  run.status = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+  return run;
+}
+
+// The integer printed right after the first `label` at or past `from` in
+// `text`, or -1 without one.
+long number_after(const std::string& text, const std::string& label, std::size_t from = 0) {
+  const std::size_t pos = text.find(label, from);
+  return pos == std::string::npos
+             ? -1
+             : std::strtol(text.c_str() + pos + label.size(), nullptr, 10);
+}
+
+// A .slt the reader must reject: DecodeError from the library, exit 1 with
+// the file named from every command (salvage: not a journal).
+void expect_rejected_slt(const std::vector<std::uint8_t>& bytes, std::size_t size) {
+  ASSERT_EQ(bytes.size(), size);
+  const CraftedFile file(bytes, ".slt");
+  EXPECT_THROW((void)load_trace(file.path()), DecodeError);
+  EXPECT_THROW((void)analyze_stream_file(file.path()), DecodeError);
+  for (const char* command : {"summary", "analyze"}) {
+    const CliRun run = run_cli(std::string(command) + " " + file.path());
+    EXPECT_EQ(run.status, 1) << command << ": " << run.output;
+    EXPECT_NE(run.output.find("corrupt or truncated trace"), std::string::npos)
+        << command << ": " << run.output;
+  }
+  const CliRun salvage = run_cli("salvage " + file.path());
+  EXPECT_EQ(salvage.status, 1) << salvage.output;
+  EXPECT_NE(salvage.output.find("salvage_journal: bad magic"), std::string::npos)
+      << salvage.output;
+}
+
+// A journal that salvages to `snapshots` snapshots and exactly `gaps`, torn
+// at the crafted frame; every surface agrees on the counts.
+void expect_salvaged(const JournalBytes& journal, std::size_t snapshots,
+                     const std::vector<CoverageGap>& gaps) {
+  const CraftedFile file(journal.bytes(), ".sltj");
+  const JournalSalvage s = salvage_journal(file.path());
+  EXPECT_TRUE(s.torn);
+  EXPECT_FALSE(s.clean_end);
+  EXPECT_EQ(s.snapshots, snapshots);
+  EXPECT_EQ(s.trace.size(), snapshots);
+  EXPECT_EQ(s.trace.gaps(), gaps);
+  EXPECT_TRUE(s.trace.degradations().empty());
+  const TraceSummary want = s.trace.summary();
+
+  const AnalysisReport report = analyze_stream_file(file.path());
+  EXPECT_EQ(report.summary.snapshot_count, snapshots);
+  EXPECT_EQ(report.summary.gap_count, gaps.size());
+  EXPECT_EQ(report.summary.gap_seconds, want.gap_seconds);
+
+  const CliRun summary = run_cli("summary " + file.path());
+  EXPECT_EQ(summary.status, 0) << summary.output;
+  EXPECT_EQ(number_after(summary.output, "snapshots:"), static_cast<long>(snapshots))
+      << summary.output;
+  EXPECT_EQ(number_after(summary.output, "coverage gaps:"), static_cast<long>(gaps.size()))
+      << summary.output;
+  EXPECT_EQ(number_after(summary.output, "(", summary.output.find("coverage gaps:")),
+            static_cast<long>(want.gap_seconds))
+      << summary.output;
+  EXPECT_NE(summary.output.find("torn tail truncated"), std::string::npos)
+      << summary.output;
+
+  const CliRun analyze = run_cli("analyze " + file.path() + " --range 10");
+  EXPECT_EQ(analyze.status, 0) << analyze.output;
+  EXPECT_NE(analyze.output.find("zones: "), std::string::npos) << analyze.output;
+
+  const CliRun salvage = run_cli("salvage " + file.path());
+  EXPECT_EQ(salvage.status, 0) << salvage.output;
+  EXPECT_EQ(number_after(salvage.output, "frames ("), static_cast<long>(snapshots))
+      << salvage.output;
+  EXPECT_EQ(number_after(salvage.output, "unique users, "), static_cast<long>(gaps.size()))
+      << salvage.output;
+}
+
+TEST(CraftedInput, SltInflatedGapCount) {
+  // v2, no snapshots, 2^32 - 1 gaps and no gap bytes: 25 bytes.
+  ByteWriter w = slt_header(2);
+  w.u32(0xffffffffu);
+  expect_rejected_slt(w.bytes(), 25);
+}
+
+TEST(CraftedInput, SltInflatedDegradationCount) {
+  // v3, no snapshots, no gaps, 2^32 - 1 degradation windows: 29 bytes.
+  ByteWriter w = slt_header(3);
+  w.u32(0);
+  w.u32(0xffffffffu);
+  expect_rejected_slt(w.bytes(), 29);
+}
+
+TEST(CraftedInput, JournalInflatedFixCount) {
+  // Third frame: a CRC-valid snapshot claiming 2^32 - 1 fixes with none
+  // behind it. It is the tear; the run is censored from t = 10.
+  JournalBytes j;
+  j.begin().snapshot(0.0).snapshot(10.0, 0xffffffffu);
+  expect_salvaged(j, 1, {{10.0, 100.0}});
+}
+
+TEST(CraftedInput, JournalDegradeFactorOne) {
+  JournalBytes j;
+  j.begin().snapshot(0.0).degrade_open(5.0, 1);
+  expect_salvaged(j, 1, {{10.0, 100.0}});
+}
+
+TEST(CraftedInput, JournalGapOpenBeforeLastGapEnd) {
+  JournalBytes j;
+  j.begin().snapshot(0.0).gap_close(10.0, 40.0).snapshot(50.0).gap_open(20.0);
+  expect_salvaged(j, 2, {{10.0, 40.0}, {60.0, 100.0}});
+}
+
+TEST(CraftedInput, JournalSecondBegin) {
+  JournalBytes j;
+  j.begin().snapshot(0.0).begin().snapshot(50.0);
+  expect_salvaged(j, 1, {{10.0, 100.0}});
+}
+
+}  // namespace
+}  // namespace slmob

@@ -32,6 +32,25 @@ Snapshot make_snapshot(Seconds time, std::uint32_t base_id, std::size_t count) {
 
 std::string temp_path(const std::string& name) { return ::testing::TempDir() + "/" + name; }
 
+// Salvages `bytes` through a file named after the running test (ctest runs
+// tests in parallel): salvage_journal is the one journal reader.
+JournalSalvage salvage_bytes(std::span<const std::uint8_t> bytes) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string path =
+      temp_path(std::string("salvage_") + info->test_suite_name() + "." + info->name() + ".sltj");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr) << path;
+  if (!bytes.empty()) {
+    EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
+  EXPECT_EQ(std::fclose(f), 0);
+  struct Remove {
+    const std::string& path;
+    ~Remove() { std::remove(path.c_str()); }
+  } remove{path};
+  return salvage_journal(path);
+}
+
 TEST(TraceJournal, RoundTripCleanEnd) {
   const std::string path = temp_path("journal_roundtrip.sltj");
   {
@@ -96,7 +115,7 @@ TEST(TraceJournal, TornTailAtEveryByteOffsetSalvages) {
   // Untruncated (but end-less) journal: all three snapshots, trailing gap
   // from last snapshot + interval out to the planned end.
   {
-    const JournalSalvage s = salvage_journal_bytes(full);
+    const JournalSalvage s = salvage_bytes(full);
     EXPECT_FALSE(s.torn);
     EXPECT_FALSE(s.clean_end);
     EXPECT_EQ(s.snapshots, 3u);
@@ -107,7 +126,7 @@ TEST(TraceJournal, TornTailAtEveryByteOffsetSalvages) {
   for (std::size_t cut = last_frame_start; cut < full.size(); ++cut) {
     const std::span<const std::uint8_t> prefix(full.data(), cut);
     JournalSalvage s;
-    ASSERT_NO_THROW(s = salvage_journal_bytes(prefix)) << "cut at byte " << cut;
+    ASSERT_NO_THROW(s = salvage_bytes(prefix)) << "cut at byte " << cut;
     EXPECT_EQ(s.snapshots, 2u) << "cut at byte " << cut;
     EXPECT_EQ(s.bytes_kept, last_frame_start) << "cut at byte " << cut;
     EXPECT_EQ(s.torn, cut != last_frame_start) << "cut at byte " << cut;
@@ -130,7 +149,7 @@ TEST(TraceJournal, BitFlipInFinalFrameDropsOnlyThatFrame) {
   }
   std::vector<std::uint8_t> bytes = read_file_bytes(path);
   bytes[last_frame_start + 12] ^= 0x40;  // corrupt the payload, CRC now fails
-  const JournalSalvage s = salvage_journal_bytes(bytes);
+  const JournalSalvage s = salvage_bytes(bytes);
   EXPECT_TRUE(s.torn);
   EXPECT_EQ(s.snapshots, 1u);
   EXPECT_EQ(s.bytes_kept, last_frame_start);
@@ -155,9 +174,9 @@ TEST(TraceJournal, TearAfterGapOpenUsesGapStart) {
 }
 
 TEST(TraceJournal, UnreadableHeaderOrBeginRejected) {
-  EXPECT_THROW(salvage_journal_bytes({}), DecodeError);
+  EXPECT_THROW(salvage_bytes({}), DecodeError);
   const std::vector<std::uint8_t> junk{'X', 'X', 'X', 'X', 1, 0};
-  EXPECT_THROW(salvage_journal_bytes(junk), DecodeError);
+  EXPECT_THROW(salvage_bytes(junk), DecodeError);
 
   // A header with a torn kBegin frame never held a single complete record.
   const std::string path = temp_path("journal_tornbegin.sltj");
@@ -167,7 +186,86 @@ TEST(TraceJournal, UnreadableHeaderOrBeginRejected) {
   }
   std::vector<std::uint8_t> bytes = read_file_bytes(path);
   bytes.resize(bytes.size() - 1);
-  EXPECT_THROW(salvage_journal_bytes(bytes), DecodeError);
+  EXPECT_THROW(salvage_bytes(bytes), DecodeError);
+}
+
+// CRC-valid frames whose records would break the stream ordering contract
+// or the degradation windows are the tear, like a torn frame: everything
+// before them is kept and the rest of the planned run is censored.
+TEST(TraceJournal, RecordsTheTraceCannotTakeAreTheTear) {
+  const auto salvage_written = [](const std::string& name, const auto& write) {
+    const std::string path = temp_path(name);
+    {
+      TraceJournalWriter writer(path, 100.0);
+      writer.begin("land", 10.0);
+      write(writer);
+    }
+    return salvage_journal(path);
+  };
+
+  // A gap starting at an emitted snapshot would go out after it.
+  JournalSalvage s = salvage_written("journal_gap_at_snapshot.sltj", [](auto& w) {
+    w.append_snapshot(make_snapshot(0.0, 1, 1));
+    w.append_gap_close(0.0, 20.0);
+  });
+  EXPECT_TRUE(s.torn);
+  EXPECT_EQ(s.trace.gaps(), (std::vector<CoverageGap>{{10.0, 100.0}}));
+
+  // A gap opening inside the previous one (the snapshot at 20 is inside it
+  // too, so uncovered).
+  s = salvage_written("journal_gap_in_gap.sltj", [](auto& w) {
+    w.append_snapshot(make_snapshot(0.0, 1, 1));
+    w.append_gap_close(10.0, 40.0);
+    w.append_snapshot(make_snapshot(20.0, 1, 1));
+    w.append_gap_open(30.0);
+  });
+  EXPECT_TRUE(s.torn);
+  EXPECT_EQ(s.snapshots, 2u);
+  EXPECT_EQ(s.trace.gaps(), (std::vector<CoverageGap>{{10.0, 40.0}, {40.0, 100.0}}));
+
+  // A snapshot inside a gap that was opened and never closed.
+  s = salvage_written("journal_snapshot_in_gap.sltj", [](auto& w) {
+    w.append_snapshot(make_snapshot(0.0, 1, 1));
+    w.append_gap_open(15.0);
+    w.append_snapshot(make_snapshot(20.0, 1, 1));
+  });
+  EXPECT_TRUE(s.torn);
+  EXPECT_EQ(s.snapshots, 1u);
+  EXPECT_EQ(s.trace.gaps(), (std::vector<CoverageGap>{{15.0, 100.0}}));
+
+  // A close at the window's own start; the open window then ends at the
+  // censoring boundary.
+  s = salvage_written("journal_zero_window.sltj", [](auto& w) {
+    w.append_snapshot(make_snapshot(0.0, 1, 1));
+    w.append_degrade_open(5.0, 2);
+    w.append_snapshot(make_snapshot(10.0, 1, 1));
+    w.append_degrade_close(1.0, 5.0, 2);
+  });
+  EXPECT_TRUE(s.torn);
+  EXPECT_EQ(s.trace.degradations(), (std::vector<SamplingDegradation>{{5.0, 20.0, 2}}));
+  EXPECT_EQ(s.trace.gaps(), (std::vector<CoverageGap>{{20.0, 100.0}}));
+
+  // A window opening before the previous one closed.
+  s = salvage_written("journal_window_backwards.sltj", [](auto& w) {
+    w.append_snapshot(make_snapshot(0.0, 1, 1));
+    w.append_degrade_open(5.0, 2);
+    w.append_snapshot(make_snapshot(10.0, 1, 1));
+    w.append_degrade_close(5.0, 15.0, 2);
+    w.append_degrade_open(12.0, 4);
+  });
+  EXPECT_TRUE(s.torn);
+  EXPECT_EQ(s.trace.degradations(), (std::vector<SamplingDegradation>{{5.0, 15.0, 2}}));
+  EXPECT_EQ(s.trace.gaps(), (std::vector<CoverageGap>{{20.0, 100.0}}));
+}
+
+TEST(TraceJournal, BeginWithoutUsableIntervalRejected) {
+  const std::string path = temp_path("journal_zero_interval.sltj");
+  {
+    TraceJournalWriter writer(path, 100.0);
+    writer.begin("land", 0.0);
+    writer.append_snapshot(make_snapshot(0.0, 1, 1));
+  }
+  EXPECT_THROW(salvage_journal(path), DecodeError);
 }
 
 TEST(TraceJournal, MissingFileThrows) {
@@ -180,7 +278,7 @@ TEST(TraceJournal, HeaderOnlyZeroFrameFileRejected) {
   // valid, but it never held a single complete record — salvage must refuse
   // rather than invent an empty trace with no land name or interval.
   const std::vector<std::uint8_t> header{'S', 'L', 'T', 'J', 1, 0};
-  EXPECT_THROW(salvage_journal_bytes(header), DecodeError);
+  EXPECT_THROW(salvage_bytes(header), DecodeError);
 
   // Same bytes on disk, through the file path.
   const std::string path = temp_path("journal_headeronly.sltj");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -10,6 +11,54 @@
 
 namespace slmob {
 namespace {
+
+// Loads `bytes` through a file named after the running test (ctest runs
+// tests in parallel): load_trace is the one .slt decoder.
+Trace load_bytes(const std::vector<std::uint8_t>& bytes) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info->test_suite_name()) + "." + info->name();
+  std::replace(name.begin(), name.end(), '/', '_');
+  const std::string path = ::testing::TempDir() + "/slmob_" + name + ".slt";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  struct Remove {
+    const std::string& path;
+    ~Remove() { std::remove(path.c_str()); }
+  } remove{path};
+  return load_trace(path);
+}
+
+// A version-3 .slt with one fixless snapshot per time, then the given gap
+// and degradation records verbatim (no validation on the writing side).
+std::vector<std::uint8_t> crafted_slt(const std::vector<double>& times,
+                                      const std::vector<CoverageGap>& gaps,
+                                      const std::vector<SamplingDegradation>& degradations) {
+  ByteWriter w;
+  w.raw(kSltMagic);
+  w.u16(3);
+  w.str("x");
+  w.f64(10.0);
+  w.u32(static_cast<std::uint32_t>(times.size()));
+  for (const double t : times) {
+    w.f64(t);
+    w.u32(0);
+  }
+  w.u32(static_cast<std::uint32_t>(gaps.size()));
+  for (const auto& g : gaps) {
+    w.f64(g.start);
+    w.f64(g.end);
+  }
+  w.u32(static_cast<std::uint32_t>(degradations.size()));
+  for (const auto& d : degradations) {
+    w.f64(d.start);
+    w.f64(d.end);
+    w.u32(d.factor);
+  }
+  return w.take();
+}
 
 Trace make_random_trace(std::uint64_t seed, std::size_t snapshots) {
   Rng rng(seed);
@@ -50,7 +99,7 @@ class SerializeRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SerializeRoundTrip, Binary) {
   const Trace original = make_random_trace(GetParam(), 30);
   const auto bytes = encode_trace(original);
-  const Trace decoded = decode_trace(bytes);
+  const Trace decoded = load_bytes(bytes);
   expect_traces_equal(original, decoded, 1e-4);  // f32 storage
 }
 
@@ -70,22 +119,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SerializeRoundTrip, ::testing::Values(1, 2, 3, 4
 
 TEST(Serialize, BadMagicThrows) {
   std::vector<std::uint8_t> bytes{'X', 'X', 'X', 'X', 0, 0};
-  EXPECT_THROW((void)decode_trace(bytes), DecodeError);
+  EXPECT_THROW((void)load_bytes(bytes), DecodeError);
 }
 
 TEST(Serialize, TruncatedThrows) {
   const Trace t = make_random_trace(9, 5);
   auto bytes = encode_trace(t);
   bytes.resize(bytes.size() / 2);
-  EXPECT_THROW((void)decode_trace(bytes), DecodeError);
+  EXPECT_THROW((void)load_bytes(bytes), DecodeError);
 }
 
 TEST(Serialize, InflatedFixCountThrowsBeforeAllocating) {
   // One snapshot claiming 2^32 - 1 fixes (~64 GiB once decoded) with no fix
   // bytes behind it: the count must be rejected, not reserved.
-  constexpr std::uint8_t kMagic[4] = {'S', 'L', 'T', 'R'};
   ByteWriter w;
-  w.raw(kMagic);
+  w.raw(kSltMagic);
   w.u16(3);
   w.str("x");
   w.f64(10.0);
@@ -94,10 +142,10 @@ TEST(Serialize, InflatedFixCountThrowsBeforeAllocating) {
   w.u32(0xffffffffu);
   const auto bytes = w.take();
   try {
-    (void)decode_trace(bytes);
-    FAIL() << "decode_trace accepted an inflated fix count";
+    (void)load_bytes(bytes);
+    FAIL() << "load_trace accepted an inflated fix count";
   } catch (const DecodeError& e) {
-    EXPECT_STREQ(e.what(), "decode_trace: truncated snapshot block");
+    EXPECT_STREQ(e.what(), "load_trace: truncated snapshot block");
   }
 }
 
@@ -105,18 +153,43 @@ TEST(Serialize, TrailingBytesThrow) {
   const Trace t = make_random_trace(9, 2);
   auto bytes = encode_trace(t);
   bytes.push_back(0);
-  EXPECT_THROW((void)decode_trace(bytes), DecodeError);
+  EXPECT_THROW((void)load_bytes(bytes), DecodeError);
 }
 
 TEST(Serialize, GapsRoundTripBinary) {
   Trace original = make_random_trace(21, 30);
   original.add_gap(35.0, 60.0);
   original.add_gap(120.0, 155.0);
-  const Trace decoded = decode_trace(encode_trace(original));
+  const Trace decoded = load_bytes(encode_trace(original));
   expect_traces_equal(original, decoded, 1e-4);
   ASSERT_EQ(decoded.gaps().size(), 2u);
   EXPECT_EQ(decoded.gaps()[0], (CoverageGap{35.0, 60.0}));
   EXPECT_EQ(decoded.gaps()[1], (CoverageGap{120.0, 155.0}));
+}
+
+// Malformed content is a DecodeError, never the std::invalid_argument the
+// Trace mutators throw: the reader validates every record it hands on.
+TEST(Serialize, SnapshotTimeGoingBackwardsThrows) {
+  EXPECT_NO_THROW((void)load_bytes(crafted_slt({0.0, 10.0, 10.0}, {}, {})));
+  EXPECT_THROW((void)load_bytes(crafted_slt({0.0, 10.0, 5.0}, {}, {})), DecodeError);
+}
+
+TEST(Serialize, EmptyOrOutOfOrderGapsThrow) {
+  EXPECT_NO_THROW((void)load_bytes(crafted_slt({0.0}, {{10.0, 20.0}, {20.0, 30.0}}, {})));
+  EXPECT_THROW((void)load_bytes(crafted_slt({0.0}, {{10.0, 10.0}}, {})), DecodeError);
+  EXPECT_THROW((void)load_bytes(crafted_slt({0.0}, {{30.0, 40.0}, {10.0, 20.0}}, {})),
+               DecodeError);
+  EXPECT_THROW((void)load_bytes(crafted_slt({0.0}, {{10.0, 30.0}, {20.0, 40.0}}, {})),
+               DecodeError);
+}
+
+TEST(Serialize, EmptyOrOutOfOrderDegradationsThrow) {
+  EXPECT_NO_THROW(
+      (void)load_bytes(crafted_slt({0.0}, {}, {{10.0, 20.0, 2}, {20.0, 30.0, 4}})));
+  EXPECT_THROW((void)load_bytes(crafted_slt({0.0}, {}, {{10.0, 10.0, 2}})), DecodeError);
+  EXPECT_THROW((void)load_bytes(crafted_slt({0.0}, {}, {{10.0, 20.0, 1}})), DecodeError);
+  EXPECT_THROW((void)load_bytes(crafted_slt({0.0}, {}, {{30.0, 40.0, 2}, {10.0, 20.0, 2}})),
+               DecodeError);
 }
 
 TEST(Serialize, GapsRoundTripCsv) {
@@ -140,7 +213,7 @@ TEST(Serialize, Version1BytesStillDecode) {
   auto bytes = encode_trace(original);
   bytes.resize(bytes.size() - 8);  // drop the u32 gap + degradation counts (0)
   bytes[4] = 1;                    // patch version u16 (little-endian) to 1
-  const Trace decoded = decode_trace(bytes);
+  const Trace decoded = load_bytes(bytes);
   expect_traces_equal(original, decoded, 1e-4);
   EXPECT_TRUE(decoded.gaps().empty());
 }
@@ -153,7 +226,7 @@ TEST(Serialize, Version2BytesStillDecode) {
   auto bytes = encode_trace(original);
   bytes.resize(bytes.size() - 4);  // drop the u32 degradation count (0)
   bytes[4] = 2;                    // patch version u16 (little-endian) to 2
-  const Trace decoded = decode_trace(bytes);
+  const Trace decoded = load_bytes(bytes);
   expect_traces_equal(original, decoded, 1e-4);
   ASSERT_EQ(decoded.gaps().size(), 1u);
   EXPECT_TRUE(decoded.degradations().empty());
@@ -164,7 +237,7 @@ TEST(Serialize, TruncatedGapBlockThrows) {
   t.add_gap(12.0, 24.0);
   auto bytes = encode_trace(t);
   bytes.resize(bytes.size() - 8);  // cut into the gap record
-  EXPECT_THROW((void)decode_trace(bytes), DecodeError);
+  EXPECT_THROW((void)load_bytes(bytes), DecodeError);
 }
 
 TEST(Serialize, CsvCorruptGapRowThrows) {

@@ -1,8 +1,8 @@
 // Streaming trace access (trace/stream.hpp): every TraceStream flavour must
-// emit the same events as walking the finished Trace, honouring the ordering
-// contract — a gap [start, end) is emitted before any snapshot with
-// time >= start — and a torn journal must stream exactly what
-// salvage_journal would reconstruct.
+// emit the same events as walking the trace that was written, honouring the
+// ordering contract — a gap [start, end) is emitted before any snapshot with
+// time >= start — and a torn journal must stream exactly the records whose
+// frames survived the cut, plus the documented trailing censoring gap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -157,10 +157,11 @@ TEST(SltFileStream, MatchesMemoryStreamExactly) {
 
 TEST(SltFileStream, FixContentsSurviveRoundTrip) {
   TempPath tmp("stream_fixes.slt");
-  save_trace(small_trace(5, 6, 5), tmp.path);
-  // Compare against the batch loader: the .slt format stores positions as
-  // f32, so the stream must agree with load_trace, not the pre-save trace.
-  const Trace trace = load_trace(tmp.path);
+  const Trace trace = small_trace(5, 6, 5);
+  save_trace(trace, tmp.path);
+  // The .slt format stores positions as f32: the stream must return the
+  // written positions rounded to float, bit for bit.
+  const auto f32 = [](double v) { return static_cast<double>(static_cast<float>(v)); };
   SltFileStream stream(tmp.path);
   for (const auto& want : trace.snapshots()) {
     const StreamEvent ev = stream.next();
@@ -168,9 +169,9 @@ TEST(SltFileStream, FixContentsSurviveRoundTrip) {
     ASSERT_EQ(ev.snapshot->fixes.size(), want.fixes.size());
     for (std::size_t i = 0; i < want.fixes.size(); ++i) {
       EXPECT_EQ(ev.snapshot->fixes[i].id, want.fixes[i].id);
-      EXPECT_EQ(ev.snapshot->fixes[i].pos.x, want.fixes[i].pos.x);
-      EXPECT_EQ(ev.snapshot->fixes[i].pos.y, want.fixes[i].pos.y);
-      EXPECT_EQ(ev.snapshot->fixes[i].pos.z, want.fixes[i].pos.z);
+      EXPECT_EQ(ev.snapshot->fixes[i].pos.x, f32(want.fixes[i].pos.x));
+      EXPECT_EQ(ev.snapshot->fixes[i].pos.y, f32(want.fixes[i].pos.y));
+      EXPECT_EQ(ev.snapshot->fixes[i].pos.z, f32(want.fixes[i].pos.z));
     }
   }
   EXPECT_EQ(stream.next().kind, StreamEventKind::kEnd);
@@ -186,9 +187,18 @@ TEST(SltFileStream, RejectsMissingAndCorruptFiles) {
   EXPECT_ANY_THROW(SltFileStream{tmp.path});
 }
 
+Recorded snapshot_event(const Snapshot& snap) {
+  return {StreamEventKind::kSnapshot, snap.time, snap.fixes.size(), 0.0};
+}
+
+Recorded gap_event(Seconds start, Seconds end) {
+  return {StreamEventKind::kGap, start, 0, end};
+}
+
 TEST(JournalFileStream, CleanJournalStreamsLikeSalvagedTrace) {
   const Trace trace = small_trace(6, 15, 8);
   TempPath tmp("stream_clean.sltj");
+  std::uint64_t final_offset = 0;
   {
     TraceJournalWriter w(tmp.path, 150.0);
     w.begin(trace.land_name(), trace.sampling_interval());
@@ -201,77 +211,89 @@ TEST(JournalFileStream, CleanJournalStreamsLikeSalvagedTrace) {
     }
     w.append_session(100.0, SessionEvent::kRelogin, "test");
     w.append_end(150.0);
+    final_offset = w.offset();
   }
 
-  const JournalSalvage salvage = salvage_journal(tmp.path);
-  EXPECT_FALSE(salvage.torn);
-  EXPECT_TRUE(salvage.clean_end);
+  // Every record in writing order; the gap close goes out as the gap, the
+  // open frame and kEnd emit nothing, and no trailing gap is added.
+  std::vector<Recorded> want;
+  for (std::size_t i = 0; i < trace.snapshots().size(); ++i) {
+    if (i == 4) want.push_back(gap_event(38.0, 40.0));
+    want.push_back(snapshot_event(trace.snapshots()[i]));
+  }
+  want.push_back({StreamEventKind::kSessionEvent, 100.0, 0, 0.0});
 
   JournalFileStream stream(tmp.path);
+  EXPECT_EQ(stream.land_name(), trace.land_name());
+  EXPECT_EQ(stream.sampling_interval(), trace.sampling_interval());
+  EXPECT_EQ(stream.planned_end(), 150.0);
   const auto events = drain(stream);
+  expect_same_events(events, want);
+  expect_gap_contract(events);
   EXPECT_TRUE(stream.clean_end());
   EXPECT_FALSE(stream.torn());
   EXPECT_EQ(stream.snapshot_frames(), trace.snapshots().size());
   EXPECT_EQ(stream.session_events(), 1u);
-  EXPECT_EQ(stream.bytes_kept(), salvage.bytes_kept);
-  expect_gap_contract(events);
-
-  // Dropping session events, the sequence equals streaming the salvaged trace.
-  std::vector<Recorded> data_events;
-  for (const auto& e : events) {
-    if (e.kind != StreamEventKind::kSessionEvent) data_events.push_back(e);
-  }
-  MemoryTraceStream mem(salvage.trace);
-  expect_same_events(data_events, drain(mem));
+  EXPECT_EQ(stream.frames_read(), 1 + trace.snapshots().size() + 2 + 1 + 1);
+  EXPECT_EQ(stream.bytes_kept(), final_offset);
 }
 
 TEST(JournalFileStream, TornTailMatchesSalvageAtEveryTruncation) {
   const Trace trace = small_trace(7, 10, 6);
+  const Seconds tau = trace.sampling_interval();
+  const Seconds planned_end = 100.0;
   TempPath tmp("stream_torn.sltj");
+  // Frame frontier after kBegin and after each snapshot frame.
+  std::uint64_t begin_end = 0;
+  std::vector<std::uint64_t> snapshot_end;
   {
-    TraceJournalWriter w(tmp.path, 100.0);
-    w.begin(trace.land_name(), trace.sampling_interval());
-    for (const auto& snap : trace.snapshots()) w.append_snapshot(snap);
-    w.append_end(100.0);
+    TraceJournalWriter w(tmp.path, planned_end);
+    w.begin(trace.land_name(), tau);
+    begin_end = w.offset();
+    for (const auto& snap : trace.snapshots()) {
+      w.append_snapshot(snap);
+      snapshot_end.push_back(w.offset());
+    }
+    w.append_end(planned_end);
   }
   std::FILE* f = std::fopen(tmp.path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   std::fseek(f, 0, SEEK_END);
-  const long full = std::ftell(f);
-  // slmob-lint: allow(checked-durability) -- read-only stream; close failure cannot lose data
-  std::fclose(f);
-
-  // Truncate at a spread of offsets (every 7 bytes); the streamed events must
-  // equal salvage_journal's reconstruction at each one.
-  TempPath cut("stream_torn_cut.sltj");
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(full));
-  f = std::fopen(tmp.path.c_str(), "rb");
+  const auto full = static_cast<std::uint64_t>(std::ftell(f));
+  std::vector<std::uint8_t> bytes(full);
+  std::rewind(f);
   ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
   // slmob-lint: allow(checked-durability) -- read-only stream; close failure cannot lose data
   std::fclose(f);
-  // A file truncated inside the header or kBegin frame is rejected by both
-  // salvage and streaming (never held one complete record); start tearing
-  // after the first frame: 6-byte header + 8-byte frame header + payload.
-  const long first_frame_end =
-      6 + 8 +
-      static_cast<long>(bytes[6] | (bytes[7] << 8) | (bytes[8] << 16) | (bytes[9] << 24));
-  for (long len = first_frame_end; len < full; len += 7) {
+
+  // Truncate at a spread of offsets (every 7 bytes) past the kBegin frame (a
+  // file cut inside it never held one complete record and is rejected).
+  // At each cut the stream keeps exactly the snapshots whose frame ends at
+  // or before it, then censors from one interval past the last of them to
+  // the planned end.
+  TempPath cut("stream_torn_cut.sltj");
+  for (std::uint64_t len = begin_end; len < full; len += 7) {
     std::FILE* out = std::fopen(cut.path.c_str(), "wb");
     ASSERT_NE(out, nullptr);
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, static_cast<std::size_t>(len), out),
-              static_cast<std::size_t>(len));
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, len, out), len);
     ASSERT_EQ(std::fclose(out), 0);
 
-    const JournalSalvage salvage = salvage_journal(cut.path);
-    JournalFileStream stream(cut.path);
-    std::vector<Recorded> data_events;
-    for (const auto& e : drain(stream)) {
-      if (e.kind != StreamEventKind::kSessionEvent) data_events.push_back(e);
+    std::vector<Recorded> want;
+    std::uint64_t kept = begin_end;
+    for (std::size_t i = 0; i < snapshot_end.size() && snapshot_end[i] <= len; ++i) {
+      want.push_back(snapshot_event(trace.snapshots()[i]));
+      kept = snapshot_end[i];
     }
-    EXPECT_EQ(stream.torn(), salvage.torn) << "len " << len;
-    EXPECT_EQ(stream.bytes_kept(), salvage.bytes_kept) << "len " << len;
-    MemoryTraceStream mem(salvage.trace);
-    expect_same_events(data_events, drain(mem));
+    if (!want.empty()) {
+      const Seconds start = want.back().time + tau;
+      want.push_back(gap_event(start, std::max(planned_end, start + tau)));
+    }
+
+    JournalFileStream stream(cut.path);
+    expect_same_events(drain(stream), want);
+    EXPECT_EQ(stream.torn(), len != kept) << "len " << len;
+    EXPECT_EQ(stream.bytes_kept(), kept) << "len " << len;
+    EXPECT_FALSE(stream.clean_end()) << "len " << len;
   }
 }
 

@@ -3,7 +3,7 @@
 //
 //   slmob run     --land <l>[,<l>...] [--hours H] [--seed S] [--jobs J]
 //                 [--faults <scenario>] [--fault-seed S] --out t.slt
-//   slmob summary <trace.slt>
+//   slmob summary <trace.slt|journal.sltj>
 //   slmob analyze <trace.slt> [--range R]... [--threads N]
 //   slmob sweep   --land <l>[,<l>...] --seeds N [--hours H] [--jobs J]
 //   slmob convert <trace.slt> <trace.csv>   (direction by extension)
@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstring>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -54,7 +53,7 @@ int usage() {
                "     --out must disambiguate with {land} and/or {seed} placeholders)\n"
                "  slmob run --resume DIR [--jobs J] [--out T.slt]\n"
                "  slmob salvage <journal.sltj> [--out T.slt]\n"
-               "  slmob summary <trace.slt|journal.sltj> [--stream]\n"
+               "  slmob summary <trace.slt|journal.sltj>\n"
                "  slmob analyze <trace.slt|journal.sltj> [--range R]... [--threads N]\n"
                "  slmob sweep --land <l>[,<l>...] --seeds N [--seed-base S] [--hours H]\n"
                "              [--jobs J]\n"
@@ -149,41 +148,34 @@ bool probe_writable(const std::string& path) {
   return true;
 }
 
-bool has_suffix(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() && s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+// After a streamed pass, reports a torn journal tail (the stream reader only
+// knows once it hits the tear).
+void warn_if_torn(const TraceStream* reader, const std::string& path) {
+  if (const auto* j = dynamic_cast<const JournalFileStream*>(reader);
+      j != nullptr && j->torn()) {
+    std::fprintf(stderr,
+                 "%s: torn tail truncated at byte %llu; remainder censored as a gap\n",
+                 path.c_str(), static_cast<unsigned long long>(j->bytes_kept()));
+  }
 }
 
-// Reads a trace in any format, deciding by extension. A .sltj journal is
-// salvaged in place (torn tails truncated, trailing gap added), so analyze/
-// summary/convert work directly on the journal of a crashed run. Malformed
-// input (truncated file, bad magic, corrupt rows) is reported with the file
-// name.
-Trace read_any(const std::string& path) {
+// Opens a trace in any format, deciding by extension. A .sltj journal reads
+// with salvage semantics (torn tail truncated, trailing gap added), so every
+// command works directly on the journal of a crashed run. Malformed input
+// (truncated file, bad magic, corrupt rows) is reported with the file name.
+std::unique_ptr<TraceStream> open_any(const std::string& path) {
   try {
-    if (has_suffix(path, ".sltj")) {
-      const JournalSalvage s = salvage_journal(path);
-      if (s.torn) {
-        std::fprintf(stderr,
-                     "%s: torn tail truncated at byte %llu; remainder censored as a gap\n",
-                     path.c_str(), static_cast<unsigned long long>(s.bytes_kept));
-      }
-      return s.trace;
-    }
-    if (path.size() > 4 && path.substr(path.size() - 4) == ".csv") {
-      FILE* f = std::fopen(path.c_str(), "rb");
-      if (f == nullptr) throw std::runtime_error("cannot open " + path);
-      std::string text;
-      char buf[65536];
-      std::size_t n = 0;
-      while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-      // slmob-lint: allow(checked-durability) -- read-only stream; close failure cannot lose data
-      std::fclose(f);
-      return trace_from_csv(text, path, 10.0);
-    }
-    return load_trace(path);
+    return open_trace_stream(path);
   } catch (const DecodeError& e) {
     throw std::runtime_error(path + ": corrupt or truncated trace (" + e.what() + ")");
   }
+}
+
+Trace read_any(const std::string& path) {
+  const auto reader = open_any(path);
+  Trace trace = collect_trace(*reader);
+  warn_if_torn(reader.get(), path);
+  return trace;
 }
 
 // Shared tail of every run variant: strip transient sitting fixes (matching
@@ -572,17 +564,6 @@ int cmd_salvage(const std::vector<std::string>& args) {
   return 0;
 }
 
-// After a streamed pass, reports a torn journal tail the way read_any's
-// salvage path does (the stream reader only knows once it hits the tear).
-void warn_if_torn(const TraceStream* reader, const std::string& path) {
-  if (const auto* j = dynamic_cast<const JournalFileStream*>(reader);
-      j != nullptr && j->torn()) {
-    std::fprintf(stderr,
-                 "%s: torn tail truncated at byte %llu; remainder censored as a gap\n",
-                 path.c_str(), static_cast<unsigned long long>(j->bytes_kept()));
-  }
-}
-
 void print_summary(const std::string& land, Seconds sampling, const TraceSummary& s) {
   std::printf("land:            %s\n", land.c_str());
   std::printf("sampling:        every %.0f s\n", sampling);
@@ -598,76 +579,15 @@ void print_summary(const std::string& land, Seconds sampling, const TraceSummary
   }
 }
 
+// One bounded-memory pass: no Trace is materialised, so this works on
+// traces far larger than RAM and doubles as a footprint/throughput probe.
 int cmd_summary(const std::vector<std::string>& args) {
-  bool stream = false;
-  std::string path;
-  for (const auto& arg : args) {
-    if (arg == "--stream") {
-      stream = true;
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      return usage();
-    }
-  }
-  if (path.empty()) return usage();
-
-  if (!stream) {
-    const Trace trace = read_any(path);
-    print_summary(trace.land_name(), trace.sampling_interval(), trace.summary());
-    return 0;
-  }
-
-  // Single bounded-memory pass: no Trace is materialised, so this works on
-  // traces far larger than RAM and doubles as a footprint/throughput probe.
+  if (args.size() != 1) return usage();
   const auto t0 = wallclock::now();
-  const auto reader = open_trace_stream(path);
-  TraceSummary s;
-  std::set<AvatarId> users;
-  std::size_t total_fixes = 0;
-  bool have_first = false;
-  Seconds first_time = 0.0;
-  Seconds last_time = 0.0;
-  Seconds degrade_open_at = -1.0;
-  for (;;) {
-    const StreamEvent ev = reader->next();
-    if (ev.kind == StreamEventKind::kEnd) break;
-    if (ev.kind == StreamEventKind::kSnapshot) {
-      ++s.snapshot_count;
-      total_fixes += ev.snapshot->fixes.size();
-      s.max_concurrent = std::max(s.max_concurrent, ev.snapshot->fixes.size());
-      for (const auto& fix : ev.snapshot->fixes) users.insert(fix.id);
-      if (!have_first) {
-        have_first = true;
-        first_time = ev.snapshot->time;
-      }
-      last_time = ev.snapshot->time;
-    } else if (ev.kind == StreamEventKind::kGap) {
-      ++s.gap_count;
-      s.gap_seconds += ev.gap.length();
-    } else if (ev.kind == StreamEventKind::kRateChange) {
-      // A factor > 1 opens a degraded window (closing any open one first —
-      // an escalation 2 -> 4 is two windows, matching the loaded trace);
-      // factor 1 closes the open window.
-      if (degrade_open_at >= 0.0) {
-        s.degraded_seconds += ev.time - degrade_open_at;
-        degrade_open_at = -1.0;
-      }
-      if (ev.factor > 1) {
-        ++s.degradation_count;
-        degrade_open_at = ev.time;
-      }
-    }
-  }
-  if (s.snapshot_count > 0) {
-    s.unique_users = users.size();
-    s.avg_concurrent =
-        static_cast<double>(total_fixes) / static_cast<double>(s.snapshot_count);
-    s.duration = last_time - first_time;
-  }
-  const double secs =
-      wallclock::seconds_since(t0);
-  warn_if_torn(reader.get(), path);
+  const auto reader = open_any(args[0]);
+  const TraceSummary s = summarize(*reader);
+  const double secs = wallclock::seconds_since(t0);
+  warn_if_torn(reader.get(), args[0]);
   print_summary(reader->land_name(), reader->sampling_interval(), s);
   std::printf("pass:            %.2f s (%.0f snapshots/s)\n", secs,
               secs > 0.0 ? static_cast<double>(s.snapshot_count) / secs : 0.0);
@@ -715,7 +635,7 @@ int cmd_analyze(const std::vector<std::string>& args) {
   }
   if (options.ranges.empty()) options.ranges = {kBluetoothRange, kWifiRange};
 
-  const auto reader = open_trace_stream(args[0]);
+  const auto reader = open_any(args[0]);
   const AnalysisReport report = analyze_stream(*reader, options);
   warn_if_torn(reader.get(), args[0]);
   print_report(report);
