@@ -8,6 +8,7 @@
 #include <mutex>
 #include <utility>
 
+#include "util/strings.hpp"
 #include "util/sysinfo.hpp"
 #include "util/thread_pool.hpp"
 
@@ -47,19 +48,25 @@ ExperimentResults run_land(LandArchetype archetype, const BenchOptions& options,
 
 BenchOptions BenchOptions::parse(int argc, char** argv) {
   BenchOptions options;
-  if (const char* env = std::getenv("SLMOB_BENCH_HOURS")) {
-    options.hours = std::atof(env);
-  }
+  const auto usage = [&] {
+    std::fprintf(stderr, "usage: %s [--hours H] [--seed S] [--quick]\n", argv[0]);
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--hours") == 0 && i + 1 < argc) {
-      options.hours = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      options.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+    const bool has_value = i + 1 < argc;
+    if (std::strcmp(argv[i], "--hours") == 0 && has_value) {
+      options.hours = parse_positive_double(argv[++i]);
+      if (options.hours < 0.0) usage();
+    } else if (std::strcmp(argv[i], "--seed") == 0 && has_value) {
+      const long long seed = parse_non_negative_int(argv[++i]);
+      if (seed < 0) usage();
+      options.seed = static_cast<std::uint64_t>(seed);
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       options.hours = 4.0;
+    } else {
+      usage();
     }
   }
-  if (options.hours <= 0.0) options.hours = 24.0;
   return options;
 }
 
@@ -113,155 +120,14 @@ void appendf(std::string& out, const char* fmt, ...) {
   if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n), sizeof buf - 1));
 }
 
-namespace {
-
-std::string slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  std::string text;
-  char buf[65536];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  // slmob-lint: allow(checked-durability) -- read-only stream; close failure cannot lose data
-  std::fclose(f);
-  return text;
-}
-
-std::size_t skip_ws(const std::string& s, std::size_t i) {
-  while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r')) ++i;
-  return i;
-}
-
-// One-past-end of the JSON value starting at i (string, object, array or
-// scalar). String escapes and nesting are respected; malformed text just
-// scans to the end, which the caller treats as an unparseable file.
-std::size_t scan_value(const std::string& s, std::size_t i) {
-  if (i >= s.size()) return i;
-  if (s[i] == '"') {
-    ++i;
-    while (i < s.size()) {
-      if (s[i] == '\\') {
-        i += 2;
-      } else if (s[i] == '"') {
-        return i + 1;
-      } else {
-        ++i;
-      }
-    }
-    return i;
-  }
-  if (s[i] == '{' || s[i] == '[') {
-    int depth = 0;
-    while (i < s.size()) {
-      if (s[i] == '"') {
-        i = scan_value(s, i);
-        continue;
-      }
-      if (s[i] == '{' || s[i] == '[') ++depth;
-      if (s[i] == '}' || s[i] == ']') {
-        --depth;
-        if (depth == 0) return i + 1;
-      }
-      ++i;
-    }
-    return i;
-  }
-  while (i < s.size() && s[i] != ',' && s[i] != '}' && s[i] != ']' && s[i] != ' ' &&
-         s[i] != '\t' && s[i] != '\n' && s[i] != '\r') {
-    ++i;
-  }
-  return i;
-}
-
-}  // namespace
-
-void update_bench_json(const std::string& path, const std::string& section,
-                       const std::string& body) {
-  // Parse the existing file into (name, value-text) pairs; any parse
-  // trouble just drops the old content (benches own this file).
-  std::vector<std::pair<std::string, std::string>> sections;
-  const std::string text = slurp(path);
-  do {
-    std::size_t i = skip_ws(text, 0);
-    if (i >= text.size() || text[i] != '{') break;
-    ++i;
-    bool flat = false;
-    bool ok = true;
-    std::vector<std::pair<std::string, std::string>> parsed;
-    for (;;) {
-      i = skip_ws(text, i);
-      if (i >= text.size()) {
-        ok = false;
-        break;
-      }
-      if (text[i] == '}') break;
-      if (text[i] == ',') {
-        ++i;
-        continue;
-      }
-      if (text[i] != '"') {
-        ok = false;
-        break;
-      }
-      const std::size_t key_end = scan_value(text, i);
-      std::string key = text.substr(i + 1, key_end - i - 2);
-      i = skip_ws(text, key_end);
-      if (i >= text.size() || text[i] != ':') {
-        ok = false;
-        break;
-      }
-      i = skip_ws(text, i + 1);
-      const std::size_t value_end = scan_value(text, i);
-      std::string value = text.substr(i, value_end - i);
-      if (value.empty()) {
-        ok = false;
-        break;
-      }
-      if (value[0] != '{') flat = true;  // sectioned files hold only objects
-      parsed.emplace_back(std::move(key), std::move(value));
-      i = value_end;
-    }
-    if (!ok || parsed.empty()) break;
-    if (!flat) {
-      sections = std::move(parsed);
-      break;
-    }
-    // Legacy flat file: wrap the whole object as the section its "bench"
-    // key names.
-    std::string name = "legacy";
-    std::string migrated = "{\n";
-    for (std::size_t j = 0; j < parsed.size(); ++j) {
-      if (parsed[j].first == "bench" && parsed[j].second.size() >= 2 &&
-          parsed[j].second.front() == '"') {
-        name = parsed[j].second.substr(1, parsed[j].second.size() - 2);
-      }
-      migrated += "    \"" + parsed[j].first + "\": " + parsed[j].second;
-      migrated += j + 1 < parsed.size() ? ",\n" : "\n";
-    }
-    migrated += "  }";
-    sections.emplace_back(std::move(name), std::move(migrated));
-  } while (false);
-
-  bool replaced = false;
-  for (auto& [name, value] : sections) {
-    if (name == section) {
-      value = body;
-      replaced = true;
-    }
-  }
-  if (!replaced) sections.emplace_back(section, body);
-
+void write_bench_json(const std::string& path, const std::string& section,
+                      const std::string& body) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n");
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    std::fprintf(f, "  \"%s\": %s%s\n", sections[i].first.c_str(),
-                 sections[i].second.c_str(), i + 1 < sections.size() ? "," : "");
-  }
-  std::fprintf(f, "}\n");
+  std::fprintf(f, "{\n  \"%s\": %s\n}\n", section.c_str(), body.c_str());
   // CI gates parse this JSON; a silently truncated write must fail loudly.
   if (std::fflush(f) != 0 || std::fclose(f) != 0) {
     std::fprintf(stderr, "error writing %s\n", path.c_str());

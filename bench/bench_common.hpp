@@ -1,10 +1,10 @@
 // Shared plumbing for the figure-reproduction benches.
 //
-// Every bench binary accepts:
+// Every bench binary that takes BenchOptions accepts:
 //   --hours N   trace length in virtual hours (default 24, the paper's)
 //   --seed N    experiment seed (default 42)
 //   --quick     shorthand for --hours 4
-// and prints the series/rows of one table or figure of the paper, plus a
+// and prints the series/rows of the paper's tables or figures, plus a
 // paper-vs-measured comparison where the paper states numbers.
 #pragma once
 
@@ -20,6 +20,8 @@ struct BenchOptions {
   double hours{24.0};
   std::uint64_t seed{42};
 
+  // A missing or malformed value, or an unknown argument, prints the usage
+  // text and exits with status 2.
   static BenchOptions parse(int argc, char** argv);
 };
 
@@ -51,13 +53,11 @@ __attribute__((format(printf, 2, 3)))
 #endif
 void appendf(std::string& out, const char* fmt, ...);
 
-// Rewrites `path` — a JSON object of named sections — with `section` set to
-// `body` (full object text, braces included), preserving every other
-// section so independent benches can share one BENCH file. A pre-section
-// flat file ({"bench": "NAME", ...}) is migrated to a single section named
-// NAME. The file is created when absent.
-void update_bench_json(const std::string& path, const std::string& section,
-                       const std::string& body);
+// Writes `path` as a JSON object with one member, `section`, whose value is
+// `body` (full object text, braces included). A file that cannot be opened
+// is reported on stderr; a failed write or close exits with status 1.
+void write_bench_json(const std::string& path, const std::string& section,
+                      const std::string& body);
 
 // Pretty-printers ------------------------------------------------------------
 void print_title(const std::string& title, const std::string& paper_ref);

@@ -347,7 +347,7 @@ int main(int argc, char** argv) {
   append_score(body, control, /*last=*/false);
   append_score(body, overload, /*last=*/true);
   appendf(body, "  ]\n}");
-  bench::update_bench_json("BENCH_overload.json", "overload_shedding", body);
+  bench::write_bench_json("BENCH_overload.json", "overload_shedding", body);
   std::printf("wrote BENCH_overload.json (%s)\n", all_pass ? "all gates PASS" : "GATE FAILURES");
   return all_pass ? 0 : 1;
 }

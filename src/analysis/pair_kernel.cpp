@@ -220,7 +220,7 @@ void PairKernel::enumerate_sparse() {
   }
 }
 
-// slmob:alloc-free -- pair enumeration inner loop; bench gate: pair_kernel allocs_per_run == 0
+// slmob:alloc-free -- pair enumeration inner loop; gated by the WarmPath ctest
 void PairKernel::tile(std::size_t a0, std::size_t a1, std::size_t b0, std::size_t b1) {
   const std::size_t m = b1 - b0;
   if (m == 0) return;
@@ -250,7 +250,7 @@ void PairKernel::tile(std::size_t a0, std::size_t a1, std::size_t b0, std::size_
   }
 }
 
-// slmob:alloc-free -- same-cell enumeration; bench gate: pair_kernel allocs_per_run == 0
+// slmob:alloc-free -- same-cell enumeration; gated by the WarmPath ctest
 void PairKernel::tile_self(std::size_t s, std::size_t e) {
   if (e - s < 2) return;
   // slmob-lint: allow(alloc-free) -- d2buf_ keeps its capacity across runs; warm calls never allocate (gated)
@@ -275,7 +275,7 @@ void PairKernel::tile_self(std::size_t s, std::size_t e) {
   }
 }
 
-// slmob:alloc-free -- multi-radius hit classification; bench gate: pair_kernel allocs_per_run == 0
+// slmob:alloc-free -- multi-radius hit classification; gated by the WarmPath ctest
 void PairKernel::classify(std::span<const double> ranges, PairList* lists) {
   // slmob-lint: allow(alloc-free) -- range_t2_ holds <= 4 radii and keeps capacity; warm calls never allocate (gated)
   range_t2_.resize(ranges.size());

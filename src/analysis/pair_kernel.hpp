@@ -38,8 +38,8 @@
 // Vec3::distance2d_to.
 //
 // All state is persistent scratch: a kernel reused across snapshots stops
-// allocating once it has seen the largest one (gated by bench/alloc_counter
-// in bench/pair_kernel.cpp). One kernel per worker thread; instances are
+// allocating once it has seen the largest one (gated by the WarmPath ctest,
+// tests/test_warm_path.cpp). One kernel per worker thread; instances are
 // not thread-safe.
 #pragma once
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 
 namespace slmob {
 
@@ -47,6 +48,14 @@ long long parse_non_negative_int(std::string_view text) {
   const auto* last = text.data() + text.size();
   auto [ptr, ec] = std::from_chars(first, last, value);
   if (ec != std::errc{} || ptr != last || value < 0) return -1;
+  return value;
+}
+
+double parse_positive_double(std::string_view text) {
+  double value = 0.0;
+  const auto* last = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || ptr != last || !std::isfinite(value) || value <= 0.0) return -1.0;
   return value;
 }
 

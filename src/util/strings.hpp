@@ -21,4 +21,8 @@ bool iequals(std::string_view a, std::string_view b);
 // Parses a non-negative integer; returns -1 on malformed input.
 long long parse_non_negative_int(std::string_view text);
 
+// Parses a positive finite decimal spanning all of `text`; returns -1 on
+// anything else.
+double parse_positive_double(std::string_view text);
+
 }  // namespace slmob

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "util/rng.hpp"
 
 namespace slmob {
@@ -162,6 +163,24 @@ TEST(ProximityOracle, TiesAtExactlyRangeOnRebuildAndDeltaPaths) {
   EXPECT_TRUE(r30.contains({0, 2}));   // 18-24-30
   const PairSet r80(prox.pairs(2).begin(), prox.pairs(2).end());
   EXPECT_TRUE(r80.contains({0, 3}));   // 48-64-80
+}
+
+TEST(ProximityOracle, MatchesBruteForceOnGappedCrawlerTrace) {
+  // A real 2 h Isle of View crawl under the blackout fault scenario: the
+  // crawler's relogins and coverage gaps make whole populations vanish and
+  // reappear between snapshots.
+  ExperimentConfig cfg;
+  cfg.archetype = LandArchetype::kIsleOfView;
+  cfg.duration = 2.0 * kSecondsPerHour;
+  cfg.ranges = {};
+  cfg.analysis_threads = 1;
+  cfg.fault_scenario = "blackouts";
+  const Trace trace = run_experiment(cfg).trace;
+  ASSERT_FALSE(trace.gaps().empty());
+  IncrementalProximity prox(kRadii);
+  expect_matches_brute_force(prox, trace);
+  EXPECT_GT(prox.delta_updates(), 0u);
+  EXPECT_GT(prox.rebuilds(), 1u);
 }
 
 TEST(IncrementalProximity, RangesAreSortedAndDeduplicated) {

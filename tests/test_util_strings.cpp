@@ -54,6 +54,17 @@ TEST(Strings, ParseNonNegativeInt) {
   EXPECT_EQ(parse_non_negative_int(""), -1);
 }
 
+TEST(Strings, ParsePositiveDouble) {
+  EXPECT_EQ(parse_positive_double("1.5"), 1.5);
+  EXPECT_EQ(parse_positive_double("4"), 4.0);
+  EXPECT_EQ(parse_positive_double("0"), -1.0);
+  EXPECT_EQ(parse_positive_double("-2"), -1.0);
+  EXPECT_EQ(parse_positive_double("abc"), -1.0);
+  EXPECT_EQ(parse_positive_double("1h"), -1.0);
+  EXPECT_EQ(parse_positive_double("inf"), -1.0);
+  EXPECT_EQ(parse_positive_double(""), -1.0);
+}
+
 TEST(Csv, WriterProducesRows) {
   std::ostringstream os;
   CsvWriter w(os);

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "frozen_world.hpp"
+#include "util/bytes.hpp"
 #include "world/archetypes.hpp"
 
 namespace slmob {
@@ -168,6 +170,38 @@ TEST(World, DebugSyntheticLogsOutOnSchedule) {
   EXPECT_TRUE(world->find(id).has_value());
   run(*world, 49.0, 60.0);
   EXPECT_FALSE(world->find(id).has_value());
+}
+
+// crc32 over (id, x, y) of every avatar in store order, exact double bits.
+std::uint32_t position_digest(const World& world) {
+  ByteWriter w;
+  const AvatarStore& store = world.avatars();
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    w.u32(store.id(i).value);
+    w.f64(store.pos(i).x);
+    w.f64(store.pos(i).y);
+  }
+  return crc32(w.bytes());
+}
+
+// The structure-of-arrays world replaced a std::map<AvatarId, Avatar>
+// world that made the same RNG draws; the two ran in positional lockstep at
+// these sizes and tick counts. These digests were recorded from that
+// lockstep, so any change to the draw sequence or the movement arithmetic
+// of World::tick shows up here.
+TEST(World, FrozenPopulationGoldenDigest) {
+  struct Case {
+    std::size_t avatars;
+    int ticks;
+    std::uint32_t digest;
+  };
+  for (const Case c : {Case{1000, 3000, 0x7c8471dcu}, Case{10000, 300, 0x8ad7624eu}}) {
+    SCOPED_TRACE("n=" + std::to_string(c.avatars));
+    auto world = frozen_world(c.avatars, 42);
+    run(*world, 0.0, 10.0 + c.ticks);
+    EXPECT_EQ(world->concurrent(), c.avatars);
+    EXPECT_EQ(position_digest(*world), c.digest);
+  }
 }
 
 }  // namespace

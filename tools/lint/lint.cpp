@@ -446,7 +446,7 @@ void check_alloc_free(const Ctx& c, const std::vector<int>& regions) {
       if (alloc_idents().contains(t) && !(t == "new" && member_access(toks, i))) {
         c.add(toks[i], "alloc-free/allocation",
               "'" + t + "' inside a slmob:alloc-free region; this path is gated "
-                        "allocation-free by the alloc-counter benches — hoist the "
+                        "allocation-free by the WarmPath ctest — hoist the "
                         "allocation out of the hot path or justify (e.g. capacity "
                         "retained across calls)");
         continue;

@@ -9,9 +9,7 @@
 //   slmob convert <trace.slt> <trace.csv>   (direction by extension)
 //   slmob dtn     <trace.slt> [--scheme epidemic|two-hop|direct] [--messages N]
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -75,10 +73,8 @@ bool read_count(const std::string& text, T& out) {
 
 // Hours, metres and seconds must be positive finite decimals.
 bool read_positive(const std::string& text, double& out) {
-  double value = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(value) || value <= 0.0) return false;
+  const double value = parse_positive_double(text);
+  if (value < 0.0) return false;
   out = value;
   return true;
 }
