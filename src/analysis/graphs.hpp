@@ -32,9 +32,19 @@ struct GraphMetrics {
 // supplies each snapshot's pairs within `range` to one GraphStream.
 GraphMetrics analyze_graphs(const Trace& trace, double range);
 
-// Incremental graph metrics over a snapshot stream: feed every covered
-// snapshot with its in-range pair list, in time order. Empty snapshots are
-// skipped. The result does not depend on the order of the pair list.
+using GraphPairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+// The line-of-sight metrics of one snapshot, before they enter the Ecdfs.
+struct GraphSample {
+  std::vector<std::uint32_t> degrees;  // per node, in node order; empty: no graph
+  std::size_t diameter{0};             // of the largest connected component
+  double clustering_sum{0.0};          // Watts-Strogatz coefficients summed in node order
+};
+
+// Measures one snapshot's graph into a GraphSample. measure() touches only
+// this object's scratch and `out`, and its result depends only on its
+// arguments, so one kernel per thread can measure many snapshots in
+// parallel; the result does not depend on the order of the pair list.
 // GraphOracle.* (tests/test_analysis_graphs.cpp) checks every metric
 // against an adjacency-matrix oracle, and the golden fingerprints of
 // tests/analysis_goldens.hpp pin the aggregate.
@@ -49,9 +59,10 @@ GraphMetrics analyze_graphs(const Trace& trace, double range);
 // number of links among i's neighbours. Larger snapshots fall back to BFS
 // and neighbour marking over the CSR. Both paths compute the same exact
 // integers and sum the clustering coefficients in node order, so they give
-// bit-identical metrics. All scratch is reused across calls: zero
-// allocations per snapshot once warm.
-class GraphStream {
+// bit-identical metrics. All scratch is reused across calls: measure() sizes
+// it, its helpers never allocate, and a warm kernel makes zero allocations
+// per snapshot.
+class GraphKernel {
  public:
   // Largest snapshot the bitset kernel takes. Rows cost n^2/8 bytes, and a
   // trace frame can hold about 10^6 fixes, so the limit guards memory
@@ -59,34 +70,24 @@ class GraphStream {
   // which stays in L2 cache. Real lands hold at most a few hundred avatars.
   static constexpr std::size_t kBitsetMaxNodes = 1024;
 
-  explicit GraphStream(double range) : range_(range) {}
-
-  void on_snapshot(std::size_t node_count,
-                   const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs);
-  [[nodiscard]] GraphMetrics finish();
+  // `pairs` are fix-index pairs (i < j) of a snapshot of `node_count`
+  // fixes. A snapshot with no fixes leaves out.degrees empty.
+  void measure(std::size_t node_count, const GraphPairList& pairs, GraphSample& out);
 
  private:
   [[nodiscard]] std::uint32_t nbr_begin(std::uint32_t i) const { return csr_offsets_[i]; }
   [[nodiscard]] std::uint32_t nbr_end(std::uint32_t i) const { return csr_offsets_[i + 1]; }
-  void build_rows(const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
-                  std::size_t words);
+  void build_csr(const GraphPairList& pairs, std::uint32_t n);
+  void find_largest_component(std::uint32_t n);
+  void build_rows(const GraphPairList& pairs, std::size_t words);
   [[nodiscard]] std::size_t bitset_diameter(std::size_t words);
-  [[nodiscard]] double bitset_clustering_sum(
-      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs, std::uint32_t n,
-      std::size_t words);
-  [[nodiscard]] std::size_t csr_diameter(std::uint32_t n);
+  [[nodiscard]] double bitset_clustering_sum(const GraphPairList& pairs, std::uint32_t n,
+                                             std::size_t words);
+  [[nodiscard]] std::size_t csr_diameter();
   [[nodiscard]] double csr_clustering_sum(std::uint32_t n);
 
-  double range_;
-  Ecdf degrees_;
-  Ecdf diameters_;
-  Ecdf clustering_;
-  std::size_t snapshots_analyzed_{0};
-  std::size_t isolated_{0};
-  std::size_t degree_samples_{0};
-  // Per-snapshot scratch, reused across calls (sized to the largest
-  // snapshot seen). CSR layout: neighbours of node i occupy
-  // csr_adj_[csr_offsets_[i] .. csr_offsets_[i + 1]).
+  // Per-snapshot scratch, sized to the snapshot by measure(). CSR layout:
+  // neighbours of node i occupy csr_adj_[csr_offsets_[i] .. csr_offsets_[i + 1]).
   std::vector<std::uint32_t> csr_offsets_;
   std::vector<std::uint32_t> csr_cursor_;
   std::vector<std::uint32_t> csr_adj_;
@@ -104,6 +105,31 @@ class GraphStream {
   std::vector<std::uint64_t> sweep_;
   std::vector<std::uint32_t> level_;
   std::vector<std::uint32_t> twice_links_;
+};
+
+// Graph metrics over a snapshot stream: add() every covered snapshot's
+// sample in time order. Empty snapshots are skipped. on_snapshot() is
+// measure() on the stream's own kernel followed by add(); StreamingAnalyzer
+// instead measures a window of snapshots in parallel and adds the samples
+// in order, which gives the same metrics bit for bit.
+class GraphStream {
+ public:
+  explicit GraphStream(double range) : range_(range) {}
+
+  void on_snapshot(std::size_t node_count, const GraphPairList& pairs);
+  void add(const GraphSample& sample);
+  [[nodiscard]] GraphMetrics finish();
+
+ private:
+  double range_;
+  Ecdf degrees_;
+  Ecdf diameters_;
+  Ecdf clustering_;
+  std::size_t snapshots_analyzed_{0};
+  std::size_t isolated_{0};
+  std::size_t degree_samples_{0};
+  GraphKernel kernel_;
+  GraphSample sample_;
 };
 
 }  // namespace slmob

@@ -9,9 +9,17 @@ namespace slmob {
 namespace {
 
 // floor(v / cell) as a signed cell coordinate. int64 so that coordinates far
-// outside the usual [0, 1024) region range stay well-defined.
+// outside the usual [0, 1024) region range stay well-defined. The quotient
+// is range-checked in double before the cast, which would be undefined for
+// a value that does not fit (or a NaN); within +-2^53 every cell is exact
+// and the spread of any two fits in int64.
 std::int64_t cell_coord(double v, double cell) {
-  return static_cast<std::int64_t>(std::floor(v / cell));
+  constexpr double kMaxCell = 9007199254740992.0;  // 2^53
+  const double c = std::floor(v / cell);
+  if (!(c >= -kMaxCell && c <= kMaxCell)) {
+    throw std::invalid_argument("PairKernel: coordinate spread too large for radius");
+  }
+  return static_cast<std::int64_t>(c);
 }
 
 }  // namespace
@@ -286,7 +294,7 @@ void PairKernel::classify(std::span<const double> ranges, PairList* lists) {
   for (const Hit& h : hits_) {
     std::size_t ri = 0;
     while (ri < nr && range_t2_[ri] < h.d2) ++ri;
-    // slmob-lint: allow(alloc-free) -- caller-owned lists are reused by IncrementalProximity; warm calls never allocate (gated)
+    // slmob-lint: allow(alloc-free) -- caller-owned lists are reused by snapshot_proximity; warm calls never allocate (gated)
     for (; ri < nr; ++ri) lists[ri].emplace_back(h.i, h.j);
   }
 }

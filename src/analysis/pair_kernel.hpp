@@ -1,5 +1,6 @@
-// Batched cell-sorted proximity kernel behind IncrementalProximity's full
-// rebuilds and duplicate-id snapshots.
+// Batched cell-sorted proximity kernel: every snapshot's pairs within r
+// (snapshot_proximity, analysis/incremental_proximity.hpp) and the
+// simulation-side SpatialGrid queries.
 //
 // Every §3 result of the paper reduces to the same per-snapshot question —
 // "which avatar pairs are within r" — and the hash-grid answer (one
@@ -39,8 +40,14 @@
 //
 // All state is persistent scratch: a kernel reused across snapshots stops
 // allocating once it has seen the largest one (gated by the WarmPath ctest,
-// tests/test_warm_path.cpp). One kernel per worker thread; instances are
-// not thread-safe.
+// tests/test_warm_path.cpp). One kernel per worker thread (snapshot_proximity
+// keeps a thread_local one); instances are not thread-safe.
+//
+// Cell coordinates floor(v / r_max) are range-checked in double before they
+// are cast to integers: a coordinate whose cell does not fit (|v / r_max| >
+// 2^53, or NaN) raises std::invalid_argument like a spread too large for
+// the radius. The trace readers reject non-finite fixes before they get
+// here.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +79,8 @@ class PairKernel {
 
   // build + enumerate: afterwards hits() holds every pair (i < j) with
   // planar distance <= r_max, in cell-traversal order. Throws
-  // std::invalid_argument when r_max <= 0.
+  // std::invalid_argument when r_max <= 0 or when a coordinate's cell does
+  // not fit (see above).
   void run(std::span<const Vec3> positions, double r_max);
 
   // Cell-sorts `positions` without enumerating pairs; near() answers point

@@ -15,7 +15,7 @@ struct StreamingAnalyzer::RangeConsumers {
       : range(r), ri(index), contacts(r, tau, gaps), graphs(r) {}
 
   double range;
-  std::size_t ri;  // index into IncrementalProximity::pairs()
+  std::size_t ri;  // index into WindowEntry::lists and ::graphs
   ContactStream contacts;
   GraphStream graphs;
   bool feeds_relations{false};
@@ -24,7 +24,7 @@ struct StreamingAnalyzer::RangeConsumers {
 StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
     : options_(std::move(options)),
       pool_(options_.threads),
-      prox_(options_.ranges, options_.churn_threshold) {
+      ranges_(proximity_ranges(options_.ranges)) {
   if (options_.window == 0) {
     throw std::invalid_argument("StreamingAnalyzer: window must be >= 1");
   }
@@ -34,8 +34,7 @@ StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
   window_.resize(options_.window);
   zones_ = std::make_unique<ZoneStream>(options_.land_size, options_.zone_cell_size);
   if (options_.relations) {
-    const auto& rs = prox_.ranges();
-    if (std::find(rs.begin(), rs.end(), options_.relation_range) == rs.end()) {
+    if (std::find(ranges_.begin(), ranges_.end(), options_.relation_range) == ranges_.end()) {
       throw std::invalid_argument(
           "StreamingAnalyzer: relation_range must be one of ranges");
     }
@@ -71,8 +70,8 @@ void StreamingAnalyzer::on_begin(const std::string& /*land_name*/,
   if (begun_) return;
   begun_ = true;
 
-  for (std::size_t ri = 0; ri < prox_.ranges().size(); ++ri) {
-    const double r = prox_.ranges()[ri];
+  for (std::size_t ri = 0; ri < ranges_.size(); ++ri) {
+    const double r = ranges_[ri];
     auto rc = std::make_unique<RangeConsumers>(r, ri, sampling_interval, summary_.gaps());
     if (relations_ && r == options_.relation_range) {
       rc->feeds_relations = true;
@@ -87,16 +86,21 @@ void StreamingAnalyzer::on_begin(const std::string& /*land_name*/,
   // in flight) and appends to exactly one consumer. Looping per consumer
   // rather than fanning out per snapshot keeps each consumer's hot loop
   // resident instead of cycling all six through the instruction cache
-  // every 10 simulated seconds.
-  for (auto& rc : per_range_) {
-    RangeConsumers* c = rc.get();
+  // every 10 simulated seconds. The contact tasks come first, largest range
+  // first: that one is the longest, and parallel_for hands out indices in
+  // order, so it starts at once on the driver's own thread.
+  for (auto it = per_range_.rbegin(); it != per_range_.rend(); ++it) {
+    RangeConsumers* c = it->get();
     window_tasks_.emplace_back([this, c] {
       for (std::size_t k = 0; k < drain_used_; ++k)
         c->contacts.on_snapshot(draining_[k].snap, draining_[k].lists[c->ri]);
     });
+  }
+  for (auto& rc : per_range_) {
+    RangeConsumers* c = rc.get();
     window_tasks_.emplace_back([this, c] {
       for (std::size_t k = 0; k < drain_used_; ++k)
-        c->graphs.on_snapshot(draining_[k].snap.fixes.size(), draining_[k].lists[c->ri]);
+        c->graphs.add(draining_[k].graphs[c->ri]);
     });
   }
   window_tasks_.emplace_back([this] {
@@ -139,12 +143,8 @@ void StreamingAnalyzer::on_snapshot(const Snapshot& snapshot) {
   // trace's.
   if (!covered) return;
 
-  prox_.advance(*use);
-  progress_.proximity_rebuilds = prox_.rebuilds();
-  progress_.proximity_delta_updates = prox_.delta_updates();
-
-  // Buffer the snapshot with its proximity answer; consumers run when the
-  // window fills (or in finish). Deferring is safe: by the stream ordering
+  // Buffer the snapshot; its per-snapshot stages and the consumers run when
+  // the window fills (or in finish). Deferring is safe: by the stream ordering
   // contract every gap relevant to this snapshot is already known, and
   // gaps arriving later start strictly after use->time, so every censor
   // predicate a consumer evaluates at flush time answers exactly as it
@@ -154,21 +154,30 @@ void StreamingAnalyzer::on_snapshot(const Snapshot& snapshot) {
   entry.snap.time = use->time;
   entry.snap.fixes = use->fixes;
   entry.weight = summary_.rates().current_factor();
-  entry.positions = prox_.positions();
-  entry.lists.resize(prox_.ranges().size());
-  for (std::size_t ri = 0; ri < entry.lists.size(); ++ri) {
-    entry.lists[ri] = prox_.pairs(ri);
-  }
   if (++win_used_ == window_.size()) flush_window();
 }
 
-// Hands the filled window to the pool and returns at once, so the caller
-// goes on advancing proximity into the other window while the consumers
-// drain this one. The previous window is joined first: windows are consumed
-// in order, one at a time. With a one-thread pool submit runs the driver
-// inline, so this is the plain sequential loop.
+void StreamingAnalyzer::measure_window() {
+  parallel_for(pool_, win_used_, [this](std::size_t k) {
+    thread_local GraphKernel graph_kernel;
+    WindowEntry& entry = window_[k];
+    snapshot_proximity(entry.snap, ranges_, entry.positions, entry.lists);
+    entry.graphs.resize(ranges_.size());
+    for (std::size_t ri = 0; ri < ranges_.size(); ++ri) {
+      graph_kernel.measure(entry.snap.fixes.size(), entry.lists[ri], entry.graphs[ri]);
+    }
+  });
+}
+
+// Measures the filled window while the previous one may still be in flight,
+// then joins that one (windows are consumed in order, one at a time), hands
+// the filled window to the pool and returns at once, so the caller goes on
+// buffering into the other window while the consumers drain this one. With
+// a one-thread pool every stage and the driver run inline, so this is the
+// plain sequential loop.
 void StreamingAnalyzer::flush_window() {
   if (win_used_ == 0) return;
+  measure_window();
   join_window();
   // The second window is allocated here rather than in the constructor, so
   // an analyzer that never fills one window does not pay for it.

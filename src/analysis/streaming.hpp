@@ -7,36 +7,42 @@
 // core/experiment.hpp). Correctness is pinned by brute-force oracles per
 // consumer (ProximityOracle, ContactOracle, GraphOracle) and by committed
 // golden fingerprints of whole reports (tests/analysis_goldens.hpp).
-// Memory is bounded by *concurrent* users — the persistent proximity state,
-// per-consumer open records, buffered per-session samples and a fixed-size
-// snapshot window — never by trace duration; no snapshot is retained beyond
-// its window.
+// Memory is bounded by *concurrent* users — per-consumer open records,
+// buffered per-session samples and a fixed-size snapshot window — never by
+// trace duration; no snapshot is retained beyond its window.
 //
-// One pass, all metrics: each snapshot advances the IncrementalProximity
-// state once (all radii share it) and is buffered — snapshot, positions,
-// per-range pair lists — into a fixed-size window. When the window fills,
-// per-consumer tasks — contacts and graphs per range, zones, the session ->
-// trips/flights chain — each run over the whole window as one tight loop,
-// fanned across a thread pool. Windowing exists purely for throughput:
-// switching six consumer hot loops every snapshot thrashes the instruction
-// cache and branch predictors, while per-window loops keep each consumer's
-// hot loop resident.
+// One pass, all metrics: each covered snapshot is buffered into a
+// fixed-size window. When the window fills, its per-snapshot stages run
+// first, in parallel over the window's snapshots: positions, the pairs at
+// every radius (snapshot_proximity: one PairKernel pass at the largest
+// radius, classified into the others) and one line-of-sight GraphSample
+// per radius (GraphKernel::measure). These stages keep no state across
+// snapshots and their scratch is thread_local, so each entry is a pure
+// function of its snapshot. Then the ordered per-consumer tasks —
+// contacts per range, graph samples added per range, zones, the session
+// -> trips/flights chain — each run over the whole window as one tight
+// loop, fanned across a thread pool. Windowing exists for throughput: the
+// stateless stages get a window's worth of parallel work, and per-window
+// consumer loops keep each consumer's hot loop resident instead of cycling
+// all six through the instruction cache every snapshot.
 //
-// Windows are double-buffered. A full window is swapped with the drained
-// one and handed to the pool as a single driver task (which fans the
-// consumer tasks out with parallel_for); the caller returns at once and
-// goes on advancing proximity into the other window, so the serial
-// producer work overlaps the consumers. The window in flight is joined
+// Windows are double-buffered. flush_window computes the filled window's
+// per-snapshot stages with parallel_for on the producer thread *before*
+// it joins the window in flight, so those stages overlap the previous
+// window's ordered consumers. It then swaps the filled window with the
+// drained one and hands it to the pool as a single driver task (which fans
+// the consumer tasks out with parallel_for); the caller returns at once and
+// goes on buffering into the other window. The window in flight is joined
 // before the next flush, before a gap is recorded (consumers read the gap
 // list, which recording may reallocate), in finish and in the destructor;
 // a consumer's exception is rethrown at that join. Windows are thus
 // consumed one at a time, in order, and tasks own disjoint consumer state,
 // so every consumer sees its inputs in time order and results are
-// identical for any thread count, 1 included (a one-thread pool runs the
-// driver inline at the flush). Deferring consumption is sound by the
-// stream ordering contract: every gap covering a buffered snapshot was
-// recorded before that snapshot arrived, and later gaps start strictly
-// after it, so gap predicates answer identically at flush time.
+// identical for any thread count, 1 included (a one-thread pool runs every
+// stage and the driver inline at the flush). Deferring consumption is
+// sound by the stream ordering contract: every gap covering a buffered
+// snapshot was recorded before that snapshot arrived, and later gaps start
+// strictly after it, so gap predicates answer identically at flush time.
 //
 // Gap handling is always on: consumers censor against the gaps seen so far
 // (the SummaryTracker's GapTracker), which by the stream ordering contract
@@ -74,8 +80,8 @@ struct StreamingOptions {
   double zone_cell_size{20.0};
   // Total analysis threads including the caller; 0 = default_concurrency().
   std::size_t threads{0};
-  // IncrementalProximity full-rebuild threshold (fraction of changed
-  // avatars per snapshot).
+  // Inert: read only by perfbench's replay; deleted with it (ROADMAP
+  // item 2).
   double churn_threshold{0.35};
   // Covered snapshots buffered between consumer fan-outs (>= 1; throws
   // std::invalid_argument on 0). Larger windows amortise consumer switching
@@ -106,8 +112,6 @@ struct StreamingProgress {
   std::size_t users_seen{0};
   std::size_t max_concurrent{0};
   Seconds last_time{0.0};
-  std::size_t proximity_rebuilds{0};
-  std::size_t proximity_delta_updates{0};
 };
 
 class StreamingAnalyzer final : public LiveTraceSink {
@@ -142,16 +146,21 @@ class StreamingAnalyzer final : public LiveTraceSink {
   struct RangeConsumers;  // per-range contact + graph streams
 
   // One covered snapshot held for deferred consumption: the (possibly
-  // stripped) snapshot itself plus the proximity answer computed for it.
-  // Entries are reused across flushes, so their vectors keep capacity.
+  // stripped) snapshot itself plus its per-snapshot stages, filled by
+  // measure_window. Entries are reused across flushes, so their vectors
+  // keep capacity.
   struct WindowEntry {
     Snapshot snap;
     std::vector<Vec3> positions;
-    std::vector<IncrementalProximity::PairList> lists;
+    std::vector<IncrementalProximity::PairList> lists;  // per range
+    std::vector<GraphSample> graphs;                    // per range
     // Rate-correction weight: the degradation factor in force at snap.time.
     std::uint32_t weight{1};
   };
 
+  // Runs the stateless per-snapshot stages over window_[0, win_used_),
+  // fanned out with parallel_for from the calling thread.
+  void measure_window();
   void flush_window();
   // Waits for the window in flight, if any, and rethrows a consumer's
   // exception from it.
@@ -162,7 +171,7 @@ class StreamingAnalyzer final : public LiveTraceSink {
   // The report's TraceSummary, and the gaps and degradation windows seen so
   // far that the consumers censor and rate-correct against.
   SummaryTracker summary_;
-  IncrementalProximity prox_;
+  std::vector<double> ranges_;  // options_.ranges, sorted and deduplicated
   std::unique_ptr<ZoneStream> zones_;
   std::vector<std::unique_ptr<RangeConsumers>> per_range_;
   std::unique_ptr<SessionStream> sessions_;

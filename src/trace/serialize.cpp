@@ -84,6 +84,7 @@ Trace trace_from_csv(std::string_view text, std::string land_name,
     const double t = std::stod(row[0]);
     const auto id = AvatarId{static_cast<std::uint32_t>(std::stoul(row[1]))};
     const Vec3 pos{std::stod(row[2]), std::stod(row[3]), std::stod(row[4])};
+    if (!pos.finite()) throw DecodeError("trace_from_csv: non-finite fix coordinate");
     if (!have_current || t != current.time) {
       if (have_current) trace.add(std::move(current));
       current = Snapshot{};

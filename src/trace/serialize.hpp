@@ -29,7 +29,8 @@ std::vector<std::uint8_t> encode_trace(const Trace& trace);
 // CSV with header "time,avatar,x,y,z". Coverage gaps are emitted as trailing
 // sentinel rows: "gap",start,end,0,0 — external tools filtering on numeric
 // avatar ids skip them naturally. Sampling degradations follow the same
-// pattern: "degraded",start,end,factor,0.
+// pattern: "degraded",start,end,factor,0. trace_from_csv throws DecodeError
+// on a row of the wrong width or a non-finite fix coordinate.
 std::string trace_to_csv(const Trace& trace);
 Trace trace_from_csv(std::string_view text, std::string land_name,
                      Seconds sampling_interval);

@@ -29,7 +29,8 @@ bool has_suffix(const std::string& s, std::string_view suffix) {
 }
 
 // The count comes from the file: it is checked against the bytes left
-// before anything is sized by it.
+// before anything is sized by it. A NaN or infinite coordinate is no
+// position, so the block is rejected like a non-finite snapshot time.
 void decode_fixes(ByteReader& r, std::uint32_t count, Snapshot& out) {
   if (kFixBytes * count > r.remaining()) throw DecodeError("truncated fix block");
   out.fixes.clear();
@@ -40,6 +41,7 @@ void decode_fixes(ByteReader& r, std::uint32_t count, Snapshot& out) {
     fix.pos.x = r.f32();
     fix.pos.y = r.f32();
     fix.pos.z = r.f32();
+    if (!fix.pos.finite()) throw DecodeError("non-finite fix coordinate");
     out.fixes.push_back(fix);
   }
 }

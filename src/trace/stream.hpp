@@ -204,8 +204,9 @@ class MemoryTraceStream final : public TraceStream {
 // seek over its fixes) to collect them and validate framing, then rewinds;
 // snapshots decode one at a time on demand. Throws DecodeError on any
 // malformed content: bad magic or version, truncation, trailing bytes,
-// snapshot times going backwards, and gap or degradation records that are
-// empty, out of order or (degradations) have a factor below 2.
+// snapshot times going backwards, gap or degradation records that are
+// empty, out of order or (degradations) have a factor below 2, and (from
+// next()) a fix with a non-finite coordinate.
 class SltFileStream final : public TraceStream {
  public:
   explicit SltFileStream(const std::string& path);
@@ -243,10 +244,10 @@ class SltFileStream final : public TraceStream {
 // truncated, oversized, fails its CRC or cannot be decoded, and also when
 // its record would break the ordering contract or the trace it forms: a
 // second kBegin, a snapshot time going backwards or inside a gap left open,
-// a fix count larger than the frame, a gap that is empty, overlaps an
-// earlier gap or starts at or before an emitted snapshot, a degradation
-// factor below 2, or a rate change that goes back in time or closes a
-// window at its own start.
+// a fix count larger than the frame, a fix with a non-finite coordinate, a
+// gap that is empty, overlaps an earlier gap or starts at or before an
+// emitted snapshot, a degradation factor below 2, or a rate change that
+// goes back in time or closes a window at its own start.
 // A journal that did not end with kEnd gets a synthetic trailing gap
 // censoring the unrun remainder of the planned run. Throws DecodeError only
 // when the header or kBegin frame is unreadable.

@@ -34,6 +34,10 @@ struct Vec3 {
     return *this;
   }
   constexpr bool operator==(const Vec3& o) const = default;
+  // False for a NaN or infinite coordinate: no position at all.
+  [[nodiscard]] bool finite() const {
+    return std::isfinite(x) && std::isfinite(y) && std::isfinite(z);
+  }
 
   [[nodiscard]] double norm() const { return std::sqrt(x * x + y * y + z * z); }
   [[nodiscard]] constexpr double norm2() const { return x * x + y * y + z * z; }

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <span>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -424,6 +426,48 @@ TEST_P(GraphOracleWords, RandomGraphsAtWordBoundaries) {
 INSTANTIATE_TEST_SUITE_P(Sizes, GraphOracleWords,
                          ::testing::Values(63, 64, 65, 127, 128, 129));
 
+TEST(GraphOracle, MeasureOnSharedScratchMatchesOnSnapshot) {
+  // The split path StreamingAnalyzer takes: one GraphKernel measures every
+  // snapshot into a GraphSample and a second stream adds the samples. Each
+  // graph of GraphOracleWords is measured right after a larger and a denser
+  // graph on the same kernel, so stale scratch would show as a different
+  // sample. The metrics must equal on_snapshot's bit for bit.
+  Rng rng(16);
+  GraphKernel kernel;
+  GraphSample sample;
+  GraphStream direct(80.0);
+  GraphStream split(80.0);
+  const std::size_t sizes[] = {63, 64, 65, 127, 128, 129};
+  for (const std::size_t n : sizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<PairList> graphs;
+    for (const double mean_degree : {1.0, 2.5, 6.0, 20.0, 0.9 * static_cast<double>(n)}) {
+      graphs.push_back(random_pairs(n, mean_degree / static_cast<double>(n - 1), rng));
+    }
+    const auto nodes = shuffled_nodes(n, rng);
+    graphs.push_back(path_over(nodes));
+    graphs.push_back(clique_over(nodes));
+    for (const PairList& pairs : graphs) {
+      kernel.measure(n + 70, random_pairs(n + 70, 0.3, rng), sample);
+      kernel.measure(n, clique_over(shuffled_nodes(n, rng)), sample);
+      kernel.measure(n, pairs, sample);
+      split.add(sample);
+      direct.on_snapshot(n, pairs);
+    }
+  }
+  const GraphMetrics want = direct.finish();
+  const GraphMetrics got = split.finish();
+  const auto as_vector = [](std::span<const double> v) {
+    return std::vector<double>(v.begin(), v.end());
+  };
+  EXPECT_EQ(got.snapshots_analyzed, want.snapshots_analyzed);
+  EXPECT_EQ(got.snapshots_analyzed, 6u * 7u);
+  EXPECT_EQ(as_vector(got.degrees.sorted()), as_vector(want.degrees.sorted()));
+  EXPECT_EQ(as_vector(got.diameters.sorted()), as_vector(want.diameters.sorted()));
+  EXPECT_EQ(as_vector(got.clustering.sorted()), as_vector(want.clustering.sorted()));
+  EXPECT_EQ(got.isolated_fraction, want.isolated_fraction);
+}
+
 // Sparse snapshots at and just above the bitset kernel's node limit: a
 // random graph on a few dozen nodes plus scattered pairs, the rest isolated.
 // Above the limit the CSR loops run, checked against the same oracle.
@@ -443,13 +487,13 @@ PairList sparse_large(std::size_t n, Rng& rng) {
 
 TEST(GraphOracle, AtNodeLimit) {
   Rng rng(13);
-  const std::size_t n = GraphStream::kBitsetMaxNodes;
+  const std::size_t n = GraphKernel::kBitsetMaxNodes;
   expect_stream_matches_oracle(n, sparse_large(n, rng));
 }
 
 TEST(GraphOracle, AboveNodeLimitFallsBackToCsr) {
   Rng rng(14);
-  const std::size_t n = GraphStream::kBitsetMaxNodes + 1;
+  const std::size_t n = GraphKernel::kBitsetMaxNodes + 1;
   expect_stream_matches_oracle(n, sparse_large(n, rng));
 }
 
@@ -461,7 +505,7 @@ TEST(GraphOracle, ScratchReusedAcrossSnapshotSizes) {
   std::vector<double> want_degrees;
   std::vector<double> want_diameters;
   std::vector<double> want_clustering;
-  const std::size_t sizes[] = {129, 3, 64, GraphStream::kBitsetMaxNodes + 1, 65, 1, 128, 2};
+  const std::size_t sizes[] = {129, 3, 64, GraphKernel::kBitsetMaxNodes + 1, 65, 1, 128, 2};
   for (const std::size_t n : sizes) {
     const PairList pairs = n > 200 ? sparse_large(n, rng) : random_pairs(n, 0.3, rng);
     stream.on_snapshot(n, pairs);

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -153,6 +154,27 @@ TEST(PairKernel, MatchesBruteForceSparseFallback) {
   EXPECT_EQ(kernel_pairs(kernel, positions, 1.0), brute_force(positions, 1.0));
 }
 
+TEST(PairKernel, HugeFiniteCoordinateThrowsBeforeCasting) {
+  // 1e30 / 10 is finite but far outside int64: the cell coordinate is
+  // range-checked in double, so the kernel raises instead of casting (the
+  // cast would be undefined behaviour, which UBSan's float-cast-overflow
+  // check reports). The kernel stays usable afterwards.
+  PairKernel kernel;
+  for (const double huge : {1e30, -1e30, std::numeric_limits<double>::max()}) {
+    const std::vector<Vec3> positions{{10.0, 10.0, 0.0}, {huge, 12.0, 0.0}};
+    try {
+      kernel.run(positions, 10.0);
+      ADD_FAILURE() << "accepted x = " << huge;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "PairKernel: coordinate spread too large for radius");
+    }
+    const std::vector<Vec3> swapped{{10.0, 10.0, 0.0}, {12.0, huge, 0.0}};
+    EXPECT_THROW(kernel.run(swapped, 10.0), std::invalid_argument) << huge;
+  }
+  const std::vector<Vec3> fine{{0.0, 0.0, 0.0}, {3.0, 4.0, 0.0}};
+  EXPECT_EQ(kernel_pairs(kernel, fine, 10.0), brute_force(fine, 10.0));
+}
+
 TEST(PairKernel, ScratchReuseAcrossSnapshotsStaysExact) {
   // One kernel reused across snapshots of very different sizes and radii —
   // the persistent-scratch warm path must not leak state between runs.
@@ -233,8 +255,8 @@ TEST(PairKernel, SpatialGridEquivalenceWithDistances) {
 }
 
 TEST(PairKernel, IncrementalDuplicateIdSnapshotMatchesBruteForce) {
-  // A snapshot with two fixes sharing an avatar id goes through the kernel's
-  // transient path inside IncrementalProximity.
+  // A snapshot with two fixes sharing an avatar id: the kernel never keys by
+  // id, so IncrementalProximity answers it like any other snapshot.
   Snapshot snap;
   snap.fixes.push_back({AvatarId{1}, {0.0, 0.0, 0.0}});
   snap.fixes.push_back({AvatarId{2}, {5.0, 0.0, 0.0}});

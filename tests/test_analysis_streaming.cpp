@@ -287,7 +287,7 @@ TEST(StreamingAnalyzer, ProgressCountersTrackTheStream) {
   EXPECT_EQ(p.users_seen, want.unique_users);
   EXPECT_EQ(p.max_concurrent, want.max_concurrent);
   EXPECT_EQ(p.last_time, trace.snapshots().back().time);
-  EXPECT_GT(p.proximity_rebuilds + p.proximity_delta_updates, 0u);
+  EXPECT_GT(p.covered_snapshots, 0u);
 
   const AnalysisReport report = analyzer.finish();
   EXPECT_EQ(report.summary.snapshot_count, want.snapshot_count);

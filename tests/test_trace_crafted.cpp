@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -35,14 +36,15 @@ class JournalBytes {
     p.f64(100.0);  // planned end
     return frame(p);
   }
-  // A snapshot frame claiming `n` fixes; the first min(n, 1) is written.
-  JournalBytes& snapshot(Seconds time, std::uint32_t n = 1) {
+  // A snapshot frame claiming `n` fixes; the first min(n, 1) is written,
+  // at (x, 20, 22).
+  JournalBytes& snapshot(Seconds time, std::uint32_t n = 1, float x = 10.0F) {
     ByteWriter p = record(JournalRecord::kSnapshot);
     p.f64(time);
     p.u32(n);
     if (n == 1) {
       p.u32(7);
-      p.f32(10.0F);
+      p.f32(x);
       p.f32(20.0F);
       p.f32(22.0F);
     }
@@ -152,7 +154,7 @@ void expect_rejected_slt(const std::vector<std::uint8_t>& bytes, std::size_t siz
   for (const char* command : {"summary", "analyze"}) {
     const CliRun run = run_cli(std::string(command) + " " + file.path());
     EXPECT_EQ(run.status, 1) << command << ": " << run.output;
-    EXPECT_NE(run.output.find("corrupt or truncated trace"), std::string::npos)
+    EXPECT_NE(run.output.find(file.path() + ": corrupt or truncated trace"), std::string::npos)
         << command << ": " << run.output;
   }
   const CliRun salvage = run_cli("salvage " + file.path());
@@ -243,6 +245,61 @@ TEST(CraftedInput, JournalSecondBegin) {
   JournalBytes j;
   j.begin().snapshot(0.0).begin().snapshot(50.0);
   expect_salvaged(j, 1, {{10.0, 100.0}});
+}
+
+// A fix with a NaN coordinate is no position: the readers reject it before
+// it can reach the proximity kernel's cell arithmetic.
+TEST(CraftedInput, SltNanCoordinate) {
+  // v3: two snapshots, the second holding a fix at x = NaN; no gaps, no
+  // degradation windows. 21 header + 28 + 44 snapshot + 8 block bytes.
+  ByteWriter w;
+  w.raw(kSltMagic);
+  w.u16(3);
+  w.str("x");
+  w.f64(10.0);
+  w.u32(2);
+  const auto fix = [&w](std::uint32_t id, float x) {
+    w.u32(id);
+    w.f32(x);
+    w.f32(20.0F);
+    w.f32(22.0F);
+  };
+  w.f64(0.0);
+  w.u32(1);
+  fix(7, 10.0F);
+  w.f64(10.0);
+  w.u32(2);
+  fix(7, 11.0F);
+  fix(8, std::numeric_limits<float>::quiet_NaN());
+  w.u32(0);
+  w.u32(0);
+  expect_rejected_slt(w.bytes(), 101);
+}
+
+TEST(CraftedInput, JournalNanCoordinate) {
+  // The snapshot frame at t = 10 carries x = NaN: it is the tear, and the
+  // run is censored from t = 10.
+  JournalBytes j;
+  j.begin().snapshot(0.0).snapshot(10.0, 1, std::numeric_limits<float>::quiet_NaN());
+  expect_salvaged(j, 1, {{10.0, 100.0}});
+}
+
+TEST(CraftedInput, CsvNanCoordinate) {
+  for (const char* bad : {"nan", "inf"}) {
+    SCOPED_TRACE(bad);
+    const std::string text = std::string("time,avatar,x,y,z\n0,7,10,20,22\n10,7,11,20,22\n") +
+                             "10,8," + bad + ",20,22\n";
+    EXPECT_THROW((void)trace_from_csv(text, "x", 10.0), DecodeError);
+    const CraftedFile file(std::vector<std::uint8_t>(text.begin(), text.end()), ".csv");
+    EXPECT_THROW((void)analyze_stream_file(file.path()), DecodeError);
+    for (const char* command : {"summary", "analyze"}) {
+      const CliRun run = run_cli(std::string(command) + " " + file.path());
+      EXPECT_EQ(run.status, 1) << command << ": " << run.output;
+      EXPECT_NE(run.output.find(file.path() + ": corrupt or truncated trace"),
+                std::string::npos)
+          << command << ": " << run.output;
+    }
+  }
 }
 
 }  // namespace

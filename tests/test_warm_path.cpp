@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "alloc_counter.hpp"
+#include "analysis/graphs.hpp"
+#include "analysis/incremental_proximity.hpp"
 #include "analysis/pair_kernel.hpp"
 #include "client/metaverse_client.hpp"
 #include "core/experiment.hpp"
@@ -54,6 +56,41 @@ TEST(WarmPath, PairKernelSecondPassDoesNotAllocate) {
   pass();
   EXPECT_EQ(allocation_count() - before, 0u);
   EXPECT_GT(pairs, 0u);
+}
+
+// StreamingAnalyzer's per-snapshot window stage — snapshot_proximity plus a
+// GraphKernel::measure per radius at {10, 80} m — over a 2 h Isle of View
+// crawler trace. Once a first pass has grown the thread's kernel scratch
+// and the per-snapshot outputs, a second pass must not allocate.
+TEST(WarmPath, WindowStageSecondPassDoesNotAllocate) {
+  ExperimentConfig cfg;
+  cfg.archetype = LandArchetype::kIsleOfView;
+  cfg.duration = 2.0 * kSecondsPerHour;
+  cfg.ranges = {};
+  cfg.analysis_threads = 1;
+  const Trace trace = run_experiment(cfg).trace;
+
+  const std::vector<double> ranges{kBluetoothRange, kWifiRange};
+  std::vector<Vec3> positions;
+  std::vector<PairKernel::PairList> lists;
+  GraphKernel graph_kernel;
+  std::vector<GraphSample> samples(ranges.size());
+  std::size_t edges = 0;
+  const auto pass = [&] {
+    edges = 0;
+    for (const Snapshot& snap : trace.snapshots()) {
+      snapshot_proximity(snap, ranges, positions, lists);
+      for (std::size_t ri = 0; ri < ranges.size(); ++ri) {
+        graph_kernel.measure(snap.fixes.size(), lists[ri], samples[ri]);
+      }
+      edges += lists.back().size();
+    }
+  };
+  pass();
+  const std::size_t before = allocation_count();
+  pass();
+  EXPECT_EQ(allocation_count() - before, 0u);
+  EXPECT_GT(edges, 0u);
 }
 
 // 300 steady-state World::ticks of a 1k-avatar frozen population.

@@ -155,23 +155,26 @@ void warn_if_torn(const TraceStream* reader, const std::string& path) {
   }
 }
 
-// Opens a trace in any format, deciding by extension. A .sltj journal reads
-// with salvage semantics (torn tail truncated, trailing gap added), so every
-// command works directly on the journal of a crashed run. Malformed input
-// (truncated file, bad magic, corrupt rows) is reported with the file name.
-std::unique_ptr<TraceStream> open_any(const std::string& path) {
+// Opens a trace in any format, deciding by extension, and hands its stream
+// to `consume`. A .sltj journal reads with salvage semantics (torn tail
+// truncated, trailing gap added), so every command works directly on the
+// journal of a crashed run. Malformed input (truncated file, bad magic,
+// corrupt rows or fixes), found at open or while streaming, is reported
+// with the file name.
+template <typename Fn>
+auto read_stream(const std::string& path, Fn&& consume) {
   try {
-    return open_trace_stream(path);
+    const auto reader = open_trace_stream(path);
+    auto result = consume(*reader);
+    warn_if_torn(reader.get(), path);
+    return result;
   } catch (const DecodeError& e) {
     throw std::runtime_error(path + ": corrupt or truncated trace (" + e.what() + ")");
   }
 }
 
 Trace read_any(const std::string& path) {
-  const auto reader = open_any(path);
-  Trace trace = collect_trace(*reader);
-  warn_if_torn(reader.get(), path);
-  return trace;
+  return read_stream(path, [](TraceStream& reader) { return collect_trace(reader); });
 }
 
 // Shared tail of every run variant: strip transient sitting fixes (matching
@@ -580,11 +583,15 @@ void print_summary(const std::string& land, Seconds sampling, const TraceSummary
 int cmd_summary(const std::vector<std::string>& args) {
   if (args.size() != 1) return usage();
   const auto t0 = wallclock::now();
-  const auto reader = open_any(args[0]);
-  const TraceSummary s = summarize(*reader);
+  std::string land;
+  Seconds interval = 0.0;
+  const TraceSummary s = read_stream(args[0], [&](TraceStream& reader) {
+    land = reader.land_name();
+    interval = reader.sampling_interval();
+    return summarize(reader);
+  });
   const double secs = wallclock::seconds_since(t0);
-  warn_if_torn(reader.get(), args[0]);
-  print_summary(reader->land_name(), reader->sampling_interval(), s);
+  print_summary(land, interval, s);
   std::printf("pass:            %.2f s (%.0f snapshots/s)\n", secs,
               secs > 0.0 ? static_cast<double>(s.snapshot_count) / secs : 0.0);
   std::printf("peak memory:     %.1f MiB\n",
@@ -631,9 +638,8 @@ int cmd_analyze(const std::vector<std::string>& args) {
   }
   if (options.ranges.empty()) options.ranges = {kBluetoothRange, kWifiRange};
 
-  const auto reader = open_any(args[0]);
-  const AnalysisReport report = analyze_stream(*reader, options);
-  warn_if_torn(reader.get(), args[0]);
+  const AnalysisReport report = read_stream(
+      args[0], [&](TraceStream& reader) { return analyze_stream(reader, options); });
   print_report(report);
   return 0;
 }
