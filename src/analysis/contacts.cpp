@@ -99,14 +99,12 @@ ContactStream::ContactStream(double range, Seconds tau, const GapTracker& gaps)
   out_.range = range;
 }
 
-void ContactStream::close_contact(const OpenContact& contact, Seconds end_cap) {
-  const Seconds end = std::min(contact.last_seen + tau_, end_cap);
-  const auto a = AvatarId{static_cast<std::uint32_t>(contact.key >> 32)};
-  const auto b = AvatarId{static_cast<std::uint32_t>(contact.key & 0xffffffffu)};
-  out_.intervals.push_back({a, b, contact.start, end});
-  out_.contact_times.add(end - contact.start);
-  if (epochs_active_) interval_epochs_.push_back(censor_epoch_);
-  if (sink_) sink_(out_.intervals.back());
+void ContactStream::close_contact(const OpenContact& contact, Seconds end) {
+  ContactInterval& interval = out_.intervals[contact.slot];
+  interval.end = end;
+  out_.contact_times.add(end - interval.start);
+  if (epochs_active_) interval_epochs_[contact.slot] = censor_epoch_;
+  if (sink_) sink_(interval);
 }
 
 // Censors all running observations at a coverage gap starting at `cap`:
@@ -122,7 +120,8 @@ void ContactStream::censor_at_gap(Seconds cap) {
   }
   std::sort(prev_open_.begin(), prev_open_.end(),
             [](const OpenContact& x, const OpenContact& y) { return x.key < y.key; });
-  for (const OpenContact& contact : prev_open_) close_contact(contact, cap);
+  const Seconds end = std::min(prev_time_ + tau_, cap);
+  for (const OpenContact& contact : prev_open_) close_contact(contact, end);
   prev_open_.clear();
   prev_table_.clear();
   ++censor_epoch_;
@@ -135,6 +134,7 @@ void ContactStream::on_snapshot(const Snapshot& snap, const PairList& pairs) {
   if (have_prev_ && gaps_->spans_gap(prev_time_, snap.time)) {
     censor_at_gap(gaps_->next_gap_start(prev_time_));
   }
+  const Seconds prev_end = prev_time_ + tau_;  // of a contact last seen there
   have_prev_ = true;
   prev_time_ = snap.time;
   const Seconds t = snap.time;
@@ -155,6 +155,7 @@ void ContactStream::on_snapshot(const Snapshot& snap, const PairList& pairs) {
 
   cur_table_.clear();
   cur_open_.clear();
+  opened_.clear();
   for (const auto& [i, j] : pairs) {
     const std::uint32_t ua = fix_user_[i];
     const std::uint32_t ub = fix_user_[j];
@@ -162,64 +163,74 @@ void ContactStream::on_snapshot(const Snapshot& snap, const PairList& pairs) {
     const std::uint64_t key = pair_key(snap.fixes[i].id, snap.fixes[j].id);
     const auto record = static_cast<std::uint32_t>(cur_open_.size());
     if (cur_table_.insert(key, record) != KeyTable::kMissing) continue;  // duplicate pair
-    Seconds start = t;
     if (const std::uint32_t p = prev_table_.find(key); p != KeyTable::kMissing) {
-      start = prev_open_[p].start;
-      prev_open_[p].last_seen = t;  // continued
+      cur_open_.push_back({key, prev_open_[p].slot});
+      prev_open_[p].slot = kContinued;
+    } else {
+      cur_open_.push_back({key, 0});  // its slot is taken below
+      opened_.push_back(record);
     }
-    cur_open_.push_back({key, start, t});
     if (std::isnan(first_contact_[ua])) first_contact_[ua] = t;
     if (std::isnan(first_contact_[ub])) first_contact_[ub] = t;
   }
 
+  // The contacts opening now take the next output slots in key order, so
+  // out_.intervals stays ordered by (start, a, b) as it grows.
+  std::sort(opened_.begin(), opened_.end(), [this](std::uint32_t x, std::uint32_t y) {
+    return cur_open_[x].key < cur_open_[y].key;
+  });
+  for (const std::uint32_t record : opened_) {
+    OpenContact& contact = cur_open_[record];
+    contact.slot = static_cast<std::uint32_t>(out_.intervals.size());
+    const auto a = AvatarId{static_cast<std::uint32_t>(contact.key >> 32)};
+    const auto b = AvatarId{static_cast<std::uint32_t>(contact.key & 0xffffffffu)};
+    out_.intervals.push_back({a, b, t, t});
+    if (epochs_active_) interval_epochs_.push_back(0);
+  }
+
   for (const OpenContact& contact : prev_open_) {
-    if (contact.last_seen < t) close_contact(contact, kNoCap);
+    if (contact.slot != kContinued) close_contact(contact, prev_end);
   }
   std::swap(prev_table_, cur_table_);
   std::swap(prev_open_, cur_open_);
 }
 
 // Emits one ICT sample per consecutive pair of same-pair intervals whose
-// censoring epochs match (see the header note). Per pair, closure order is
-// chronological, so ordering intervals by (pair, start) recovers the
-// chains; sample order is invisible, as every consumer of an Ecdf reads it
-// sorted.
+// censoring epochs match (see the header note). The intervals are in start
+// order, and per pair they never overlap, so start order is the pair's
+// chronological order. A stable counting pass groups the interval indices
+// by the dense user index of `a`; each user's group, sorted as (b, index)
+// keys, then lists every pair of that user chronologically. Sample order is
+// invisible, as every consumer of an Ecdf reads it sorted.
 void ContactStream::derive_inter_contact_times() {
-  auto& intervals = out_.intervals;
+  const auto& intervals = out_.intervals;
   if (intervals.size() < 2) return;
-  const auto by_pair_then_start = [](const ContactInterval& x, const ContactInterval& y) {
-    return std::tie(x.a.value, x.b.value, x.start) <
-           std::tie(y.a.value, y.b.value, y.start);
-  };
-  if (!epochs_active_) {
-    // No censor ever fired: every consecutive pair of contacts chains, and
-    // the intervals can be sorted in place (finish() re-sorts them into
-    // output order right after). This is the whole-trace common case, kept
-    // free of scratch allocations on purpose: the streaming engine's peak
-    // memory on a gap-free day-long trace is measured by the benchmark.
-    std::sort(intervals.begin(), intervals.end(), by_pair_then_start);
-    for (std::size_t i = 1; i < intervals.size(); ++i) {
-      const ContactInterval& prev = intervals[i - 1];
-      const ContactInterval& cur = intervals[i];
-      if (prev.a == cur.a && prev.b == cur.b) {
-        out_.inter_contact_times.add(cur.start - prev.end);
-      }
-    }
-    return;
+  std::vector<std::uint32_t> group_end(first_seen_.size() + 1, 0);
+  for (const ContactInterval& iv : intervals) ++group_end[users_.find(iv.a.value) + 1];
+  for (std::size_t u = 1; u < group_end.size(); ++u) group_end[u] += group_end[u - 1];
+  // Placing each index at group_end[u]++ moves group_end[u] from the start
+  // of group u to its end, so each group then runs from the previous
+  // group's end (0 for the first) to its own.
+  std::vector<std::uint32_t> by_user(intervals.size());
+  for (std::uint32_t i = 0; i < intervals.size(); ++i) {
+    by_user[group_end[users_.find(intervals[i].a.value)]++] = i;
   }
-  // Censored stream: epochs are recorded per closure index, so sort an
-  // index view instead of the intervals themselves.
-  std::vector<std::uint32_t> order(intervals.size());
-  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
-    return by_pair_then_start(intervals[x], intervals[y]);
-  });
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    const ContactInterval& prev = intervals[order[i - 1]];
-    const ContactInterval& cur = intervals[order[i]];
-    if (prev.a == cur.a && prev.b == cur.b &&
-        interval_epochs_[order[i - 1]] == interval_epochs_[order[i]]) {
-      out_.inter_contact_times.add(cur.start - prev.end);
+  std::vector<std::uint64_t> group;  // (b << 32 | index) of one user
+  std::uint32_t from = 0;
+  for (std::size_t u = 0; u + 1 < group_end.size(); ++u) {
+    const std::uint32_t to = group_end[u];
+    group.clear();
+    for (std::uint32_t k = from; k < to; ++k) {
+      group.push_back((std::uint64_t{intervals[by_user[k]].b.value} << 32) | by_user[k]);
+    }
+    from = to;
+    std::sort(group.begin(), group.end());
+    for (std::size_t k = 1; k < group.size(); ++k) {
+      if ((group[k - 1] >> 32) != (group[k] >> 32)) continue;  // another pair
+      const auto prev = static_cast<std::uint32_t>(group[k - 1]);
+      const auto cur = static_cast<std::uint32_t>(group[k]);
+      if (epochs_active_ && interval_epochs_[prev] != interval_epochs_[cur]) continue;
+      out_.inter_contact_times.add(intervals[cur].start - intervals[prev].end);
     }
   }
 }
@@ -228,21 +239,16 @@ ContactAnalysis ContactStream::finish() {
   // Close whatever is still open. A gap after the last snapshot (a
   // trailing gap may arrive after it) truncates them at its start, exactly
   // like a censor mid-stream — even a gap shorter than tau that ends before
-  // last_seen + tau.
-  Seconds final_cap = kNoCap;
+  // the last snapshot's time + tau.
+  Seconds end = prev_time_ + tau_;
   if (have_prev_ && gaps_->spans_gap(prev_time_, kNoCap)) {
-    final_cap = gaps_->next_gap_start(prev_time_);
+    end = std::min(end, gaps_->next_gap_start(prev_time_));
   }
-  for (const OpenContact& contact : prev_open_) close_contact(contact, final_cap);
+  for (const OpenContact& contact : prev_open_) close_contact(contact, end);
   prev_open_.clear();
   prev_table_.clear();
 
   derive_inter_contact_times();
-  std::sort(out_.intervals.begin(), out_.intervals.end(),
-            [](const ContactInterval& x, const ContactInterval& y) {
-              return std::tie(x.start, x.a.value, x.b.value) <
-                     std::tie(y.start, y.a.value, y.b.value);
-            });
 
   out_.users_seen = first_seen_.size();
   for (std::size_t u = 0; u < first_contact_.size(); ++u) {

@@ -44,7 +44,7 @@ struct ContactInterval {
 
 struct ContactAnalysis {
   double range{0.0};
-  std::vector<ContactInterval> intervals;  // time-ordered by start
+  std::vector<ContactInterval> intervals;  // ordered by (start, a, b)
   Ecdf contact_times;
   Ecdf inter_contact_times;
   Ecdf first_contact_times;
@@ -65,8 +65,11 @@ ContactAnalysis analyze_contacts(const Trace& trace, double range);
 // decisions equal those made with the finished trace's gap list. On a
 // gap-free stream the censor branches never fire. Pairs of two fixes
 // carrying the same avatar id (a duplicate id within one snapshot) are not
-// contacts and are skipped. ContactOracle.* (tests/test_analysis_contacts.cpp)
-// checks CT, ICT and FT against a per-pair brute force, gaps included.
+// contacts and are skipped. The intervals come out ordered by (start, a, b)
+// without a sort: a contact takes its slot in the output when it opens, and
+// the contacts opening in one snapshot take theirs in pair-key order.
+// ContactOracle.* (tests/test_analysis_contacts.cpp) checks CT, ICT and FT
+// against a per-pair brute force, gaps included, and the output order.
 class ContactStream {
  public:
   using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
@@ -74,7 +77,8 @@ class ContactStream {
   ContactStream(double range, Seconds tau, const GapTracker& gaps);
 
   // Optional: observe every contact interval as it closes (closure order;
-  // per pair this is chronological). Used to chain relation analysis.
+  // per pair this is chronological). Used to chain relation analysis. The
+  // reference is into the growing output and is valid only during the call.
   void set_interval_sink(std::function<void(const ContactInterval&)> sink) {
     sink_ = std::move(sink);
   }
@@ -111,16 +115,17 @@ class ContactStream {
     std::uint32_t generation_{1};
   };
 
-  // A contact running through the previous (or current) snapshot. Every
-  // record of a snapshot's table was seen in that snapshot; last_seen is
-  // raised to the next snapshot's time when the pair is seen again, so a
-  // previous record still below the current time has ended.
+  // A contact running through the previous (or current) snapshot: every
+  // record of a snapshot's table was seen in that snapshot. `slot` is the
+  // index of its interval in out_.intervals, taken when it opened. A
+  // previous record whose pair is seen again hands its slot on and is
+  // marked kContinued; the others have ended.
+  static constexpr std::uint32_t kContinued = 0xffffffffu;
   struct OpenContact {
     std::uint64_t key;
-    Seconds start;
-    Seconds last_seen;
+    std::uint32_t slot;
   };
-  void close_contact(const OpenContact& contact, Seconds end_cap);
+  void close_contact(const OpenContact& contact, Seconds end);
   void censor_at_gap(Seconds cap);
   void derive_inter_contact_times();
 
@@ -145,16 +150,21 @@ class ContactStream {
   KeyTable cur_table_;
   std::vector<OpenContact> prev_open_;
   std::vector<OpenContact> cur_open_;
+  std::vector<std::uint32_t> opened_;  // scratch: cur_open_ records new this snapshot
   // ICT is derived at finish() from consecutive intervals of the same pair
   // instead of a per-pair "end of previous contact" map — that map holds an
   // entry for every pair that ever met and was the stream's largest
-  // non-output allocation on a day-long trace. The rule "a gap cuts the ICT
+  // non-output allocation on a day-long trace. finish() groups the
+  // (start-ordered) interval indices by user `a` in one counting pass and
+  // sorts each user's group by `b`: 4 bytes per interval plus O(users) of
+  // scratch, and no sort of the whole output. The rule "a gap cuts the ICT
   // chain" is reproduced by a censoring epoch: every censor bumps it, every
-  // interval records the epoch of its closure, and consecutive contacts of
-  // a pair chain only when their epochs match. An interval closed by the
-  // censor itself records the pre-bump epoch, so it can never chain
-  // forward. Epoch storage is allocated lazily at the first censor; a
-  // gap-free stream (no censors, every pair chains) records nothing.
+  // interval records the epoch of its closure (indexed by its slot), and
+  // consecutive contacts of a pair chain only when their epochs match. An
+  // interval closed by the censor itself records the pre-bump epoch, so it
+  // can never chain forward. Epoch storage is allocated lazily at the first
+  // censor; a gap-free stream (no censors, every pair chains) records
+  // nothing.
   std::uint32_t censor_epoch_{0};
   std::vector<std::uint32_t> interval_epochs_;
   bool epochs_active_{false};

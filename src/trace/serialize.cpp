@@ -1,6 +1,9 @@
 #include "trace/serialize.hpp"
 
+#include <cmath>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "trace/stream.hpp"
 #include "util/bytes.hpp"
@@ -65,34 +68,55 @@ std::string trace_to_csv(const Trace& trace) {
 Trace trace_from_csv(std::string_view text, std::string land_name,
                      Seconds sampling_interval) {
   Trace trace(std::move(land_name), sampling_interval);
-  const auto rows = parse_csv(text);
   Snapshot current;
   bool have_current = false;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& row = rows[i];
-    if (i == 0 && !row.empty() && row[0] == "time") continue;  // header
-    if (row.size() != 5) throw DecodeError("trace_from_csv: row must have 5 fields");
-    if (row[0] == "gap") {
-      trace.add_gap(std::stod(row[1]), std::stod(row[2]));
-      continue;
+  bool first_row = true;
+  for_each_csv_row(text, [&](std::size_t line, const std::vector<std::string_view>& row) {
+    const auto fail = [line](const std::string& what) {
+      throw DecodeError("trace_from_csv: line " + std::to_string(line) + ": " + what);
+    };
+    const auto number = [&](std::size_t field, const char* name) {
+      const std::optional<double> value = parse_double(row[field]);
+      if (!value) fail(std::string("malformed ") + name);
+      return *value;
+    };
+    const auto u32 = [&](std::size_t field, const char* name) {
+      const std::optional<std::uint32_t> value = parse_u32(row[field]);
+      if (!value) fail(std::string("malformed or out-of-range ") + name);
+      return *value;
+    };
+    const bool header = first_row && row[0] == "time";
+    first_row = false;
+    if (header) return;
+    if (row.size() != 5) fail("row must have 5 fields");
+    try {
+      if (row[0] == "gap") {
+        trace.add_gap(number(1, "gap start"), number(2, "gap end"));
+        return;
+      }
+      if (row[0] == "degraded") {
+        trace.add_degradation(number(1, "degradation start"), number(2, "degradation end"),
+                              u32(3, "degradation factor"));
+        return;
+      }
+    } catch (const std::invalid_argument& e) {
+      fail(e.what());
     }
-    if (row[0] == "degraded") {
-      trace.add_degradation(std::stod(row[1]), std::stod(row[2]),
-                            static_cast<std::uint32_t>(std::stoul(row[3])));
-      continue;
-    }
-    const double t = std::stod(row[0]);
-    const auto id = AvatarId{static_cast<std::uint32_t>(std::stoul(row[1]))};
-    const Vec3 pos{std::stod(row[2]), std::stod(row[3]), std::stod(row[4])};
-    if (!pos.finite()) throw DecodeError("trace_from_csv: non-finite fix coordinate");
+    const double t = number(0, "time");
+    if (!std::isfinite(t)) fail("non-finite time");
+    const auto id = AvatarId{u32(1, "avatar id")};
+    const Vec3 pos{number(2, "x"), number(3, "y"), number(4, "z")};
+    if (!pos.finite()) fail("non-finite fix coordinate");
     if (!have_current || t != current.time) {
+      // Trace::add's rule, checked here so the error names this row.
+      if (have_current && t < current.time) fail("snapshots must be time-ordered");
       if (have_current) trace.add(std::move(current));
       current = Snapshot{};
       current.time = t;
       have_current = true;
     }
     current.fixes.push_back({id, pos});
-  }
+  });
   if (have_current) trace.add(std::move(current));
   return trace;
 }

@@ -29,8 +29,11 @@ std::vector<std::uint8_t> encode_trace(const Trace& trace);
 // CSV with header "time,avatar,x,y,z". Coverage gaps are emitted as trailing
 // sentinel rows: "gap",start,end,0,0 — external tools filtering on numeric
 // avatar ids skip them naturally. Sampling degradations follow the same
-// pattern: "degraded",start,end,factor,0. trace_from_csv throws DecodeError
-// on a row of the wrong width or a non-finite fix coordinate.
+// pattern: "degraded",start,end,factor,0. trace_from_csv parses every field
+// whole and throws DecodeError, naming the 1-based line, on a row of the
+// wrong width, a malformed number, an id or factor outside u32, a non-finite
+// time or fix coordinate, or a row the Trace rejects (time going backwards,
+// an empty or overlapping gap or degradation window, a factor below 2).
 std::string trace_to_csv(const Trace& trace);
 Trace trace_from_csv(std::string_view text, std::string land_name,
                      Seconds sampling_interval);

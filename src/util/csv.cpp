@@ -18,18 +18,30 @@ void CsvWriter::row(const std::vector<std::string>& fields) {
   out_ << '\n';
 }
 
-std::vector<std::vector<std::string>> parse_csv(std::string_view text) {
-  std::vector<std::vector<std::string>> rows;
+void for_each_csv_row(
+    std::string_view text,
+    const std::function<void(std::size_t line, const std::vector<std::string_view>& fields)>& row) {
+  std::vector<std::string_view> fields;
   std::size_t start = 0;
+  std::size_t line_no = 1;
   for (std::size_t i = 0; i <= text.size(); ++i) {
     if (i == text.size() || text[i] == '\n') {
       std::string_view line = text.substr(start, i - start);
       if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      if (!trim(line).empty()) rows.push_back(split(line, ','));
+      if (!trim(line).empty()) {
+        fields.clear();
+        for (std::size_t from = 0;;) {
+          const std::size_t comma = line.find(',', from);
+          fields.push_back(line.substr(from, comma - from));
+          if (comma == std::string_view::npos) break;
+          from = comma + 1;
+        }
+        row(line_no, fields);
+      }
       start = i + 1;
+      ++line_no;
     }
   }
-  return rows;
 }
 
 }  // namespace slmob

@@ -3,6 +3,8 @@
 // is implemented; the writer rejects fields that would need it.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -22,7 +24,10 @@ class CsvWriter {
   std::ostream& out_;
 };
 
-// Parses CSV text into rows of fields. Blank lines are skipped.
-std::vector<std::vector<std::string>> parse_csv(std::string_view text);
+// Calls `row(line, fields)` for each non-blank line of `text`, in order;
+// `line` is 1-based and a trailing '\r' is dropped. The fields view `text`.
+void for_each_csv_row(
+    std::string_view text,
+    const std::function<void(std::size_t line, const std::vector<std::string_view>& fields)>& row);
 
 }  // namespace slmob

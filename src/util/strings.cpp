@@ -59,4 +59,24 @@ double parse_positive_double(std::string_view text) {
   return value;
 }
 
+namespace {
+
+template <typename T>
+std::optional<T> parse_whole(std::string_view text) {
+  text = trim(text);
+  T value{};
+  const auto* last = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || ptr != last) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
+std::optional<double> parse_double(std::string_view text) { return parse_whole<double>(text); }
+
+std::optional<std::uint32_t> parse_u32(std::string_view text) {
+  return parse_whole<std::uint32_t>(text);
+}
+
 }  // namespace slmob

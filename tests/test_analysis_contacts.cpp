@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <optional>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "analysis/streaming.hpp"
+#include "core/experiment.hpp"
 #include "util/rng.hpp"
 
 namespace slmob {
@@ -523,6 +525,151 @@ TEST(ContactOracle, RandomTracesMatchStreamingAnalyzerAtAnyWindowAndThreadCount)
   }
 }
 
+// A real 2 h Isle of View crawl under the blackout fault scenario. When the
+// crawler relogs after a gap the whole population reappears at once, so
+// hundreds of contacts open in the same snapshot, and gaps censor the
+// contact path.
+const Trace& gapped_crawler_trace() {
+  static const Trace trace = [] {
+    ExperimentConfig cfg;
+    cfg.archetype = LandArchetype::kIsleOfView;
+    cfg.duration = 2.0 * kSecondsPerHour;
+    cfg.ranges = {};
+    cfg.analysis_threads = 1;
+    cfg.fault_scenario = "blackouts";
+    return run_experiment(cfg).trace;
+  }();
+  return trace;
+}
+
+AnalysisReport stream_contacts(const Trace& trace, std::size_t threads, std::size_t window) {
+  StreamingOptions opt;
+  opt.ranges = {10.0, 80.0};
+  opt.threads = threads;
+  opt.window = window;
+  MemoryTraceStream stream(trace);
+  return analyze_stream(stream, opt);
+}
+
+bool start_then_pair_less(const ContactInterval& x, const ContactInterval& y) {
+  return std::tie(x.start, x.a.value, x.b.value) < std::tie(y.start, y.a.value, y.b.value);
+}
+
+// Contacts opening in one snapshot take their output slots in pair-key
+// order, so the intervals come out ordered without a sort, whatever order
+// the proximity kernel listed the pairs in.
+TEST(ContactOracle, IntervalsInStartThenPairOrder) {
+  std::vector<Trace> traces;
+  for (std::uint64_t seed = 1; seed <= kOracleSeeds; seed += 7) {
+    traces.push_back(random_contact_trace(seed));
+  }
+  traces.push_back(gapped_crawler_trace());
+  ASSERT_FALSE(traces.back().gaps().empty());
+  std::size_t most_opened_together = 0;
+  for (std::size_t k = 0; k < traces.size(); ++k) {
+    for (const std::size_t threads : {1u, 4u}) {
+      for (const std::size_t window : {1u, 3u, 64u}) {
+        const AnalysisReport report = stream_contacts(traces[k], threads, window);
+        for (const auto& [range, contacts] : report.contacts) {
+          const auto& iv = contacts.intervals;
+          const auto bad = std::adjacent_find(
+              iv.begin(), iv.end(), [](const ContactInterval& x, const ContactInterval& y) {
+                return !start_then_pair_less(x, y);
+              });
+          EXPECT_EQ(bad, iv.end())
+              << "trace " << k << " threads " << threads << " window " << window << " r "
+              << range << ": interval " << (bad - iv.begin()) << " is not before the next";
+          for (auto run = iv.begin(); run != iv.end();) {
+            const auto next = std::find_if(run, iv.end(), [&](const ContactInterval& x) {
+              return x.start != run->start;
+            });
+            most_opened_together =
+                std::max(most_opened_together, static_cast<std::size_t>(next - run));
+            run = next;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(most_opened_together, 100u);  // the crawler trace's relogins
+}
+
+// Sorted samples as bit patterns, so -0.0 and 0.0 would differ.
+std::vector<std::uint64_t> sample_bits(const Ecdf& ecdf) {
+  std::vector<std::uint64_t> bits;
+  for (const double x : ecdf.sorted()) bits.push_back(std::bit_cast<std::uint64_t>(x));
+  return bits;
+}
+
+// `trace` with every avatar id v replaced by top - v: a bijection that
+// reverses the order of ids, and so of pair keys and of each pair's (a, b).
+Trace relabelled(const Trace& trace, std::uint32_t top) {
+  Trace out(trace.land_name(), trace.sampling_interval());
+  for (Snapshot snap : trace.snapshots()) {
+    for (AvatarFix& fix : snap.fixes) fix.id = AvatarId{top - fix.id.value};
+    out.add(std::move(snap));
+  }
+  for (const CoverageGap& gap : trace.gaps()) out.add_gap(gap.start, gap.end);
+  for (const auto& d : trace.degradations()) out.add_degradation(d.start, d.end, d.factor);
+  return out;
+}
+
+// ROADMAP 3(b), first relation: the paper's metrics do not depend on how
+// avatars are named. Relabelling reverses the key order the contact path
+// sorts by and regroups the ICT pass (a pair's `a` becomes its `b`).
+TEST(ContactOracle, RelabellingIdsLeavesEcdfsUnchanged) {
+  std::vector<Trace> traces;
+  for (std::uint64_t seed = 1; seed <= kOracleSeeds; seed += 5) {
+    traces.push_back(random_contact_trace(seed));
+  }
+  traces.push_back(gapped_crawler_trace());
+  std::size_t chained = 0;
+  for (std::size_t k = 0; k < traces.size(); ++k) {
+    std::uint32_t top = 1;
+    for (const Snapshot& snap : traces[k].snapshots()) {
+      for (const AvatarFix& fix : snap.fixes) top = std::max(top, fix.id.value + 1);
+    }
+    const AnalysisReport want = stream_contacts(traces[k], 1, 64);
+    const AnalysisReport got = stream_contacts(relabelled(traces[k], top), 4, 3);
+    for (const auto& [range, c] : want.contacts) {
+      const std::string where = "trace " + std::to_string(k) + " r " + std::to_string(range);
+      const ContactAnalysis& r = got.contacts.at(range);
+      EXPECT_EQ(sample_bits(r.contact_times), sample_bits(c.contact_times)) << where;
+      EXPECT_EQ(sample_bits(r.inter_contact_times), sample_bits(c.inter_contact_times)) << where;
+      EXPECT_EQ(sample_bits(r.first_contact_times), sample_bits(c.first_contact_times)) << where;
+      EXPECT_EQ(r.users_seen, c.users_seen) << where;
+      EXPECT_EQ(r.users_with_contact, c.users_with_contact) << where;
+      chained += c.inter_contact_times.size();
+
+      std::vector<ContactInterval> back = r.intervals;
+      for (ContactInterval& iv : back) {
+        const std::uint32_t a = top - iv.a.value;
+        const std::uint32_t b = top - iv.b.value;
+        iv.a = AvatarId{std::min(a, b)};
+        iv.b = AvatarId{std::max(a, b)};
+      }
+      std::sort(back.begin(), back.end(), start_then_pair_less);
+      ASSERT_EQ(back.size(), c.intervals.size()) << where;
+      for (std::size_t i = 0; i < back.size(); ++i) {
+        EXPECT_EQ(back[i].a, c.intervals[i].a) << where << " interval " << i;
+        EXPECT_EQ(back[i].b, c.intervals[i].b) << where << " interval " << i;
+        EXPECT_EQ(back[i].start, c.intervals[i].start) << where << " interval " << i;
+        EXPECT_EQ(back[i].end, c.intervals[i].end) << where << " interval " << i;
+      }
+    }
+    for (const auto& [range, g] : want.graphs) {
+      const std::string where = "trace " + std::to_string(k) + " r " + std::to_string(range);
+      const GraphMetrics& r = got.graphs.at(range);
+      EXPECT_EQ(sample_bits(r.degrees), sample_bits(g.degrees)) << where;
+      EXPECT_EQ(sample_bits(r.diameters), sample_bits(g.diameters)) << where;
+      EXPECT_EQ(sample_bits(r.clustering), sample_bits(g.clustering)) << where;
+      EXPECT_EQ(r.snapshots_analyzed, g.snapshots_analyzed) << where;
+      EXPECT_EQ(r.isolated_fraction, g.isolated_fraction) << where;
+    }
+  }
+  EXPECT_GT(chained, 1000u);
+}
+
 TEST(ContactOracle, ShortGapAfterTheLastSnapshotTruncatesOpenContacts) {
   TraceBuilder b;
   b.snap({{1, 0.0}, {2, 5.0}});
@@ -532,6 +679,24 @@ TEST(ContactOracle, ShortGapAfterTheLastSnapshotTruncatesOpenContacts) {
   ASSERT_EQ(want.intervals.size(), 1u);
   EXPECT_EQ(want.intervals[0].end, 12.5);
   expect_matches_oracle(analyze_contacts(b.trace, 10.0), want, "short trailing gap");
+}
+
+TEST(ContactOracle, ContactEndingAtARepeatedSnapshotTimeIsKept) {
+  // Trace::add takes two snapshots with the same time. A contact seen in
+  // the first and not in the second ended there; it used to be dropped
+  // instead of closed, because its last sighting was not before "now".
+  Trace trace("repeat", 10.0);
+  for (const auto& [t, x] : {std::pair{0.0, 5.0}, std::pair{0.0, 50.0}, std::pair{10.0, 5.0}}) {
+    Snapshot snap;
+    snap.time = t;
+    snap.fixes.push_back({AvatarId{1}, {0.0, 0.0, 22.0}});
+    snap.fixes.push_back({AvatarId{2}, {x, 0.0, 22.0}});
+    trace.add(std::move(snap));
+  }
+  const OracleContacts want = contact_oracle(trace, 10.0);
+  ASSERT_EQ(want.intervals.size(), 2u);
+  EXPECT_EQ(want.intervals[0].end, 10.0);
+  expect_matches_oracle(analyze_contacts(trace, 10.0), want, "repeated time");
 }
 
 TEST(ContactOracle, TieAtExactlyRangeIsAContact) {

@@ -284,22 +284,58 @@ TEST(CraftedInput, JournalNanCoordinate) {
   expect_salvaged(j, 1, {{10.0, 100.0}});
 }
 
+// A CSV trace the reader must reject at 1-based line `line`: DecodeError
+// naming the line from the library, exit 1 naming the file and the line
+// from every command.
+void expect_rejected_csv(const std::string& text, std::size_t line) {
+  const std::string at = "line " + std::to_string(line) + ":";
+  try {
+    (void)trace_from_csv(text, "x", 10.0);
+    ADD_FAILURE() << "trace_from_csv accepted the input";
+  } catch (const DecodeError& e) {
+    EXPECT_NE(std::string(e.what()).find(at), std::string::npos) << e.what();
+  }
+  const CraftedFile file(std::vector<std::uint8_t>(text.begin(), text.end()), ".csv");
+  EXPECT_THROW((void)analyze_stream_file(file.path()), DecodeError);
+  for (const char* command : {"summary", "analyze"}) {
+    const CliRun run = run_cli(std::string(command) + " " + file.path());
+    EXPECT_EQ(run.status, 1) << command << ": " << run.output;
+    EXPECT_NE(run.output.find(file.path() + ": corrupt or truncated trace"), std::string::npos)
+        << command << ": " << run.output;
+    EXPECT_NE(run.output.find(at), std::string::npos) << command << ": " << run.output;
+  }
+}
+
+constexpr const char* kCsvHead = "time,avatar,x,y,z\n0,7,10,20,22\n";
+
 TEST(CraftedInput, CsvNanCoordinate) {
   for (const char* bad : {"nan", "inf"}) {
     SCOPED_TRACE(bad);
-    const std::string text = std::string("time,avatar,x,y,z\n0,7,10,20,22\n10,7,11,20,22\n") +
-                             "10,8," + bad + ",20,22\n";
-    EXPECT_THROW((void)trace_from_csv(text, "x", 10.0), DecodeError);
-    const CraftedFile file(std::vector<std::uint8_t>(text.begin(), text.end()), ".csv");
-    EXPECT_THROW((void)analyze_stream_file(file.path()), DecodeError);
-    for (const char* command : {"summary", "analyze"}) {
-      const CliRun run = run_cli(std::string(command) + " " + file.path());
-      EXPECT_EQ(run.status, 1) << command << ": " << run.output;
-      EXPECT_NE(run.output.find(file.path() + ": corrupt or truncated trace"),
-                std::string::npos)
-          << command << ": " << run.output;
-    }
+    expect_rejected_csv(std::string(kCsvHead) + "10,7,11,20,22\n10,8," + bad + ",20,22\n", 4);
   }
+}
+
+TEST(CraftedInput, CsvIdBeyondU32) {
+  // 2^32 + 1 used to be truncated to avatar 1.
+  expect_rejected_csv(std::string(kCsvHead) + "0,4294967297,12,20,22\n", 3);
+}
+
+TEST(CraftedInput, CsvNegativeId) {
+  // Used to wrap to 0xFFFFFFFF.
+  expect_rejected_csv(std::string(kCsvHead) + "0,-1,12,20,22\n", 3);
+}
+
+TEST(CraftedInput, CsvCoordinateWithTrailingGarbage) {
+  // Used to be read as x = 12.
+  expect_rejected_csv(std::string(kCsvHead) + "10,7,12xyz,20,22\n", 3);
+}
+
+TEST(CraftedInput, CsvNonNumericCoordinate) {
+  expect_rejected_csv(std::string(kCsvHead) + "\n10,7,abc,20,22\n", 4);  // a blank line counts
+}
+
+TEST(CraftedInput, CsvTimeGoesBackwards) {
+  expect_rejected_csv(std::string(kCsvHead) + "10,7,11,20,22\n5,7,12,20,22\n", 4);
 }
 
 }  // namespace

@@ -243,7 +243,7 @@ TEST(Serialize, TruncatedGapBlockThrows) {
 TEST(Serialize, CsvCorruptGapRowThrows) {
   EXPECT_THROW(
       (void)trace_from_csv("time,avatar,x,y,z\ngap,50.0,20.0,0,0\n", "x", 10.0),
-      std::invalid_argument);  // gap end before start
+      DecodeError);  // gap end before start
 }
 
 TEST(Serialize, FileRoundTrip) {

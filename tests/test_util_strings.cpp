@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
 #include <sstream>
 
 namespace slmob {
@@ -54,6 +56,24 @@ TEST(Strings, ParseNonNegativeInt) {
   EXPECT_EQ(parse_non_negative_int(""), -1);
 }
 
+TEST(Strings, ParseDoubleTakesTheWholeField) {
+  EXPECT_EQ(parse_double("-2.5"), -2.5);
+  EXPECT_EQ(parse_double(" 12 "), 12.0);
+  EXPECT_TRUE(std::isinf(*parse_double("inf")));
+  EXPECT_EQ(parse_double("12xyz"), std::nullopt);
+  EXPECT_EQ(parse_double("abc"), std::nullopt);
+  EXPECT_EQ(parse_double(""), std::nullopt);
+}
+
+TEST(Strings, ParseU32RejectsSignsAndOverflow) {
+  EXPECT_EQ(parse_u32("4294967295"), 4294967295u);
+  EXPECT_EQ(parse_u32(" 7 "), 7u);
+  EXPECT_EQ(parse_u32("4294967296"), std::nullopt);
+  EXPECT_EQ(parse_u32("-1"), std::nullopt);
+  EXPECT_EQ(parse_u32("7.5"), std::nullopt);
+  EXPECT_EQ(parse_u32(""), std::nullopt);
+}
+
 TEST(Strings, ParsePositiveDouble) {
   EXPECT_EQ(parse_positive_double("1.5"), 1.5);
   EXPECT_EQ(parse_positive_double("4"), 4.0);
@@ -82,11 +102,17 @@ TEST(Csv, WriterRejectsFieldsNeedingQuotes) {
 }
 
 TEST(Csv, ParseRoundTrip) {
-  const auto rows = parse_csv("a,b\n1,2\r\n\n3,4\n");
+  std::vector<std::size_t> lines;
+  std::vector<std::vector<std::string>> rows;
+  for_each_csv_row("a,b\n1,2\r\n\n3,4\n", [&](std::size_t line, const auto& fields) {
+    lines.push_back(line);
+    rows.emplace_back(fields.begin(), fields.end());
+  });
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(rows[1], (std::vector<std::string>{"1", "2"}));
   EXPECT_EQ(rows[2], (std::vector<std::string>{"3", "4"}));
+  EXPECT_EQ(lines, (std::vector<std::size_t>{1, 2, 4}));  // the blank line 3 counts
 }
 
 }  // namespace
