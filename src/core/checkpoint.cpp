@@ -1,10 +1,14 @@
 #include "core/checkpoint.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 
 #include "util/bytes.hpp"
 #include "util/fileio.hpp"
+#include "util/log.hpp"
 
 namespace slmob {
 namespace {
@@ -32,6 +36,9 @@ void fill_checkpoint_witness(CheckpointState& ck, Testbed& bed) {
   ck.network_sent = bed.network().stats().sent;
 }
 
+namespace {
+
+// Throws std::runtime_error naming the first mismatching component.
 void verify_checkpoint_replay(const CheckpointState& ck, Testbed& bed) {
   const auto check = [](bool ok, const char* what) {
     if (!ok) {
@@ -53,57 +60,6 @@ void verify_checkpoint_replay(const CheckpointState& ck, Testbed& bed) {
         "crawler coverage gaps");
   check(bed.world().stats().total_logins == ck.world_logins, "world login count");
   check(bed.network().stats().sent == ck.network_sent, "network datagram count");
-}
-
-namespace {
-
-// Shared by fresh and resumed runs: advance in checkpoint-sized segments,
-// persisting a checkpoint after each, and finalize (or die) on schedule.
-DurableRunResult run_loop(Testbed& bed, TraceJournalWriter& writer, CheckpointState base,
-                          const std::string& dir, Seconds from,
-                          std::optional<Seconds> kill_at) {
-  DurableRunResult result;
-  result.journal_path = writer.path();
-  const Seconds duration = base.duration;
-  const Seconds every = base.checkpoint_every;
-
-  const auto capture_stats = [&] {
-    result.crawler_stats = bed.crawler()->stats();
-    result.world_stats = bed.world().stats();
-    result.server_stats = bed.server().stats();
-    result.network_stats = bed.network().stats();
-    if (bed.client() != nullptr) {
-      result.circuit_stats = bed.client()->total_circuit_stats();
-    }
-  };
-
-  Seconds t = from;
-  while (t < duration) {
-    const Seconds next = every > 0.0 ? std::min(t + every, duration) : duration;
-    if (kill_at && *kill_at < duration && *kill_at < next) {
-      // Simulated SIGKILL: stop mid-segment with no handover and no kEnd
-      // frame — exactly the on-disk state a killed process leaves.
-      bed.run_until(*kill_at);
-      result.killed = true;
-      capture_stats();
-      return result;
-    }
-    bed.run_until(next);
-    t = next;
-    if (every > 0.0) {
-      CheckpointState ck = base;
-      ck.time = t;
-      ck.journal_offset = writer.offset();
-      fill_checkpoint_witness(ck, bed);
-      save_checkpoint(ck, dir);
-      ++result.checkpoints_written;
-    }
-  }
-
-  result.trace = bed.crawler()->take_trace();
-  writer.append_end(bed.engine().now());
-  capture_stats();
-  return result;
 }
 
 }  // namespace
@@ -252,54 +208,151 @@ CheckpointLoadResult try_load_checkpoint(const std::string& dir) {
   return result;
 }
 
-DurableRunResult run_durable(const DurableRunOptions& options) {
-  if (options.dir.empty()) {
-    throw std::invalid_argument("run_durable: checkpoint directory required");
-  }
-  std::filesystem::create_directories(options.dir);
+namespace {
 
-  Testbed bed(make_testbed_config(options.config));
-  if (bed.crawler() == nullptr) {
-    throw std::logic_error("run_durable: config has no crawler to journal");
-  }
-  TraceJournalWriter writer(journal_path(options.dir), options.config.duration);
-  bed.crawler()->attach_journal(&writer);
+constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
 
-  CheckpointState base;
-  base.archetype = options.config.archetype;
-  base.duration = options.config.duration;
-  base.seed = options.config.seed;
-  base.fault_scenario = options.config.fault_scenario;
-  base.fault_seed = options.config.fault_seed;
-  base.out_path = options.out_path;
-  base.checkpoint_every = options.checkpoint_every;
-  return run_loop(bed, writer, base, options.dir, 0.0, options.kill_at);
+bool on_multiple(Seconds t, Seconds every) {
+  return std::abs(t / every - std::round(t / every)) < 1e-9;
 }
 
-DurableRunResult resume_durable(const std::string& dir, std::optional<Seconds> kill_at) {
-  const CheckpointState ck = load_checkpoint(dir);
-
-  ExperimentConfig cfg;
-  cfg.archetype = ck.archetype;
-  cfg.duration = ck.duration;
-  cfg.seed = ck.seed;
-  cfg.fault_scenario = ck.fault_scenario;
-  cfg.fault_seed = ck.fault_seed;
-
-  Testbed bed(make_testbed_config(cfg));
-  if (bed.crawler() == nullptr) {
-    throw std::logic_error("resume_durable: rebuilt rig has no crawler");
+std::unique_ptr<Testbed> make_durable_testbed(const ExperimentConfig& config) {
+  auto bed = std::make_unique<Testbed>(make_testbed_config(config));
+  if (bed->crawler() == nullptr) {
+    throw std::logic_error("durable run: config has no crawler to journal");
   }
+  return bed;
+}
+
+// The one segment loop. Advances the rig from `t` to `until`, stopping at
+// each checkpoint multiple, at the observer's heartbeats and requested
+// stops, and at `kill`. With a journal attached it saves a checkpoint at
+// every multiple short of the run's end; without one it is replaying to a
+// checkpoint. Stops never change what the rig simulates, only where this
+// loop regains control. Returns the time reached: `until`, or `kill` when
+// that came first.
+Seconds advance(DurableRig& rig, Seconds t, Seconds until, Seconds kill,
+                SegmentObserver* observer, std::size_t& checkpoints) {
+  Testbed& bed = *rig.bed;
+  const Seconds every = rig.state.checkpoint_every;
+  const Seconds step = observer != nullptr ? observer->heartbeat_every() : kNever;
+  while (t < until && t < kill) {
+    Seconds next = std::min({until, kill, t + step});
+    if (observer != nullptr) {
+      next = std::min(next, observer->before_step(t, bed, rig.writer.get()));
+    }
+    if (every > 0.0) next = std::min(next, every * (std::floor(t / every + 1e-9) + 1.0));
+    bed.run_until(next);
+    t = next;
+    const bool checkpointed = rig.writer != nullptr && every > 0.0 &&
+                              t < rig.state.duration && on_multiple(t, every);
+    if (checkpointed) {
+      CheckpointState ck = rig.state;
+      ck.time = t;
+      ck.journal_offset = rig.writer->offset();
+      fill_checkpoint_witness(ck, bed);
+      save_checkpoint_rotating(ck, rig.dir);
+      ++checkpoints;
+    }
+    if (observer != nullptr) observer->after_step(rig.writer == nullptr, checkpointed);
+  }
+  return t;
+}
+
+}  // namespace
+
+DurableRig start_durable_rig(const ExperimentConfig& config, const std::string& dir,
+                             Seconds checkpoint_every, const std::string& out_path) {
+  std::filesystem::create_directories(dir);
+  DurableRig rig;
+  rig.dir = dir;
+  rig.state.archetype = config.archetype;
+  rig.state.duration = config.duration;
+  rig.state.seed = config.seed;
+  rig.state.fault_scenario = config.fault_scenario;
+  rig.state.fault_seed = config.fault_seed;
+  rig.state.out_path = out_path;
+  rig.state.checkpoint_every = checkpoint_every;
+  rig.bed = make_durable_testbed(config);
+  rig.writer = std::make_unique<TraceJournalWriter>(journal_path(dir), config.duration);
+  rig.bed->crawler()->attach_journal(rig.writer.get());
+  return rig;
+}
+
+DurableResume resume_durable_rig(const std::string& dir, const ExperimentConfig* config,
+                                 SegmentObserver* observer) {
+  DurableResume resumed;
+  resumed.loaded = try_load_checkpoint(dir);
+  if (!resumed.loaded.diagnostic.empty()) {
+    log_warn("checkpoint", "checkpoint rejected: " + resumed.loaded.diagnostic);
+  }
+  if (!resumed.loaded.state) return resumed;
+  const CheckpointState& ck = *resumed.loaded.state;
+
+  ExperimentConfig identity;
+  identity.archetype = ck.archetype;
+  identity.duration = ck.duration;
+  identity.seed = ck.seed;
+  identity.fault_scenario = ck.fault_scenario;
+  identity.fault_seed = ck.fault_seed;
+
+  DurableRig rig;
+  rig.dir = dir;
+  rig.state = ck;
+  rig.bed = make_durable_testbed(config != nullptr ? *config : identity);
   // Silent replay to the checkpointed frontier: the simulator is a pure
   // function of its seeds, so this reconstructs every avatar, datagram and
   // crawler timer without serializing any of them. No journal is attached —
   // the frames for this prefix already sit in the journal file.
-  bed.run_until(ck.time);
-  verify_checkpoint_replay(ck, bed);
+  std::size_t no_checkpoints = 0;
+  advance(rig, 0.0, ck.time, kNever, observer, no_checkpoints);
+  verify_checkpoint_replay(ck, *rig.bed);
+  rig.writer = std::make_unique<TraceJournalWriter>(
+      TraceJournalWriter::resume(journal_path(dir), ck.journal_offset, ck.duration));
+  rig.bed->crawler()->attach_journal(rig.writer.get());
+  resumed.rig = std::move(rig);
+  return resumed;
+}
 
-  auto writer = TraceJournalWriter::resume(journal_path(dir), ck.journal_offset, ck.duration);
-  bed.crawler()->attach_journal(&writer);
-  return run_loop(bed, writer, ck, dir, ck.time, kill_at);
+DurableRunResult run_durable_rig(DurableRig& rig, std::optional<Seconds> kill_at,
+                                 SegmentObserver* observer) {
+  const Seconds duration = rig.state.duration;
+  DurableRunResult result;
+  result.archetype = rig.state.archetype;
+  result.seed = rig.state.seed;
+  result.out_path = rig.state.out_path;
+  result.journal_path = rig.writer->path();
+  const Seconds kill = kill_at && *kill_at < duration ? *kill_at : kNever;
+  const Seconds reached =
+      advance(rig, rig.state.time, duration, kill, observer, result.checkpoints_written);
+  // A kill is a simulated SIGKILL: no trace handover and no kEnd frame —
+  // exactly the on-disk state a killed process leaves.
+  result.killed = reached < duration;
+  if (!result.killed) {
+    result.trace = rig.bed->crawler()->take_trace();
+    rig.writer->append_end(rig.bed->engine().now());
+  }
+  static_cast<RigStats&>(result) = rig.bed->stats();
+  return result;
+}
+
+DurableRunResult run_durable(const DurableRunOptions& options) {
+  if (options.dir.empty()) {
+    throw std::invalid_argument("run_durable: checkpoint directory required");
+  }
+  DurableRig rig = start_durable_rig(options.config, options.dir, options.checkpoint_every,
+                                     options.out_path);
+  return run_durable_rig(rig, options.kill_at);
+}
+
+DurableRunResult resume_durable(const std::string& dir, std::optional<Seconds> kill_at) {
+  DurableResume resumed = resume_durable_rig(dir);
+  if (!resumed.rig) {
+    std::string what = "resume_durable: no loadable checkpoint in " + dir;
+    if (!resumed.loaded.diagnostic.empty()) what += " (" + resumed.loaded.diagnostic + ")";
+    throw std::runtime_error(what);
+  }
+  return run_durable_rig(*resumed.rig, kill_at);
 }
 
 }  // namespace slmob

@@ -36,14 +36,10 @@ ExperimentResults run_experiment(const ExperimentConfig& config) {
   trace.strip_sitting_fixes();
 
   ExperimentResults results;
+  static_cast<RigStats&>(results) = bed.stats();
   results.analysis = analyze_trace(trace, config.ranges, bed.world().land().size(),
                                    config.analysis_threads);
   results.trace = std::move(trace);
-  results.world_stats = bed.world().stats();
-  results.server_stats = bed.server().stats();
-  if (bed.crawler() != nullptr) results.crawler_stats = bed.crawler()->stats();
-  results.network_stats = bed.network().stats();
-  if (bed.client() != nullptr) results.circuit_stats = bed.client()->total_circuit_stats();
   if (!config.analyze_ground_truth && bed.ground_truth() != nullptr) {
     results.ground_truth = bed.ground_truth()->take_trace();
   }

@@ -46,14 +46,9 @@ struct ExperimentConfig {
   std::uint64_t fault_seed{0};
 };
 
-struct ExperimentResults {
+struct ExperimentResults : RigStats {
   Trace trace;              // the analysed trace
   AnalysisReport analysis;  // every §3 metric of `trace`
-  WorldStats world_stats;
-  SimServerStats server_stats;  // region admission / shed counters
-  CrawlerStats crawler_stats;   // zero-initialised when crawler disabled
-  NetworkStats network_stats;
-  CircuitStats circuit_stats;   // crawler client, summed across relogins
   std::optional<Trace> ground_truth;
 };
 

@@ -12,71 +12,28 @@ namespace {
 
 // One shard, in-memory: wire the rig, run it, hand over the raw trace.
 ShardResult run_shard_in_memory(const ExperimentConfig& config) {
-  ShardResult result;
-  result.archetype = config.archetype;
-  result.seed = config.seed;
-
   Testbed bed(make_testbed_config(config));
   bed.run_until(config.duration);
 
+  ShardResult result;
+  static_cast<RigStats&>(result) = bed.stats();
+  result.archetype = config.archetype;
+  result.seed = config.seed;
   if (bed.crawler() != nullptr) {
     result.trace = bed.crawler()->take_trace();
-    result.crawler_stats = bed.crawler()->stats();
   } else if (bed.ground_truth() != nullptr) {
     result.trace = bed.ground_truth()->take_trace();
   } else {
     throw std::logic_error("run_sharded: shard has no trace source configured");
   }
-  result.world_stats = bed.world().stats();
-  result.server_stats = bed.server().stats();
-  result.network_stats = bed.network().stats();
-  if (bed.client() != nullptr) result.circuit_stats = bed.client()->total_circuit_stats();
   return result;
 }
 
-ShardResult run_shard_durable(const ExperimentConfig& config, const std::string& dir,
-                              Seconds checkpoint_every, std::optional<Seconds> kill_at,
-                              const std::string& out_path) {
-  DurableRunOptions options;
-  options.config = config;
-  options.dir = dir;
-  options.checkpoint_every = checkpoint_every;
-  options.kill_at = kill_at;
-  options.out_path = out_path;
-  DurableRunResult durable = run_durable(options);
-
-  ShardResult result;
-  result.archetype = config.archetype;
-  result.seed = config.seed;
-  result.out_path = out_path;
-  result.trace = std::move(durable.trace);
-  result.crawler_stats = durable.crawler_stats;
-  result.world_stats = durable.world_stats;
-  result.server_stats = durable.server_stats;
-  result.network_stats = durable.network_stats;
-  result.circuit_stats = durable.circuit_stats;
-  result.killed = durable.killed;
-  result.checkpoints_written = durable.checkpoints_written;
-  return result;
-}
-
-ShardResult resume_shard(const std::string& dir, std::optional<Seconds> kill_at) {
-  const CheckpointState state = load_checkpoint(dir);
-  DurableRunResult durable = resume_durable(dir, kill_at);
-
-  ShardResult result;
-  result.archetype = state.archetype;
-  result.seed = state.seed;
-  result.out_path = state.out_path;
-  result.trace = std::move(durable.trace);
-  result.crawler_stats = durable.crawler_stats;
-  result.world_stats = durable.world_stats;
-  result.server_stats = durable.server_stats;
-  result.network_stats = durable.network_stats;
-  result.circuit_stats = durable.circuit_stats;
-  result.killed = durable.killed;
-  result.checkpoints_written = durable.checkpoints_written;
-  return result;
+// Either generation counts: a kill inside save_checkpoint_rotating can leave
+// only checkpoint.prev.slck behind.
+bool has_checkpoint(const std::filesystem::path& dir) {
+  return std::filesystem::exists(dir / kCheckpointFileName) ||
+         std::filesystem::exists(dir / kCheckpointPrevFileName);
 }
 
 std::string slug(std::string name) {
@@ -98,20 +55,27 @@ std::string shard_dir_name(std::size_t index, LandArchetype archetype) {
   return prefix + slug(archetype_name(archetype));
 }
 
+void check_out_paths(const std::vector<std::string>& out_paths, std::size_t shard_count) {
+  if (!out_paths.empty() && out_paths.size() != shard_count) {
+    throw std::invalid_argument("out_paths holds " + std::to_string(out_paths.size()) +
+                                " paths for " + std::to_string(shard_count) +
+                                " shards; give one per shard or none");
+  }
+}
+
 std::vector<ShardResult> run_sharded(const std::vector<ExperimentConfig>& shards,
                                      const ShardRunOptions& options) {
-  const bool durable = !options.checkpoint_dir.empty();
-  if (durable) std::filesystem::create_directories(options.checkpoint_dir);
-
+  check_out_paths(options.out_paths, shards.size());
   ThreadPool pool(options.threads);
   return parallel_map<ShardResult>(pool, shards.size(), [&](std::size_t i) {
     const ExperimentConfig& config = shards[i];
-    if (!durable) return run_shard_in_memory(config);
-    const std::string dir =
-        options.checkpoint_dir + "/" + shard_dir_name(i, config.archetype);
-    const std::string out =
-        options.out_paths.empty() ? std::string{} : options.out_paths[i];
-    return run_shard_durable(config, dir, options.checkpoint_every, options.kill_at, out);
+    if (options.checkpoint_dir.empty()) return run_shard_in_memory(config);
+    return run_durable(
+        {.config = config,
+         .dir = options.checkpoint_dir + "/" + shard_dir_name(i, config.archetype),
+         .checkpoint_every = options.checkpoint_every,
+         .out_path = options.out_paths.empty() ? std::string{} : options.out_paths[i],
+         .kill_at = options.kill_at});
   });
 }
 
@@ -120,7 +84,7 @@ std::vector<ShardResult> resume_sharded(const std::string& checkpoint_dir,
                                         std::optional<Seconds> kill_at) {
   namespace fs = std::filesystem;
   std::vector<std::string> dirs;
-  if (fs::exists(fs::path(checkpoint_dir) / kCheckpointFileName)) {
+  if (has_checkpoint(checkpoint_dir)) {
     // A single shard's own directory (also the layout `slmob run
     // --checkpoint` writes for a one-land run).
     dirs.push_back(checkpoint_dir);
@@ -129,7 +93,7 @@ std::vector<ShardResult> resume_sharded(const std::string& checkpoint_dir,
       if (!entry.is_directory()) continue;
       const std::string name = entry.path().filename().string();
       if (name.rfind("shard-", 0) != 0) continue;
-      if (!fs::exists(entry.path() / kCheckpointFileName)) continue;
+      if (!has_checkpoint(entry.path())) continue;
       dirs.push_back(entry.path().string());
     }
     // directory_iterator order is unspecified; shard-NN- prefixes make the
@@ -142,7 +106,7 @@ std::vector<ShardResult> resume_sharded(const std::string& checkpoint_dir,
 
   ThreadPool pool(threads);
   return parallel_map<ShardResult>(
-      pool, dirs.size(), [&](std::size_t i) { return resume_shard(dirs[i], kill_at); });
+      pool, dirs.size(), [&](std::size_t i) { return resume_durable(dirs[i], kill_at); });
 }
 
 std::vector<ExperimentResults> run_experiments_sharded(

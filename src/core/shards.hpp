@@ -12,7 +12,7 @@
 //  * durable (checkpoint_dir set): each shard runs journaled + checkpointed
 //    in its own subdirectory (shard-NN-<land>), so a killed multi-land run
 //    resumes per shard via resume_sharded — shards that already finished
-//    replay from their checkpoint tail only.
+//    replay from their last checkpoint and rerun only the segment after it.
 #pragma once
 
 #include <optional>
@@ -24,26 +24,14 @@
 
 namespace slmob {
 
-// Raw capture of one shard. The trace is exactly what the shard's
-// measurement instrument recorded (not sitting-stripped), which is what
-// determinism digests compare.
-struct ShardResult {
-  LandArchetype archetype{LandArchetype::kIsleOfView};
-  std::uint64_t seed{0};
-  Trace trace;
-  CrawlerStats crawler_stats;
-  WorldStats world_stats;
-  SimServerStats server_stats;
-  NetworkStats network_stats;
-  // Crawler-client transport stats, summed over every circuit (relogins
-  // retire circuits); zero-initialised for ground-truth-only shards.
-  CircuitStats circuit_stats;
-  bool killed{false};                 // durable runs only
-  std::size_t checkpoints_written{0}; // durable runs only
-  // Durable runs: where the finished trace should land, recorded in the
-  // shard's checkpoint so a resume needs no re-specification.
-  std::string out_path;
-};
+// Raw capture of one shard: a durable run's result (core/checkpoint.hpp),
+// so durable and supervised shards hand theirs over as is. The trace is
+// exactly what the shard's measurement instrument recorded (not
+// sitting-stripped), which is what determinism digests compare. In-memory
+// shards leave killed, checkpoints_written, out_path and journal_path at
+// their defaults; ground-truth-only shards have zero crawler and circuit
+// stats.
+using ShardResult = DurableRunResult;
 
 struct ShardRunOptions {
   // Total worker threads across shards, counting the caller (ThreadPool
@@ -53,13 +41,18 @@ struct ShardRunOptions {
   // <checkpoint_dir>/shard-NN-<land>/.
   std::string checkpoint_dir;
   Seconds checkpoint_every{300.0};
-  // Optional, parallel to the shard configs: destination trace path per
-  // shard, stamped into each checkpoint (surfaced again on resume).
+  // Optional, parallel to the shard configs (see check_out_paths):
+  // destination trace path per shard, stamped into each checkpoint
+  // (surfaced again on resume).
   std::vector<std::string> out_paths;
   // Test/bench hook: durable shards stop abruptly at this virtual time,
   // leaving resumable on-disk state (see DurableRunOptions::kill_at).
   std::optional<Seconds> kill_at;
 };
+
+// Throws std::invalid_argument unless `out_paths` is empty or holds one
+// path per shard config (run_sharded and run_supervised both check it).
+void check_out_paths(const std::vector<std::string>& out_paths, std::size_t shard_count);
 
 // Subdirectory name of shard `index`: "shard-03-dance" etc. Zero-padded so
 // lexicographic directory order equals shard order.
@@ -72,8 +65,8 @@ std::vector<ShardResult> run_sharded(const std::vector<ExperimentConfig>& shards
 
 // Resumes a killed run_sharded from its checkpoint directory: accepts either
 // a directory of shard-* subdirectories or a single shard's own directory
-// (one checkpoint.slck). Shards resume concurrently; results are in shard
-// (directory) order and bit-identical to the never-killed run's.
+// (one holding a checkpoint generation). Shards resume concurrently; results
+// are in shard (directory) order and bit-identical to the never-killed run's.
 std::vector<ShardResult> resume_sharded(const std::string& checkpoint_dir,
                                         std::size_t threads = 0,
                                         std::optional<Seconds> kill_at = std::nullopt);

@@ -5,7 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -65,8 +65,24 @@ struct ShardRuntime {
 };
 
 // Everything one shard's supervision loop needs, owned by the shard's
-// worker thread (only ShardRuntime is shared).
-struct ShardCtx {
+// worker thread (only ShardRuntime is shared). It is also the shard's
+// observer on the durable segment loop (core/checkpoint.hpp): heartbeats,
+// watchdog cancels and injected shard faults.
+class ShardCtx final : public SegmentObserver {
+ public:
+  ShardCtx(const ExperimentConfig& shard_config, const SupervisorOptions& options,
+           std::string shard_dir, std::string shard_out_path, ShardRuntime& runtime,
+           ShardHealth& shard_health)
+      : config(shard_config),
+        opt(options),
+        dir(std::move(shard_dir)),
+        out_path(std::move(shard_out_path)),
+        rt(runtime),
+        health(shard_health),
+        injections(make_testbed_config(shard_config).faults.shard_faults()),
+        heartbeat(options.heartbeat_every > 0.0 ? options.heartbeat_every
+                                                : shard_config.duration) {}
+
   const ExperimentConfig& config;
   const SupervisorOptions& opt;
   std::string dir;       // this shard's checkpoint directory
@@ -86,7 +102,7 @@ struct ShardCtx {
   std::optional<std::size_t> pending_recovery_event;
   Clock::time_point recovery_t0{};
 
-  Seconds heartbeat_every{60.0};  // opt.heartbeat_every, sanitised
+  Seconds heartbeat;  // opt.heartbeat_every, sanitised
 
   [[nodiscard]] std::string journal_file() const { return dir + "/" + kJournalFileName; }
 
@@ -94,17 +110,23 @@ struct ShardCtx {
     rt.phase.store(static_cast<int>(p), std::memory_order_relaxed);
     health.phase = p;
   }
-  void beat() { rt.heartbeat.fetch_add(1, std::memory_order_relaxed); }
   [[nodiscard]] bool canceled() const {
     return rt.cancel.load(std::memory_order_relaxed);
   }
-};
 
-// One wired rig plus its journal, ready to run from `from`.
-struct ShardRig {
-  std::unique_ptr<Testbed> bed;
-  std::optional<TraceJournalWriter> writer;
-  Seconds from{0.0};
+  [[nodiscard]] Seconds heartbeat_every() const override { return heartbeat; }
+  Seconds before_step(Seconds t, Testbed& bed, const TraceJournalWriter* writer) override;
+  void after_step(bool replaying, bool checkpointed) override {
+    rt.heartbeat.fetch_add(1, std::memory_order_relaxed);
+    if (replaying) return;
+    if (pending_recovery_event) {
+      // First completed segment after a restart: the shard is ticking again.
+      health.events[*pending_recovery_event].recovery_ms = ms_since(recovery_t0);
+      pending_recovery_event.reset();
+    }
+    if (opt.test_segment_delay_ms > 0.0) sleep_ms(opt.test_segment_delay_ms);
+    if (checkpointed) ++health.checkpoints_written;
+  }
 };
 
 std::string describe(const char* what, Seconds at) {
@@ -113,66 +135,38 @@ std::string describe(const char* what, Seconds at) {
   return buf;
 }
 
-// Silent replay to the checkpoint frontier, sub-stepped so the watchdog
-// keeps seeing heartbeats (a 20 h replay must not look like a stall).
-void replay_to(ShardCtx& c, Testbed& bed, Seconds until) {
-  Seconds t = 0.0;
-  while (t < until) {
-    if (c.canceled()) {
-      throw WatchdogAbort("watchdog canceled shard during checkpoint replay");
-    }
-    t = std::min(until, t + c.heartbeat_every);
-    bed.run_until(t);
-    c.beat();
-  }
-}
-
 // Builds the rig for one attempt: resume from the best usable checkpoint
 // generation, else cold-start. Corrupt checkpoints and replay-verify
 // mismatches are contained here — they demote the attempt to a cold
 // restart (with a diagnostic) instead of failing the shard.
-ShardRig prepare_rig(ShardCtx& c) {
-  const CheckpointLoadResult loaded = try_load_checkpoint(c.dir);
-  if (!loaded.diagnostic.empty()) {
-    c.health.last_error = loaded.diagnostic;
-    log_warn("supervisor", "shard checkpoint rejected: " + loaded.diagnostic);
-  }
-  if (loaded.state) {
-    try {
-      ShardRig rig;
-      rig.bed = std::make_unique<Testbed>(make_testbed_config(c.config));
-      replay_to(c, *rig.bed, loaded.state->time);
-      verify_checkpoint_replay(*loaded.state, *rig.bed);
-      rig.writer.emplace(TraceJournalWriter::resume(
-          c.journal_file(), loaded.state->journal_offset, c.config.duration));
-      rig.from = loaded.state->time;
-      if (loaded.used_fallback) c.health.used_fallback_checkpoint = true;
-      return rig;
-    } catch (const WatchdogAbort&) {
-      throw;
-    } catch (const std::exception& e) {
-      c.health.last_error =
-          std::string("checkpoint unusable, cold-restarting: ") + e.what();
-      log_warn("supervisor", c.health.last_error);
-      ++c.health.cold_restarts;
+DurableRig prepare_rig(ShardCtx& c) {
+  try {
+    DurableResume resumed = resume_durable_rig(c.dir, &c.config, &c);
+    if (!resumed.loaded.diagnostic.empty()) c.health.last_error = resumed.loaded.diagnostic;
+    if (resumed.rig) {
+      if (resumed.loaded.used_fallback) c.health.used_fallback_checkpoint = true;
+      // Later checkpoints carry this run's destination and interval.
+      resumed.rig->state.out_path = c.out_path;
+      resumed.rig->state.checkpoint_every = c.opt.checkpoint_every;
+      return std::move(*resumed.rig);
     }
-  }
-  if (c.rt.attempt.load(std::memory_order_relaxed) > 1 && !loaded.state) {
     // A restart that found no loadable checkpoint at all (too early for the
     // first save, or every generation corrupt) replays nothing: count it.
+    if (c.rt.attempt.load(std::memory_order_relaxed) > 1) ++c.health.cold_restarts;
+  } catch (const WatchdogAbort&) {
+    throw;
+  } catch (const std::exception& e) {
+    c.health.last_error = std::string("checkpoint unusable, cold-restarting: ") + e.what();
+    log_warn("supervisor", c.health.last_error);
     ++c.health.cold_restarts;
   }
-  ShardRig rig;
-  rig.bed = std::make_unique<Testbed>(make_testbed_config(c.config));
-  rig.writer.emplace(c.journal_file(), c.config.duration);  // truncates
-  rig.from = 0.0;
-  return rig;
+  return start_durable_rig(c.config, c.dir, c.opt.checkpoint_every, c.out_path);
 }
 
 // Fires the next due shard fault. Marks it fired *before* throwing so a
 // restarted attempt sails past the window, and records the fault event with
 // the journal frontier (the bench gates frames lost per crash against it).
-void fire_injection(ShardCtx& c, Testbed& bed, TraceJournalWriter& writer,
+void fire_injection(ShardCtx& c, Testbed& bed, const TraceJournalWriter& writer,
                     const FaultWindow& w) {
   ++c.next_injection;  // at most once per run
   ShardFaultEvent ev;
@@ -212,78 +206,18 @@ void fire_injection(ShardCtx& c, Testbed& bed, TraceJournalWriter& writer,
   throw InjectedStall(ev.what);
 }
 
-// Runs one attempt from rig.from to completion (or until a fault unwinds
-// it). Segment boundaries are the union of checkpoint boundaries, heartbeat
-// sub-steps and pending fault-injection times; boundaries never change
-// simulation results, only where this loop regains control.
-DurableRunResult run_attempt(ShardCtx& c, ShardRig& rig) {
-  Testbed& bed = *rig.bed;
-  TraceJournalWriter& writer = *rig.writer;
-  // Attach only now that the rig sits at its final address — the writer
-  // was moved out of prepare_rig, so any pointer taken there would dangle.
-  bed.crawler()->attach_journal(&writer);
-  const Seconds duration = c.config.duration;
-  const Seconds every = c.opt.checkpoint_every;
-
-  DurableRunResult result;
-  result.journal_path = writer.path();
-
-  Seconds t = rig.from;
-  while (t < duration) {
-    if (c.canceled()) throw WatchdogAbort("watchdog canceled shard");
-    if (c.next_injection < c.injections.size() &&
-        c.injections[c.next_injection].start <= t + 1e-9) {
-      fire_injection(c, bed, writer, c.injections[c.next_injection]);
-    }
-
-    Seconds next = std::min(duration, t + c.heartbeat_every);
-    if (every > 0.0) {
-      next = std::min(next, every * (std::floor(t / every + 1e-9) + 1.0));
-    }
-    if (c.next_injection < c.injections.size()) {
-      const Seconds due = c.injections[c.next_injection].start;
-      if (due > t && due < next) next = due;
-    }
-
-    bed.run_until(next);
-    t = next;
-    c.beat();
-    if (c.pending_recovery_event) {
-      // First completed segment after a restart: the shard is ticking again.
-      c.health.events[*c.pending_recovery_event].recovery_ms = ms_since(c.recovery_t0);
-      c.pending_recovery_event.reset();
-    }
-    if (c.opt.test_segment_delay_ms > 0.0) sleep_ms(c.opt.test_segment_delay_ms);
-
-    if (every > 0.0 && t < duration &&
-        std::abs(t / every - std::round(t / every)) < 1e-9) {
-      CheckpointState ck;
-      ck.archetype = c.config.archetype;
-      ck.duration = duration;
-      ck.seed = c.config.seed;
-      ck.fault_scenario = c.config.fault_scenario;
-      ck.fault_seed = c.config.fault_seed;
-      ck.out_path = c.out_path;
-      ck.checkpoint_every = every;
-      ck.time = t;
-      ck.journal_offset = writer.offset();
-      fill_checkpoint_witness(ck, bed);
-      save_checkpoint_rotating(ck, c.dir);
-      ++result.checkpoints_written;
-      ++c.health.checkpoints_written;
-    }
+// Replay (no writer) only answers the watchdog; the run also stops at the
+// next shard-fault time and fires it once reached.
+Seconds ShardCtx::before_step(Seconds t, Testbed& bed, const TraceJournalWriter* writer) {
+  if (writer == nullptr) {
+    if (canceled()) throw WatchdogAbort("watchdog canceled shard during checkpoint replay");
+    return std::numeric_limits<Seconds>::infinity();
   }
-
-  result.trace = bed.crawler()->take_trace();
-  writer.append_end(bed.engine().now());
-  result.crawler_stats = bed.crawler()->stats();
-  result.world_stats = bed.world().stats();
-  result.server_stats = bed.server().stats();
-  result.network_stats = bed.network().stats();
-  if (bed.client() != nullptr) {
-    result.circuit_stats = bed.client()->total_circuit_stats();
-  }
-  return result;
+  if (canceled()) throw WatchdogAbort("watchdog canceled shard");
+  if (next_injection == injections.size()) return std::numeric_limits<Seconds>::infinity();
+  const FaultWindow& w = injections[next_injection];
+  if (w.start <= t + 1e-9) fire_injection(*this, bed, *writer, w);
+  return w.start;
 }
 
 // Retry budget exhausted: salvage whatever the journal holds. The salvaged
@@ -317,27 +251,17 @@ ShardResult degrade_to_partial(ShardCtx& c) {
 }
 
 // The crash barrier: runs attempts until the shard completes or its retry
-// budget is exhausted. Everything a shard can throw is contained here; only
-// misconfiguration (no crawler) escapes to the caller.
+// budget is exhausted. Everything a shard can throw is contained here;
+// misconfiguration (no crawler) is rejected by run_supervised up front.
 ShardResult supervise_shard(ShardCtx& c) {
   for (;;) {
     c.rt.attempt.fetch_add(1, std::memory_order_relaxed);
     c.rt.cancel.store(false, std::memory_order_relaxed);
     c.set_phase(ShardPhase::kRunning);
     try {
-      ShardRig rig = prepare_rig(c);
-      DurableRunResult durable = run_attempt(c, rig);
+      DurableRig rig = prepare_rig(c);
+      DurableRunResult result = run_durable_rig(rig, std::nullopt, &c);
       c.set_phase(ShardPhase::kCompleted);
-      ShardResult result;
-      result.archetype = c.config.archetype;
-      result.seed = c.config.seed;
-      result.out_path = c.out_path;
-      result.trace = std::move(durable.trace);
-      result.crawler_stats = durable.crawler_stats;
-      result.world_stats = durable.world_stats;
-      result.server_stats = durable.server_stats;
-      result.network_stats = durable.network_stats;
-      result.circuit_stats = durable.circuit_stats;
       result.checkpoints_written = c.health.checkpoints_written;
       return result;
     } catch (const InjectedCrash& e) {
@@ -422,10 +346,12 @@ SupervisedRun run_supervised(const std::vector<ExperimentConfig>& shards,
   if (options.checkpoint_dir.empty()) {
     throw std::invalid_argument("run_supervised: checkpoint_dir required");
   }
-  if (!options.out_paths.empty() && options.out_paths.size() != shards.size()) {
-    throw std::invalid_argument("run_supervised: out_paths must match shard count");
+  check_out_paths(options.out_paths, shards.size());
+  for (const ExperimentConfig& config : shards) {
+    if (!config.testbed.with_crawler) {
+      throw std::logic_error("run_supervised: every shard needs a crawler to journal");
+    }
   }
-  std::filesystem::create_directories(options.checkpoint_dir);
 
   SupervisedRun run;
   run.shards.resize(shards.size());
@@ -447,23 +373,13 @@ SupervisedRun run_supervised(const std::vector<ExperimentConfig>& shards,
   std::exception_ptr error;
   try {
     parallel_for(pool, shards.size(), [&](std::size_t i) {
-      ShardCtx c{shards[i],
-                 options,
+      ShardCtx c(shards[i], options,
                  options.checkpoint_dir + "/" + shard_dir_name(i, shards[i].archetype),
                  options.out_paths.empty() ? std::string{} : options.out_paths[i],
-                 *runtimes[i],
-                 run.health[i],
-                 {},
-                 0,
-                 {},
-                 {},
-                 options.heartbeat_every > 0.0 ? options.heartbeat_every
-                                               : shards[i].duration};
+                 *runtimes[i], run.health[i]);
       c.health.index = i;
       c.health.archetype = shards[i].archetype;
       c.health.seed = shards[i].seed;
-      c.injections = make_testbed_config(shards[i]).faults.shard_faults();
-      std::filesystem::create_directories(c.dir);
       run.shards[i] = supervise_shard(c);
     });
   } catch (...) {

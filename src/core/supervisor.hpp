@@ -10,7 +10,12 @@
 // contained to the shard, a deadline watchdog detects shards that stop
 // making tick progress, and any contained failure triggers an in-process
 // restart of just that shard from its last durable checkpoint, with capped
-// exponential backoff and a per-shard retry budget.
+// exponential backoff and a per-shard retry budget. Every attempt is a
+// durable run through the one segment loop and resume routine of
+// core/checkpoint.hpp, with the shard as the loop's observer (heartbeats,
+// shard-fault stops, watchdog cancels); only the failure policy is the
+// supervisor's own: a checkpoint that does not load or replay demotes the
+// attempt to a cold restart instead of failing it.
 //
 // Core invariant (enforced by test_core_supervisor and
 // bench/supervisor_recovery): because checkpoint resume is deterministic
@@ -142,9 +147,11 @@ struct SupervisedRun {
 
 // Runs every shard under supervision. Shard-fault windows in each config's
 // fault schedule (FaultSchedule::shard_faults) are injected at their start
-// times, each at most once per run. Throws std::invalid_argument when
-// `options.checkpoint_dir` is empty, or std::logic_error for a shard config
-// without a crawler (only crawler traces are journaled and thus healable).
+// times, each at most once per run. Before any shard starts, throws
+// std::invalid_argument when `options.checkpoint_dir` is empty or
+// `options.out_paths` has the wrong length (check_out_paths), and
+// std::logic_error for a shard config without a crawler (only crawler
+// traces are journaled and thus healable).
 SupervisedRun run_supervised(const std::vector<ExperimentConfig>& shards,
                              const SupervisorOptions& options);
 

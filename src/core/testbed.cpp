@@ -56,4 +56,14 @@ void Testbed::run_until(Seconds until) {
   engine_.run_until(until);
 }
 
+RigStats Testbed::stats() const {
+  RigStats stats;
+  if (crawler_) stats.crawler_stats = crawler_->stats();
+  stats.world_stats = world_->stats();
+  stats.server_stats = server_->stats();
+  stats.network_stats = network_.stats();
+  if (client_) stats.circuit_stats = client_->total_circuit_stats();
+  return stats;
+}
+
 }  // namespace slmob

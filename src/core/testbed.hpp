@@ -36,6 +36,16 @@ struct TestbedConfig {
   FaultSchedule faults;
 };
 
+// The five rig counters every run result carries (ExperimentResults,
+// DurableRunResult and so ShardResult), read in one place: Testbed::stats.
+struct RigStats {
+  CrawlerStats crawler_stats;   // zero-initialised when the rig has no crawler
+  WorldStats world_stats;
+  SimServerStats server_stats;  // region admission / shed counters
+  NetworkStats network_stats;
+  CircuitStats circuit_stats;   // crawler client, summed across relogins
+};
+
 class Testbed {
  public:
   explicit Testbed(const TestbedConfig& config);
@@ -53,6 +63,8 @@ class Testbed {
   [[nodiscard]] MetaverseClient* client() { return client_.get(); }
   [[nodiscard]] GroundTruthRecorder* ground_truth() { return ground_truth_.get(); }
   [[nodiscard]] const TestbedConfig& config() const { return config_; }
+  // Every component's counters as they stand now.
+  [[nodiscard]] RigStats stats() const;
 
  private:
   TestbedConfig config_;

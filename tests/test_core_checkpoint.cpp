@@ -270,6 +270,62 @@ TEST(Checkpoint, ResumeSurvivesRepeatedKills) {
   EXPECT_EQ(encode_trace(final_run.trace), encode_trace(baseline.trace));
 }
 
+TEST(Checkpoint, ResumeFallsBackToPreviousGeneration) {
+  // Every durable run keeps two checkpoint generations. When the newest is
+  // torn or bit-flipped, resume replays from the one before it and still
+  // reproduces the unkilled trace.
+  const ExperimentConfig cfg = short_config(71, "blackouts");
+  DurableRunOptions uninterrupted;
+  uninterrupted.config = cfg;
+  uninterrupted.dir = fresh_dir("resume_fallback_baseline");
+  uninterrupted.checkpoint_every = 120.0;
+  const DurableRunResult baseline = run_durable(uninterrupted);
+  ASSERT_FALSE(baseline.killed);
+
+  DurableRunOptions options = uninterrupted;
+  options.dir = fresh_dir("resume_fallback");
+  options.kill_at = 500.0;
+  const DurableRunResult dead = run_durable(options);
+  ASSERT_TRUE(dead.killed);
+  ASSERT_GE(dead.checkpoints_written, 2u);
+  ASSERT_TRUE(std::filesystem::exists(options.dir + "/" + kCheckpointPrevFileName));
+
+  const std::string newest = options.dir + "/" + kCheckpointFileName;
+  {
+    std::FILE* f = std::fopen(newest.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, -1, SEEK_END), 0);
+    const int last = std::fgetc(f);
+    ASSERT_NE(last, EOF);
+    ASSERT_EQ(std::fseek(f, -1, SEEK_END), 0);
+    ASSERT_NE(std::fputc(last ^ 0x40, f), EOF);
+    ASSERT_EQ(std::fclose(f), 0);
+  }
+  const CheckpointLoadResult loaded = try_load_checkpoint(options.dir);
+  ASSERT_TRUE(loaded.used_fallback);
+  EXPECT_DOUBLE_EQ(loaded.state->time, 360.0);
+
+  const DurableRunResult resumed = resume_durable(options.dir);
+  EXPECT_FALSE(resumed.killed);
+  EXPECT_EQ(encode_trace(resumed.trace), encode_trace(baseline.trace));
+  const JournalSalvage s = salvage_journal(resumed.journal_path);
+  EXPECT_TRUE(s.clean_end);
+  EXPECT_EQ(encode_trace(s.trace), encode_trace(baseline.trace));
+}
+
+TEST(Checkpoint, NoCheckpointAtTheFinalInstant) {
+  // The run ends at t == duration anyway: 900 s at 300 s intervals saves at
+  // 300 and 600 only.
+  DurableRunOptions options;
+  options.config = short_config(81);
+  options.dir = fresh_dir("no_final_checkpoint");
+  options.checkpoint_every = 300.0;
+  const DurableRunResult done = run_durable(options);
+  ASSERT_FALSE(done.killed);
+  EXPECT_EQ(done.checkpoints_written, 2u);
+  EXPECT_DOUBLE_EQ(load_checkpoint(options.dir).time, 600.0);
+}
+
 TEST(Checkpoint, ResumeRejectsWitnessMismatch) {
   const ExperimentConfig cfg = short_config(51);
   DurableRunOptions options;

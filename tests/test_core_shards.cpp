@@ -4,6 +4,7 @@
 
 #include <filesystem>
 
+#include "core/supervisor.hpp"
 #include "trace/serialize.hpp"
 #include "util/bytes.hpp"
 
@@ -138,10 +139,58 @@ TEST(Shards, ResumeAcceptsSingleShardDirectory) {
   EXPECT_EQ(digests(resumed), reference);
 }
 
+TEST(Shards, ResumeFindsShardWithOnlyThePreviousGeneration) {
+  // A kill inside save_checkpoint_rotating, after the newest checkpoint was
+  // renamed to checkpoint.prev.slck and before its successor landed, leaves
+  // only the previous generation. That shard still resumes.
+  const std::vector<ExperimentConfig> shards{three_lands()[0]};
+  ShardRunOptions reference_options;
+  reference_options.threads = 1;
+  const auto reference = digests(run_sharded(shards, reference_options));
+
+  const std::string dir = fresh_dir("shards_resume_prev_only");
+  ShardRunOptions options;
+  options.threads = 1;
+  options.checkpoint_dir = dir;
+  options.checkpoint_every = 200.0;
+  options.kill_at = 500.0;
+  ASSERT_TRUE(run_sharded(shards, options).front().killed);
+  const std::string shard_dir = dir + "/" + shard_dir_name(0, shards[0].archetype);
+  ASSERT_TRUE(std::filesystem::remove(shard_dir + "/" + kCheckpointFileName));
+  ASSERT_TRUE(std::filesystem::exists(shard_dir + "/" + kCheckpointPrevFileName));
+
+  EXPECT_EQ(digests(resume_sharded(dir, 1)), reference);
+}
+
 TEST(Shards, ResumeRejectsEmptyDirectory) {
   const std::string dir = fresh_dir("shards_resume_empty");
   std::filesystem::create_directories(dir);
   EXPECT_THROW(resume_sharded(dir), std::runtime_error);
+}
+
+TEST(Shards, RejectsOutPathsOfWrongLength) {
+  // out_paths is empty or one path per shard; a short one would be read past
+  // its end. run_sharded and run_supervised reject a mismatch before any
+  // shard starts.
+  const auto shards = three_lands();
+  const std::string dir = fresh_dir("shards_short_out_paths");
+  ShardRunOptions options;
+  options.threads = 1;
+  options.checkpoint_dir = dir;
+  options.out_paths = {"a.slt", "b.slt"};
+  EXPECT_THROW(run_sharded(shards, options), std::invalid_argument);
+  options.checkpoint_dir.clear();
+  EXPECT_THROW(run_sharded(shards, options), std::invalid_argument);
+  options.out_paths = {"a.slt", "b.slt", "c.slt", "d.slt"};
+  EXPECT_THROW(run_sharded(shards, options), std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+
+  SupervisorOptions supervised;
+  supervised.threads = 1;
+  supervised.checkpoint_dir = dir;
+  supervised.out_paths = {"a.slt"};
+  EXPECT_THROW(run_supervised(shards, supervised), std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST(Shards, ShardDirNamesSortInShardOrder) {

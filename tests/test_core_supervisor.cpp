@@ -127,6 +127,27 @@ TEST(Supervisor, WatchdogDetectsStallWithinDeadlineAndRestarts) {
   EXPECT_EQ(digests(run.shards), reference);
 }
 
+TEST(Supervisor, InjectedCrashFiresAtItsStartTime) {
+  // 437 s is neither a heartbeat (50 s) nor a checkpoint (100 s) multiple:
+  // the segment loop must stop there for the fault, not at the next stop.
+  std::vector<ExperimentConfig> one = three_lands("none");
+  one.resize(1);
+  one[0].testbed.faults.add({FaultKind::kShardCrash, 437.0, 438.0, 1.0, {}});
+  Testbed bed(make_testbed_config(one[0]));
+  bed.run_until(437.0);
+  const std::uint64_t snapshots_at_437 = bed.crawler()->stats().snapshots_taken;
+
+  SupervisorOptions opt = test_options(fresh_dir("supervisor-crash-time"));
+  opt.threads = 1;
+  const SupervisedRun run = run_supervised(one, opt);
+  ASSERT_TRUE(run.all_completed());
+  ASSERT_EQ(run.health[0].events.size(), 1u);
+  const ShardFaultEvent& ev = run.health[0].events[0];
+  EXPECT_EQ(ev.kind, ShardFaultEvent::Kind::kInjectedCrash);
+  EXPECT_DOUBLE_EQ(ev.at, 437.0);
+  EXPECT_EQ(ev.snapshots_at_fault, snapshots_at_437);
+}
+
 TEST(Supervisor, HealthySlowShardIsNotFalselyKilled) {
   std::vector<ExperimentConfig> one = three_lands("none", 600.0);
   one.resize(1);
@@ -254,6 +275,17 @@ TEST(Supervisor, BothCheckpointGenerationsCorruptColdRestartsAndCompletes) {
 TEST(Supervisor, RequiresCheckpointDir) {
   EXPECT_THROW(run_supervised(three_lands(), SupervisorOptions{}),
                std::invalid_argument);
+}
+
+TEST(Supervisor, RejectsShardWithoutCrawler) {
+  // Only crawler traces are journaled, so a crawler-less shard is a
+  // misconfiguration the caller hears about before any shard runs.
+  auto shards = three_lands("none");
+  shards[2].testbed.with_crawler = false;
+  shards[2].testbed.with_ground_truth = true;
+  const std::string dir = fresh_dir("supervisor-no-crawler");
+  EXPECT_THROW(run_supervised(shards, test_options(dir)), std::logic_error);
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 }  // namespace

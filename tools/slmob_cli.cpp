@@ -177,34 +177,12 @@ Trace read_any(const std::string& path) {
   return read_stream(path, [](TraceStream& reader) { return collect_trace(reader); });
 }
 
-// Shared tail of every run variant: strip transient sitting fixes (matching
-// run_experiment's pre-analysis treatment), save, print the recap.
-int finish_run(Trace trace, const CrawlerStats& crawler_stats, const std::string& out) {
-  trace.strip_sitting_fixes();
-  const TraceSummary s = trace.summary();
-  save_trace(trace, out);
-  std::printf("wrote %s: %zu snapshots, %zu unique users, avg conc %.1f\n", out.c_str(),
-              s.snapshot_count, s.unique_users, s.avg_concurrent);
-  if (s.gap_count > 0) {
-    std::printf("coverage: %zu gaps, %.0f s uncovered (%zu relogins, %zu crawler backoff resets)\n",
-                s.gap_count, s.gap_seconds,
-                static_cast<std::size_t>(crawler_stats.relogins),
-                static_cast<std::size_t>(crawler_stats.backoff_resets));
-  }
-  if (s.degradation_count > 0) {
-    std::printf("degradation: %zu windows, %.0f s at reduced sampling rate "
-                "(%zu escalations, %zu recoveries)\n",
-                s.degradation_count, s.degraded_seconds,
-                static_cast<std::size_t>(crawler_stats.degrade_escalations),
-                static_cast<std::size_t>(crawler_stats.degrade_recoveries));
-  }
-  return 0;
-}
-
 // One line of shed/reject counters, printed only when the run actually hit
 // overload protection — fault-free recaps stay byte-identical.
-void print_overload_recap(const SimServerStats& server, const NetworkStats& net,
-                          const CircuitStats& circuit) {
+void print_overload_recap(const RigStats& stats) {
+  const SimServerStats& server = stats.server_stats;
+  const NetworkStats& net = stats.network_stats;
+  const CircuitStats& circuit = stats.circuit_stats;
   const std::uint64_t total = server.logins_rejected_overload + server.messages_shed +
                               net.shed_session + net.shed_snapshot +
                               circuit.deferred_sends;
@@ -216,6 +194,70 @@ void print_overload_recap(const SimServerStats& server, const NetworkStats& net,
               static_cast<unsigned long long>(net.shed_session),
               static_cast<unsigned long long>(net.shed_snapshot),
               static_cast<unsigned long long>(circuit.deferred_sends));
+}
+
+// Shared tail of every run mode: strip transient sitting fixes (matching
+// run_experiment's pre-analysis treatment), save, print the recap.
+void finish_run(ShardResult& res, const std::string& out) {
+  Trace trace = std::move(res.trace);
+  trace.strip_sitting_fixes();
+  const TraceSummary s = trace.summary();
+  save_trace(trace, out);
+  std::printf("wrote %s: %zu snapshots, %zu unique users, avg conc %.1f\n", out.c_str(),
+              s.snapshot_count, s.unique_users, s.avg_concurrent);
+  if (s.gap_count > 0) {
+    std::printf("coverage: %zu gaps, %.0f s uncovered (%zu relogins, %zu crawler backoff resets)\n",
+                s.gap_count, s.gap_seconds,
+                static_cast<std::size_t>(res.crawler_stats.relogins),
+                static_cast<std::size_t>(res.crawler_stats.backoff_resets));
+  }
+  if (s.degradation_count > 0) {
+    std::printf("degradation: %zu windows, %.0f s at reduced sampling rate "
+                "(%zu escalations, %zu recoveries)\n",
+                s.degradation_count, s.degraded_seconds,
+                static_cast<std::size_t>(res.crawler_stats.degrade_escalations),
+                static_cast<std::size_t>(res.crawler_stats.degrade_recoveries));
+  }
+  print_overload_recap(res);
+}
+
+void print_health(std::size_t i, const ShardResult& res, const ShardHealth& h) {
+  std::printf("shard %zu %s (seed %llu): %s | crashes %llu, stalls %llu, "
+              "watchdog aborts %llu, restarts %llu (%llu cold), %zu checkpoints\n",
+              i, archetype_name(res.archetype).c_str(),
+              static_cast<unsigned long long>(res.seed), shard_phase_name(h.phase),
+              static_cast<unsigned long long>(h.crashes),
+              static_cast<unsigned long long>(h.stalls),
+              static_cast<unsigned long long>(h.watchdog_aborts),
+              static_cast<unsigned long long>(h.restarts),
+              static_cast<unsigned long long>(h.cold_restarts), h.checkpoints_written);
+  if (!h.last_error.empty()) {
+    std::printf("  last error: %s\n", h.last_error.c_str());
+  }
+  const CircuitStats& c = res.circuit_stats;
+  std::printf("  transport: %llu packets, %llu retransmits (%llu RTO backoffs), "
+              "%llu datagrams fault-dropped\n",
+              static_cast<unsigned long long>(c.packets_sent),
+              static_cast<unsigned long long>(c.retransmits),
+              static_cast<unsigned long long>(c.rto_backoffs),
+              static_cast<unsigned long long>(res.network_stats.fault_dropped));
+}
+
+// Journal-only run (`--journal`): salvageable after a crash, not resumable.
+ShardResult run_journaled(const ExperimentConfig& config, const std::string& journal) {
+  Testbed bed(make_testbed_config(config));
+  TraceJournalWriter writer(journal, config.duration);
+  bed.crawler()->attach_journal(&writer);
+  bed.run_until(config.duration);
+
+  ShardResult res;
+  res.archetype = config.archetype;
+  res.seed = config.seed;
+  res.journal_path = journal;
+  res.trace = bed.crawler()->take_trace();
+  writer.append_end(bed.engine().now());
+  static_cast<RigStats&>(res) = bed.stats();
+  return res;
 }
 
 int cmd_run(const std::vector<std::string>& args) {
@@ -272,57 +314,28 @@ int cmd_run(const std::vector<std::string>& args) {
     }
   }
 
-  if (!resume_dir.empty()) {
-    // Identity (lands, hours, seeds, faults, out paths) comes from the shard
-    // checkpoints; --out (with {land}/{seed} placeholders for multi-shard
-    // runs) only overrides where the traces land. Accepts both a single
-    // shard's directory and a multi-land run's directory of shard-NN-<land>
-    // subdirectories.
-    std::printf("resuming shards in %s...\n", resume_dir.c_str());
-    auto results = resume_sharded(resume_dir, jobs);
-    int rc = 0;
-    for (auto& res : results) {
-      const std::string path =
-          out.empty() ? res.out_path : expand_out_path(out, res.archetype, res.seed);
-      if (path.empty()) return usage();
-      std::printf("resumed %s (seed %llu)\n", archetype_name(res.archetype).c_str(),
-                  static_cast<unsigned long long>(res.seed));
-      rc |= finish_run(std::move(res.trace), res.crawler_stats, path);
-    }
-    return rc;
-  }
-
-  if (lands.empty() || out.empty()) return usage();
-  if (!journal.empty() && !checkpoint_dir.empty()) return usage();
-  if (!stats_csv.empty() && !supervise && lands.size() == 1) {
-    std::fprintf(stderr,
-                 "error: --stats-csv needs a sharded (multi-land) or --supervise run\n");
-    return 2;
-  }
-  if (!stats_csv.empty() && !probe_writable(stats_csv)) {
-    std::fprintf(stderr,
-                 "error: --stats-csv %s is not writable (missing directory or "
-                 "permissions?); fix the path before starting the run\n",
-                 stats_csv.c_str());
-    return 2;
-  }
-
-  if (supervise) {
-    // Self-healing run: every shard executes behind the supervisor's crash
-    // barrier, journaled + checkpointed, restarted from its last checkpoint
-    // after a contained crash or watchdog-detected stall. Traces stay
-    // bit-identical to an uninterrupted run.
-    if (checkpoint_dir.empty()) {
+  // Shard i crawls lands[i] with seed base+i; every trace is bit-identical
+  // to running that land alone, at any thread count. A resume takes its
+  // shards from the checkpoints instead.
+  const bool resume = !resume_dir.empty();
+  std::vector<ExperimentConfig> shards;
+  std::vector<std::string> outs;
+  if (!resume) {
+    if (lands.empty() || out.empty()) return usage();
+    if (!journal.empty() && !checkpoint_dir.empty()) return usage();
+    if (supervise && checkpoint_dir.empty()) {
       std::fprintf(stderr, "error: --supervise requires --checkpoint DIR\n");
       return 2;
     }
-    if (!journal.empty()) {
-      std::fprintf(stderr,
-                   "error: --supervise runs are checkpointed; drop --journal\n");
+    if (supervise && !journal.empty()) {
+      std::fprintf(stderr, "error: --supervise runs are checkpointed; drop --journal\n");
       return 2;
     }
-    std::vector<ExperimentConfig> shards;
-    std::vector<std::string> outs;
+    if (lands.size() > 1 && !journal.empty()) {
+      std::fprintf(stderr,
+                   "error: --journal is single-land; use --checkpoint for sharded runs\n");
+      return 2;
+    }
     for (std::size_t i = 0; i < lands.size(); ++i) {
       ExperimentConfig cfg;
       cfg.archetype = lands[i];
@@ -333,19 +346,46 @@ int cmd_run(const std::vector<std::string>& args) {
       cfg.ranges = {};  // collection only
       shards.push_back(cfg);
       outs.push_back(expand_out_path(out, lands[i], cfg.seed));
-    }
-    for (std::size_t i = 0; i < outs.size(); ++i) {
-      for (std::size_t j = i + 1; j < outs.size(); ++j) {
-        if (outs[i] == outs[j]) {
+      for (std::size_t j = 0; j < i; ++j) {
+        if (outs[j] == outs[i]) {
           std::fprintf(stderr,
                        "error: --out %s maps shards %zu and %zu to the same file; "
                        "add {land} and/or {seed}\n",
-                       out.c_str(), i, j);
+                       out.c_str(), j, i);
           return 2;
         }
       }
     }
+  }
+  if (!stats_csv.empty() && !probe_writable(stats_csv)) {
+    std::fprintf(stderr,
+                 "error: --stats-csv %s is not writable (missing directory or "
+                 "permissions?); fix the path before starting the run\n",
+                 stats_csv.c_str());
+    return 2;
+  }
 
+  const std::size_t threads = jobs == 0 ? ThreadPool::default_concurrency() : jobs;
+  std::vector<ShardResult> results;
+  std::vector<ShardHealth> health;  // supervised runs only
+  if (resume) {
+    // Identity (lands, hours, seeds, faults, out paths) comes from the shard
+    // checkpoints; --out (with {land}/{seed} placeholders for multi-shard
+    // runs) only overrides where the traces land. Accepts both a single
+    // shard's directory and a multi-land run's directory of shard-NN-<land>
+    // subdirectories.
+    std::printf("resuming shards in %s...\n", resume_dir.c_str());
+    results = resume_sharded(resume_dir, jobs);
+    for (const ShardResult& res : results) {
+      outs.push_back(out.empty() ? res.out_path
+                                 : expand_out_path(out, res.archetype, res.seed));
+      if (outs.back().empty()) return usage();
+    }
+  } else if (supervise) {
+    // Self-healing run: every shard executes behind the supervisor's crash
+    // barrier, journaled + checkpointed, restarted from its last checkpoint
+    // after a contained crash or watchdog-detected stall. Traces stay
+    // bit-identical to an uninterrupted run.
     SupervisorOptions options;
     options.threads = jobs;
     options.checkpoint_dir = checkpoint_dir;
@@ -353,7 +393,6 @@ int cmd_run(const std::vector<std::string>& args) {
     options.out_paths = outs;
     options.max_restarts = max_restarts;
     options.watchdog_timeout_ms = watchdog_timeout * 1000.0;
-    const std::size_t threads = jobs == 0 ? ThreadPool::default_concurrency() : jobs;
     std::printf("supervising %zu shard(s) for %.1f h (seeds %llu..%llu, faults %s, "
                 "%zu threads, retry budget %llu, watchdog %.1f s)...\n",
                 lands.size(), hours, static_cast<unsigned long long>(seed),
@@ -361,158 +400,38 @@ int cmd_run(const std::vector<std::string>& args) {
                 threads, static_cast<unsigned long long>(max_restarts),
                 watchdog_timeout);
     SupervisedRun run = run_supervised(shards, options);
-
-    int rc = 0;
-    // CSV before the recap loop: finish_run moves each trace out, and the
-    // CSV reads trace-derived columns (degraded seconds) too.
-    if (!stats_csv.empty()) {
-      write_shard_stats_csv(run.shards, stats_csv);
-      std::printf("wrote %s\n", stats_csv.c_str());
+    results = std::move(run.shards);
+    health = std::move(run.health);
+  } else {
+    if (lands.size() == 1) {
+      std::printf("crawling %s for %.1f h (seed %llu, faults %s)...\n",
+                  archetype_name(lands.front()).c_str(), hours,
+                  static_cast<unsigned long long>(seed), faults.c_str());
+    } else {
+      std::printf("crawling %zu lands for %.1f h (seeds %llu..%llu, faults %s, "
+                  "%zu threads)...\n",
+                  lands.size(), hours, static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(seed + lands.size() - 1), faults.c_str(),
+                  threads);
     }
-    for (std::size_t i = 0; i < run.shards.size(); ++i) {
-      auto& res = run.shards[i];
-      const ShardHealth& h = run.health[i];
-      std::printf("shard %zu %s (seed %llu): %s | crashes %llu, stalls %llu, "
-                  "watchdog aborts %llu, restarts %llu (%llu cold), %zu checkpoints\n",
-                  i, archetype_name(res.archetype).c_str(),
-                  static_cast<unsigned long long>(res.seed), shard_phase_name(h.phase),
-                  static_cast<unsigned long long>(h.crashes),
-                  static_cast<unsigned long long>(h.stalls),
-                  static_cast<unsigned long long>(h.watchdog_aborts),
-                  static_cast<unsigned long long>(h.restarts),
-                  static_cast<unsigned long long>(h.cold_restarts),
-                  h.checkpoints_written);
-      if (!h.last_error.empty()) {
-        std::printf("  last error: %s\n", h.last_error.c_str());
-      }
-      const CircuitStats& c = res.circuit_stats;
-      std::printf("  transport: %llu packets, %llu retransmits (%llu RTO backoffs), "
-                  "%llu datagrams fault-dropped\n",
-                  static_cast<unsigned long long>(c.packets_sent),
-                  static_cast<unsigned long long>(c.retransmits),
-                  static_cast<unsigned long long>(c.rto_backoffs),
-                  static_cast<unsigned long long>(res.network_stats.fault_dropped));
-      print_overload_recap(res.server_stats, res.network_stats, res.circuit_stats);
-      rc |= finish_run(std::move(res.trace), res.crawler_stats, outs[i]);
-    }
-    if (run.any_failed_partial()) {
-      std::fprintf(stderr,
-                   "warning: at least one shard exhausted its retry budget and "
-                   "degraded to failed-partial (salvaged trace is gap-censored)\n");
-      return 1;
-    }
-    return rc;
-  }
-
-  if (lands.size() == 1) {
-    const LandArchetype land = lands.front();
-    ExperimentConfig cfg;
-    cfg.archetype = land;
-    cfg.duration = hours * kSecondsPerHour;
-    cfg.seed = seed;
-    cfg.fault_scenario = faults;
-    cfg.fault_seed = fault_seed;
-    cfg.ranges = {};  // collection only
-    std::printf("crawling %s for %.1f h (seed %llu, faults %s)...\n",
-                archetype_name(land).c_str(), hours,
-                static_cast<unsigned long long>(seed), faults.c_str());
-
-    if (!checkpoint_dir.empty()) {
-      DurableRunOptions options;
-      options.config = cfg;
-      options.dir = checkpoint_dir;
-      options.checkpoint_every = checkpoint_every;
-      options.out_path = out;
-      DurableRunResult res = run_durable(options);
-      std::printf("journaled to %s (%zu checkpoints)\n", res.journal_path.c_str(),
-                  res.checkpoints_written);
-      return finish_run(std::move(res.trace), res.crawler_stats, out);
-    }
-
     if (!journal.empty()) {
-      // Journal-only durable run: salvageable after a crash, not resumable.
-      Testbed bed(make_testbed_config(cfg));
-      if (bed.crawler() == nullptr) {
-        std::fprintf(stderr, "error: journaled run requires a crawler\n");
-        return 1;
-      }
-      TraceJournalWriter writer(journal, cfg.duration);
-      bed.crawler()->attach_journal(&writer);
-      bed.run_until(cfg.duration);
-      Trace trace = bed.crawler()->take_trace();
-      writer.append_end(bed.engine().now());
-      std::printf("journaled to %s\n", journal.c_str());
-      return finish_run(std::move(trace), bed.crawler()->stats(), out);
-    }
-
-    const ExperimentResults res = run_experiment(cfg);
-    const TraceSummary& s = res.analysis.summary;
-    save_trace(res.trace, out);
-    std::printf("wrote %s: %zu snapshots, %zu unique users, avg conc %.1f\n", out.c_str(),
-                s.snapshot_count, s.unique_users, s.avg_concurrent);
-    if (s.gap_count > 0) {
-      std::printf(
-          "coverage: %zu gaps, %.0f s uncovered (%zu relogins, %zu crawler backoff resets)\n",
-          s.gap_count, s.gap_seconds,
-          static_cast<std::size_t>(res.crawler_stats.relogins),
-          static_cast<std::size_t>(res.crawler_stats.backoff_resets));
-    }
-    if (s.degradation_count > 0) {
-      std::printf("degradation: %zu windows, %.0f s at reduced sampling rate "
-                  "(%zu escalations, %zu recoveries)\n",
-                  s.degradation_count, s.degraded_seconds,
-                  static_cast<std::size_t>(res.crawler_stats.degrade_escalations),
-                  static_cast<std::size_t>(res.crawler_stats.degrade_recoveries));
-    }
-    print_overload_recap(res.server_stats, res.network_stats, res.circuit_stats);
-    return 0;
-  }
-
-  // Multi-land sharded run: shard i crawls lands[i] with seed base+i; all
-  // shards execute concurrently on one pool and every trace is bit-identical
-  // to running that land alone.
-  if (!journal.empty()) {
-    std::fprintf(stderr,
-                 "error: --journal is single-land; use --checkpoint for sharded runs\n");
-    return 2;
-  }
-  std::vector<ExperimentConfig> shards;
-  std::vector<std::string> outs;
-  for (std::size_t i = 0; i < lands.size(); ++i) {
-    ExperimentConfig cfg;
-    cfg.archetype = lands[i];
-    cfg.duration = hours * kSecondsPerHour;
-    cfg.seed = seed + i;
-    cfg.fault_scenario = faults;
-    cfg.fault_seed = fault_seed;
-    cfg.ranges = {};  // collection only
-    shards.push_back(cfg);
-    outs.push_back(expand_out_path(out, lands[i], cfg.seed));
-  }
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    for (std::size_t j = i + 1; j < outs.size(); ++j) {
-      if (outs[i] == outs[j]) {
-        std::fprintf(stderr,
-                     "error: --out %s maps shards %zu and %zu to the same file; "
-                     "add {land} and/or {seed}\n",
-                     out.c_str(), i, j);
-        return 2;
-      }
+      results.push_back(run_journaled(shards.front(), journal));
+    } else if (lands.size() == 1 && !checkpoint_dir.empty()) {
+      // One land checkpoints straight into DIR, not a shard-NN subdirectory.
+      results.push_back(run_durable({.config = shards.front(),
+                                     .dir = checkpoint_dir,
+                                     .checkpoint_every = checkpoint_every,
+                                     .out_path = outs.front(),
+                                     .kill_at = std::nullopt}));
+    } else {
+      results = run_sharded(shards, {.threads = jobs,
+                                     .checkpoint_dir = checkpoint_dir,
+                                     .checkpoint_every = checkpoint_every,
+                                     .out_paths = outs,
+                                     .kill_at = std::nullopt});
     }
   }
 
-  ShardRunOptions options;
-  options.threads = jobs;
-  options.checkpoint_dir = checkpoint_dir;
-  options.checkpoint_every = checkpoint_every;
-  options.out_paths = outs;
-  const std::size_t threads = jobs == 0 ? ThreadPool::default_concurrency() : jobs;
-  std::printf("crawling %zu lands for %.1f h (seeds %llu..%llu, faults %s, %zu threads)...\n",
-              lands.size(), hours, static_cast<unsigned long long>(seed),
-              static_cast<unsigned long long>(seed + lands.size() - 1), faults.c_str(),
-              threads);
-  auto results = run_sharded(shards, options);
-  int rc = 0;
   // CSV first: finish_run moves each trace out, and the CSV reads
   // trace-derived columns (degraded seconds) alongside the counters.
   if (!stats_csv.empty()) {
@@ -520,17 +439,36 @@ int cmd_run(const std::vector<std::string>& args) {
     std::printf("wrote %s\n", stats_csv.c_str());
   }
   for (std::size_t i = 0; i < results.size(); ++i) {
-    auto& res = results[i];
-    std::printf("%s (seed %llu)", archetype_name(res.archetype).c_str(),
-                static_cast<unsigned long long>(res.seed));
-    if (!checkpoint_dir.empty()) {
-      std::printf(" [%zu checkpoints]", res.checkpoints_written);
+    ShardResult& res = results[i];
+    if (!health.empty()) {
+      print_health(i, res, health[i]);
+    } else if (resume) {
+      std::printf("resumed %s (seed %llu)\n", archetype_name(res.archetype).c_str(),
+                  static_cast<unsigned long long>(res.seed));
+    } else if (lands.size() > 1) {
+      std::printf("%s (seed %llu)", archetype_name(res.archetype).c_str(),
+                  static_cast<unsigned long long>(res.seed));
+      if (!checkpoint_dir.empty()) {
+        std::printf(" [%zu checkpoints]", res.checkpoints_written);
+      }
+      std::printf(": ");
+    } else if (!checkpoint_dir.empty()) {
+      std::printf("journaled to %s (%zu checkpoints)\n", res.journal_path.c_str(),
+                  res.checkpoints_written);
+    } else if (!journal.empty()) {
+      std::printf("journaled to %s\n", journal.c_str());
     }
-    std::printf(": ");
-    rc |= finish_run(std::move(res.trace), res.crawler_stats, outs[i]);
-    print_overload_recap(res.server_stats, res.network_stats, res.circuit_stats);
+    finish_run(res, outs[i]);
   }
-  return rc;
+  for (const ShardHealth& h : health) {
+    if (h.failed_partial) {
+      std::fprintf(stderr,
+                   "warning: at least one shard exhausted its retry budget and "
+                   "degraded to failed-partial (salvaged trace is gap-censored)\n");
+      return 1;
+    }
+  }
+  return 0;
 }
 
 int cmd_salvage(const std::vector<std::string>& args) {
