@@ -1,7 +1,6 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <cstdlib>
@@ -9,7 +8,6 @@
 #include <utility>
 
 #include "util/strings.hpp"
-#include "util/sysinfo.hpp"
 #include "util/thread_pool.hpp"
 
 namespace slmob::bench {
@@ -104,34 +102,6 @@ void prewarm_lands(const std::vector<LandArchetype>& archetypes,
   const std::lock_guard<std::mutex> lock(cache_mutex);
   for (std::size_t i = 0; i < missing.size(); ++i) {
     cache().emplace(CacheKey{missing[i], options.hours, options.seed}, std::move(all[i]));
-  }
-}
-
-double peak_rss_mib() {
-  return static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0);
-}
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[1024];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n), sizeof buf - 1));
-}
-
-void write_bench_json(const std::string& path, const std::string& section,
-                      const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"%s\": %s\n}\n", section.c_str(), body.c_str());
-  // CI gates parse this JSON; a silently truncated write must fail loudly.
-  if (std::fflush(f) != 0 || std::fclose(f) != 0) {
-    std::fprintf(stderr, "error writing %s\n", path.c_str());
-    std::exit(1);
   }
 }
 

@@ -36,29 +36,6 @@ const ExperimentResults& land_results(LandArchetype archetype, const BenchOption
 void prewarm_lands(const std::vector<LandArchetype>& archetypes,
                    const BenchOptions& options);
 
-// Resource probes ------------------------------------------------------------
-
-// Peak RSS (high-water mark) of this process in MiB; 0 when the platform
-// probe is unavailable. Thin wrapper over util/sysinfo. Note the kernel
-// counter is a process-lifetime maximum: comparing two pipelines' footprints
-// requires one process per pipeline (perfbench/run.py runs each stage in
-// its own process for this reason).
-double peak_rss_mib();
-
-// JSON output ----------------------------------------------------------------
-
-// printf-style append, for building JSON bodies.
-#if defined(__GNUC__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void appendf(std::string& out, const char* fmt, ...);
-
-// Writes `path` as a JSON object with one member, `section`, whose value is
-// `body` (full object text, braces included). A file that cannot be opened
-// is reported on stderr; a failed write or close exits with status 1.
-void write_bench_json(const std::string& path, const std::string& section,
-                      const std::string& body);
-
 // Pretty-printers ------------------------------------------------------------
 void print_title(const std::string& title, const std::string& paper_ref);
 

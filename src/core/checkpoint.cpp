@@ -264,6 +264,12 @@ Seconds advance(DurableRig& rig, Seconds t, Seconds until, Seconds kill,
 DurableRig start_durable_rig(const ExperimentConfig& config, const std::string& dir,
                              Seconds checkpoint_every, const std::string& out_path) {
   std::filesystem::create_directories(dir);
+  // A fresh start is fresh: an earlier run's checkpoints go before the
+  // journal is truncated, so no kill in between can leave one pointing into
+  // the new journal.
+  for (const char* name : {kCheckpointFileName, kCheckpointPrevFileName}) {
+    std::filesystem::remove(dir + "/" + name);
+  }
   DurableRig rig;
   rig.dir = dir;
   rig.state.archetype = config.archetype;

@@ -120,7 +120,7 @@ struct DurableRunOptions {
   std::string dir;                 // checkpoint directory, created if missing
   Seconds checkpoint_every{0.0};   // 0 = journal only (salvageable, not resumable)
   std::string out_path;            // recorded for `slmob run --resume`
-  // Test/bench hook simulating a SIGKILL: the run stops abruptly at this
+  // Test hook simulating a SIGKILL: the run stops abruptly at this
   // virtual time — no trace handover, no journal finalization, exactly the
   // on-disk state a killed process leaves behind.
   std::optional<Seconds> kill_at;
@@ -189,9 +189,10 @@ struct DurableRig {
   std::string dir;        // checkpoint directory
 };
 
-// A fresh rig at t = 0 for `config`, with `dir` created and its journal
-// started (an existing one is truncated). Throws std::logic_error when the
-// config has no crawler to journal.
+// A fresh rig at t = 0 for `config`, with `dir` created, both checkpoint
+// generations in it removed and its journal started (an existing one is
+// truncated): a run that does not resume never reads an earlier run's
+// state. Throws std::logic_error when the config has no crawler to journal.
 DurableRig start_durable_rig(const ExperimentConfig& config, const std::string& dir,
                              Seconds checkpoint_every, const std::string& out_path);
 

@@ -45,7 +45,7 @@ struct ShardRunOptions {
   // destination trace path per shard, stamped into each checkpoint
   // (surfaced again on resume).
   std::vector<std::string> out_paths;
-  // Test/bench hook: durable shards stop abruptly at this virtual time,
+  // Test hook: durable shards stop abruptly at this virtual time,
   // leaving resumable on-disk state (see DurableRunOptions::kill_at).
   std::optional<Seconds> kill_at;
 };

@@ -135,11 +135,16 @@ std::string describe(const char* what, Seconds at) {
   return buf;
 }
 
-// Builds the rig for one attempt: resume from the best usable checkpoint
-// generation, else cold-start. Corrupt checkpoints and replay-verify
-// mismatches are contained here — they demote the attempt to a cold
-// restart (with a diagnostic) instead of failing the shard.
+// Builds the rig for one attempt. The first attempt is a fresh start, like
+// every run that does not resume (start_durable_rig clears whatever an
+// earlier run left in the directory). A restart resumes from the best usable
+// checkpoint generation, else cold-starts. Corrupt checkpoints and
+// replay-verify mismatches are contained here — they demote the restart to
+// a cold restart (with a diagnostic) instead of failing the shard.
 DurableRig prepare_rig(ShardCtx& c) {
+  if (c.rt.attempt.load(std::memory_order_relaxed) == 1) {
+    return start_durable_rig(c.config, c.dir, c.opt.checkpoint_every, c.out_path);
+  }
   try {
     DurableResume resumed = resume_durable_rig(c.dir, &c.config, &c);
     if (!resumed.loaded.diagnostic.empty()) c.health.last_error = resumed.loaded.diagnostic;
@@ -150,9 +155,9 @@ DurableRig prepare_rig(ShardCtx& c) {
       resumed.rig->state.checkpoint_every = c.opt.checkpoint_every;
       return std::move(*resumed.rig);
     }
-    // A restart that found no loadable checkpoint at all (too early for the
-    // first save, or every generation corrupt) replays nothing: count it.
-    if (c.rt.attempt.load(std::memory_order_relaxed) > 1) ++c.health.cold_restarts;
+    // No loadable checkpoint at all (too early for the first save, or every
+    // generation corrupt): the restart replays nothing. Count it.
+    ++c.health.cold_restarts;
   } catch (const WatchdogAbort&) {
     throw;
   } catch (const std::exception& e) {
@@ -165,14 +170,13 @@ DurableRig prepare_rig(ShardCtx& c) {
 
 // Fires the next due shard fault. Marks it fired *before* throwing so a
 // restarted attempt sails past the window, and records the fault event with
-// the journal frontier (the bench gates frames lost per crash against it).
-void fire_injection(ShardCtx& c, Testbed& bed, const TraceJournalWriter& writer,
-                    const FaultWindow& w) {
+// the snapshots captured so far (test_core_supervisor gates frames lost per
+// crash against it).
+void fire_injection(ShardCtx& c, Testbed& bed, const FaultWindow& w) {
   ++c.next_injection;  // at most once per run
   ShardFaultEvent ev;
   ev.at = w.start;
   ev.snapshots_at_fault = bed.crawler()->stats().snapshots_taken;
-  ev.journal_offset_at_fault = writer.offset();
 
   if (w.kind == FaultKind::kShardCrash) {
     ev.kind = ShardFaultEvent::Kind::kInjectedCrash;
@@ -216,7 +220,7 @@ Seconds ShardCtx::before_step(Seconds t, Testbed& bed, const TraceJournalWriter*
   if (canceled()) throw WatchdogAbort("watchdog canceled shard");
   if (next_injection == injections.size()) return std::numeric_limits<Seconds>::infinity();
   const FaultWindow& w = injections[next_injection];
-  if (w.start <= t + 1e-9) fire_injection(*this, bed, *writer, w);
+  if (w.start <= t + 1e-9) fire_injection(*this, bed, w);
   return w.start;
 }
 
@@ -272,14 +276,14 @@ ShardResult supervise_shard(ShardCtx& c) {
       ++c.health.watchdog_aborts;
       c.health.last_error = e.what();
       c.health.events.push_back({ShardFaultEvent::Kind::kWatchdogAbort,
-                                 /*at=*/-1.0, 0, 0, -1.0, -1.0, e.what()});
+                                 /*at=*/-1.0, 0, -1.0, -1.0, e.what()});
     } catch (const std::exception& e) {
       // A real bug or I/O failure — contained exactly like an injected
       // crash, so one broken shard cannot take down the run.
       ++c.health.crashes;
       c.health.last_error = e.what();
       c.health.events.push_back({ShardFaultEvent::Kind::kException,
-                                 /*at=*/-1.0, 0, 0, -1.0, -1.0, e.what()});
+                                 /*at=*/-1.0, 0, -1.0, -1.0, e.what()});
     }
 
     c.recovery_t0 = Clock::now();

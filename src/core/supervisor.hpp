@@ -17,11 +17,12 @@
 // supervisor's own: a checkpoint that does not load or replay demotes the
 // attempt to a cold restart instead of failing it.
 //
-// Core invariant (enforced by test_core_supervisor and
-// bench/supervisor_recovery): because checkpoint resume is deterministic
-// replay (core/checkpoint.hpp), a supervised run with injected crashes
-// emits traces bit-identical to an uninterrupted run of the same configs,
-// at any thread count.
+// Core invariant (enforced by test_core_supervisor, chiefly
+// Supervisor.ChaosRunBitIdenticalToUninterruptedAcrossThreadCounts, which
+// also gates frames lost per crash and recovery latency): because
+// checkpoint resume is deterministic replay (core/checkpoint.hpp), a
+// supervised run with injected crashes emits traces bit-identical to an
+// uninterrupted run of the same configs, at any thread count.
 //
 // When a shard exhausts its retry budget the run degrades instead of
 // failing: the supervisor salvages the shard's journal, the unrun remainder
@@ -60,7 +61,7 @@ enum class ShardPhase : int {
 [[nodiscard]] const char* shard_phase_name(ShardPhase phase);
 
 // One contained failure of one shard, with enough timing to gate recovery
-// latency in the bench.
+// latency (test_core_supervisor).
 struct ShardFaultEvent {
   enum class Kind {
     kInjectedCrash,  // FaultKind::kShardCrash window reached
@@ -71,7 +72,6 @@ struct ShardFaultEvent {
   Kind kind{Kind::kException};
   Seconds at{0.0};                       // virtual time of the failure
   std::uint64_t snapshots_at_fault{0};   // crawler snapshots taken so far
-  std::uint64_t journal_offset_at_fault{0};
   // Stalls: wall ms from entering the stall to the watchdog's cancel.
   double detect_ms{-1.0};
   // Wall ms from containing the failure to the restarted shard completing

@@ -115,7 +115,7 @@ class FaultSchedule {
   // restart, mirroring a real crash that does not recur on replay.
   [[nodiscard]] std::vector<FaultWindow> shard_faults() const;
 
-  // Windows of the given kind, in start order (used by tests and benches to
+  // Windows of the given kind, in start order (used by tests to
   // cross-check recorded coverage gaps against the script).
   [[nodiscard]] std::vector<FaultWindow> windows_of(FaultKind kind) const;
 
@@ -127,7 +127,7 @@ class FaultSchedule {
   //   "collector-crash"  two collector outages at 1/4 and 5/8 of the run
   //   "overload"         flash-crowd avatar surge (10x arrivals over the middle
   //                      third) riding a slow collector — the load-spike
-  //                      scenario gated by bench/overload_shedding
+  //                      scenario gated by OverloadScenario.* (test_overload)
   //   "chaos"            all the transport/server faults mixed, seeded
   //   "shard-chaos"      chaos + scripted shard crashes (30/55/80 % of the
   //                      run) and one shard stall (45 %) — only meaningful

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
+#include <vector>
 
 #include "trace/serialize.hpp"
 
@@ -324,6 +326,132 @@ TEST(Checkpoint, NoCheckpointAtTheFinalInstant) {
   ASSERT_FALSE(done.killed);
   EXPECT_EQ(done.checkpoints_written, 2u);
   EXPECT_DOUBLE_EQ(load_checkpoint(options.dir).time, 600.0);
+}
+
+TEST(Checkpoint, StartClearsAnEarlierRunsCheckpoints) {
+  // A run that does not resume starts fresh, whatever the directory holds:
+  // another seed's two checkpoint generations are gone once the new rig is
+  // wired, so a later resume can never splice them onto the new journal.
+  DurableRunOptions earlier;
+  earlier.config = short_config(91);
+  earlier.dir = fresh_dir("start_clears_checkpoints");
+  earlier.checkpoint_every = 120.0;
+  earlier.kill_at = 500.0;
+  ASSERT_TRUE(run_durable(earlier).killed);
+  ASSERT_TRUE(std::filesystem::exists(earlier.dir + "/" + kCheckpointPrevFileName));
+  ASSERT_TRUE(try_load_checkpoint(earlier.dir).state.has_value());
+
+  const DurableRig rig = start_durable_rig(short_config(92), earlier.dir, 120.0, "");
+  const CheckpointLoadResult loaded = try_load_checkpoint(earlier.dir);
+  EXPECT_FALSE(loaded.state.has_value());
+  EXPECT_TRUE(loaded.diagnostic.empty()) << loaded.diagnostic;
+  EXPECT_DOUBLE_EQ(rig.state.time, 0.0);
+}
+
+// Records where the segment loop stops while it replays to a checkpoint.
+class ReplayStopRecorder final : public SegmentObserver {
+ public:
+  explicit ReplayStopRecorder(Seconds every) : every_(every) {}
+  [[nodiscard]] Seconds heartbeat_every() const override { return every_; }
+  Seconds before_step(Seconds, Testbed& bed, const TraceJournalWriter*) override {
+    bed_ = &bed;
+    return std::numeric_limits<Seconds>::infinity();
+  }
+  void after_step(bool replaying, bool) override {
+    if (replaying) replay_stops.push_back(bed_->engine().now());
+  }
+  std::vector<Seconds> replay_stops;
+
+ private:
+  Seconds every_;
+  Testbed* bed_{nullptr};
+};
+
+TEST(Checkpoint, ReplayHeartbeatsAtEveryObserverStep) {
+  // The run supervisor's watchdog sees progress only through the loop's
+  // stops. A replay to a checkpoint 600 s into the run must therefore stop
+  // every heartbeat interval, not only at checkpoint multiples (300 s), or a
+  // long replay looks like a stall.
+  DurableRunOptions options;
+  options.config = short_config(95);
+  options.dir = fresh_dir("replay_heartbeat");
+  options.checkpoint_every = 300.0;
+  options.kill_at = 700.0;
+  ASSERT_TRUE(run_durable(options).killed);
+  ASSERT_DOUBLE_EQ(load_checkpoint(options.dir).time, 600.0);
+
+  constexpr Seconds kHeartbeat = 10.0;
+  ReplayStopRecorder recorder(kHeartbeat);
+  const DurableResume resumed = resume_durable_rig(options.dir, nullptr, &recorder);
+  ASSERT_TRUE(resumed.rig.has_value());
+  ASSERT_FALSE(recorder.replay_stops.empty());
+  EXPECT_DOUBLE_EQ(recorder.replay_stops.back(), 600.0);
+  Seconds previous = 0.0;
+  for (const Seconds stop : recorder.replay_stops) {
+    EXPECT_LE(stop - previous, kHeartbeat + 1e-9) << "replay stop at " << stop;
+    previous = stop;
+  }
+}
+
+bool same_snapshot(const Snapshot& a, const Snapshot& b) {
+  if (a.time != b.time || a.fixes.size() != b.fixes.size()) return false;
+  for (std::size_t i = 0; i < a.fixes.size(); ++i) {
+    if (a.fixes[i].id != b.fixes[i].id || !(a.fixes[i].pos == b.fixes[i].pos)) return false;
+  }
+  return true;
+}
+
+// Crash safety over a grid of fault scenarios and kill points: 0.5 h of
+// Isle of View, checkpointed every 300 s, killed at 25/50/75 % of the run.
+// In every cell a journal whose last byte is also torn (a kill inside
+// fwrite) loses at most the frame in flight, salvage recovers a bit-exact
+// prefix of the never-killed run, and resuming two clones of the killed
+// directory gives byte-identical traces equal to the never-killed run's.
+TEST(Checkpoint, KilledRunsLoseAtMostTheFrameInFlightAndResumeExactly) {
+  for (const std::string scenario : {"none", "blackouts", "chaos"}) {
+    ExperimentConfig cfg = short_config(42, scenario);
+    cfg.duration = 0.5 * kSecondsPerHour;
+    DurableRunOptions uninterrupted;
+    uninterrupted.config = cfg;
+    uninterrupted.dir = fresh_dir("durability_" + scenario + "_baseline");
+    uninterrupted.checkpoint_every = 300.0;
+    const DurableRunResult baseline = run_durable(uninterrupted);
+    ASSERT_FALSE(baseline.killed);
+    const std::vector<std::uint8_t> baseline_bytes = encode_trace(baseline.trace);
+
+    for (const int percent : {25, 50, 75}) {
+      const std::string cell = scenario + "_" + std::to_string(percent);
+      SCOPED_TRACE(cell);
+      DurableRunOptions killed = uninterrupted;
+      killed.dir = fresh_dir("durability_" + cell);
+      killed.kill_at = percent / 100.0 * cfg.duration;
+      const DurableRunResult dead = run_durable(killed);
+      ASSERT_TRUE(dead.killed);
+
+      const JournalSalvage clean = salvage_journal(dead.journal_path);
+      const std::string torn_path = dead.journal_path + ".torn.sltj";
+      std::filesystem::copy_file(dead.journal_path, torn_path);
+      std::filesystem::resize_file(torn_path, std::filesystem::file_size(torn_path) - 1);
+      const JournalSalvage torn = salvage_journal(torn_path);
+      EXPECT_LE(torn.snapshots, clean.snapshots);
+      EXPECT_LE(clean.snapshots - torn.snapshots, 1u);
+
+      ASSERT_LE(torn.trace.size(), baseline.trace.size());
+      for (std::size_t i = 0; i < torn.trace.size(); ++i) {
+        ASSERT_TRUE(same_snapshot(torn.trace.snapshots()[i], baseline.trace.snapshots()[i]))
+            << "salvaged snapshot " << i << " differs from the never-killed run";
+      }
+
+      // Resume truncates the journal in place, so the second resume runs on
+      // a clone taken before the first.
+      const std::string clone = fresh_dir("durability_" + cell + "_clone");
+      std::filesystem::copy(killed.dir, clone);
+      const std::vector<std::uint8_t> first = encode_trace(resume_durable(killed.dir).trace);
+      const std::vector<std::uint8_t> second = encode_trace(resume_durable(clone).trace);
+      EXPECT_TRUE(first == second) << "two resumes of one killed directory differ";
+      EXPECT_TRUE(first == baseline_bytes) << "the resumed trace is not the never-killed one";
+    }
+  }
 }
 
 TEST(Checkpoint, ResumeRejectsWitnessMismatch) {

@@ -36,6 +36,12 @@ std::vector<std::uint32_t> digests(const std::vector<ShardResult>& results) {
   return out;
 }
 
+std::size_t snapshots_at_or_before(const Trace& trace, Seconds t) {
+  std::size_t n = 0;
+  for (const auto& snap : trace.snapshots()) n += snap.time <= t + 1e-9;
+  return n;
+}
+
 std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
   std::filesystem::remove_all(dir);
@@ -56,16 +62,20 @@ SupervisorOptions test_options(const std::string& dir) {
   return opt;
 }
 
-// The supervisor's core invariant: a supervised run through >= 3 injected
+// The supervisor's core invariant: a supervised run through 3 injected
 // crashes and 1 stall per shard completes unattended and its traces are
 // bit-identical to the uninterrupted (fault-ignoring) run — at every thread
 // count. Shard-fault windows are invisible outside the supervisor, so plain
-// run_sharded over the same configs IS the uninterrupted reference.
+// run_sharded over the same configs IS the uninterrupted reference. Each
+// crash also loses at most the frame in flight, and every contained failure
+// resumes within a bounded wall time.
 TEST(Supervisor, ChaosRunBitIdenticalToUninterruptedAcrossThreadCounts) {
+  constexpr double kRecoveryBoundMs = 15000.0;
   const auto shards = three_lands();
   ShardRunOptions plain;
   plain.threads = 1;
-  const auto reference = digests(run_sharded(shards, plain));
+  const auto baseline = run_sharded(shards, plain);
+  const auto reference = digests(baseline);
   ASSERT_EQ(reference.size(), 3u);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
@@ -85,10 +95,25 @@ TEST(Supervisor, ChaosRunBitIdenticalToUninterruptedAcrossThreadCounts) {
       stalls += h.stalls;
       EXPECT_EQ(h.phase, ShardPhase::kCompleted);
       EXPECT_GE(h.restarts, 1u) << "shard " << h.index << " was never restarted";
+      for (const ShardFaultEvent& ev : h.events) {
+        if (ev.kind == ShardFaultEvent::Kind::kInjectedCrash) {
+          // The journal trails what the uninterrupted run had captured by
+          // the same virtual instant by at most the frame in flight.
+          const std::size_t captured =
+              snapshots_at_or_before(baseline[h.index].trace, ev.at);
+          EXPECT_LE(captured, ev.snapshots_at_fault + 1)
+              << "shard " << h.index << ": " << ev.what;
+        }
+        if (ev.kind != ShardFaultEvent::Kind::kWatchdogAbort) {
+          EXPECT_GE(ev.recovery_ms, 0.0)
+              << "shard " << h.index << " never resumed after: " << ev.what;
+        }
+        EXPECT_LE(ev.recovery_ms, kRecoveryBoundMs) << "shard " << h.index << ": " << ev.what;
+      }
     }
-    // shard-chaos scripts 3 crashes + 1 stall per shard.
-    EXPECT_GE(crashes, 3u);
-    EXPECT_GE(stalls, 1u);
+    // shard-chaos scripts 3 crashes + 1 stall per shard, all of which fire.
+    EXPECT_GE(crashes, 9u);
+    EXPECT_GE(stalls, 3u);
   }
 }
 
@@ -207,9 +232,27 @@ TEST(Supervisor, RetryBudgetExhaustionDegradesToFailedPartial) {
   ASSERT_FALSE(partial.gaps().empty());
   EXPECT_DOUBLE_EQ(partial.gaps().back().end, 900.0);
   EXPECT_GT(partial.snapshots().size(), 0u);  // pre-crash capture survived
+
+  // ... and the gap-censored analysis pipeline takes it as it is.
+  AnalysisReport report;
+  ASSERT_NO_THROW(report = analyze_trace(partial, {kBluetoothRange}, kDefaultLandSize, 1));
+  EXPECT_GE(report.summary.gap_count, 1u);
+  EXPECT_EQ(report.summary.snapshot_count, partial.snapshots().size());
 }
 
-TEST(Supervisor, CorruptCheckpointFallsBackAndStillCompletes) {
+// Plants unreadable files where the shard's two checkpoint generations live.
+void plant_garbage_checkpoints(const std::string& dir, const ExperimentConfig& shard) {
+  const std::string shard_dir = dir + "/" + shard_dir_name(0, shard.archetype);
+  std::filesystem::create_directories(shard_dir);
+  for (const char* name : {kCheckpointFileName, kCheckpointPrevFileName}) {
+    std::FILE* f = std::fopen((shard_dir + "/" + name).c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("garbage, both generations", f);
+    ASSERT_EQ(std::fclose(f), 0);
+  }
+}
+
+TEST(Supervisor, FreshStartClearsCorruptCheckpointsLeftInTheDirectory) {
   auto one = three_lands("none");
   one.resize(1);
   one[0].testbed.faults.add({FaultKind::kShardCrash, 450.0, 451.0, 1.0, {}});
@@ -218,28 +261,24 @@ TEST(Supervisor, CorruptCheckpointFallsBackAndStillCompletes) {
   plain.threads = 1;
   const auto reference = digests(run_sharded(one, plain));
 
+  // The first attempt starts fresh and clears both planted files; the
+  // restart after the 450 s crash resumes from this run's own 400 s
+  // checkpoint, never from the garbage.
   const std::string dir = fresh_dir("supervisor-corrupt");
-  // Pre-plant garbage where the shard's checkpoint will live: the first
-  // rotation shunts it to checkpoint.prev.slck, and any load that reaches
-  // it must reject it loudly instead of resuming into garbage.
-  const std::string shard_dir = dir + "/" + shard_dir_name(0, one[0].archetype);
-  std::filesystem::create_directories(shard_dir);
-  {
-    std::FILE* f = std::fopen((shard_dir + "/" + kCheckpointFileName).c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a checkpoint", f);
-    ASSERT_EQ(std::fclose(f), 0);
-  }
-
+  plant_garbage_checkpoints(dir, one[0]);
   SupervisorOptions opt = test_options(dir);
   opt.threads = 1;
   const SupervisedRun run = run_supervised(one, opt);
 
   ASSERT_TRUE(run.all_completed());
   EXPECT_EQ(digests(run.shards), reference);
+  const ShardHealth& h = run.health[0];
+  EXPECT_EQ(h.restarts, 1u);
+  EXPECT_EQ(h.cold_restarts, 0u);
+  EXPECT_FALSE(h.used_fallback_checkpoint);
 }
 
-TEST(Supervisor, BothCheckpointGenerationsCorruptColdRestartsAndCompletes) {
+TEST(Supervisor, RestartBeforeTheFirstCheckpointColdRestartsAndCompletes) {
   auto one = three_lands("none");
   one.resize(1);
   one[0].testbed.faults.add({FaultKind::kShardCrash, 450.0, 451.0, 1.0, {}});
@@ -249,27 +288,47 @@ TEST(Supervisor, BothCheckpointGenerationsCorruptColdRestartsAndCompletes) {
   const auto reference = digests(run_sharded(one, plain));
 
   const std::string dir = fresh_dir("supervisor-both-corrupt");
-  const std::string shard_dir = dir + "/" + shard_dir_name(0, one[0].archetype);
-  std::filesystem::create_directories(shard_dir);
-  for (const char* name : {kCheckpointFileName, kCheckpointPrevFileName}) {
-    std::FILE* f = std::fopen((shard_dir + "/" + name).c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("garbage, both generations", f);
-    ASSERT_EQ(std::fclose(f), 0);
-  }
-
+  plant_garbage_checkpoints(dir, one[0]);
   SupervisorOptions opt = test_options(dir);
   opt.threads = 1;
-  // No real checkpoint ever lands (segments longer than the run), so the
-  // restart after the 450 s crash finds only the two pre-planted corpses:
-  // the fallback chain exhausts both generations and the shard must cold-
-  // restart from zero — and still reproduce the uninterrupted trace.
+  // No checkpoint ever lands (segments longer than the run), and the fresh
+  // start cleared the planted files, so the restart after the 450 s crash
+  // finds nothing to load: it cold-restarts from zero, without a rejected
+  // checkpoint to report, and still reproduces the uninterrupted trace.
   opt.checkpoint_every = 1e9;
   const SupervisedRun run = run_supervised(one, opt);
 
   ASSERT_TRUE(run.all_completed());
   EXPECT_EQ(digests(run.shards), reference);
-  EXPECT_GE(run.health[0].cold_restarts, 1u);
+  const ShardHealth& h = run.health[0];
+  EXPECT_EQ(h.cold_restarts, 1u);
+  EXPECT_EQ(h.last_error.find(kCheckpointFileName), std::string::npos) << h.last_error;
+}
+
+// Running the same supervised config twice in one directory is two fresh
+// runs: the second never resumes the first one's checkpoints (which would
+// fire every shard fault scheduled before that frontier at the frontier,
+// each with its own restart and replay).
+TEST(Supervisor, RerunInSameDirectoryStartsFresh) {
+  const auto shards = three_lands();
+  SupervisorOptions opt = test_options(fresh_dir("supervisor-rerun"));
+  opt.threads = 3;
+  const SupervisedRun first = run_supervised(shards, opt);
+  const SupervisedRun second = run_supervised(shards, opt);
+
+  ASSERT_TRUE(first.all_completed());
+  ASSERT_TRUE(second.all_completed());
+  EXPECT_EQ(digests(second.shards), digests(first.shards));
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const ShardHealth& a = first.health[i];
+    const ShardHealth& b = second.health[i];
+    EXPECT_EQ(b.crashes, a.crashes) << "shard " << i;
+    EXPECT_EQ(b.stalls, a.stalls) << "shard " << i;
+    EXPECT_EQ(b.restarts, a.restarts) << "shard " << i;
+    EXPECT_EQ(b.cold_restarts, a.cold_restarts) << "shard " << i;
+    EXPECT_EQ(b.checkpoints_written, a.checkpoints_written) << "shard " << i;
+    EXPECT_GT(a.checkpoints_written, 0u) << "shard " << i;
+  }
 }
 
 TEST(Supervisor, RequiresCheckpointDir) {

@@ -11,6 +11,7 @@
 
 #include "core/experiment.hpp"
 #include "net/fault_schedule.hpp"
+#include "trace/serialize.hpp"
 #include "trace/sessions.hpp"
 
 namespace slmob {
@@ -186,6 +187,42 @@ TEST(ChaosScenarios, AllScenariosCompleteAndAreDeterministic) {
     for (const auto& interval : a.analysis.contacts.at(kBluetoothRange).intervals) {
       EXPECT_FALSE(a.trace.spans_gap(interval.start, interval.end)) << name;
     }
+  }
+}
+
+// One 2 h Isle of View capture (seed 42) with the ground-truth recorder on.
+struct ScenarioCapture {
+  std::vector<std::uint8_t> crawled;
+  std::vector<std::uint8_t> truth;
+  std::uint64_t relogins{0};
+};
+
+ScenarioCapture capture_scenario(const std::string& scenario) {
+  ExperimentConfig cfg;
+  cfg.archetype = LandArchetype::kIsleOfView;
+  cfg.duration = 2.0 * kSecondsPerHour;
+  cfg.seed = 42;
+  cfg.fault_scenario = scenario;
+  cfg.testbed.with_ground_truth = true;
+  Testbed bed(make_testbed_config(cfg));
+  bed.run_until(cfg.duration);
+  ScenarioCapture c;
+  c.crawled = encode_trace(bed.crawler()->take_trace());
+  c.truth = encode_trace(bed.ground_truth()->take_trace());
+  c.relogins = bed.crawler()->stats().relogins;
+  return c;
+}
+
+// Fault injection is deterministic: the same scenario and seed twice give
+// byte-identical crawler and ground-truth traces, so every score derived
+// from them (recall, covered recall, gaps, CT/ICT distortion) agrees too.
+TEST(ChaosScenarios, RerunGivesByteIdenticalCrawlerAndGroundTruthTraces) {
+  for (const std::string scenario : {"blackouts", "burst-loss", "region-flaps", "chaos"}) {
+    const ScenarioCapture first = capture_scenario(scenario);
+    const ScenarioCapture second = capture_scenario(scenario);
+    EXPECT_TRUE(first.crawled == second.crawled) << scenario << ": crawler traces differ";
+    EXPECT_TRUE(first.truth == second.truth) << scenario << ": ground-truth traces differ";
+    EXPECT_EQ(first.relogins, second.relogins) << scenario;
   }
 }
 

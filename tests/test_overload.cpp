@@ -8,14 +8,17 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "client/metaverse_client.hpp"
 #include "core/experiment.hpp"
+#include "core/shards.hpp"
 #include "net/circuit.hpp"
 #include "net/network.hpp"
 #include "sensors/collector.hpp"
 #include "sensors/deployment.hpp"
+#include "sensors/object_runtime.hpp"
 #include "sensors/sensor_object.hpp"
 #include "server/sim_server.hpp"
 #include "trace/journal.hpp"
@@ -23,6 +26,7 @@
 #include "trace/trace.hpp"
 #include "analysis/zones.hpp"
 #include "util/bytes.hpp"
+#include "util/sysinfo.hpp"
 #include "world/archetypes.hpp"
 
 namespace slmob {
@@ -558,6 +562,185 @@ TEST(OverloadScenario, FaultFreeRunKeepsEveryProtectionCounterAtZero) {
   EXPECT_TRUE(r.trace.degradations().empty());
   EXPECT_EQ(r.server_stats.logins_rejected_overload, 0u);
   EXPECT_EQ(r.server_stats.messages_shed, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The full overload rig: both of the paper's instruments — the crawler and an
+// in-world 2x2 sensor grid flushing to an HTTP collector — on one network
+// whose in-flight queue is bounded tightly enough that the 10x surge trips
+// it while a fault-free run never does. 2 h of Isle of View, seed 42.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kRigInFlight = 16;
+constexpr double kRssBudgetMib = 1024.0;
+constexpr double kCoveredRecallFloor = 0.45;
+
+// Fraction of ground-truth (snapshot, avatar) fixes the crawler captured. A
+// ground-truth fix at t counts as captured when the crawler snapshot within
+// half a sampling interval of t holds the avatar. `covered_only` restricts
+// the count to instants outside the crawler trace's recorded gaps.
+double recall_vs_truth(const Trace& measured, const Trace& truth, bool covered_only) {
+  const Seconds tau = truth.sampling_interval();
+  std::size_t total = 0;
+  std::size_t matched = 0;
+  std::size_t m = 0;
+  const auto& snaps = measured.snapshots();
+  for (const auto& gt : truth.snapshots()) {
+    if (covered_only && !measured.covered_at(gt.time)) continue;
+    while (m < snaps.size() && snaps[m].time < gt.time - tau / 2.0) ++m;
+    std::unordered_set<std::uint32_t> present;
+    if (m < snaps.size() && snaps[m].time < gt.time + tau / 2.0) {
+      for (const auto& fix : snaps[m].fixes) present.insert(fix.id.value);
+    }
+    for (const auto& fix : gt.fixes) {
+      ++total;
+      if (present.contains(fix.id.value)) ++matched;
+    }
+  }
+  return total == 0 ? 0.0 : static_cast<double>(matched) / static_cast<double>(total);
+}
+
+struct RigScore {
+  // Overload-protection counters.
+  std::uint64_t shed_session{0};
+  std::uint64_t shed_snapshot{0};
+  std::uint64_t deferred_sends{0};
+  std::uint64_t logins_rejected_overload{0};
+  std::uint64_t messages_shed{0};
+  std::uint64_t degrade_escalations{0};
+  std::uint64_t degrade_recoveries{0};
+  std::uint64_t degraded_snapshots{0};
+  std::uint64_t flushes_widened{0};
+  std::uint64_t sensor_http_timeouts{0};
+  std::uint64_t responses_delayed{0};
+  std::uint64_t responses_dropped{0};
+  std::uint64_t in_flight_peak{0};
+  std::size_t degradation_windows{0};
+  double degraded_seconds{0.0};
+  // Control-plane integrity and fidelity.
+  std::uint64_t reliable_failures{0};
+  double recall{0.0};
+  double covered_recall{0.0};
+  std::uint32_t trace_digest{0};
+
+  bool operator==(const RigScore&) const = default;
+
+  [[nodiscard]] std::uint64_t protection_total() const {
+    return shed_session + shed_snapshot + deferred_sends + logins_rejected_overload +
+           messages_shed + degrade_escalations + degrade_recoveries + degraded_snapshots +
+           flushes_widened + responses_delayed + responses_dropped + degradation_windows;
+  }
+};
+
+RigScore run_overload_rig(const std::string& scenario) {
+  constexpr Seconds kDuration = 2.0 * kSecondsPerHour;
+  constexpr std::uint64_t kSeed = 42;
+  TestbedConfig cfg;
+  cfg.archetype = LandArchetype::kIsleOfView;
+  cfg.seed = kSeed;
+  cfg.with_ground_truth = true;
+  cfg.network.max_in_flight = kRigInFlight;
+  if (scenario != "none") cfg.faults = FaultSchedule::scenario(scenario, kDuration, kSeed);
+  Testbed bed(cfg);
+
+  // The sensor grid makes the snapshot-class traffic that the tight bound
+  // sheds under the surge.
+  HttpCollector collector(bed.network(), bed.world().land().name());
+  collector.set_faults(cfg.faults);
+  ObjectRuntime runtime(bed.world(), bed.network(), kSeed ^ 0x5e);
+  SensorGridConfig grid_cfg;
+  grid_cfg.grid_side = 2;
+  SensorGridDeployment grid(runtime, bed.world().land(), collector.address(), grid_cfg);
+  grid.deploy_all(0.0);
+  bed.engine().add(kPriorityServer, [&](Seconds now, Seconds dt) {
+    collector.tick(now, dt);
+    runtime.tick(now, dt);
+  });
+  bed.engine().add(kPriorityMonitor, [&](Seconds now, Seconds dt) { grid.tick(now, dt); });
+  bed.run_until(kDuration);
+
+  RigScore s;
+  const NetworkStats& net = bed.network().stats();
+  s.shed_session = net.shed_session;
+  s.shed_snapshot = net.shed_snapshot;
+  s.in_flight_peak = net.in_flight_peak;
+  const CircuitStats circuit = bed.client()->total_circuit_stats();
+  s.deferred_sends = circuit.deferred_sends;
+  s.reliable_failures = circuit.reliable_failures;
+  s.logins_rejected_overload = bed.server().stats().logins_rejected_overload;
+  s.messages_shed = bed.server().stats().messages_shed;
+  const CrawlerStats& crawl = bed.crawler()->stats();
+  s.degrade_escalations = crawl.degrade_escalations;
+  s.degrade_recoveries = crawl.degrade_recoveries;
+  s.degraded_snapshots = crawl.degraded_snapshots;
+  // Folds in expired sensor generations: the fleet turns over on public
+  // land, and the surge's counters must not vanish with it.
+  const SensorObjectStats sensors = runtime.total_sensor_stats();
+  s.flushes_widened = sensors.flushes_widened;
+  s.sensor_http_timeouts = sensors.http_timeouts;
+  s.responses_delayed = collector.stats().responses_delayed;
+  s.responses_dropped = collector.stats().responses_dropped;
+
+  const Trace truth = bed.ground_truth()->take_trace();
+  const Trace crawled = bed.crawler()->take_trace();
+  s.degraded_seconds = crawled.degraded_seconds();
+  s.degradation_windows = crawled.degradations().size();
+  s.recall = recall_vs_truth(crawled, truth, /*covered_only=*/false);
+  s.covered_recall = recall_vs_truth(crawled, truth, /*covered_only=*/true);
+  s.trace_digest = crc32(encode_trace(crawled));
+  return s;
+}
+
+TEST(OverloadScenario, CrawlerAndSensorGridRigMeetsEveryGate) {
+  const RigScore control = run_overload_rig("none");
+  const RigScore overload = run_overload_rig("overload");
+
+  // The protection layer is invisible until there is something to protect.
+  EXPECT_EQ(control.protection_total(), 0u);
+  // Under the surge the pressure is measured, not silent: datagrams shed,
+  // degradation windows recorded on the trace, sensor flushes widened and
+  // collector acks deferred.
+  EXPECT_GT(overload.shed_snapshot + overload.shed_session, 0u);
+  EXPECT_GT(overload.degrade_escalations, 0u);
+  EXPECT_GT(overload.degraded_seconds, 0.0);
+  EXPECT_GT(overload.degradation_windows, 0u);
+  EXPECT_GT(overload.flushes_widened, 0u);
+  EXPECT_GT(overload.responses_delayed, 0u);
+  // No reliable send fails in either run.
+  EXPECT_EQ(control.reliable_failures, 0u);
+  EXPECT_EQ(overload.reliable_failures, 0u);
+  // What the crawler claims as covered time is still honest measurement.
+  EXPECT_GE(overload.covered_recall, kCoveredRecallFloor);
+  // The protected run is deterministic, also across shard thread counts:
+  // crawler-only shards under the same surge and bound, 1 h each.
+  EXPECT_TRUE(run_overload_rig("overload") == overload);
+  const LandArchetype lands[] = {LandArchetype::kIsleOfView, LandArchetype::kDanceIsland,
+                                 LandArchetype::kApfelLand, LandArchetype::kIsleOfView};
+  std::vector<ExperimentConfig> shards;
+  for (std::size_t i = 0; i < 4; ++i) {
+    ExperimentConfig cfg;
+    cfg.archetype = lands[i];
+    cfg.duration = 1.0 * kSecondsPerHour;
+    cfg.seed = 42 + i;
+    cfg.fault_scenario = "overload";
+    cfg.ranges = {};
+    cfg.testbed.network.max_in_flight = kRigInFlight;
+    shards.push_back(cfg);
+  }
+  std::vector<std::uint32_t> reference;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    ShardRunOptions opt;
+    opt.threads = threads;
+    std::vector<std::uint32_t> digests;
+    for (const auto& r : run_sharded(shards, opt)) {
+      digests.push_back(crc32(encode_trace(r.trace)));
+    }
+    if (reference.empty()) reference = digests;
+    EXPECT_EQ(digests, reference) << "thread count " << threads;
+  }
+  // Bounded queues bound memory (0 = no probe on this platform).
+  const double rss_mib = static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0);
+  EXPECT_LE(rss_mib, kRssBudgetMib);
 }
 
 }  // namespace
