@@ -12,14 +12,8 @@ namespace {
 constexpr Seconds kNoCap = std::numeric_limits<double>::infinity();
 constexpr Seconds kUnset = std::numeric_limits<double>::quiet_NaN();
 
-std::uint64_t pair_key(AvatarId a, AvatarId b) {
-  const auto lo = std::min(a.value, b.value);
-  const auto hi = std::max(a.value, b.value);
-  return (static_cast<std::uint64_t>(lo) << 32) | hi;
-}
-
-// MurmurHash3's 64-bit finalizer: pair keys and avatar ids are small,
-// structured integers, so every bit must reach the masked low bits.
+// MurmurHash3's 64-bit finalizer: avatar ids are small, structured
+// integers, so every bit must reach the masked low bits.
 std::uint64_t mix(std::uint64_t k) {
   k ^= k >> 33;
   k *= 0xff51afd7ed558ccdull;
@@ -42,14 +36,107 @@ ContactAnalysis analyze_contacts(const Trace& trace, double range) {
 }
 
 // ---------------------------------------------------------------------------
+// The key stage.
+
+namespace {
+
+// contact_keys' scratch, one per thread.
+struct KeyScratch {
+  std::vector<std::uint64_t> by_id;     // (id << 32 | fix index), sorted
+  std::vector<std::uint32_t> rank;      // per fix: the rank of its id
+  std::vector<std::uint32_t> rank_id;   // per rank: the id
+  std::vector<std::uint64_t> ranked;    // (lo << 32 | hi) rank pairs
+  std::vector<std::uint64_t> by_hi;     // `ranked`, stably ordered by hi
+  std::vector<std::uint32_t> lo_start;  // counting-sort offsets per rank
+  std::vector<std::uint32_t> hi_start;
+};
+
+// Turns per-rank counts, stored one place to the right, into start offsets.
+void prefix_sum(std::vector<std::uint32_t>& counts) {
+  for (std::size_t k = 1; k < counts.size(); ++k) counts[k] += counts[k - 1];
+}
+
+}  // namespace
+
+void contact_keys(const Snapshot& snapshot, std::span<const ContactStream::PairList> lists,
+                  std::span<ContactKeys> out) {
+  thread_local KeyScratch s;
+  const auto& fixes = snapshot.fixes;
+  const std::size_t n = fixes.size();
+
+  // Rank the distinct ids once: sorting ~65 (id, fix) words is cheap, and
+  // ranks in id order make (lo, hi) rank order the key order.
+  s.by_id.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.by_id[i] = (std::uint64_t{fixes[i].id.value} << 32) | i;
+  }
+  std::sort(s.by_id.begin(), s.by_id.end());
+  s.rank.resize(n);
+  s.rank_id.clear();
+  for (const std::uint64_t v : s.by_id) {
+    const auto id = static_cast<std::uint32_t>(v >> 32);
+    if (s.rank_id.empty() || s.rank_id.back() != id) s.rank_id.push_back(id);
+    s.rank[static_cast<std::uint32_t>(v)] = static_cast<std::uint32_t>(s.rank_id.size() - 1);
+  }
+  const std::size_t ranks = s.rank_id.size();
+
+  // The loops below go through raw pointers: the byte-wide in_contact
+  // stores may alias anything, and would otherwise make the compiler reload
+  // every vector's data pointer after each of them.
+  const std::uint32_t* rank = s.rank.data();
+  const std::uint32_t* rank_id = s.rank_id.data();
+  for (std::size_t ri = 0; ri < lists.size(); ++ri) {
+    const ContactStream::PairList& pairs = lists[ri];
+    ContactKeys& o = out[ri];
+    o.in_contact.assign(n, 0);
+    s.ranked.resize(pairs.size());
+    s.lo_start.assign(ranks + 1, 0);
+    s.hi_start.assign(ranks + 1, 0);
+    std::uint8_t* in_contact = o.in_contact.data();
+    std::uint64_t* ranked = s.ranked.data();
+    std::uint32_t* lo_start = s.lo_start.data();
+    std::uint32_t* hi_start = s.hi_start.data();
+    std::size_t m = 0;
+    for (const auto& [i, j] : pairs) {
+      const std::uint32_t lo = std::min(rank[i], rank[j]);
+      const std::uint32_t hi = std::max(rank[i], rank[j]);
+      if (lo == hi) continue;  // two fixes of one avatar id: not a contact
+      in_contact[i] = 1;
+      in_contact[j] = 1;
+      ranked[m++] = (std::uint64_t{lo} << 32) | hi;
+      ++lo_start[lo + 1];
+      ++hi_start[hi + 1];
+    }
+    prefix_sum(s.lo_start);
+    prefix_sum(s.hi_start);
+    // LSD counting sort: by hi, then stably by lo, so (lo, hi) ascends.
+    // The second pass writes the id keys straight into the output.
+    s.by_hi.resize(m);
+    o.keys.resize(m);
+    std::uint64_t* by_hi = s.by_hi.data();
+    std::uint64_t* keys = o.keys.data();
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::uint64_t v = ranked[k];
+      by_hi[hi_start[v & 0xffffffffu]++] = v;
+    }
+    for (std::size_t k = 0; k < m; ++k) {
+      const auto lo = static_cast<std::uint32_t>(by_hi[k] >> 32);
+      const auto hi = static_cast<std::uint32_t>(by_hi[k] & 0xffffffffu);
+      keys[lo_start[lo]++] = (std::uint64_t{rank_id[lo]} << 32) | rank_id[hi];
+    }
+    // Fixes sharing an id reach the same pair of ids more than once.
+    o.keys.erase(std::unique(o.keys.begin(), o.keys.end()), o.keys.end());
+  }
+}
+
+// ---------------------------------------------------------------------------
 // ContactStream::KeyTable
 
 std::uint32_t ContactStream::KeyTable::find(std::uint64_t key) const {
   if (size_ == 0) return kMissing;
   for (std::size_t i = mix(key) & mask_;; i = (i + 1) & mask_) {
     const Bucket& b = buckets_[i];
-    if (b.generation != generation_) return kMissing;
-    if (b.key == key) return b.index;
+    if (b.index == kMissing || b.key == key) return b.index;
   }
 }
 
@@ -57,21 +144,12 @@ std::uint32_t ContactStream::KeyTable::insert(std::uint64_t key, std::uint32_t i
   if (2 * (size_ + 1) > buckets_.size()) grow(size_ + 1);
   for (std::size_t i = mix(key) & mask_;; i = (i + 1) & mask_) {
     Bucket& b = buckets_[i];
-    if (b.generation != generation_) {
-      b = {key, index, generation_};
+    if (b.index == kMissing) {
+      b = {key, index};
       ++size_;
       return kMissing;
     }
     if (b.key == key) return b.index;
-  }
-}
-
-void ContactStream::KeyTable::clear() {
-  size_ = 0;
-  if (++generation_ == 0) {
-    // Stamp wrap-around: reset every bucket once per 2^32 clears.
-    for (Bucket& b : buckets_) b.generation = 0;
-    generation_ = 1;
   }
 }
 
@@ -82,9 +160,9 @@ void ContactStream::KeyTable::grow(std::size_t keys) {
   old.swap(buckets_);
   mask_ = capacity - 1;
   for (const Bucket& b : old) {
-    if (b.generation != generation_) continue;
+    if (b.index == kMissing) continue;
     std::size_t i = mix(b.key) & mask_;
-    while (buckets_[i].generation == generation_) i = (i + 1) & mask_;
+    while (buckets_[i].index != kMissing) i = (i + 1) & mask_;
     buckets_[i] = b;
   }
 }
@@ -99,31 +177,32 @@ ContactStream::ContactStream(double range, Seconds tau, const GapTracker& gaps)
   out_.range = range;
 }
 
-void ContactStream::close_contact(const OpenContact& contact, Seconds end) {
-  ContactInterval& interval = out_.intervals[contact.slot];
+void ContactStream::close_contact(std::uint32_t slot, Seconds end) {
+  ContactInterval& interval = out_.intervals[slot];
   interval.end = end;
   out_.contact_times.add(end - interval.start);
-  if (epochs_active_) interval_epochs_[contact.slot] = censor_epoch_;
+  if (epochs_active_) interval_epochs_[slot] = censor_epoch_;
   if (sink_) sink_(interval);
+}
+
+// Closes every contact of the previous snapshot at `end`, in key order.
+void ContactStream::close_all(Seconds end) {
+  for (const std::uint32_t slot : prev_slots_) close_contact(slot, end);
+  prev_keys_.clear();
+  prev_slots_.clear();
 }
 
 // Censors all running observations at a coverage gap starting at `cap`:
 // open contacts are truncated there (never bridged), the ICT chain is cut
 // (an inter-contact time spanning unobserved time would be fabricated), and
 // users still waiting for a first contact restart their FT clock if they
-// reappear after the gap. Open contacts close in key order, so the interval
-// sink sees a closure order that does not depend on the pair lists' order.
+// reappear after the gap.
 void ContactStream::censor_at_gap(Seconds cap) {
   if (!epochs_active_) {
     epochs_active_ = true;
     interval_epochs_.assign(out_.intervals.size(), 0);
   }
-  std::sort(prev_open_.begin(), prev_open_.end(),
-            [](const OpenContact& x, const OpenContact& y) { return x.key < y.key; });
-  const Seconds end = std::min(prev_time_ + tau_, cap);
-  for (const OpenContact& contact : prev_open_) close_contact(contact, end);
-  prev_open_.clear();
-  prev_table_.clear();
+  close_all(std::min(prev_time_ + tau_, cap));
   ++censor_epoch_;
   for (std::size_t u = 0; u < first_seen_.size(); ++u) {
     if (std::isnan(first_contact_[u])) first_seen_[u] = kUnset;
@@ -131,6 +210,11 @@ void ContactStream::censor_at_gap(Seconds cap) {
 }
 
 void ContactStream::on_snapshot(const Snapshot& snap, const PairList& pairs) {
+  contact_keys(snap, std::span(&pairs, 1), std::span(&pair_keys_, 1));
+  on_snapshot(snap, pair_keys_);
+}
+
+void ContactStream::on_snapshot(const Snapshot& snap, const ContactKeys& keys) {
   if (have_prev_ && gaps_->spans_gap(prev_time_, snap.time)) {
     censor_at_gap(gaps_->next_gap_start(prev_time_));
   }
@@ -139,7 +223,7 @@ void ContactStream::on_snapshot(const Snapshot& snap, const PairList& pairs) {
   prev_time_ = snap.time;
   const Seconds t = snap.time;
 
-  fix_user_.resize(snap.fixes.size());
+  // FT: one pass over the fixes.
   for (std::size_t i = 0; i < snap.fixes.size(); ++i) {
     const auto next = static_cast<std::uint32_t>(first_seen_.size());
     std::uint32_t u = users_.insert(snap.fixes[i].id.value, next);
@@ -150,49 +234,35 @@ void ContactStream::on_snapshot(const Snapshot& snap, const PairList& pairs) {
     } else if (std::isnan(first_seen_[u])) {
       first_seen_[u] = t;
     }
-    fix_user_[i] = u;
+    if (keys.in_contact[i] != 0 && std::isnan(first_contact_[u])) first_contact_[u] = t;
   }
 
-  cur_table_.clear();
-  cur_open_.clear();
-  opened_.clear();
-  for (const auto& [i, j] : pairs) {
-    const std::uint32_t ua = fix_user_[i];
-    const std::uint32_t ub = fix_user_[j];
-    if (ua == ub) continue;  // two fixes of one avatar id: not a contact
-    const std::uint64_t key = pair_key(snap.fixes[i].id, snap.fixes[j].id);
-    const auto record = static_cast<std::uint32_t>(cur_open_.size());
-    if (cur_table_.insert(key, record) != KeyTable::kMissing) continue;  // duplicate pair
-    if (const std::uint32_t p = prev_table_.find(key); p != KeyTable::kMissing) {
-      cur_open_.push_back({key, prev_open_[p].slot});
-      prev_open_[p].slot = kContinued;
-    } else {
-      cur_open_.push_back({key, 0});  // its slot is taken below
-      opened_.push_back(record);
+  // Merge-join of the previous snapshot's keys with this one's. Opens take
+  // the next output slots as they are met, in key order, so out_.intervals
+  // stays ordered by (start, a, b) as it grows.
+  const std::vector<std::uint64_t>& cur = keys.keys;
+  cur_slots_.resize(cur.size());
+  const std::uint64_t* prev = prev_keys_.data();
+  const std::uint32_t* prev_slot = prev_slots_.data();
+  const std::size_t prev_size = prev_keys_.size();
+  std::uint32_t* slot = cur_slots_.data();
+  std::size_t p = 0;
+  for (std::size_t c = 0; c < cur.size(); ++c) {
+    const std::uint64_t key = cur[c];
+    while (p < prev_size && prev[p] < key) close_contact(prev_slot[p++], prev_end);
+    if (p < prev_size && prev[p] == key) {
+      slot[c] = prev_slot[p++];  // continues
+      continue;
     }
-    if (std::isnan(first_contact_[ua])) first_contact_[ua] = t;
-    if (std::isnan(first_contact_[ub])) first_contact_[ub] = t;
-  }
-
-  // The contacts opening now take the next output slots in key order, so
-  // out_.intervals stays ordered by (start, a, b) as it grows.
-  std::sort(opened_.begin(), opened_.end(), [this](std::uint32_t x, std::uint32_t y) {
-    return cur_open_[x].key < cur_open_[y].key;
-  });
-  for (const std::uint32_t record : opened_) {
-    OpenContact& contact = cur_open_[record];
-    contact.slot = static_cast<std::uint32_t>(out_.intervals.size());
-    const auto a = AvatarId{static_cast<std::uint32_t>(contact.key >> 32)};
-    const auto b = AvatarId{static_cast<std::uint32_t>(contact.key & 0xffffffffu)};
+    slot[c] = static_cast<std::uint32_t>(out_.intervals.size());
+    const auto a = AvatarId{static_cast<std::uint32_t>(key >> 32)};
+    const auto b = AvatarId{static_cast<std::uint32_t>(key & 0xffffffffu)};
     out_.intervals.push_back({a, b, t, t});
     if (epochs_active_) interval_epochs_.push_back(0);
   }
-
-  for (const OpenContact& contact : prev_open_) {
-    if (contact.slot != kContinued) close_contact(contact, prev_end);
-  }
-  std::swap(prev_table_, cur_table_);
-  std::swap(prev_open_, cur_open_);
+  for (; p < prev_size; ++p) close_contact(prev_slot[p], prev_end);
+  prev_keys_.assign(cur.begin(), cur.end());
+  std::swap(prev_slots_, cur_slots_);
 }
 
 // Emits one ICT sample per consecutive pair of same-pair intervals whose
@@ -244,9 +314,7 @@ ContactAnalysis ContactStream::finish() {
   if (have_prev_ && gaps_->spans_gap(prev_time_, kNoCap)) {
     end = std::min(end, gaps_->next_gap_start(prev_time_));
   }
-  for (const OpenContact& contact : prev_open_) close_contact(contact, end);
-  prev_open_.clear();
-  prev_table_.clear();
+  close_all(end);
 
   derive_inter_contact_times();
 

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -52,6 +53,17 @@ struct ContactAnalysis {
   std::size_t users_with_contact{0};
 };
 
+// One snapshot's contacts at one range, as the ordered merge reads them.
+// `keys` holds every pair of distinct avatar ids within range as a 64-bit
+// key (smaller id << 32 | larger id), sorted ascending and without repeats;
+// `in_contact[i]` is 1 iff fix i is within range of a fix with another id.
+// A pair of two fixes carrying the same avatar id (a duplicate id within
+// one snapshot) is not a contact and appears in neither.
+struct ContactKeys {
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint8_t> in_contact;  // per fix
+};
+
 // Extracts all contacts from `trace` with communication range `range`:
 // IncrementalProximity supplies each covered snapshot's in-range pairs to one
 // ContactStream.
@@ -59,17 +71,25 @@ ContactAnalysis analyze_contacts(const Trace& trace, double range);
 
 // Incremental contact extraction over a snapshot stream: feed every covered
 // snapshot (empty ones too — absence is what closes contacts) with its
-// in-range pair list, in time order, and call finish() once. Censoring reads
-// the shared GapTracker, which by the stream ordering contract already holds
+// contact keys, in time order, and call finish() once. Censoring reads the
+// shared GapTracker, which by the stream ordering contract already holds
 // every gap relevant to the snapshot being processed, so the censoring
 // decisions equal those made with the finished trace's gap list. On a
-// gap-free stream the censor branches never fire. Pairs of two fixes
-// carrying the same avatar id (a duplicate id within one snapshot) are not
-// contacts and are skipped. The intervals come out ordered by (start, a, b)
-// without a sort: a contact takes its slot in the output when it opens, and
-// the contacts opening in one snapshot take theirs in pair-key order.
-// ContactOracle.* (tests/test_analysis_contacts.cpp) checks CT, ICT and FT
-// against a per-pair brute force, gaps included, and the output order.
+// gap-free stream the censor branches never fire.
+//
+// A contact is a maximal run of consecutive snapshots holding its key, so
+// each snapshot is a run-length step over two sorted key vectors: a linear
+// merge-join of the previous snapshot's keys with the current ones. A key
+// in both continues, a key only in the previous vector closes, and a key
+// only in the current one opens. An open contact's `slot` is the index of
+// its interval in the output, taken when it opens; the slots run parallel
+// to the keys. The contacts opening in one snapshot are met in key order,
+// so the intervals come out ordered by (start, a, b) without a sort, and
+// every close (a censor's too) happens in key order, so nothing the stream
+// emits depends on the order of a snapshot's pair list. ContactOracle.*
+// (tests/test_analysis_contacts.cpp) checks CT, ICT and FT against a
+// per-pair brute force, gaps included, and the output order; ContactKeys.*
+// checks the key stage against a brute-force set of id pairs.
 class ContactStream {
  public:
   using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
@@ -83,13 +103,17 @@ class ContactStream {
     sink_ = std::move(sink);
   }
 
+  // `keys` as contact_keys builds them for `snapshot`.
+  void on_snapshot(const Snapshot& snapshot, const ContactKeys& keys);
+  // Builds the snapshot's keys from its in-range fix-index pairs with
+  // contact_keys, then runs the merge above.
   void on_snapshot(const Snapshot& snapshot, const PairList& pairs);
   [[nodiscard]] ContactAnalysis finish();
 
  private:
   // Open-addressing map from a 64-bit key to a dense record index, with
-  // linear probing. Buckets carry a generation stamp, so clear() is O(1);
-  // capacity is a power of two kept >= 2x the live keys, grown on insert.
+  // linear probing. Capacity is a power of two kept >= 2x the keys, grown
+  // on insert; a bucket holding kMissing is empty.
   class KeyTable {
    public:
     static constexpr std::uint32_t kMissing = 0xffffffffu;
@@ -99,33 +123,21 @@ class ContactStream {
     // Stores key -> index unless `key` is present; returns the index already
     // stored, or kMissing when this call inserted.
     std::uint32_t insert(std::uint64_t key, std::uint32_t index);
-    void clear();
 
    private:
     struct Bucket {
       std::uint64_t key{0};
-      std::uint32_t index{0};
-      std::uint32_t generation{0};  // live iff == generation_
+      std::uint32_t index{kMissing};
     };
     void grow(std::size_t keys);
 
     std::vector<Bucket> buckets_;
     std::size_t mask_{0};
     std::size_t size_{0};
-    std::uint32_t generation_{1};
   };
 
-  // A contact running through the previous (or current) snapshot: every
-  // record of a snapshot's table was seen in that snapshot. `slot` is the
-  // index of its interval in out_.intervals, taken when it opened. A
-  // previous record whose pair is seen again hands its slot on and is
-  // marked kContinued; the others have ended.
-  static constexpr std::uint32_t kContinued = 0xffffffffu;
-  struct OpenContact {
-    std::uint64_t key;
-    std::uint32_t slot;
-  };
-  void close_contact(const OpenContact& contact, Seconds end);
+  void close_contact(std::uint32_t slot, Seconds end);
+  void close_all(Seconds end);
   void censor_at_gap(Seconds cap);
   void derive_inter_contact_times();
 
@@ -141,16 +153,13 @@ class ContactStream {
   KeyTable users_;
   std::vector<Seconds> first_seen_;
   std::vector<Seconds> first_contact_;
-  std::vector<std::uint32_t> fix_user_;  // scratch: this snapshot's fix -> user
-  // Open contacts of the previous snapshot (prev_) and the one being
-  // processed (cur_), each a key table over a dense record vector. A pair
-  // of the current snapshot carries its start over from prev_; records of
-  // prev_ left uncontinued are closed, then the two sides swap.
-  KeyTable prev_table_;
-  KeyTable cur_table_;
-  std::vector<OpenContact> prev_open_;
-  std::vector<OpenContact> cur_open_;
-  std::vector<std::uint32_t> opened_;  // scratch: cur_open_ records new this snapshot
+  // The contacts running through the previous snapshot: its sorted keys
+  // and, parallel to them, their output slots. The merge fills cur_slots_
+  // for the current keys, which then become the previous ones.
+  std::vector<std::uint64_t> prev_keys_;
+  std::vector<std::uint32_t> prev_slots_;
+  std::vector<std::uint32_t> cur_slots_;
+  ContactKeys pair_keys_;  // scratch of the pair-list on_snapshot
   // ICT is derived at finish() from consecutive intervals of the same pair
   // instead of a per-pair "end of previous contact" map — that map holds an
   // entry for every pair that ever met and was the stream's largest
@@ -171,5 +180,18 @@ class ContactStream {
   bool have_prev_{false};
   Seconds prev_time_{0.0};
 };
+
+// The key stage: builds out[ri] from lists[ri], the in-range fix-index
+// pairs of `snapshot` at each range, in any order (out.size() ==
+// lists.size()). The
+// snapshot's distinct ids are ranked once and the ranks shared by every
+// range; each range's pairs are then put in (lower rank, higher rank) order
+// by a two-pass counting sort, so the keys come out sorted in O(pairs +
+// fixes) without comparing pairs. Scratch is thread_local, so concurrent
+// calls on different threads are safe, and warm calls that reuse their
+// outputs do not allocate. StreamingAnalyzer runs it in its parallel window
+// fan-out; ContactStream's pair-list on_snapshot runs it inline.
+void contact_keys(const Snapshot& snapshot, std::span<const ContactStream::PairList> lists,
+                  std::span<ContactKeys> out);
 
 }  // namespace slmob

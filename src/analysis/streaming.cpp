@@ -15,7 +15,7 @@ struct StreamingAnalyzer::RangeConsumers {
       : range(r), ri(index), contacts(r, tau, gaps), graphs(r) {}
 
   double range;
-  std::size_t ri;  // index into WindowEntry::lists and ::graphs
+  std::size_t ri;  // index into WindowEntry::contacts and ::graphs
   ContactStream contacts;
   GraphStream graphs;
   bool feeds_relations{false};
@@ -93,7 +93,7 @@ void StreamingAnalyzer::on_begin(const std::string& /*land_name*/,
     RangeConsumers* c = it->get();
     window_tasks_.emplace_back([this, c] {
       for (std::size_t k = 0; k < drain_used_; ++k)
-        c->contacts.on_snapshot(draining_[k].snap, draining_[k].lists[c->ri]);
+        c->contacts.on_snapshot(draining_[k].snap, draining_[k].contacts[c->ri]);
     });
   }
   for (auto& rc : per_range_) {
@@ -160,12 +160,15 @@ void StreamingAnalyzer::on_snapshot(const Snapshot& snapshot) {
 void StreamingAnalyzer::measure_window() {
   parallel_for(pool_, win_used_, [this](std::size_t k) {
     thread_local GraphKernel graph_kernel;
+    thread_local std::vector<IncrementalProximity::PairList> lists;
     WindowEntry& entry = window_[k];
-    snapshot_proximity(entry.snap, ranges_, entry.positions, entry.lists);
+    snapshot_proximity(entry.snap, ranges_, entry.positions, lists);
     entry.graphs.resize(ranges_.size());
     for (std::size_t ri = 0; ri < ranges_.size(); ++ri) {
-      graph_kernel.measure(entry.snap.fixes.size(), entry.lists[ri], entry.graphs[ri]);
+      graph_kernel.measure(entry.snap.fixes.size(), lists[ri], entry.graphs[ri]);
     }
+    entry.contacts.resize(ranges_.size());
+    contact_keys(entry.snap, lists, entry.contacts);
   });
 }
 

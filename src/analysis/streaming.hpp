@@ -15,13 +15,16 @@
 // fixed-size window. When the window fills, its per-snapshot stages run
 // first, in parallel over the window's snapshots: positions, the pairs at
 // every radius (snapshot_proximity: one PairKernel pass at the largest
-// radius, classified into the others) and one line-of-sight GraphSample
-// per radius (GraphKernel::measure). These stages keep no state across
-// snapshots and their scratch is thread_local, so each entry is a pure
-// function of its snapshot. Then the ordered per-consumer tasks —
-// contacts per range, graph samples added per range, zones, the session
-// -> trips/flights chain — each run over the whole window as one tight
-// loop, fanned across a thread pool. Windowing exists for throughput: the
+// radius, classified into the others), one line-of-sight GraphSample per
+// radius (GraphKernel::measure) and the contact keys per radius
+// (contact_keys: the snapshot's sorted, distinct id-pair keys and per-fix
+// contact flags). These stages keep no state across snapshots and their
+// scratch is thread_local, so each entry is a pure function of its
+// snapshot. The pair lists themselves stay in that scratch: no ordered
+// task reads them. Then the ordered per-consumer tasks — contacts per
+// range (a merge-join of consecutive snapshots' keys), graph samples
+// added per range, zones, the session -> trips/flights chain — each run
+// over the whole window as one tight loop, fanned across a thread pool. Windowing exists for throughput: the
 // stateless stages get a window's worth of parallel work, and per-window
 // consumer loops keep each consumer's hot loop resident instead of cycling
 // all six through the instruction cache every snapshot.
@@ -152,8 +155,8 @@ class StreamingAnalyzer final : public LiveTraceSink {
   struct WindowEntry {
     Snapshot snap;
     std::vector<Vec3> positions;
-    std::vector<IncrementalProximity::PairList> lists;  // per range
-    std::vector<GraphSample> graphs;                    // per range
+    std::vector<ContactKeys> contacts;  // per range
+    std::vector<GraphSample> graphs;    // per range
     // Rate-correction weight: the degradation factor in force at snap.time.
     std::uint32_t weight{1};
   };

@@ -670,6 +670,71 @@ TEST(ContactOracle, RelabellingIdsLeavesEcdfsUnchanged) {
   EXPECT_GT(chained, 1000u);
 }
 
+// `trace` with every fix's planar position mapped by `move`; gaps and
+// degradations kept.
+template <typename Move>
+Trace moved(const Trace& trace, Move move) {
+  Trace out(trace.land_name(), trace.sampling_interval());
+  for (Snapshot snap : trace.snapshots()) {
+    for (AvatarFix& fix : snap.fixes) fix.pos = move(fix.pos);
+    out.add(std::move(snap));
+  }
+  for (const CoverageGap& gap : trace.gaps()) out.add_gap(gap.start, gap.end);
+  for (const auto& d : trace.degradations()) out.add_degradation(d.start, d.end, d.factor);
+  return out;
+}
+
+// ROADMAP 3(c): the paper's metrics do not depend on how the land is
+// oriented. A crawler trace holds integer metres in [0, 255], so swapping x
+// and y or reflecting x -> 255 - x keeps every squared distance exact, while
+// both transforms reorder every pair list's cell traversal. Contacts and
+// graphs are therefore equal bit for bit, whatever order the pairs come in;
+// zones depend on the cell grid and are left out.
+TEST(ContactOracle, SwappingOrReflectingAxesLeavesEcdfsUnchanged) {
+  const Trace& trace = gapped_crawler_trace();
+  for (const Snapshot& snap : trace.snapshots()) {
+    for (const AvatarFix& fix : snap.fixes) {
+      ASSERT_EQ(fix.pos.x, std::floor(fix.pos.x));
+      ASSERT_EQ(fix.pos.y, std::floor(fix.pos.y));
+      ASSERT_TRUE(fix.pos.x >= 0.0 && fix.pos.x <= 255.0 && fix.pos.y >= 0.0 &&
+                  fix.pos.y <= 255.0);
+    }
+  }
+  const AnalysisReport want = stream_contacts(trace, 1, 64);
+  const std::vector<std::pair<std::string, Trace>> variants = {
+      {"swap", moved(trace, [](Vec3 p) { return Vec3{p.y, p.x, p.z}; })},
+      {"reflect", moved(trace, [](Vec3 p) { return Vec3{255.0 - p.x, p.y, p.z}; })}};
+  for (const auto& [name, variant] : variants) {
+    const AnalysisReport got = stream_contacts(variant, 4, 3);
+    for (const auto& [range, c] : want.contacts) {
+      const std::string where = name + " r " + std::to_string(range);
+      const ContactAnalysis& r = got.contacts.at(range);
+      ASSERT_EQ(r.intervals.size(), c.intervals.size()) << where;
+      for (std::size_t i = 0; i < c.intervals.size(); ++i) {
+        EXPECT_EQ(r.intervals[i].a, c.intervals[i].a) << where << " interval " << i;
+        EXPECT_EQ(r.intervals[i].b, c.intervals[i].b) << where << " interval " << i;
+        EXPECT_EQ(r.intervals[i].start, c.intervals[i].start) << where << " interval " << i;
+        EXPECT_EQ(r.intervals[i].end, c.intervals[i].end) << where << " interval " << i;
+      }
+      EXPECT_EQ(sample_bits(r.contact_times), sample_bits(c.contact_times)) << where;
+      EXPECT_EQ(sample_bits(r.inter_contact_times), sample_bits(c.inter_contact_times)) << where;
+      EXPECT_EQ(sample_bits(r.first_contact_times), sample_bits(c.first_contact_times)) << where;
+      EXPECT_EQ(r.users_seen, c.users_seen) << where;
+      EXPECT_EQ(r.users_with_contact, c.users_with_contact) << where;
+    }
+    for (const auto& [range, g] : want.graphs) {
+      const std::string where = name + " r " + std::to_string(range);
+      const GraphMetrics& r = got.graphs.at(range);
+      EXPECT_EQ(sample_bits(r.degrees), sample_bits(g.degrees)) << where;
+      EXPECT_EQ(sample_bits(r.diameters), sample_bits(g.diameters)) << where;
+      EXPECT_EQ(sample_bits(r.clustering), sample_bits(g.clustering)) << where;
+      EXPECT_EQ(r.snapshots_analyzed, g.snapshots_analyzed) << where;
+      EXPECT_EQ(r.isolated_fraction, g.isolated_fraction) << where;
+    }
+  }
+  EXPECT_GT(want.contacts.at(80.0).intervals.size(), 1000u);
+}
+
 TEST(ContactOracle, ShortGapAfterTheLastSnapshotTruncatesOpenContacts) {
   TraceBuilder b;
   b.snap({{1, 0.0}, {2, 5.0}});
@@ -714,6 +779,149 @@ TEST(ContactOracle, TieAtExactlyRangeIsAContact) {
   ASSERT_EQ(want.inter_contact_times.size(), 1u);
   EXPECT_EQ(want.inter_contact_times[0], 10.0);
   expect_matches_oracle(analyze_contacts(trace, 10.0), want, "tie");
+}
+
+// ---------------------------------------------------------------------------
+// ContactKeys: the key stage against a brute-force std::set of the distinct
+// id pairs of each pair list.
+
+ContactKeys brute_force_keys(const Snapshot& snap, const ContactStream::PairList& pairs) {
+  std::set<std::uint64_t> keys;
+  ContactKeys out;
+  out.in_contact.assign(snap.fixes.size(), 0);
+  for (const auto& [i, j] : pairs) {
+    const std::uint32_t a = snap.fixes[i].id.value;
+    const std::uint32_t b = snap.fixes[j].id.value;
+    if (a == b) continue;
+    keys.insert((std::uint64_t{std::min(a, b)} << 32) | std::max(a, b));
+    out.in_contact[i] = 1;
+    out.in_contact[j] = 1;
+  }
+  out.keys.assign(keys.begin(), keys.end());
+  return out;
+}
+
+// Runs the key stage over `lists` into `got` (reused, so stale output from
+// an earlier call must not leak through) and checks every range.
+void expect_keys_match(const Snapshot& snap, const std::vector<ContactStream::PairList>& lists,
+                       std::vector<ContactKeys>& got, const std::string& where) {
+  got.resize(lists.size());
+  contact_keys(snap, lists, got);
+  for (std::size_t ri = 0; ri < lists.size(); ++ri) {
+    const ContactKeys want = brute_force_keys(snap, lists[ri]);
+    EXPECT_EQ(got[ri].keys, want.keys) << where << " list " << ri;
+    EXPECT_EQ(got[ri].in_contact, want.in_contact) << where << " list " << ri;
+  }
+}
+
+Snapshot snapshot_of_ids(const std::vector<std::uint32_t>& ids) {
+  Snapshot snap;
+  for (const std::uint32_t id : ids) snap.fixes.push_back({AvatarId{id}, {}});
+  return snap;
+}
+
+ContactStream::PairList all_pairs(std::size_t n) {
+  ContactStream::PairList pairs;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
+  }
+  return pairs;
+}
+
+// Random snapshots of up to 150 fixes whose ids come from pools of 1 to
+// 200 ids (so duplicate ids, one-id snapshots and more than 64 distinct ids
+// all occur), ids up to the top of the u32 range, and two pair lists per
+// snapshot — a random subset of all fix pairs (a few listed twice) and a
+// subset of that, like a smaller range — each shuffled, with either
+// orientation of a pair.
+TEST(ContactKeys, RandomSnapshotsMatchBruteForce) {
+  Rng rng(2024);
+  std::vector<ContactKeys> got;  // reused across snapshots
+  std::size_t keys = 0;
+  std::size_t dropped_same_id = 0;
+  std::size_t most_distinct = 0;
+  for (int round = 0; round < 300; ++round) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 150));
+    const auto pool = static_cast<std::uint32_t>(rng.uniform_int(1, 200));
+    const std::uint32_t base = rng.bernoulli(0.3) ? 0xffffffffu - pool : 1;
+    std::vector<std::uint32_t> ids;
+    for (std::size_t i = 0; i < n; ++i) {
+      ids.push_back(base + static_cast<std::uint32_t>(rng.uniform_int(0, pool - 1)));
+    }
+    const Snapshot snap = snapshot_of_ids(ids);
+    std::vector<ContactStream::PairList> lists(2);
+    const double density = rng.uniform(0.0, 0.5);
+    for (const auto& [i, j] : all_pairs(n)) {
+      if (!rng.bernoulli(density)) continue;
+      const bool flip = rng.bernoulli(0.5);
+      lists[0].emplace_back(flip ? j : i, flip ? i : j);
+      if (rng.bernoulli(0.02)) lists[0].push_back(lists[0].back());  // listed twice
+      if (rng.bernoulli(0.3)) lists[1].push_back(lists[0].back());
+      if (ids[i] == ids[j]) ++dropped_same_id;
+    }
+    for (auto& list : lists) {
+      for (std::size_t k = list.size(); k > 1; --k) {
+        std::swap(list[k - 1], list[static_cast<std::size_t>(
+                                   rng.uniform_int(0, static_cast<std::int64_t>(k) - 1))]);
+      }
+    }
+    expect_keys_match(snap, lists, got, "round " + std::to_string(round));
+    keys += got[0].keys.size();
+    most_distinct = std::max(most_distinct, std::set<std::uint32_t>(ids.begin(), ids.end()).size());
+  }
+  // The generator must exercise what the test claims.
+  EXPECT_GT(keys, 10000u);
+  EXPECT_GT(dropped_same_id, 100u);
+  EXPECT_GT(most_distinct, 64u);
+}
+
+TEST(ContactKeys, PairReachedThroughTwoFixesOfOneIdIsEmittedOnce) {
+  const Snapshot snap = snapshot_of_ids({7, 5, 5});
+  std::vector<ContactKeys> got;
+  expect_keys_match(snap, {{{1, 0}, {0, 2}, {1, 2}}}, got, "two fixes of id 5");
+  ASSERT_EQ(got[0].keys.size(), 1u);
+  EXPECT_EQ(got[0].keys[0], (std::uint64_t{5} << 32) | 7);
+  EXPECT_EQ(got[0].in_contact, (std::vector<std::uint8_t>{1, 1, 1}));
+  // Only the same-id pair: no key, and neither fix is in contact.
+  expect_keys_match(snap, {{{1, 2}}}, got, "same-id pair alone");
+  EXPECT_TRUE(got[0].keys.empty());
+  EXPECT_EQ(got[0].in_contact, (std::vector<std::uint8_t>{0, 0, 0}));
+}
+
+TEST(ContactKeys, SnapshotOfOneIdHasNoKeys) {
+  const Snapshot snap = snapshot_of_ids({9, 9, 9, 9, 9});
+  std::vector<ContactKeys> got;
+  expect_keys_match(snap, {all_pairs(5), {}}, got, "one id");
+  for (const ContactKeys& k : got) {
+    EXPECT_TRUE(k.keys.empty());
+    EXPECT_EQ(k.in_contact, std::vector<std::uint8_t>(5, 0));
+  }
+}
+
+TEST(ContactKeys, EmptyAndSingleFixSnapshots) {
+  std::vector<ContactKeys> got;
+  expect_keys_match(snapshot_of_ids({3, 1, 2}), {all_pairs(3), all_pairs(3)}, got, "warm");
+  expect_keys_match(snapshot_of_ids({}), {{}, {}}, got, "empty");
+  for (const ContactKeys& k : got) {
+    EXPECT_TRUE(k.keys.empty());
+    EXPECT_TRUE(k.in_contact.empty());
+  }
+  expect_keys_match(snapshot_of_ids({4}), {{}, {}}, got, "single fix");
+  for (const ContactKeys& k : got) {
+    EXPECT_TRUE(k.keys.empty());
+    EXPECT_EQ(k.in_contact, std::vector<std::uint8_t>{0});
+  }
+}
+
+// 100 distinct ids listed in descending order, every pair in range: the
+// ranks run against fix order, and there are more ranks than bits in a
+// machine word.
+TEST(ContactKeys, MoreThan64DistinctIdsInDescendingOrder) {
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t id = 1000; id > 900; --id) ids.push_back(id);
+  std::vector<ContactKeys> got;
+  expect_keys_match(snapshot_of_ids(ids), {all_pairs(ids.size())}, got, "100 ids");
+  EXPECT_EQ(got[0].keys.size(), 100u * 99u / 2u);
 }
 
 }  // namespace

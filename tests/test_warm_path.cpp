@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "alloc_counter.hpp"
+#include "analysis/contacts.hpp"
 #include "analysis/graphs.hpp"
 #include "analysis/incremental_proximity.hpp"
 #include "analysis/pair_kernel.hpp"
@@ -58,10 +59,11 @@ TEST(WarmPath, PairKernelSecondPassDoesNotAllocate) {
   EXPECT_GT(pairs, 0u);
 }
 
-// StreamingAnalyzer's per-snapshot window stage — snapshot_proximity plus a
-// GraphKernel::measure per radius at {10, 80} m — over a 2 h Isle of View
-// crawler trace. Once a first pass has grown the thread's kernel scratch
-// and the per-snapshot outputs, a second pass must not allocate.
+// StreamingAnalyzer's per-snapshot window stage — snapshot_proximity, a
+// GraphKernel::measure per radius and contact_keys for both radii at
+// {10, 80} m — over a 2 h Isle of View crawler trace. Once a first pass
+// has grown the thread's scratch and the per-snapshot outputs, a second
+// pass must not allocate.
 TEST(WarmPath, WindowStageSecondPassDoesNotAllocate) {
   ExperimentConfig cfg;
   cfg.archetype = LandArchetype::kIsleOfView;
@@ -75,15 +77,20 @@ TEST(WarmPath, WindowStageSecondPassDoesNotAllocate) {
   std::vector<PairKernel::PairList> lists;
   GraphKernel graph_kernel;
   std::vector<GraphSample> samples(ranges.size());
+  std::vector<ContactKeys> keys(ranges.size());
   std::size_t edges = 0;
+  std::size_t contacts = 0;
   const auto pass = [&] {
     edges = 0;
+    contacts = 0;
     for (const Snapshot& snap : trace.snapshots()) {
       snapshot_proximity(snap, ranges, positions, lists);
       for (std::size_t ri = 0; ri < ranges.size(); ++ri) {
         graph_kernel.measure(snap.fixes.size(), lists[ri], samples[ri]);
       }
+      contact_keys(snap, lists, keys);
       edges += lists.back().size();
+      contacts += keys.back().keys.size();
     }
   };
   pass();
@@ -91,6 +98,7 @@ TEST(WarmPath, WindowStageSecondPassDoesNotAllocate) {
   pass();
   EXPECT_EQ(allocation_count() - before, 0u);
   EXPECT_GT(edges, 0u);
+  EXPECT_GT(contacts, 0u);
 }
 
 // 300 steady-state World::ticks of a 1k-avatar frozen population.
