@@ -48,12 +48,6 @@ std::string diff_ecdf(const std::string& name, const Ecdf& a, const Ecdf& b) {
   return {};
 }
 
-std::string diff_fit(const std::string& name, const PowerLawFit& a, const PowerLawFit& b) {
-  if (auto d = diff_scalar(name + ".alpha", a.alpha, b.alpha); !d.empty()) return d;
-  if (auto d = diff_scalar(name + ".xmin", a.xmin, b.xmin); !d.empty()) return d;
-  return diff_count(name + ".n", a.n, b.n);
-}
-
 std::string diff_summary(const TraceSummary& a, const TraceSummary& b) {
   if (auto d = diff_count("summary.unique_users", a.unique_users, b.unique_users); !d.empty())
     return d;
@@ -156,60 +150,9 @@ std::string diff_trips(const TripAnalysis& a, const TripAnalysis& b) {
   return diff_count("trips.sessions", a.sessions, b.sessions);
 }
 
-std::string diff_flights(const FlightAnalysis& a, const FlightAnalysis& b) {
-  if (auto d = diff_ecdf("flights.flight_lengths", a.flight_lengths, b.flight_lengths);
-      !d.empty())
-    return d;
-  if (auto d = diff_ecdf("flights.pause_times", a.pause_times, b.pause_times); !d.empty())
-    return d;
-  if (auto d = diff_count("flights.sessions_analyzed", a.sessions_analyzed,
-                          b.sessions_analyzed);
-      !d.empty())
-    return d;
-  if (auto d = diff_fit("flights.flight_fit", a.flight_fit, b.flight_fit); !d.empty()) return d;
-  return diff_fit("flights.pause_fit", a.pause_fit, b.pause_fit);
-}
-
-std::string diff_relations(const RelationSummary& a, const RelationSummary& b) {
-  if (a.relations.size() != b.relations.size())
-    return diff_count("relations.size", a.relations.size(), b.relations.size());
-  for (std::size_t i = 0; i < a.relations.size(); ++i) {
-    const auto& x = a.relations[i];
-    const auto& y = b.relations[i];
-    if (x.a != y.a || x.b != y.b || x.encounters != y.encounters ||
-        !bits_equal(x.total_contact, y.total_contact) ||
-        !bits_equal(x.first_met, y.first_met) ||
-        !bits_equal(x.last_seen_together, y.last_seen_together)) {
-      std::ostringstream os;
-      os << "relations[" << i << "] differs";
-      return os.str();
-    }
-  }
-  if (auto d = diff_count("relations.user_count", a.user_count, b.user_count); !d.empty())
-    return d;
-  if (auto d = diff_scalar("relations.acquaintance_fraction", a.acquaintance_fraction,
-                           b.acquaintance_fraction);
-      !d.empty())
-    return d;
-  if (auto d = diff_ecdf("relations.encounter_counts", a.encounter_counts, b.encounter_counts);
-      !d.empty())
-    return d;
-  if (auto d = diff_ecdf("relations.tie_strengths", a.tie_strengths, b.tie_strengths);
-      !d.empty())
-    return d;
-  return diff_ecdf("relations.acquaintance_degrees", a.acquaintance_degrees,
-                   b.acquaintance_degrees);
-}
-
 void put_ecdf(ByteWriter& w, const Ecdf& e) {
   w.u64(static_cast<std::uint64_t>(e.size()));
   for (const double x : e.sorted()) w.f64(x);
-}
-
-void put_fit(ByteWriter& w, const PowerLawFit& f) {
-  w.f64(f.alpha);
-  w.f64(f.xmin);
-  w.u64(static_cast<std::uint64_t>(f.n));
 }
 
 }  // namespace
@@ -237,17 +180,7 @@ std::string analysis_diff(const AnalysisReport& a, const AnalysisReport& b) {
   }
 
   if (auto d = diff_zones(a.zones, b.zones); !d.empty()) return d;
-  if (auto d = diff_trips(a.trips, b.trips); !d.empty()) return d;
-
-  if (a.flights.has_value() != b.flights.has_value()) return "flights: presence differs";
-  if (a.flights) {
-    if (auto d = diff_flights(*a.flights, *b.flights); !d.empty()) return d;
-  }
-  if (a.relations.has_value() != b.relations.has_value()) return "relations: presence differs";
-  if (a.relations) {
-    if (auto d = diff_relations(*a.relations, *b.relations); !d.empty()) return d;
-  }
-  return {};
+  return diff_trips(a.trips, b.trips);
 }
 
 std::uint32_t analysis_fingerprint(const AnalysisReport& report) {
@@ -307,34 +240,11 @@ std::uint32_t analysis_fingerprint(const AnalysisReport& report) {
   put_ecdf(w, t.travel_times);
   w.u64(static_cast<std::uint64_t>(t.sessions));
 
-  w.u8(report.flights ? 1 : 0);
-  if (report.flights) {
-    const FlightAnalysis& f = *report.flights;
-    put_ecdf(w, f.flight_lengths);
-    put_ecdf(w, f.pause_times);
-    w.u64(static_cast<std::uint64_t>(f.sessions_analyzed));
-    put_fit(w, f.flight_fit);
-    put_fit(w, f.pause_fit);
-  }
-
-  w.u8(report.relations ? 1 : 0);
-  if (report.relations) {
-    const RelationSummary& r = *report.relations;
-    w.u64(static_cast<std::uint64_t>(r.relations.size()));
-    for (const auto& rel : r.relations) {
-      w.u32(rel.a.value);
-      w.u32(rel.b.value);
-      w.u64(static_cast<std::uint64_t>(rel.encounters));
-      w.f64(rel.total_contact);
-      w.f64(rel.first_met);
-      w.f64(rel.last_seen_together);
-    }
-    w.u64(static_cast<std::uint64_t>(r.user_count));
-    w.f64(r.acquaintance_fraction);
-    put_ecdf(w, r.encounter_counts);
-    put_ecdf(w, r.tie_strengths);
-    put_ecdf(w, r.acquaintance_degrees);
-  }
+  // Absent-flag bytes of the flights and relations blocks that reports
+  // once carried. Every committed golden hashes them (the fingerprints in
+  // tests/analysis_goldens.hpp and perfbench/spec.json), so they stay.
+  w.u8(0);
+  w.u8(0);
 
   return crc32(w.bytes());
 }

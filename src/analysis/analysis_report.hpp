@@ -1,4 +1,7 @@
-// The complete result of analyzing one trace, as a plain value.
+// The complete result of analyzing one trace, as a plain value: the
+// paper's §3 metrics (summary, contacts and graphs per range, zones,
+// trips). The §5 relation graph and flight decomposition are not part of
+// it; bench/future_relation_graph computes them per trace.
 //
 // StreamingAnalyzer (analysis/streaming.hpp) is the only producer; an
 // in-memory trace reaches it through analyze_trace (core/experiment.hpp).
@@ -16,13 +19,10 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 
 #include "analysis/contacts.hpp"
-#include "analysis/flights.hpp"
 #include "analysis/graphs.hpp"
-#include "analysis/relations.hpp"
 #include "analysis/trips.hpp"
 #include "analysis/zones.hpp"
 #include "trace/trace.hpp"
@@ -36,15 +36,11 @@ struct AnalysisReport {
   std::map<double, GraphMetrics> graphs;
   ZoneAnalysis zones;
   TripAnalysis trips;
-  // Optional heavier analyses (off by default).
-  std::optional<FlightAnalysis> flights;
-  std::optional<RelationSummary> relations;
 };
 
 // Human-readable description of the first difference between two reports,
 // or "" when they are equivalent. Scalars compare exactly (bitwise for
-// doubles), Ecdfs by sorted sample sequence, interval/relation lists
-// elementwise.
+// doubles), Ecdfs by sorted sample sequence, interval lists elementwise.
 [[nodiscard]] std::string analysis_diff(const AnalysisReport& a, const AnalysisReport& b);
 
 [[nodiscard]] inline bool analysis_equal(const AnalysisReport& a, const AnalysisReport& b) {

@@ -182,7 +182,6 @@ void ContactStream::close_contact(std::uint32_t slot, Seconds end) {
   interval.end = end;
   out_.contact_times.add(end - interval.start);
   if (epochs_active_) interval_epochs_[slot] = censor_epoch_;
-  if (sink_) sink_(interval);
 }
 
 // Closes every contact of the previous snapshot at `end`, in key order.

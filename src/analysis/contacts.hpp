@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -96,13 +95,6 @@ class ContactStream {
 
   ContactStream(double range, Seconds tau, const GapTracker& gaps);
 
-  // Optional: observe every contact interval as it closes (closure order;
-  // per pair this is chronological). Used to chain relation analysis. The
-  // reference is into the growing output and is valid only during the call.
-  void set_interval_sink(std::function<void(const ContactInterval&)> sink) {
-    sink_ = std::move(sink);
-  }
-
   // `keys` as contact_keys builds them for `snapshot`.
   void on_snapshot(const Snapshot& snapshot, const ContactKeys& keys);
   // Builds the snapshot's keys from its in-range fix-index pairs with
@@ -143,7 +135,6 @@ class ContactStream {
 
   Seconds tau_;
   const GapTracker* gaps_;
-  std::function<void(const ContactInterval&)> sink_;
   ContactAnalysis out_;
   // Users: avatar id -> dense index, looked up once per fix. Per user, the
   // time of its first (covered) appearance and of its first contact; NaN

@@ -83,61 +83,4 @@ std::vector<Relation> RelationGraph::strongest(std::size_t k) const {
   return sorted;
 }
 
-RelationSummary summarize_relations(const RelationGraph& graph) {
-  RelationSummary out;
-  out.relations = graph.relations();
-  out.user_count = graph.user_count();
-  out.acquaintance_fraction = graph.acquaintance_fraction();
-  out.encounter_counts = graph.encounter_counts();
-  out.tie_strengths = graph.tie_strengths();
-  out.acquaintance_degrees = graph.acquaintance_degrees();
-  return out;
-}
-
-void RelationStream::on_interval(const ContactInterval& interval) {
-  auto [it, inserted] = pairs_.try_emplace(pair_key(interval.a, interval.b));
-  Relation& rel = it->second;
-  if (inserted) {
-    rel.a = AvatarId{std::min(interval.a.value, interval.b.value)};
-    rel.b = AvatarId{std::max(interval.a.value, interval.b.value)};
-    rel.first_met = interval.start;
-  }
-  rel.first_met = std::min(rel.first_met, interval.start);
-  rel.last_seen_together = std::max(rel.last_seen_together, interval.end);
-  ++rel.encounters;
-  rel.total_contact += interval.duration();
-}
-
-RelationSummary RelationStream::finish() {
-  RelationSummary out;
-  std::size_t acquaintances = 0;
-  std::map<AvatarId, std::size_t> degree;
-  for (auto& [key, rel] : pairs_) {
-    if (rel.encounters >= options_.min_encounters) {
-      ++acquaintances;
-      ++degree[rel.a];
-      ++degree[rel.b];
-      out.relations.push_back(rel);
-    }
-  }
-  if (!pairs_.empty()) {
-    out.acquaintance_fraction =
-        static_cast<double>(acquaintances) / static_cast<double>(pairs_.size());
-  }
-  std::sort(out.relations.begin(), out.relations.end(),
-            [](const Relation& x, const Relation& y) {
-              if (x.a != y.a) return x.a < y.a;
-              return x.b < y.b;
-            });
-  out.user_count = degree.size();
-  for (const auto& rel : out.relations) {
-    out.encounter_counts.add(static_cast<double>(rel.encounters));
-    out.tie_strengths.add(rel.total_contact);
-  }
-  for (const auto& [user, deg] : degree) {
-    out.acquaintance_degrees.add(static_cast<double>(deg));
-  }
-  return out;
-}
-
 }  // namespace slmob

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/contacts.hpp"
@@ -73,36 +72,6 @@ class RelationGraph {
   std::vector<Relation> relations_;
   std::map<AvatarId, std::size_t> degree_;
   double acquaintance_fraction_{0.0};
-};
-
-// Value-type summary of a relation graph, as carried by an AnalysisReport.
-struct RelationSummary {
-  std::vector<Relation> relations;  // acquaintances, sorted by (a, b)
-  std::size_t user_count{0};        // users with >= 1 acquaintance
-  double acquaintance_fraction{0.0};
-  Ecdf encounter_counts;
-  Ecdf tie_strengths;
-  Ecdf acquaintance_degrees;
-};
-
-// Snapshot of an existing graph into the summary form (the batch path).
-RelationSummary summarize_relations(const RelationGraph& graph);
-
-// Incremental relation aggregation fed by a ContactStream interval sink.
-// Intervals of one pair arrive chronologically (contacts close in time
-// order per pair), so per-pair accumulation order — and hence every
-// floating-point sum — matches RelationGraph built from the full interval
-// list. finish() is bit-identical to summarize_relations(RelationGraph(...)).
-class RelationStream {
- public:
-  explicit RelationStream(RelationGraphOptions options = {}) : options_(options) {}
-
-  void on_interval(const ContactInterval& interval);
-  [[nodiscard]] RelationSummary finish();
-
- private:
-  RelationGraphOptions options_;
-  std::unordered_map<std::uint64_t, Relation> pairs_;
 };
 
 }  // namespace slmob

@@ -1,6 +1,5 @@
 #include "analysis/spatial_index.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace slmob {
@@ -26,34 +25,8 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> SpatialGrid::pairs_within()
   return out;
 }
 
-std::vector<IndexPairDistance> SpatialGrid::pairs_within_distance() const {
-  ensure_enumerated();
-  std::vector<IndexPairDistance> out;
-  out.reserve(kernel_.hits().size());
-  for (const PairKernel::Hit& h : kernel_.hits()) {
-    out.push_back({h.i, h.j, std::sqrt(h.d2)});
-  }
-  return out;
-}
-
-std::vector<std::uint32_t> SpatialGrid::near_point(const Vec3& p) const {
-  std::vector<std::uint32_t> out;
-  near_point(p, out);
-  return out;
-}
-
 void SpatialGrid::near_point(const Vec3& p, std::vector<std::uint32_t>& out) const {
   kernel_.near(p, out);
-}
-
-std::vector<std::uint32_t> SpatialGrid::neighbors_of(std::uint32_t i) const {
-  if (i >= positions_.size()) throw std::out_of_range("SpatialGrid::neighbors_of");
-  std::vector<std::uint32_t> out;
-  kernel_.near(positions_[i], out);
-  // A point is within radius of itself; drop the query index (duplicate
-  // positions at other indices legitimately stay).
-  std::erase(out, i);
-  return out;
 }
 
 }  // namespace slmob

@@ -21,38 +21,21 @@
 
 namespace slmob {
 
-// An index pair (i < j) with its planar distance, as produced by
-// SpatialGrid::pairs_within_distance. Keeping the distance lets one grid
-// built at the largest radius answer all smaller radii by filtering.
-struct IndexPairDistance {
-  std::uint32_t i{0};
-  std::uint32_t j{0};
-  double distance{0.0};
-};
-
 class SpatialGrid {
  public:
   // `radius` is the query radius the grid is built for; `positions` indexes
   // are preserved in query results. Construction cell-sorts the points; pair
-  // enumeration runs lazily on the first pairs_* call (near_point-only users
-  // such as World::within never pay for it).
+  // enumeration runs lazily on the first pairs_within call (near_point-only
+  // users such as World::within never pay for it).
   SpatialGrid(const std::vector<Vec3>& positions, double radius);
 
   // All index pairs (i < j) with planar distance <= radius.
   [[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_within() const;
 
-  // Same pairs, each with its planar distance.
-  [[nodiscard]] std::vector<IndexPairDistance> pairs_within_distance() const;
-
-  // Indices within radius of positions[i], excluding i itself.
-  [[nodiscard]] std::vector<std::uint32_t> neighbors_of(std::uint32_t i) const;
-
-  // Indices within radius of an arbitrary point p (which need not be one of
-  // the indexed positions). Used by the simulation side — chat audibility
-  // and sensor sweeps — to replace full population scans.
-  [[nodiscard]] std::vector<std::uint32_t> near_point(const Vec3& p) const;
-  // Same query without allocating: appends the matching indices to `out`
-  // (which the caller clears and reuses across queries).
+  // Appends to `out` the indices within radius of an arbitrary point p
+  // (which need not be one of the indexed positions); the caller clears and
+  // reuses `out` across queries. Used by the simulation side — chat
+  // audibility and sensor sweeps — to replace full population scans.
   void near_point(const Vec3& p, std::vector<std::uint32_t>& out) const;
 
  private:

@@ -1,6 +1,5 @@
 #include "analysis/streaming.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -18,7 +17,6 @@ struct StreamingAnalyzer::RangeConsumers {
   std::size_t ri;  // index into WindowEntry::contacts and ::graphs
   ContactStream contacts;
   GraphStream graphs;
-  bool feeds_relations{false};
 };
 
 StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
@@ -33,28 +31,9 @@ StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
   tune_malloc_for_streaming();
   window_.resize(options_.window);
   zones_ = std::make_unique<ZoneStream>(options_.land_size, options_.zone_cell_size);
-  if (options_.relations) {
-    if (std::find(ranges_.begin(), ranges_.end(), options_.relation_range) == ranges_.end()) {
-      throw std::invalid_argument(
-          "StreamingAnalyzer: relation_range must be one of ranges");
-    }
-    relations_ = std::make_unique<RelationStream>(options_.relation_options);
-  }
-
-  // The session chain is shared: one SessionStream feeds trips (always) and
-  // flights (optional). Sessions are extracted with options_.sessions;
-  // flight_options.sessions is unused here (FlightStream only applies the
-  // speed/length thresholds), so agreement with analyze_flights requires
-  // flight_options.sessions == sessions — true for the defaults.
   sessions_ = std::make_unique<SessionStream>(summary_.gaps(), options_.sessions);
   trips_ = std::make_unique<TripStream>(options_.sessions);
-  if (options_.flights) {
-    flights_ = std::make_unique<FlightStream>(options_.flight_options);
-  }
-  sessions_->set_sink([this](Session&& session) {
-    trips_->on_session(session);
-    if (flights_) flights_->on_session(session);
-  });
+  sessions_->set_sink([this](Session&& session) { trips_->on_session(session); });
 }
 
 StreamingAnalyzer::~StreamingAnalyzer() {
@@ -71,14 +50,8 @@ void StreamingAnalyzer::on_begin(const std::string& /*land_name*/,
   begun_ = true;
 
   for (std::size_t ri = 0; ri < ranges_.size(); ++ri) {
-    const double r = ranges_[ri];
-    auto rc = std::make_unique<RangeConsumers>(r, ri, sampling_interval, summary_.gaps());
-    if (relations_ && r == options_.relation_range) {
-      rc->feeds_relations = true;
-      rc->contacts.set_interval_sink(
-          [this](const ContactInterval& interval) { relations_->on_interval(interval); });
-    }
-    per_range_.push_back(std::move(rc));
+    per_range_.push_back(
+        std::make_unique<RangeConsumers>(ranges_[ri], ri, sampling_interval, summary_.gaps()));
   }
 
   // One task list, rebuilt never: each task walks the draining window as a
@@ -241,28 +214,19 @@ AnalysisReport StreamingAnalyzer::finish() {
 
   // Pre-create map nodes so finish tasks only write through references
   // (std::map never invalidates mapped references).
-  if (options_.flights) report.flights.emplace();
-  if (relations_) report.relations.emplace();
   std::vector<std::function<void()>> tasks;
   for (auto& rc : per_range_) {
     RangeConsumers* c = rc.get();
     ContactAnalysis& contacts = report.contacts[c->range];
-    tasks.emplace_back([this, c, &contacts, &report] {
-      contacts = c->contacts.finish();
-      // The relation stream consumes this range's interval sink, so its
-      // finish must follow this contact finish — same task, sequentially.
-      if (c->feeds_relations) *report.relations = relations_->finish();
-    });
+    tasks.emplace_back([c, &contacts] { contacts = c->contacts.finish(); });
     GraphMetrics& graphs = report.graphs[c->range];
     tasks.emplace_back([c, &graphs] { graphs = c->graphs.finish(); });
   }
   tasks.emplace_back([this, &report] { report.zones = zones_->finish(); });
   tasks.emplace_back([this, &report] {
-    // Session closure emits into trips/flights, so the whole chain is one
-    // sequential task.
+    // Session closure emits into trips, so the chain is one sequential task.
     sessions_->finish();
     report.trips = trips_->finish();
-    if (flights_) *report.flights = flights_->finish();
   });
 
   parallel_for(pool_, tasks.size(), [&](std::size_t i) { tasks[i](); });

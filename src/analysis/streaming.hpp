@@ -23,11 +23,12 @@
 // snapshot. The pair lists themselves stay in that scratch: no ordered
 // task reads them. Then the ordered per-consumer tasks — contacts per
 // range (a merge-join of consecutive snapshots' keys), graph samples
-// added per range, zones, the session -> trips/flights chain — each run
-// over the whole window as one tight loop, fanned across a thread pool. Windowing exists for throughput: the
-// stateless stages get a window's worth of parallel work, and per-window
-// consumer loops keep each consumer's hot loop resident instead of cycling
-// all six through the instruction cache every snapshot.
+// added per range, zones, the session -> trips chain — each run over the
+// whole window as one tight loop, fanned across a thread pool. Windowing
+// exists for throughput: the stateless stages get a window's worth of
+// parallel work, and per-window consumer loops keep each consumer's hot
+// loop resident instead of cycling all six through the instruction cache
+// every snapshot.
 //
 // Windows are double-buffered. flush_window computes the filled window's
 // per-snapshot stages with parallel_for on the producer thread *before*
@@ -65,9 +66,7 @@
 #include <vector>
 
 #include "analysis/analysis_report.hpp"
-#include "analysis/flights.hpp"
 #include "analysis/incremental_proximity.hpp"
-#include "analysis/relations.hpp"
 #include "analysis/trips.hpp"
 #include "analysis/zones.hpp"
 #include "trace/sessions.hpp"
@@ -76,6 +75,9 @@
 
 namespace slmob {
 
+// The settings of one analysis: the paper's §3 metrics and nothing else.
+// The §5 relation graph and flight decomposition are per-trace analyses
+// (RelationGraph, analyze_flights), not stages of this engine.
 struct StreamingOptions {
   // Communication radii (defaults: the paper's Bluetooth and WiFi ranges).
   std::vector<double> ranges{10.0, 80.0};
@@ -95,15 +97,7 @@ struct StreamingOptions {
   // the whole trace, which run_experiment applies before analyzing. The CLI
   // does not strip.
   bool strip_sitting_fixes{false};
-  // Optional heavier analyses, off by default (analyze_trace and
-  // run_experiment do not compute them).
-  bool flights{false};
-  bool relations{false};
-  // Contact range feeding the relation graph; must be one of `ranges`.
-  double relation_range{10.0};
   SessionExtractionOptions sessions;
-  FlightAnalysisOptions flight_options;
-  RelationGraphOptions relation_options;
 };
 
 // Monotonic counters, readable between snapshots (e.g. by the crawler's
@@ -119,8 +113,8 @@ struct StreamingProgress {
 
 class StreamingAnalyzer final : public LiveTraceSink {
  public:
-  // Throws std::invalid_argument on bad ranges / zone sizes, or when
-  // `relations` is requested with a relation_range not in `ranges`.
+  // Throws std::invalid_argument on bad ranges / zone sizes or a zero
+  // window.
   explicit StreamingAnalyzer(StreamingOptions options = {});
   ~StreamingAnalyzer() override;
 
@@ -143,7 +137,6 @@ class StreamingAnalyzer final : public LiveTraceSink {
   [[nodiscard]] AnalysisReport finish();
 
   [[nodiscard]] StreamingProgress progress() const { return progress_; }
-  [[nodiscard]] std::size_t threads_used() const { return pool_.concurrency(); }
 
  private:
   struct RangeConsumers;  // per-range contact + graph streams
@@ -179,8 +172,6 @@ class StreamingAnalyzer final : public LiveTraceSink {
   std::vector<std::unique_ptr<RangeConsumers>> per_range_;
   std::unique_ptr<SessionStream> sessions_;
   std::unique_ptr<TripStream> trips_;
-  std::unique_ptr<FlightStream> flights_;
-  std::unique_ptr<RelationStream> relations_;
   // Per-consumer loops over draining_[0, drain_used_); built once in
   // on_begin.
   std::vector<std::function<void()>> window_tasks_;

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <new>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 
 namespace slmob {
@@ -133,12 +132,6 @@ std::vector<EcdfPoint> Ecdf::ccdf_log_series(std::size_t n, double lo_floor) con
     out.push_back({x, ccdf(x)});
   }
   return out;
-}
-
-std::string format_series(const std::vector<EcdfPoint>& series) {
-  std::ostringstream os;
-  for (const auto& p : series) os << p.x << '\t' << p.y << '\n';
-  return os.str();
 }
 
 }  // namespace slmob

@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -123,9 +122,5 @@ class Ecdf {
   mutable detail::SampleBuf samples_;
   mutable bool sorted_{true};
 };
-
-// Renders a series as "x<TAB>y" lines, used by bench binaries to emit
-// figure data in a gnuplot-friendly form.
-std::string format_series(const std::vector<EcdfPoint>& series);
 
 }  // namespace slmob

@@ -44,31 +44,6 @@ double LogNormalSampler::sample(Rng& rng) const {
   return std::exp(mu_ + sigma_ * rng.normal());
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double s) {
-  if (n == 0) throw std::invalid_argument("ZipfSampler: n must be positive");
-  cdf_.resize(n);
-  double total = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    total += 1.0 / std::pow(static_cast<double>(k + 1), s);
-    cdf_[k] = total;
-  }
-  for (auto& c : cdf_) c /= total;
-}
-
-std::size_t ZipfSampler::sample(Rng& rng) const {
-  const double u = rng.uniform();
-  // Linear scan is fine: POI counts are tiny (< 32).
-  for (std::size_t k = 0; k < cdf_.size(); ++k) {
-    if (u <= cdf_[k]) return k;
-  }
-  return cdf_.size() - 1;
-}
-
-double ZipfSampler::pmf(std::size_t k) const {
-  if (k >= cdf_.size()) throw std::out_of_range("ZipfSampler::pmf");
-  return k == 0 ? cdf_[0] : cdf_[k] - cdf_[k - 1];
-}
-
 CategoricalSampler::CategoricalSampler(std::vector<double> weights) {
   if (weights.empty()) throw std::invalid_argument("CategoricalSampler: no weights");
   double total = 0.0;

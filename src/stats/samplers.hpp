@@ -53,20 +53,6 @@ class LogNormalSampler {
   double sigma_;
 };
 
-// Zipf distribution over ranks {0, .., n-1}: P[rank k] proportional to
-// 1/(k+1)^s. Used for point-of-interest popularity.
-class ZipfSampler {
- public:
-  ZipfSampler(std::size_t n, double s);
-  [[nodiscard]] std::size_t sample(Rng& rng) const;
-  [[nodiscard]] std::size_t size() const { return cdf_.size(); }
-  // Probability mass of rank k.
-  [[nodiscard]] double pmf(std::size_t k) const;
-
- private:
-  std::vector<double> cdf_;
-};
-
 // Samples an index according to explicit non-negative weights.
 class CategoricalSampler {
  public:

@@ -124,7 +124,7 @@ void SummaryTracker::on_snapshot(const Snapshot& snapshot) {
   ++snapshots_;
   total_fixes_ += snapshot.fixes.size();
   max_concurrent_ = std::max(max_concurrent_, snapshot.fixes.size());
-  for (const auto& fix : snapshot.fixes) users_.insert(fix.id);
+  for (const auto& fix : snapshot.fixes) users_.insert(fix.id.value);
 }
 
 TraceSummary SummaryTracker::summary() const {

@@ -41,8 +41,8 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -164,7 +164,8 @@ class SummaryTracker final : public LiveTraceSink {
  private:
   GapTracker gaps_;
   DegradationTracker rates_;
-  std::set<AvatarId> users_;
+  // Distinct avatar id values; only the count is read.
+  std::unordered_set<std::uint32_t> users_;
   std::size_t snapshots_{0};
   std::size_t total_fixes_{0};
   std::size_t max_concurrent_{0};

@@ -1,7 +1,6 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
 #include "trace/stream.hpp"
@@ -85,14 +84,6 @@ Seconds Trace::gap_seconds() const {
 TraceSummary Trace::summary() const {
   MemoryTraceStream stream(*this);
   return summarize(stream);
-}
-
-std::vector<AvatarId> Trace::unique_avatars() const {
-  std::set<AvatarId> unique;
-  for (const auto& snap : snapshots_) {
-    for (const auto& fix : snap.fixes) unique.insert(fix.id);
-  }
-  return {unique.begin(), unique.end()};
 }
 
 Trace Trace::slice(Seconds t0, Seconds t1) const {

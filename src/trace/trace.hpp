@@ -123,9 +123,6 @@ class Trace {
   // summarize() over a MemoryTraceStream of this trace (trace/stream.hpp).
   [[nodiscard]] TraceSummary summary() const;
 
-  // All distinct avatar ids observed anywhere in the trace, ascending.
-  [[nodiscard]] std::vector<AvatarId> unique_avatars() const;
-
   // Returns a copy restricted to snapshots with time in [t0, t1); coverage
   // gaps are clipped to the window and carried over.
   [[nodiscard]] Trace slice(Seconds t0, Seconds t1) const;

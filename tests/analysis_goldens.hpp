@@ -59,18 +59,20 @@ inline Trace gapped_trace() {
 }
 inline constexpr std::uint32_t kGapped = 0xdabf1153u;
 
-// seeded_trace(43, 100, 40) analysed with flights on (other options
-// default), without and with a coverage gap. Recorded when analyze_flights
-// still ran its own copy of the pause/flight state machine and agreed with
-// FlightStream on both.
+// analyze_flights (default options) of seeded_trace(43, 100, 40), without
+// and with a coverage gap, condensed by flights_fingerprint
+// (test_analysis_flights.cpp) to a CRC. Recorded while the streaming
+// analyzer could still compute flights: its flights equalled these, inside
+// reports matching the goldens of that time, which date from when
+// analyze_flights ran its own copy of the pause/flight state machine.
 inline Trace flights_trace() { return seeded_trace(43, 100, 40); }
-inline constexpr std::uint32_t kFlights = 0x9c583c90u;
+inline constexpr std::uint32_t kFlights = 0xbfeef14du;
 inline Trace flights_gapped_trace() {
   Trace t = seeded_trace(43, 100, 40);
   t.add_gap(395.0, 455.0);
   return t;
 }
-inline constexpr std::uint32_t kFlightsGapped = 0xd700cd98u;
+inline constexpr std::uint32_t kFlightsGapped = 0x50354853u;
 
 // One run_experiment per row: 2 h, seed 42.
 struct LandGolden {

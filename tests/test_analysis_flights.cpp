@@ -2,11 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis_goldens.hpp"
 #include "stats/samplers.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace slmob {
 namespace {
+
+void put_ecdf(ByteWriter& w, const Ecdf& e) {
+  w.u64(static_cast<std::uint64_t>(e.size()));
+  for (const double x : e.sorted()) w.f64(x);
+}
+
+void put_fit(ByteWriter& w, const PowerLawFit& f) {
+  w.f64(f.alpha);
+  w.f64(f.xmin);
+  w.u64(static_cast<std::uint64_t>(f.n));
+}
+
+// CRC-32 over a canonical serialization of a FlightAnalysis (sorted Ecdf
+// samples as raw f64 bits), as golden::kFlights pins it.
+std::uint32_t flights_fingerprint(const FlightAnalysis& f) {
+  ByteWriter w;
+  put_ecdf(w, f.flight_lengths);
+  put_ecdf(w, f.pause_times);
+  w.u64(static_cast<std::uint64_t>(f.sessions_analyzed));
+  put_fit(w, f.flight_fit);
+  put_fit(w, f.pause_fit);
+  return crc32(w.bytes());
+}
 
 // One avatar sampled every 10 s along the given x positions.
 Trace path_trace(std::initializer_list<double> xs) {
@@ -89,6 +114,16 @@ TEST(Flights, MultipleSessionsIndependent) {
   const FlightAnalysis a = analyze_flights(t);
   EXPECT_EQ(a.sessions_analyzed, 2u);
   EXPECT_EQ(a.flight_lengths.size(), 1u);  // the gap is not a 200 m flight
+}
+
+TEST(Flights, GoldenFingerprints) {
+  const FlightAnalysis plain = analyze_flights(golden::flights_trace());
+  EXPECT_GT(plain.sessions_analyzed, 0u);
+  EXPECT_GT(plain.flight_lengths.size(), 0u);
+  EXPECT_EQ(flights_fingerprint(plain), golden::kFlights);
+  const FlightAnalysis gapped = analyze_flights(golden::flights_gapped_trace());
+  EXPECT_GT(gapped.sessions_analyzed, 0u);
+  EXPECT_EQ(flights_fingerprint(gapped), golden::kFlightsGapped);
 }
 
 TEST(Flights, PowerLawFitOnSyntheticLevyTrace) {

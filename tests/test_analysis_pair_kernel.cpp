@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "analysis/incremental_proximity.hpp"
-#include "analysis/spatial_index.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -235,22 +234,6 @@ TEST(PairKernel, NearMatchesBruteForceScan) {
       if (p.distance2d_to(positions[i]) <= r) expected.push_back(i);
     }
     EXPECT_EQ(got, expected) << "query " << q;
-  }
-}
-
-TEST(PairKernel, SpatialGridEquivalenceWithDistances) {
-  Rng rng(16);
-  for (const double r : {1.0, 10.0, 80.0}) {
-    std::vector<Vec3> positions;
-    for (int i = 0; i < 150; ++i) {
-      positions.push_back({rng.uniform(-50.0, 300.0), rng.uniform(-50.0, 300.0), 22.0});
-    }
-    const SpatialGrid grid(positions, r);
-    std::set<DistPair> got;
-    for (const auto& p : grid.pairs_within_distance()) {
-      got.insert({p.i, p.j, bits_of(p.distance)});
-    }
-    EXPECT_EQ(got, brute_force(positions, r)) << "r=" << r;
   }
 }
 

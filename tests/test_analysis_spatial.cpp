@@ -49,32 +49,46 @@ TEST(SpatialGrid, IgnoresAltitude) {
   EXPECT_EQ(grid.pairs_within().size(), 1u);
 }
 
-TEST(SpatialGrid, NeighborsOfMatchesPairs) {
+TEST(SpatialGrid, NearPointMatchesBruteForce) {
+  // Integer coordinates keep every distance exact, so the query points set
+  // at a (9, 12) or (-15, 0) offset from an indexed position sit exactly on
+  // the 15 m radius and must be answered inclusively.
+  constexpr double kRadius = 15.0;
   Rng rng(3);
   std::vector<Vec3> positions;
   for (int i = 0; i < 100; ++i) {
-    positions.push_back({rng.uniform(0.0, 256.0), rng.uniform(0.0, 256.0), 22.0});
+    positions.push_back({static_cast<double>(rng.uniform_int(0, 256)),
+                         static_cast<double>(rng.uniform_int(0, 256)), 22.0});
   }
-  const SpatialGrid grid(positions, 15.0);
-  const auto expected = brute_force_pairs(positions, 15.0);
-  for (std::uint32_t i = 0; i < positions.size(); ++i) {
-    auto neighbors = grid.neighbors_of(i);
-    std::sort(neighbors.begin(), neighbors.end());
-    std::vector<std::uint32_t> expected_neighbors;
-    for (const auto& [a, b] : expected) {
-      if (a == i) expected_neighbors.push_back(b);
-      if (b == i) expected_neighbors.push_back(a);
+  const SpatialGrid grid(positions, kRadius);
+  std::vector<Vec3> queries;
+  for (int q = 0; q < 100; ++q) {
+    queries.push_back({rng.uniform(-50.0, 300.0), rng.uniform(-50.0, 300.0), 0.0});
+  }
+  for (std::size_t i = 0; i < positions.size(); i += 3) {
+    queries.push_back(positions[i] + Vec3{9.0, 12.0, 0.0});
+    queries.push_back(positions[i] + Vec3{-15.0, 0.0, 0.0});
+  }
+  std::vector<std::uint32_t> got;
+  std::size_t on_boundary = 0;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    got.clear();
+    grid.near_point(queries[q], got);
+    std::sort(got.begin(), got.end());
+    std::vector<std::uint32_t> expected;
+    for (std::uint32_t i = 0; i < positions.size(); ++i) {
+      const double d = queries[q].distance2d_to(positions[i]);
+      if (d <= kRadius) expected.push_back(i);
+      if (d == kRadius) ++on_boundary;
     }
-    std::sort(expected_neighbors.begin(), expected_neighbors.end());
-    EXPECT_EQ(neighbors, expected_neighbors) << "node " << i;
+    EXPECT_EQ(got, expected) << "query " << q;
   }
+  EXPECT_GT(on_boundary, 0u);
 }
 
 TEST(SpatialGrid, ThrowsOnBadInput) {
   const std::vector<Vec3> positions{{0, 0, 0}};
   EXPECT_THROW(SpatialGrid(positions, 0.0), std::invalid_argument);
-  const SpatialGrid grid(positions, 5.0);
-  EXPECT_THROW((void)grid.neighbors_of(7), std::out_of_range);
 }
 
 class SpatialGridProperty

@@ -116,8 +116,7 @@ TEST(StreamingGolden, CollectorCrashScenario) {
 TEST(StreamingPipeline, WindowAndThreadCountNeverChangeAGappedChaosTrace) {
   // Gaps arrive mid-stream, so at window 1 (a flush per covered snapshot)
   // every on_gap after the first snapshot lands with a window in flight on
-  // a multi-thread pool and must join it first. Relations and flights ride
-  // along: the relation stream is fed by a contact sink inside the window.
+  // a multi-thread pool and must join it first.
   const Trace& trace = golden_run(golden::kIsleChaos).trace;
   ASSERT_FALSE(trace.gaps().empty());
   ASSERT_GT(trace.gaps().front().start, trace.snapshots().front().time);
@@ -127,8 +126,6 @@ TEST(StreamingPipeline, WindowAndThreadCountNeverChangeAGappedChaosTrace) {
       StreamingOptions opt;
       opt.window = window;
       opt.threads = threads;
-      opt.relations = true;
-      opt.flights = true;
       const AnalysisReport report = stream_report(trace, opt);
       if (!first) {
         first = report;
@@ -151,7 +148,6 @@ TEST(StreamingPipeline, DestroyingMidStreamWithAWindowInFlightIsClean) {
       StreamingOptions opt;
       opt.window = window;
       opt.threads = threads;
-      opt.relations = true;
       StreamingAnalyzer analyzer(opt);
       analyzer.on_begin(trace.land_name(), trace.sampling_interval());
       for (const Snapshot& snap : trace.snapshots()) analyzer.on_snapshot(snap);
@@ -207,44 +203,6 @@ TEST(StreamingEquivalence, SltFileMatchesInMemory) {
   // not the pre-save doubles.
   expect_equivalent(stream_report(load_trace(path)), analyze_stream_file(path));
   std::remove(path.c_str());
-}
-
-TEST(StreamingEquivalence, FlightsMatchAnalyzeFlights) {
-  // Flights ride the analyzer's session chain; the per-trace analyze_flights
-  // drives the same FlightStream over stream_sessions. Both are pinned to
-  // goldens recorded when each still had its own state machine.
-  for (const auto& [trace, golden] :
-       {std::pair{golden::flights_trace(), golden::kFlights},
-        std::pair{golden::flights_gapped_trace(), golden::kFlightsGapped}}) {
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-      StreamingOptions opt;
-      opt.flights = true;
-      opt.threads = threads;
-      const AnalysisReport streamed = stream_report(trace, opt);
-      ASSERT_TRUE(streamed.flights.has_value());
-      EXPECT_GT(streamed.flights->sessions_analyzed, 0u);
-      EXPECT_EQ(analysis_fingerprint(streamed), golden) << "threads " << threads;
-
-      AnalysisReport per_trace = streamed;
-      per_trace.flights = analyze_flights(trace, opt.flight_options);
-      expect_equivalent(streamed, per_trace);
-    }
-  }
-}
-
-TEST(StreamingEquivalence, RelationsMatchRelationGraph) {
-  const Trace trace = seeded_trace(47, 100, 40);
-  StreamingOptions opt;
-  opt.relations = true;
-  const AnalysisReport streamed = stream_report(trace, opt);
-  ASSERT_TRUE(streamed.relations.has_value());
-
-  AnalysisReport want = streamed;
-  const RelationGraph graph(streamed.contacts.at(opt.relation_range).intervals,
-                            opt.relation_options);
-  want.relations = summarize_relations(graph);
-  expect_equivalent(want, streamed);
-  EXPECT_GT(streamed.relations->relations.size(), 0u);
 }
 
 TEST(StreamingEquivalence, CrawlerLiveSinkMatchesTakenTrace) {
@@ -315,12 +273,6 @@ TEST(StreamingAnalyzer, UsageErrors) {
   {
     StreamingOptions opt;
     opt.ranges = {10.0, -1.0};
-    EXPECT_THROW(StreamingAnalyzer{opt}, std::invalid_argument);
-  }
-  {
-    StreamingOptions opt;
-    opt.relations = true;
-    opt.relation_range = 42.0;  // not in ranges
     EXPECT_THROW(StreamingAnalyzer{opt}, std::invalid_argument);
   }
   {

@@ -106,12 +106,6 @@ TEST(Ecdf, CcdfLogSeriesIsLogSpaced) {
   }
 }
 
-TEST(Ecdf, FormatSeries) {
-  const std::vector<EcdfPoint> series{{1.0, 0.5}, {2.0, 0.25}};
-  const std::string text = format_series(series);
-  EXPECT_EQ(text, "1\t0.5\n2\t0.25\n");
-}
-
 // Property sweep: for any sample set, quantile and cdf are inverse-ish.
 class EcdfProperty : public ::testing::TestWithParam<std::uint64_t> {};
 

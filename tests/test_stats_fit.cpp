@@ -4,8 +4,6 @@
 
 #include <vector>
 
-#include "stats/ecdf.hpp"
-#include "stats/ks.hpp"
 #include "stats/samplers.hpp"
 #include "util/rng.hpp"
 
@@ -60,41 +58,6 @@ TEST(Fit, TwoPhaseSmallSampleIsSafe) {
   const std::vector<double> samples{1.0, 2.0, 3.0};
   const TwoPhaseFit fit = fit_two_phase(samples, 1.0);
   EXPECT_EQ(fit.ks, 1.0);  // no usable fit
-}
-
-TEST(Ks, IdenticalDistributionsHaveZeroDistance) {
-  Ecdf a({1.0, 2.0, 3.0});
-  Ecdf b({1.0, 2.0, 3.0});
-  EXPECT_DOUBLE_EQ(ks_distance(a, b), 0.0);
-}
-
-TEST(Ks, DisjointDistributionsHaveDistanceOne) {
-  Ecdf a({1.0, 2.0});
-  Ecdf b({10.0, 20.0});
-  EXPECT_DOUBLE_EQ(ks_distance(a, b), 1.0);
-}
-
-TEST(Ks, AgainstAnalyticUniform) {
-  Rng rng(4);
-  Ecdf e;
-  for (int i = 0; i < 20000; ++i) e.add(rng.uniform());
-  const double d = ks_distance(e, [](double x) {
-    if (x < 0.0) return 0.0;
-    if (x > 1.0) return 1.0;
-    return x;
-  });
-  EXPECT_LT(d, 0.02);
-}
-
-TEST(Ks, SensitiveToShift) {
-  Rng rng(5);
-  Ecdf a;
-  Ecdf b;
-  for (int i = 0; i < 5000; ++i) {
-    a.add(rng.uniform());
-    b.add(rng.uniform() + 0.5);
-  }
-  EXPECT_GT(ks_distance(a, b), 0.4);
 }
 
 }  // namespace

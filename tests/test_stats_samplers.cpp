@@ -64,23 +64,6 @@ TEST(Samplers, LogNormalPositive) {
   for (int i = 0; i < 10000; ++i) EXPECT_GT(ln.sample(rng), 0.0);
 }
 
-TEST(Samplers, ZipfFavoursLowRanks) {
-  ZipfSampler zipf(10, 1.0);
-  Rng rng(6);
-  std::vector<int> counts(10, 0);
-  for (int i = 0; i < 100000; ++i) ++counts[zipf.sample(rng)];
-  EXPECT_GT(counts[0], counts[1]);
-  EXPECT_GT(counts[1], counts[5]);
-  EXPECT_GT(counts[5], 0);
-}
-
-TEST(Samplers, ZipfPmfSumsToOne) {
-  ZipfSampler zipf(8, 1.3);
-  double total = 0.0;
-  for (std::size_t k = 0; k < zipf.size(); ++k) total += zipf.pmf(k);
-  EXPECT_NEAR(total, 1.0, 1e-12);
-}
-
 TEST(Samplers, CategoricalMatchesWeights) {
   CategoricalSampler cat({1.0, 3.0, 0.0, 6.0});
   Rng rng(7);

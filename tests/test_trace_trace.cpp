@@ -38,17 +38,6 @@ TEST(Trace, SummaryCountsUniqueAndConcurrent) {
   EXPECT_DOUBLE_EQ(s.duration, 10.0);
 }
 
-TEST(Trace, UniqueAvatarsSorted) {
-  Trace t("x", 10.0);
-  t.add(snap(0.0, {{5, {}}, {1, {}}}));
-  t.add(snap(10.0, {{3, {}}}));
-  const auto ids = t.unique_avatars();
-  ASSERT_EQ(ids.size(), 3u);
-  EXPECT_EQ(ids[0].value, 1u);
-  EXPECT_EQ(ids[1].value, 3u);
-  EXPECT_EQ(ids[2].value, 5u);
-}
-
 TEST(Trace, SnapshotFind) {
   const Snapshot s = snap(0.0, {{7, {1.0, 2.0, 3.0}}});
   const auto pos = s.find(AvatarId{7});
