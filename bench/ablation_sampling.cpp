@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
               "ICT med", "FT med", "CT p10");
   for (std::size_t i = 0; i < taus.size(); ++i) {
     const Trace trace = recorders[i]->take_trace();
-    const ContactAnalysis c = analyze_contacts(trace, kBluetoothRange);
+    const AnalysisReport report = analyze_trace(trace, {kBluetoothRange});
+    const ContactAnalysis& c = report.contacts.at(kBluetoothRange);
     std::printf("%-8.0f %10zu %12.0f %12.0f %12.0f %12.0f\n", taus[i],
                 c.intervals.size(),
                 c.contact_times.empty() ? 0.0 : c.contact_times.median(),

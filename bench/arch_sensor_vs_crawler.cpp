@@ -7,6 +7,7 @@
 //   * crawler         — a libsecondlife-style client sampling the minimap.
 // Also demonstrates the hard failure of the sensor architecture on private
 // land (Dance Island), which is why the paper built the crawler.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -47,9 +48,11 @@ Fidelity score(const Trace& truth, const Trace& measured) {
     for (const auto& fix : snap.fixes) {
       ++total;
       if (msnap == nullptr) continue;
-      if (const auto pos = msnap->find(fix.id)) {
+      const auto seen = std::find_if(msnap->fixes.begin(), msnap->fixes.end(),
+                                     [&](const AvatarFix& m) { return m.id == fix.id; });
+      if (seen != msnap->fixes.end()) {
         ++matched;
-        err += pos->distance2d_to(fix.pos);
+        err += seen->pos.distance2d_to(fix.pos);
       }
     }
   }

@@ -8,8 +8,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "analysis/contacts.hpp"
-#include "analysis/zones.hpp"
+#include "core/experiment.hpp"
 #include "core/testbed.hpp"
 #include "trace/sessions.hpp"
 
@@ -57,16 +56,17 @@ int main() {
   engine.run_until(6.0 * kSecondsPerHour);
 
   const Trace trace = recorder.take_trace();
-  const TraceSummary summary = trace.summary();
+  const AnalysisReport report = analyze_trace(trace, {10.0}, kDefaultLandSize);
+  const TraceSummary& summary = report.summary;
   std::printf("students seen: %zu | avg on campus: %.1f\n", summary.unique_users,
               summary.avg_concurrent);
 
-  const ContactAnalysis contacts = analyze_contacts(trace, 10.0);
+  const ContactAnalysis& contacts = report.contacts.at(10.0);
   std::printf("contacts at 10 m: %zu | median contact %.0f s (lecture co-attendance)\n",
               contacts.intervals.size(),
               contacts.contact_times.empty() ? 0.0 : contacts.contact_times.median());
 
-  const ZoneAnalysis zones = analyze_zones(trace);
+  const ZoneAnalysis& zones = report.zones;
   std::printf("busiest 20 m cell holds %zu students; %.0f%% of campus is empty\n",
               zones.max_occupancy, zones.empty_fraction * 100.0);
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "analysis/incremental_proximity.hpp"
-
 namespace slmob {
 namespace {
 
@@ -24,16 +22,6 @@ std::uint64_t mix(std::uint64_t k) {
 }
 
 }  // namespace
-
-ContactAnalysis analyze_contacts(const Trace& trace, double range) {
-  GapTracker gaps;
-  for (const auto& gap : trace.gaps()) gaps.add(gap.start, gap.end);
-  ContactStream stream(range, trace.sampling_interval(), gaps);
-  for_each_covered_snapshot(trace, range, [&](const Snapshot& snap, const auto& pairs) {
-    stream.on_snapshot(snap, pairs);
-  });
-  return stream.finish();
-}
 
 // ---------------------------------------------------------------------------
 // The key stage.

@@ -63,11 +63,6 @@ struct ContactKeys {
   std::vector<std::uint8_t> in_contact;  // per fix
 };
 
-// Extracts all contacts from `trace` with communication range `range`:
-// IncrementalProximity supplies each covered snapshot's in-range pairs to one
-// ContactStream.
-ContactAnalysis analyze_contacts(const Trace& trace, double range);
-
 // Incremental contact extraction over a snapshot stream: feed every covered
 // snapshot (empty ones too — absence is what closes contacts) with its
 // contact keys, in time order, and call finish() once. Censoring reads the

@@ -3,17 +3,7 @@
 #include <algorithm>
 #include <bit>
 
-#include "analysis/incremental_proximity.hpp"
-
 namespace slmob {
-
-GraphMetrics analyze_graphs(const Trace& trace, double range) {
-  GraphStream stream(range);
-  for_each_covered_snapshot(trace, range, [&](const Snapshot& snap, const auto& pairs) {
-    stream.on_snapshot(snap.fixes.size(), pairs);
-  });
-  return stream.finish();
-}
 
 namespace {
 

@@ -28,10 +28,6 @@ struct GraphMetrics {
   double isolated_fraction{0.0};  // fraction of degree samples equal to 0
 };
 
-// Graph metrics of every covered snapshot of `trace`: IncrementalProximity
-// supplies each snapshot's pairs within `range` to one GraphStream.
-GraphMetrics analyze_graphs(const Trace& trace, double range);
-
 using GraphPairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
 // The line-of-sight metrics of one snapshot, before they enter the Ecdfs.

@@ -12,9 +12,10 @@
 // ids need no special case, since the kernel never keys by id.
 //
 // IncrementalProximity is the same call behind an advance()/pairs()
-// interface (the name predates the stateless design). ProximityOracle.*
-// checks it, and therefore the function the window stage runs, against an
-// O(n^2) brute force on every snapshot at several radii.
+// interface (the name predates the stateless design); outside the tests
+// only perfbench's replay drives it (ROADMAP item 2 deletes both).
+// ProximityOracle.* checks it, and therefore the function the window stage
+// runs, against an O(n^2) brute force on every snapshot at several radii.
 #pragma once
 
 #include <cstdint>
@@ -78,19 +79,5 @@ class IncrementalProximity {
   std::vector<PairList> lists_;
   std::size_t rebuilds_{0};
 };
-
-// Answers the snapshots of `trace` that lie outside its coverage gaps at the
-// single radius `range`, in time order, calling fn(snapshot, pairs) for
-// each. The per-trace analyze_contacts and analyze_graphs feed their stream
-// consumers with it.
-template <typename Fn>
-void for_each_covered_snapshot(const Trace& trace, double range, Fn&& fn) {
-  IncrementalProximity prox({range});
-  for (const Snapshot& snap : trace.snapshots()) {
-    if (!trace.covered_at(snap.time)) continue;
-    prox.advance(snap);
-    fn(snap, prox.pairs(0));
-  }
-}
 
 }  // namespace slmob

@@ -1,6 +1,6 @@
 // Batched cell-sorted proximity kernel: every snapshot's pairs within r
 // (snapshot_proximity, analysis/incremental_proximity.hpp) and the
-// simulation-side SpatialGrid queries.
+// simulation-side point queries (World::within).
 //
 // Every §3 result of the paper reduces to the same per-snapshot question —
 // "which avatar pairs are within r" — and the hash-grid answer (one
@@ -28,12 +28,12 @@
 //              pass over the computed dist² (a pair within a smaller radius
 //              is necessarily within r_max).
 //
-// Bit-identity with the historical SpatialGrid predicate
-// (std::sqrt(dx*dx + dy*dy) <= r): squared_radius_threshold(r) is the
+// Bit-identity with the distance predicate std::sqrt(dx*dx + dy*dy) <= r
+// that the brute-force oracles apply: squared_radius_threshold(r) is the
 // largest double t with fl(sqrt(t)) <= r, and a correctly-rounded sqrt is
 // monotone, so {d2 : fl(sqrt(d2)) <= r} == {d2 : d2 <= t} — the kernel
-// accepts exactly the pairs the grid accepted, including ties at exactly
-// distance r, without taking a square root per candidate. The distances the
+// accepts exactly the pairs that predicate accepts, including ties at
+// exactly distance r, without taking a square root per candidate. The distances the
 // callers store (std::sqrt of the recorded d2) are bit-identical too, since
 // dx*dx equals (-dx)*(-dx) exactly and the summation order matches
 // Vec3::distance2d_to.

@@ -45,7 +45,8 @@ struct RelationGraphOptions {
 
 class RelationGraph {
  public:
-  // Builds the graph from extracted contact intervals (analyze_contacts).
+  // Builds the graph from extracted contact intervals
+  // (AnalysisReport::contacts).
   RelationGraph(const std::vector<ContactInterval>& intervals,
                 RelationGraphOptions options = {});
 

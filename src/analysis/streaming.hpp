@@ -128,8 +128,8 @@ class StreamingAnalyzer final : public LiveTraceSink {
   void on_gap(Seconds start, Seconds end) override;
   // Rate-change events from the overload ladder: snapshots arriving while a
   // degradation window is open carry integer weight = factor into every
-  // time-weighted consumer (currently zones), as
-  // Trace::degradation_factor_at would weight them on the finished trace.
+  // time-weighted consumer (currently zones): the factor of the
+  // Trace::degradations() window covering their time on the finished trace.
   void on_rate_change(Seconds time, std::uint32_t factor) override;
 
   // Finalises every consumer and assembles the report. Call once, after the

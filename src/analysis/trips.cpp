@@ -4,12 +4,6 @@
 
 namespace slmob {
 
-TripAnalysis analyze_trips(const Trace& trace, const SessionExtractionOptions& options) {
-  TripStream trips(options);
-  stream_sessions(trace, options, [&trips](Session&& s) { trips.on_session(s); });
-  return trips.finish();
-}
-
 void TripStream::on_session(const Session& session) {
   entries_.push_back(
       {session.avatar, session.login, trip_metrics(session, movement_epsilon_)});

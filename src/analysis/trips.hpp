@@ -18,10 +18,6 @@ struct TripAnalysis {
   std::size_t sessions{0};
 };
 
-// A TripStream over stream_sessions(trace, options).
-TripAnalysis analyze_trips(const Trace& trace,
-                           const SessionExtractionOptions& options = {});
-
 // Incremental trip analysis fed by a SessionStream sink. Sessions arrive in
 // closure order; per-session metrics are buffered (the session itself is
 // not) and emitted at finish() in (avatar, login) order — extract_sessions'

@@ -6,22 +6,9 @@
 
 namespace slmob {
 
-ZoneAnalysis analyze_zones(const Trace& trace, double land_size, double cell_size) {
-  ZoneStream stream(land_size, cell_size);
-  std::vector<Vec3> positions;
-  for (const Snapshot& snap : trace.snapshots()) {
-    // Occupancy inside a coverage gap is unknown, not zero.
-    if (!trace.covered_at(snap.time)) continue;
-    positions.clear();
-    for (const auto& fix : snap.fixes) positions.push_back(fix.pos);
-    stream.on_snapshot(positions, trace.degradation_factor_at(snap.time));
-  }
-  return stream.finish();
-}
-
 ZoneStream::ZoneStream(double land_size, double cell_size) : land_size_(land_size) {
   if (land_size <= 0.0 || cell_size <= 0.0) {
-    throw std::invalid_argument("analyze_zones: bad sizes");
+    throw std::invalid_argument("ZoneStream: bad sizes");
   }
   out_.cell_size = cell_size;
   const auto side = static_cast<std::size_t>(std::ceil(land_size / cell_size));

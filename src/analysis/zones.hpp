@@ -27,11 +27,6 @@ struct ZoneAnalysis {
   std::vector<double> mean_per_cell;
 };
 
-// Zone occupation of every covered snapshot of `trace`, through one
-// ZoneStream; each snapshot carries its degradation factor as weight.
-ZoneAnalysis analyze_zones(const Trace& trace, double land_size = 256.0,
-                           double cell_size = 20.0);
-
 // Incremental zone occupation over a snapshot stream: feed the position
 // array (fix order) of every covered snapshot — empty snapshots included,
 // they contribute all-zero cell samples. Zones.* checks the cell counts on

@@ -5,7 +5,7 @@
 #include <set>
 #include <stdexcept>
 
-#include "analysis/spatial_index.hpp"
+#include "analysis/incremental_proximity.hpp"
 #include "util/rng.hpp"
 
 namespace slmob {
@@ -39,6 +39,9 @@ DtnResults simulate_dtn(const Trace& trace, const DtnConfig& config) {
   if (config.creation_window <= 0.0 || config.creation_window > 1.0) {
     throw std::invalid_argument("simulate_dtn: creation_window must be in (0,1]");
   }
+  // Checked up front, so a bad range fails on any trace, not only on one
+  // where some snapshot holds a pair.
+  const std::vector<double> ranges = proximity_ranges({config.range});
   DtnResults results;
   results.scheme = config.scheme;
   Rng rng(config.seed);
@@ -115,6 +118,8 @@ DtnResults simulate_dtn(const Trace& trace, const DtnConfig& config) {
     }
   };
 
+  std::vector<Vec3> positions;
+  std::vector<PairKernel::PairList> pairs;
   for (std::size_t s = 0; s < snaps.size(); ++s) {
     const Snapshot& snap = snaps[s];
     // Inject messages created at this snapshot.
@@ -125,11 +130,8 @@ DtnResults simulate_dtn(const Trace& trace, const DtnConfig& config) {
       }
     }
     if (snap.fixes.size() < 2) continue;
-    std::vector<Vec3> positions;
-    positions.reserve(snap.fixes.size());
-    for (const auto& fix : snap.fixes) positions.push_back(fix.pos);
-    const SpatialGrid grid(positions, config.range);
-    for (const auto& [i, j] : grid.pairs_within()) {
+    snapshot_proximity(snap, ranges, positions, pairs);
+    for (const auto& [i, j] : pairs[0]) {
       const std::uint32_t a = snap.fixes[i].id.value;
       const std::uint32_t b = snap.fixes[j].id.value;
       transfer(a, b, snap.time);

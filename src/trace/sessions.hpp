@@ -48,8 +48,8 @@ std::vector<Session> extract_sessions(const Trace& trace,
                                       const SessionExtractionOptions& options = {});
 
 // Drives a SessionStream over the covered snapshots of `trace`, handing each
-// session to `sink` as it closes (stream order). extract_sessions,
-// analyze_trips and analyze_flights all read a trace through this.
+// session to `sink` as it closes (stream order). extract_sessions and
+// analyze_flights read a trace through this.
 void stream_sessions(const Trace& trace, const SessionExtractionOptions& options,
                      const std::function<void(Session&&)>& sink);
 

@@ -49,48 +49,6 @@ void decode_fixes(ByteReader& r, std::uint32_t count, Snapshot& out) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// GapTracker
-
-void GapTracker::add(Seconds start, Seconds end) {
-  if (!(start < end)) {
-    throw std::invalid_argument("Trace::add_gap: gap must have start < end");
-  }
-  if (!gaps_.empty() && start < gaps_.back().end) {
-    throw std::invalid_argument("Trace::add_gap: gaps must be ordered and disjoint");
-  }
-  gaps_.push_back({start, end});
-}
-
-bool GapTracker::covered_at(Seconds t) const {
-  for (const auto& gap : gaps_) {
-    if (gap.contains(t)) return false;
-    if (gap.start > t) break;  // gaps are ordered
-  }
-  return true;
-}
-
-bool GapTracker::spans_gap(Seconds t0, Seconds t1) const {
-  for (const auto& gap : gaps_) {
-    if (gap.start < t1 && gap.end > t0) return true;
-    if (gap.start >= t1) break;
-  }
-  return false;
-}
-
-Seconds GapTracker::next_gap_start(Seconds t) const {
-  for (const auto& gap : gaps_) {
-    if (gap.end > t) return gap.start;
-  }
-  return t;
-}
-
-Seconds GapTracker::gap_seconds() const {
-  Seconds total = 0.0;
-  for (const auto& gap : gaps_) total += gap.length();
-  return total;
-}
-
-// ---------------------------------------------------------------------------
 // DegradationTracker
 
 void DegradationTracker::set_factor(Seconds time, std::uint32_t factor) {
@@ -144,21 +102,47 @@ TraceSummary SummaryTracker::summary() const {
 
 namespace {
 
-// Rate-change boundary for a degradation-window list under the cursor scheme
-// used by MemoryTraceStream / SltFileStream: event 2k is window k's start
-// (factor becomes windows[k].factor), event 2k+1 its end (factor back to 1).
-bool rate_boundary(const std::vector<SamplingDegradation>& windows, std::size_t idx,
-                   Seconds& time, std::uint32_t& factor) {
-  const std::size_t w = idx / 2;
-  if (w >= windows.size()) return false;
-  if (idx % 2 == 0) {
-    time = windows[w].start;
-    factor = windows[w].factor;
-  } else {
-    time = windows[w].end;
-    factor = 1;
+// The one event merge of a stored trace, shared by MemoryTraceStream and
+// SltFileStream. `pending` is the next snapshot (null once they have run
+// out); the cursors index `gaps` and the rate-change boundaries of
+// `windows` (boundary 2k is window k's start, where the factor becomes
+// windows[k].factor; 2k+1 its end, where it falls back to 1) and advance
+// past the event returned. A rate change goes out before the first
+// snapshot at or past its time, and before any gap at or past it
+// (boundaries and gaps never interleave ambiguously: the crawler closes
+// degradation windows at gap edges). A gap goes out before the first
+// snapshot at or past its start (the ordering contract in the header
+// comment). Boundaries past the last snapshot still go out, so every opened
+// window is closed before kEnd. A kSnapshot event points at `pending`; the
+// caller advances its snapshot cursor.
+StreamEvent merge_next(const Snapshot* pending, const std::vector<CoverageGap>& gaps,
+                       std::size_t& gap_next,
+                       const std::vector<SamplingDegradation>& windows,
+                       std::size_t& rate_next) {
+  StreamEvent ev;
+  const std::size_t w = rate_next / 2;
+  if (w < windows.size()) {
+    const bool opens = rate_next % 2 == 0;
+    const Seconds time = opens ? windows[w].start : windows[w].end;
+    if ((pending == nullptr || time <= pending->time) &&
+        (gap_next >= gaps.size() || time <= gaps[gap_next].start)) {
+      ++rate_next;
+      ev.kind = StreamEventKind::kRateChange;
+      ev.time = time;
+      ev.factor = opens ? windows[w].factor : 1;
+      return ev;
+    }
   }
-  return true;
+  if (gap_next < gaps.size() && (pending == nullptr || gaps[gap_next].start <= pending->time)) {
+    ev.kind = StreamEventKind::kGap;
+    ev.gap = gaps[gap_next++];
+    return ev;
+  }
+  if (pending != nullptr) {
+    ev.kind = StreamEventKind::kSnapshot;
+    ev.snapshot = pending;
+  }
+  return ev;
 }
 
 }  // namespace
@@ -168,49 +152,11 @@ bool rate_boundary(const std::vector<SamplingDegradation>& windows, std::size_t 
 
 StreamEvent MemoryTraceStream::next() {
   const auto& snaps = trace_->snapshots();
-  const auto& gaps = trace_->gaps();
-  // A rate change goes out before the first snapshot at or past its time,
-  // and before any gap at or past it (boundaries and gaps never interleave
-  // ambiguously: the crawler closes degradation windows at gap edges).
-  Seconds rate_time = 0.0;
-  std::uint32_t rate_factor = 1;
-  const bool have_rate = rate_boundary(trace_->degradations(), rate_next_, rate_time, rate_factor);
-  if (have_rate &&
-      (snap_next_ >= snaps.size() || rate_time <= snaps[snap_next_].time) &&
-      (gap_next_ >= gaps.size() || rate_time <= gaps[gap_next_].start)) {
-    ++rate_next_;
-    StreamEvent ev;
-    ev.kind = StreamEventKind::kRateChange;
-    ev.time = rate_time;
-    ev.factor = rate_factor;
-    return ev;
-  }
-  // A gap goes out before the first snapshot at or past its start (the
-  // ordering contract in the header comment).
-  if (gap_next_ < gaps.size() &&
-      (snap_next_ >= snaps.size() || gaps[gap_next_].start <= snaps[snap_next_].time)) {
-    StreamEvent ev;
-    ev.kind = StreamEventKind::kGap;
-    ev.gap = gaps[gap_next_++];
-    return ev;
-  }
-  if (snap_next_ < snaps.size()) {
-    StreamEvent ev;
-    ev.kind = StreamEventKind::kSnapshot;
-    ev.snapshot = &snaps[snap_next_++];
-    return ev;
-  }
-  if (have_rate) {
-    // Trailing boundaries (window ends past the last snapshot) still go out
-    // so every opened window is closed before kEnd.
-    ++rate_next_;
-    StreamEvent ev;
-    ev.kind = StreamEventKind::kRateChange;
-    ev.time = rate_time;
-    ev.factor = rate_factor;
-    return ev;
-  }
-  return {};
+  const Snapshot* pending = snap_next_ < snaps.size() ? &snaps[snap_next_] : nullptr;
+  const StreamEvent ev =
+      merge_next(pending, trace_->gaps(), gap_next_, trace_->degradations(), rate_next_);
+  if (ev.kind == StreamEventKind::kSnapshot) ++snap_next_;
+  return ev;
 }
 
 // ---------------------------------------------------------------------------
@@ -367,40 +313,17 @@ void SltFileStream::decode_next_snapshot() {
 }
 
 StreamEvent SltFileStream::next() {
-  if (done_) return {};
   if (!have_pending_ && snaps_emitted_ < snap_count_) {
     decode_next_snapshot();
     have_pending_ = true;
   }
-  Seconds rate_time = 0.0;
-  std::uint32_t rate_factor = 1;
-  const bool have_rate = rate_boundary(degradations_, rate_next_, rate_time, rate_factor);
-  if (have_rate && (!have_pending_ || rate_time <= current_.time) &&
-      (gap_next_ >= gaps_.size() || rate_time <= gaps_[gap_next_].start)) {
-    ++rate_next_;
-    StreamEvent ev;
-    ev.kind = StreamEventKind::kRateChange;
-    ev.time = rate_time;
-    ev.factor = rate_factor;
-    return ev;
-  }
-  if (gap_next_ < gaps_.size() &&
-      (!have_pending_ || gaps_[gap_next_].start <= current_.time)) {
-    StreamEvent ev;
-    ev.kind = StreamEventKind::kGap;
-    ev.gap = gaps_[gap_next_++];
-    return ev;
-  }
-  if (have_pending_) {
+  const StreamEvent ev = merge_next(have_pending_ ? &current_ : nullptr, gaps_, gap_next_,
+                                    degradations_, rate_next_);
+  if (ev.kind == StreamEventKind::kSnapshot) {
     have_pending_ = false;
     ++snaps_emitted_;
-    StreamEvent ev;
-    ev.kind = StreamEventKind::kSnapshot;
-    ev.snapshot = &current_;
-    return ev;
   }
-  done_ = true;
-  return {};
+  return ev;
 }
 
 // ---------------------------------------------------------------------------

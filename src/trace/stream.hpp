@@ -27,15 +27,15 @@
 // finished Trace carries.
 //
 // With that contract, censoring decisions made from the gaps seen so far
-// (GapTracker) are identical to decisions made with the complete gap list
-// in hand: when a snapshot at time t is processed, every gap that could
-// contain t or start before t is already known, and gaps still unseen start
-// strictly after t, so covered_at / spans_gap / next_gap_start answer
-// exactly as they would on the finished Trace. That equivalence is why a
-// file, a journal and a live capture analyze exactly like the in-memory
-// trace they form; tests/test_trace_stream.cpp checks every reader against
-// independently built expectations, and the golden fingerprints of
-// tests/analysis_goldens.hpp pin the resulting reports.
+// (a GapTracker, trace/trace.hpp) are identical to decisions made with the
+// complete gap list in hand: when a snapshot at time t is processed, every
+// gap that could contain t or start before t is already known, and gaps
+// still unseen start strictly after t, so covered_at / spans_gap /
+// next_gap_start answer exactly as they would on the finished Trace. That
+// equivalence is why a file, a journal and a live capture analyze exactly
+// like the in-memory trace they form; tests/test_trace_stream.cpp checks
+// every reader against independently built expectations, and the golden
+// fingerprints of tests/analysis_goldens.hpp pin the resulting reports.
 #pragma once
 
 #include <cstdio>
@@ -74,28 +74,6 @@ class TraceStream {
   [[nodiscard]] virtual const std::string& land_name() const = 0;
   [[nodiscard]] virtual Seconds sampling_interval() const = 0;
   virtual StreamEvent next() = 0;
-};
-
-// Incrementally collected coverage gaps, answering the same questions as
-// Trace (covered_at / spans_gap) plus the contact analysis' truncation-point
-// query, against the gaps seen so far.
-class GapTracker {
- public:
-  // Same validation as Trace::add_gap: start < end, ordered, disjoint
-  // (throws std::invalid_argument otherwise).
-  void add(Seconds start, Seconds end);
-
-  [[nodiscard]] bool any() const { return !gaps_.empty(); }
-  [[nodiscard]] const std::vector<CoverageGap>& gaps() const { return gaps_; }
-  [[nodiscard]] bool covered_at(Seconds t) const;
-  [[nodiscard]] bool spans_gap(Seconds t0, Seconds t1) const;
-  // Start of the first gap ending after covered instant `t` (t itself when
-  // no such gap exists); the truncation point for observations running at t.
-  [[nodiscard]] Seconds next_gap_start(Seconds t) const;
-  [[nodiscard]] Seconds gap_seconds() const;
-
- private:
-  std::vector<CoverageGap> gaps_;
 };
 
 // Incrementally collected sampling-degradation windows, fed by rate-change
@@ -195,8 +173,7 @@ class MemoryTraceStream final : public TraceStream {
   const Trace* trace_;
   std::size_t snap_next_{0};
   std::size_t gap_next_{0};
-  // Rate-change boundary cursor: event 2k is window k's start, 2k+1 its end.
-  std::size_t rate_next_{0};
+  std::size_t rate_next_{0};  // rate-change boundary cursor
 };
 
 // Streams a binary .slt trace file (layout in trace/serialize.hpp) without
@@ -232,10 +209,9 @@ class SltFileStream final : public TraceStream {
   std::vector<CoverageGap> gaps_;
   std::size_t gap_next_{0};
   std::vector<SamplingDegradation> degradations_;
-  std::size_t rate_next_{0};  // boundary cursor, same scheme as MemoryTraceStream
+  std::size_t rate_next_{0};  // rate-change boundary cursor
   Snapshot current_;
   bool have_pending_{false};
-  bool done_{false};
   std::vector<std::uint8_t> buf_;
 };
 

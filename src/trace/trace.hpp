@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,9 +26,6 @@ struct AvatarFix {
 struct Snapshot {
   Seconds time{0.0};
   std::vector<AvatarFix> fixes;
-
-  // Position of `id` in this snapshot, if present.
-  [[nodiscard]] std::optional<Vec3> find(AvatarId id) const;
 };
 
 // A half-open interval [start, end) during which the crawler could not
@@ -62,6 +58,34 @@ struct SamplingDegradation {
   friend bool operator==(const SamplingDegradation&, const SamplingDegradation&) = default;
 };
 
+// A trace's coverage gaps, recorded in order: the one implementation of
+// the gap predicates. A Trace keeps its gaps in one; a streaming consumer
+// fills one from the gaps seen so far, which by the stream ordering
+// contract (trace/stream.hpp) answers exactly as the finished trace's would.
+class GapTracker {
+ public:
+  // Records the gap [start, end). Gaps must be well-formed (start < end)
+  // and arrive in order, non-overlapping (throws std::invalid_argument
+  // otherwise).
+  void add(Seconds start, Seconds end);
+
+  [[nodiscard]] bool any() const { return !gaps_.empty(); }
+  [[nodiscard]] const std::vector<CoverageGap>& gaps() const { return gaps_; }
+  // True iff `t` does not fall inside any recorded gap.
+  [[nodiscard]] bool covered_at(Seconds t) const;
+  // True iff the open interval (t0, t1) intersects any gap — i.e. an
+  // observation stretching from t0 to t1 would bridge uncovered time.
+  [[nodiscard]] bool spans_gap(Seconds t0, Seconds t1) const;
+  // Start of the first gap ending after covered instant `t` (t itself when
+  // no such gap exists); the truncation point for observations running at t.
+  [[nodiscard]] Seconds next_gap_start(Seconds t) const;
+  // Total uncovered time.
+  [[nodiscard]] Seconds gap_seconds() const;
+
+ private:
+  std::vector<CoverageGap> gaps_;  // ordered, non-overlapping
+};
+
 struct TraceSummary {
   std::size_t unique_users{0};
   double avg_concurrent{0.0};
@@ -84,10 +108,8 @@ class Trace {
   // (throws std::invalid_argument otherwise).
   void add(Snapshot snapshot);
 
-  // Records a coverage gap [start, end). Gaps must be well-formed
-  // (start < end) and arrive in order, non-overlapping (throws
-  // std::invalid_argument otherwise).
-  void add_gap(Seconds start, Seconds end);
+  // Records a coverage gap (GapTracker::add).
+  void add_gap(Seconds start, Seconds end) { gaps_.add(start, end); }
 
   // Records a sampling-degradation window [start, end) with the given
   // effective-interval factor. Windows must be well-formed (start < end,
@@ -99,20 +121,16 @@ class Trace {
   [[nodiscard]] const std::vector<SamplingDegradation>& degradations() const {
     return degradations_;
   }
-  // Effective-interval multiplier at `t`: the factor of the covering
-  // degradation window, or 1 when sampling ran at the nominal rate.
-  [[nodiscard]] std::uint32_t degradation_factor_at(Seconds t) const;
   // Total degraded time.
   [[nodiscard]] Seconds degraded_seconds() const;
 
-  [[nodiscard]] const std::vector<CoverageGap>& gaps() const { return gaps_; }
-  // True iff `t` does not fall inside any recorded gap.
-  [[nodiscard]] bool covered_at(Seconds t) const;
-  // True iff the open interval (t0, t1) intersects any gap — i.e. an
-  // observation stretching from t0 to t1 would bridge uncovered time.
-  [[nodiscard]] bool spans_gap(Seconds t0, Seconds t1) const;
-  // Total uncovered time.
-  [[nodiscard]] Seconds gap_seconds() const;
+  // The gap predicates, answered by the trace's GapTracker.
+  [[nodiscard]] const std::vector<CoverageGap>& gaps() const { return gaps_.gaps(); }
+  [[nodiscard]] bool covered_at(Seconds t) const { return gaps_.covered_at(t); }
+  [[nodiscard]] bool spans_gap(Seconds t0, Seconds t1) const {
+    return gaps_.spans_gap(t0, t1);
+  }
+  [[nodiscard]] Seconds gap_seconds() const { return gaps_.gap_seconds(); }
 
   [[nodiscard]] const std::string& land_name() const { return land_name_; }
   [[nodiscard]] Seconds sampling_interval() const { return sampling_interval_; }
@@ -123,10 +141,6 @@ class Trace {
   // summarize() over a MemoryTraceStream of this trace (trace/stream.hpp).
   [[nodiscard]] TraceSummary summary() const;
 
-  // Returns a copy restricted to snapshots with time in [t0, t1); coverage
-  // gaps are clipped to the window and carried over.
-  [[nodiscard]] Trace slice(Seconds t0, Seconds t1) const;
-
   // Removes fixes at the origin {0,0,0}. The SL protocol reports sitting
   // avatars at the origin (a quirk the paper §3 documents); analyses must
   // not interpret those as positions. Returns the number of fixes dropped.
@@ -136,7 +150,7 @@ class Trace {
   std::string land_name_;
   Seconds sampling_interval_{10.0};
   std::vector<Snapshot> snapshots_;
-  std::vector<CoverageGap> gaps_;  // ordered, non-overlapping
+  GapTracker gaps_;
   std::vector<SamplingDegradation> degradations_;  // ordered, non-overlapping
 };
 

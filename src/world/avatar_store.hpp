@@ -4,7 +4,7 @@
 // storage that walk is pointer chasing over ~200-byte nodes. The store keeps
 // each hot field (position, waypoint, pause deadline, state) in its own
 // contiguous array so the kinematics loop streams through memory, and the
-// position array can be handed to SpatialGrid without copying.
+// position array can be handed to the PairKernel without copying.
 //
 // Ordering contract: elements are kept sorted by ascending AvatarId — the
 // exact iteration order of the std::map this replaces — so every RNG draw in
@@ -30,7 +30,7 @@ class AvatarStore {
   [[nodiscard]] std::size_t size() const { return ids_.size(); }
   [[nodiscard]] bool empty() const { return ids_.empty(); }
 
-  // Whole arrays, index-aligned. `positions()` is what SpatialGrid indexes.
+  // Whole arrays, index-aligned. `positions()` is what World::within indexes.
   [[nodiscard]] const std::vector<AvatarId>& ids() const { return ids_; }
   [[nodiscard]] const std::vector<Vec3>& positions() const { return pos_; }
 

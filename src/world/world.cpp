@@ -199,15 +199,17 @@ std::optional<Vec3> World::attractor(Seconds now) const {
 }
 
 const std::vector<std::uint32_t>& World::within(const Vec3& pos, double radius) const {
-  if (!grid_ || grid_version_ != version_ || grid_radius_ != radius) {
-    grid_.emplace(avatars_.positions(), radius);
+  if (!grid_built_ || grid_version_ != version_ || grid_radius_ != radius) {
+    grid_built_ = false;  // stays false if build throws
+    grid_.build(avatars_.positions(), radius);
+    grid_built_ = true;
     grid_version_ = version_;
     grid_radius_ = radius;
   }
   grid_query_.clear();
-  grid_->near_point(pos, grid_query_);
-  // Grid cells come back in hash order; callers depend on ascending index
-  // (= ascending id) order for deterministic iteration.
+  grid_.near(pos, grid_query_);
+  // Hits come back in cell-traversal order; callers depend on ascending
+  // index (= ascending id) order for deterministic iteration.
   std::sort(grid_query_.begin(), grid_query_.end());
   return grid_query_;
 }

@@ -20,7 +20,7 @@
 #include <optional>
 #include <vector>
 
-#include "analysis/spatial_index.hpp"
+#include "analysis/pair_kernel.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
 #include "world/avatar.hpp"
@@ -76,9 +76,9 @@ class World {
 
   // Store indices (see avatars()) of avatars within planar distance `radius`
   // of `pos`, in ascending index (= ascending id) order. Served from a
-  // uniform grid that is rebuilt lazily, at most once per (tick, radius), so
-  // repeated queries within a tick — chat audibility, sensor sweeps — cost
-  // O(neighbours) instead of a population scan each.
+  // cell-sorted PairKernel that is rebuilt lazily, at most once per (tick,
+  // radius), so repeated queries within a tick — chat audibility, sensor
+  // sweeps — cost O(neighbours) instead of a population scan each.
   [[nodiscard]] const std::vector<std::uint32_t>& within(const Vec3& pos,
                                                          double radius) const;
 
@@ -150,10 +150,12 @@ class World {
   std::vector<VisitRecord> visit_log_;
   std::map<AvatarId, std::size_t> open_visits_;  // avatar -> index in visit_log_
 
-  // Lazily rebuilt range-query grid (see within()). version_ bumps on every
-  // mutation of positions or membership, invalidating the cached grid.
+  // Lazily rebuilt range-query kernel (see within()), reused across
+  // rebuilds. version_ bumps on every mutation of positions or membership,
+  // invalidating the built layout.
   std::uint64_t version_{0};
-  mutable std::optional<SpatialGrid> grid_;
+  mutable PairKernel grid_;
+  mutable bool grid_built_{false};
   mutable double grid_radius_{0.0};
   mutable std::uint64_t grid_version_{0};
   mutable std::vector<std::uint32_t> grid_query_;

@@ -19,6 +19,12 @@
 namespace slmob {
 namespace {
 
+// The contacts of `trace` at `range` as the analysis engine computes them,
+// on one thread.
+ContactAnalysis contacts_of(const Trace& trace, double range) {
+  return analyze_trace(trace, {range}, kDefaultLandSize, 1).contacts.at(range);
+}
+
 // Builds a trace where avatar positions are given per snapshot; absent
 // entries mean the avatar is offline.
 struct TraceBuilder {
@@ -39,7 +45,7 @@ TEST(Contacts, SingleSnapshotContactGetsTauDuration) {
   TraceBuilder b;
   b.snap({{1, 0.0}, {2, 5.0}});   // in range at r=10
   b.snap({{1, 0.0}, {2, 50.0}});  // out of range
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.intervals.size(), 1u);
   EXPECT_DOUBLE_EQ(analysis.intervals[0].duration(), 10.0);
   EXPECT_DOUBLE_EQ(analysis.contact_times.median(), 10.0);
@@ -49,7 +55,7 @@ TEST(Contacts, MultiSnapshotContactDuration) {
   TraceBuilder b;
   for (int i = 0; i < 5; ++i) b.snap({{1, 0.0}, {2, 5.0}});  // 5 snapshots together
   b.snap({{1, 0.0}, {2, 100.0}});
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.intervals.size(), 1u);
   // Seen together t=0..40; credited 40 + tau = 50.
   EXPECT_DOUBLE_EQ(analysis.intervals[0].duration(), 50.0);
@@ -59,7 +65,7 @@ TEST(Contacts, ContactOpenAtTraceEndIsClosed) {
   TraceBuilder b;
   b.snap({{1, 0.0}, {2, 5.0}});
   b.snap({{1, 0.0}, {2, 5.0}});
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.intervals.size(), 1u);
   EXPECT_DOUBLE_EQ(analysis.intervals[0].start, 0.0);
   EXPECT_DOUBLE_EQ(analysis.intervals[0].end, 20.0);
@@ -71,7 +77,7 @@ TEST(Contacts, InterContactTime) {
   b.snap({{1, 0.0}, {2, 100.0}});  // apart
   b.snap({{1, 0.0}, {2, 100.0}});  // apart
   b.snap({{1, 0.0}, {2, 5.0}});    // contact 2 starts t=30
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.inter_contact_times.size(), 1u);
   // ICT = start2 - end1 = 30 - 10 = 20.
   EXPECT_DOUBLE_EQ(analysis.inter_contact_times.median(), 20.0);
@@ -82,7 +88,7 @@ TEST(Contacts, AvatarLogoutClosesContact) {
   b.snap({{1, 0.0}, {2, 5.0}});
   b.snap({{1, 0.0}});  // avatar 2 gone
   b.snap({{1, 0.0}, {2, 5.0}});
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   EXPECT_EQ(analysis.intervals.size(), 2u);
   EXPECT_EQ(analysis.inter_contact_times.size(), 1u);
 }
@@ -92,7 +98,7 @@ TEST(Contacts, FirstContactTimes) {
   b.snap({{1, 0.0}, {2, 100.0}});  // both appear, no contact
   b.snap({{1, 0.0}, {2, 100.0}});
   b.snap({{1, 0.0}, {2, 5.0}});    // first contact at t=20
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.first_contact_times.size(), 2u);
   EXPECT_DOUBLE_EQ(analysis.first_contact_times.median(), 20.0);
   EXPECT_EQ(analysis.users_seen, 2u);
@@ -102,7 +108,7 @@ TEST(Contacts, FirstContactTimes) {
 TEST(Contacts, ImmediateContactGetsHalfTau) {
   TraceBuilder b;
   b.snap({{1, 0.0}, {2, 5.0}});  // in contact at first sighting
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.first_contact_times.size(), 2u);
   EXPECT_DOUBLE_EQ(analysis.first_contact_times.median(), 5.0);
 }
@@ -111,7 +117,7 @@ TEST(Contacts, UsersWithoutContactAreCensored) {
   TraceBuilder b;
   b.snap({{1, 0.0}, {2, 100.0}, {3, 200.0}});
   b.snap({{1, 0.0}, {2, 3.0}, {3, 200.0}});
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   EXPECT_EQ(analysis.users_seen, 3u);
   EXPECT_EQ(analysis.users_with_contact, 2u);
   EXPECT_EQ(analysis.first_contact_times.size(), 2u);
@@ -121,14 +127,14 @@ TEST(Contacts, RangeMatters) {
   TraceBuilder b;
   b.snap({{1, 0.0}, {2, 50.0}});
   b.snap({{1, 0.0}, {2, 50.0}});
-  EXPECT_EQ(analyze_contacts(b.trace, 10.0).intervals.size(), 0u);
-  EXPECT_EQ(analyze_contacts(b.trace, 80.0).intervals.size(), 1u);
+  EXPECT_EQ(contacts_of(b.trace, 10.0).intervals.size(), 0u);
+  EXPECT_EQ(contacts_of(b.trace, 80.0).intervals.size(), 1u);
 }
 
 TEST(Contacts, ThreeUsersPairwiseContacts) {
   TraceBuilder b;
   b.snap({{1, 0.0}, {2, 5.0}, {3, 8.0}});
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   // Pairs (1,2), (2,3), (1,3) all within 10.
   EXPECT_EQ(analysis.intervals.size(), 3u);
 }
@@ -138,7 +144,7 @@ TEST(Contacts, IntervalsSortedByStart) {
   b.snap({{1, 0.0}, {2, 5.0}, {3, 100.0}});
   b.snap({{1, 0.0}, {2, 50.0}, {3, 4.0}});
   b.snap({{1, 0.0}, {2, 50.0}, {3, 4.0}});
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   for (std::size_t i = 1; i < analysis.intervals.size(); ++i) {
     EXPECT_LE(analysis.intervals[i - 1].start, analysis.intervals[i].start);
   }
@@ -146,7 +152,7 @@ TEST(Contacts, IntervalsSortedByStart) {
 
 TEST(Contacts, EmptyTrace) {
   const Trace t("x", 10.0);
-  const auto analysis = analyze_contacts(t, 10.0);
+  const auto analysis = contacts_of(t, 10.0);
   EXPECT_TRUE(analysis.intervals.empty());
   EXPECT_EQ(analysis.users_seen, 0u);
 }
@@ -154,7 +160,7 @@ TEST(Contacts, EmptyTrace) {
 TEST(Contacts, PairKeyCanonicalOrder) {
   TraceBuilder b;
   b.snap({{7, 0.0}, {3, 5.0}});
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.intervals.size(), 1u);
   EXPECT_LT(analysis.intervals[0].a.value, analysis.intervals[0].b.value);
 }
@@ -168,7 +174,7 @@ TEST(ContactsCensoring, ContactTruncatedAtGapStartNeverBridged) {
   b.now = 60.0;
   b.snap({{1, 0.0}, {2, 5.0}});  // t=60, still in contact after the gap
   b.snap({{1, 0.0}, {2, 5.0}});  // t=70
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   // One contact per covered segment, not one bridged contact.
   ASSERT_EQ(analysis.intervals.size(), 2u);
   EXPECT_DOUBLE_EQ(analysis.intervals[0].start, 0.0);
@@ -189,7 +195,7 @@ TEST(ContactsCensoring, InterContactChainCutAtGap) {
   b.snap({{1, 0.0}, {2, 100.0}});  // apart at t=50 (contact ends t=50)
   b.snap({{1, 0.0}, {2, 100.0}});  // t=60
   b.snap({{1, 0.0}, {2, 5.0}});    // t=70: same-segment ICT = 70 - 50 = 20
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.inter_contact_times.size(), 1u);
   EXPECT_DOUBLE_EQ(analysis.inter_contact_times.median(), 20.0);
 }
@@ -201,7 +207,7 @@ TEST(ContactsCensoring, FirstContactClockRestartsAfterGap) {
   b.trace.add_gap(20.0, 50.0);
   b.now = 50.0;
   b.snap({{1, 0.0}, {2, 5.0}});  // first contact right after the gap
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.first_contact_times.size(), 2u);
   // The pre-gap wait is censored: both users restart observation at t=50 and
   // are in contact immediately, so FT is the half-tau credit, not 50 s.
@@ -216,7 +222,7 @@ TEST(ContactsCensoring, UncoveredSnapshotsAreIgnored) {
   b.trace.add_gap(5.0, 15.0);
   b.now = 20.0;
   b.snap({{1, 0.0}, {2, 5.0}});  // t=20
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   EXPECT_EQ(analysis.users_seen, 2u);  // avatars 3 and 4 were never observed
   for (const auto& interval : analysis.intervals) {
     EXPECT_LE(interval.b.value, 2u);
@@ -232,7 +238,7 @@ TEST(Contacts, DuplicateAvatarIdIsNotASelfContact) {
   snap.fixes.push_back({AvatarId{7}, {10.0, 10.0, 22.0}});
   snap.fixes.push_back({AvatarId{7}, {11.0, 10.0, 22.0}});
   trace.add(snap);
-  const auto analysis = analyze_contacts(trace, 10.0);
+  const auto analysis = contacts_of(trace, 10.0);
   EXPECT_TRUE(analysis.intervals.empty());
   EXPECT_TRUE(analysis.contact_times.empty());
   EXPECT_EQ(analysis.users_seen, 1u);
@@ -245,7 +251,7 @@ TEST(Contacts, DuplicateAvatarIdStillMeetsOthersOnce) {
   TraceBuilder b;
   b.snap({{7, 0.0}, {7, 2.0}, {8, 4.0}});
   b.snap({{7, 0.0}, {8, 4.0}});
-  const auto analysis = analyze_contacts(b.trace, 10.0);
+  const auto analysis = contacts_of(b.trace, 10.0);
   ASSERT_EQ(analysis.intervals.size(), 1u);
   EXPECT_EQ(analysis.intervals[0].a.value, 7u);
   EXPECT_EQ(analysis.intervals[0].b.value, 8u);
@@ -492,7 +498,7 @@ TEST(ContactOracle, RandomTracesMatchBatchAnalysis) {
       const OracleContacts want = contact_oracle(trace, r);
       intervals += want.intervals.size();
       chained += want.inter_contact_times.size();
-      expect_matches_oracle(analyze_contacts(trace, r), want,
+      expect_matches_oracle(contacts_of(trace, r), want,
                             "seed " + std::to_string(seed) + " r " + std::to_string(r));
     }
   }
@@ -743,7 +749,7 @@ TEST(ContactOracle, ShortGapAfterTheLastSnapshotTruncatesOpenContacts) {
   const OracleContacts want = contact_oracle(b.trace, 10.0);
   ASSERT_EQ(want.intervals.size(), 1u);
   EXPECT_EQ(want.intervals[0].end, 12.5);
-  expect_matches_oracle(analyze_contacts(b.trace, 10.0), want, "short trailing gap");
+  expect_matches_oracle(contacts_of(b.trace, 10.0), want, "short trailing gap");
 }
 
 TEST(ContactOracle, ContactEndingAtARepeatedSnapshotTimeIsKept) {
@@ -761,7 +767,7 @@ TEST(ContactOracle, ContactEndingAtARepeatedSnapshotTimeIsKept) {
   const OracleContacts want = contact_oracle(trace, 10.0);
   ASSERT_EQ(want.intervals.size(), 2u);
   EXPECT_EQ(want.intervals[0].end, 10.0);
-  expect_matches_oracle(analyze_contacts(trace, 10.0), want, "repeated time");
+  expect_matches_oracle(contacts_of(trace, 10.0), want, "repeated time");
 }
 
 TEST(ContactOracle, TieAtExactlyRangeIsAContact) {
@@ -778,7 +784,7 @@ TEST(ContactOracle, TieAtExactlyRangeIsAContact) {
   ASSERT_EQ(want.intervals.size(), 2u);
   ASSERT_EQ(want.inter_contact_times.size(), 1u);
   EXPECT_EQ(want.inter_contact_times[0], 10.0);
-  expect_matches_oracle(analyze_contacts(trace, 10.0), want, "tie");
+  expect_matches_oracle(contacts_of(trace, 10.0), want, "tie");
 }
 
 // ---------------------------------------------------------------------------

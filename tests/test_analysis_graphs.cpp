@@ -8,6 +8,7 @@
 #include <span>
 #include <string>
 
+#include "core/experiment.hpp"
 #include "util/rng.hpp"
 
 namespace slmob {
@@ -23,12 +24,17 @@ Snapshot line_of_users(std::size_t n, double spacing) {
   return s;
 }
 
-// The metrics of one snapshot's graph: a one-snapshot trace through
-// analyze_graphs, i.e. IncrementalProximity into a GraphStream.
+// The graph metrics of `t` at `range` as the analysis engine computes them,
+// on one thread: snapshot_proximity, GraphKernel::measure, GraphStream::add.
+GraphMetrics graphs_of(const Trace& t, double range) {
+  return analyze_trace(t, {range}, kDefaultLandSize, 1).graphs.at(range);
+}
+
+// The metrics of one snapshot's graph, through a one-snapshot trace.
 GraphMetrics one_snapshot(const Snapshot& snapshot, double range) {
   Trace t("x", 10.0);
   t.add(snapshot);
-  return analyze_graphs(t, range);
+  return graphs_of(t, range);
 }
 
 std::vector<double> sorted_degrees(const GraphMetrics& m) {
@@ -116,7 +122,7 @@ TEST(AnalyzeGraphs, AggregatesOverSnapshots) {
   Snapshot s2 = line_of_users(2, 5.0);  // P2: diameter 1
   s2.time = 10.0;
   t.add(std::move(s2));
-  const GraphMetrics m = analyze_graphs(t, 10.0);
+  const GraphMetrics m = graphs_of(t, 10.0);
   EXPECT_EQ(m.snapshots_analyzed, 2u);
   EXPECT_EQ(m.degrees.size(), 5u);  // 3 + 2 degree samples
   EXPECT_EQ(m.diameters.size(), 2u);
@@ -132,7 +138,7 @@ TEST(AnalyzeGraphs, IsolatedFraction) {
              {AvatarId{2}, {5.0, 0.0, 22.0}},
              {AvatarId{3}, {100.0, 100.0, 22.0}}};
   t.add(std::move(s));
-  const GraphMetrics m = analyze_graphs(t, 10.0);
+  const GraphMetrics m = graphs_of(t, 10.0);
   EXPECT_NEAR(m.isolated_fraction, 1.0 / 3.0, 1e-12);
 }
 
@@ -140,7 +146,7 @@ TEST(AnalyzeGraphs, EmptySnapshotsSkipped) {
   Trace t("x", 10.0);
   t.add(Snapshot{0.0, {}});
   t.add(line_of_users(2, 5.0));
-  const GraphMetrics m = analyze_graphs(t, 10.0);
+  const GraphMetrics m = graphs_of(t, 10.0);
   EXPECT_EQ(m.snapshots_analyzed, 1u);
 }
 
@@ -154,7 +160,7 @@ TEST(AnalyzeGraphs, UncoveredSnapshotsSkipped) {
   s3.time = 20.0;
   t.add(std::move(s3));
   t.add_gap(5.0, 15.0);
-  const GraphMetrics m = analyze_graphs(t, 10.0);
+  const GraphMetrics m = graphs_of(t, 10.0);
   EXPECT_EQ(m.snapshots_analyzed, 2u);
   EXPECT_EQ(m.degrees.size(), 5u);  // 3 + 2, nothing from the gap snapshot
 }
@@ -164,8 +170,8 @@ TEST(AnalyzeGraphs, DiameterShrinksWithLargerRange) {
   // connected population).
   Trace t("x", 10.0);
   t.add(line_of_users(10, 9.0));
-  const GraphMetrics small_r = analyze_graphs(t, 10.0);
-  const GraphMetrics large_r = analyze_graphs(t, 80.0);
+  const GraphMetrics small_r = graphs_of(t, 10.0);
+  const GraphMetrics large_r = graphs_of(t, 80.0);
   EXPECT_GT(small_r.diameters.max(), large_r.diameters.max());
 }
 

@@ -63,6 +63,11 @@ TEST(PairKernel, SquaredRadiusThresholdIsExactBoundary) {
   }
   EXPECT_THROW((void)squared_radius_threshold(0.0), std::invalid_argument);
   EXPECT_THROW((void)squared_radius_threshold(-1.0), std::invalid_argument);
+  // The kernel refuses the same radii, for a point query layout too.
+  PairKernel kernel;
+  const std::vector<Vec3> one{{0.0, 0.0, 0.0}};
+  EXPECT_THROW(kernel.run(one, 0.0), std::invalid_argument);
+  EXPECT_THROW(kernel.build(one, -1.0), std::invalid_argument);
 }
 
 TEST(PairKernel, EmptyAndSingleSnapshots) {
@@ -82,6 +87,13 @@ TEST(PairKernel, EmptyAndSingleSnapshots) {
   near.clear();
   kernel.near({500.0, 500.0, 0.0}, near);
   EXPECT_TRUE(near.empty());
+
+  // A pair and a far point: exactly the one pair.
+  const std::vector<Vec3> three{{0.0, 0.0, 0.0}, {5.0, 0.0, 0.0}, {100.0, 100.0, 0.0}};
+  kernel.run(three, 10.0);
+  ASSERT_EQ(kernel.hits().size(), 1u);
+  EXPECT_EQ(kernel.hits()[0].i, 0u);
+  EXPECT_EQ(kernel.hits()[0].j, 1u);
 }
 
 TEST(PairKernel, BoundaryTiesAtExactlyR) {
@@ -105,6 +117,13 @@ TEST(PairKernel, BoundaryTiesAtExactlyR) {
 
   const std::vector<Vec3> exact{{0.0, 0.0, 0.0}, {r, 0.0, 0.0}};
   kernel.run(exact, r);
+  ASSERT_EQ(kernel.hits().size(), 1u);
+  EXPECT_EQ(std::sqrt(kernel.hits()[0].d2), r);
+
+  // Distance is planar: a tie at exactly r stays one however far apart the
+  // altitudes are.
+  const std::vector<Vec3> stacked{{0.0, 0.0, 0.0}, {6.0, 8.0, 500.0}};
+  kernel.run(stacked, r);
   ASSERT_EQ(kernel.hits().size(), 1u);
   EXPECT_EQ(std::sqrt(kernel.hits()[0].d2), r);
 }
@@ -214,27 +233,54 @@ TEST(PairKernel, ClassifyMatchesPerRadiusFilter) {
 }
 
 TEST(PairKernel, NearMatchesBruteForceScan) {
+  const double r = 15.0;
+  PairKernel kernel;
+  std::size_t on_boundary = 0;
+  const auto check = [&](const std::vector<Vec3>& positions, const std::vector<Vec3>& queries) {
+    kernel.build(positions, r);
+    std::vector<std::uint32_t> got;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      got.clear();
+      kernel.near(queries[q], got);
+      std::sort(got.begin(), got.end());
+      std::vector<std::uint32_t> expected;
+      for (std::uint32_t i = 0; i < positions.size(); ++i) {
+        const double d = queries[q].distance2d_to(positions[i]);
+        if (d <= r) expected.push_back(i);
+        if (d == r) ++on_boundary;
+      }
+      EXPECT_EQ(got, expected) << "query " << q;
+    }
+  };
+
+  // Query points both inside and well outside the built bounding box.
   Rng rng(15);
   std::vector<Vec3> positions;
   for (int i = 0; i < 120; ++i) {
     positions.push_back({rng.uniform(-20.0, 200.0), rng.uniform(-20.0, 200.0), 22.0});
   }
-  const double r = 15.0;
-  PairKernel kernel;
-  kernel.build(positions, r);
-  std::vector<std::uint32_t> got;
+  std::vector<Vec3> queries;
   for (int q = 0; q < 50; ++q) {
-    // Query points both inside and well outside the built bounding box.
-    const Vec3 p{rng.uniform(-100.0, 300.0), rng.uniform(-100.0, 300.0), 0.0};
-    got.clear();
-    kernel.near(p, got);
-    std::sort(got.begin(), got.end());
-    std::vector<std::uint32_t> expected;
-    for (std::uint32_t i = 0; i < positions.size(); ++i) {
-      if (p.distance2d_to(positions[i]) <= r) expected.push_back(i);
-    }
-    EXPECT_EQ(got, expected) << "query " << q;
+    queries.push_back({rng.uniform(-100.0, 300.0), rng.uniform(-100.0, 300.0), 0.0});
   }
+  check(positions, queries);
+
+  // Integer coordinates keep every distance exact, so the queries set at a
+  // (9, 12) or (-15, 0) offset from an indexed position sit exactly on the
+  // radius and must be answered inclusively.
+  Rng grid_rng(3);
+  positions.clear();
+  for (int i = 0; i < 100; ++i) {
+    positions.push_back({static_cast<double>(grid_rng.uniform_int(0, 256)),
+                         static_cast<double>(grid_rng.uniform_int(0, 256)), 22.0});
+  }
+  queries.clear();
+  for (std::size_t i = 0; i < positions.size(); i += 3) {
+    queries.push_back(positions[i] + Vec3{9.0, 12.0, 0.0});
+    queries.push_back(positions[i] + Vec3{-15.0, 0.0, 0.0});
+  }
+  check(positions, queries);
+  EXPECT_GT(on_boundary, 0u);
 }
 
 TEST(PairKernel, IncrementalDuplicateIdSnapshotMatchesBruteForce) {

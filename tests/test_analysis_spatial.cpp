@@ -1,9 +1,16 @@
-#include "analysis/spatial_index.hpp"
+// Radius queries over one snapshot, through PairKernel's build/enumerate
+// (every pair within r) and near (every point within r of a query point).
+// The suites keep the names they had while the SpatialGrid wrapper fronted
+// the kernel; they check the same inputs against a brute-force scan.
+#include "analysis/pair_kernel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <tuple>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -22,31 +29,35 @@ std::set<Pair> brute_force_pairs(const std::vector<Vec3>& positions, double r) {
   return out;
 }
 
+std::vector<Pair> pairs_within(const std::vector<Vec3>& positions, double r) {
+  PairKernel kernel;
+  kernel.run(positions, r);
+  std::vector<Pair> out;
+  for (const PairKernel::Hit& h : kernel.hits()) out.emplace_back(h.i, h.j);
+  return out;
+}
+
 TEST(SpatialGrid, EmptyInput) {
   const std::vector<Vec3> positions;
-  const SpatialGrid grid(positions, 10.0);
-  EXPECT_TRUE(grid.pairs_within().empty());
+  EXPECT_TRUE(pairs_within(positions, 10.0).empty());
 }
 
 TEST(SpatialGrid, SimpleKnownPairs) {
   const std::vector<Vec3> positions{
       {0.0, 0.0, 0.0}, {5.0, 0.0, 0.0}, {100.0, 100.0, 0.0}};
-  const SpatialGrid grid(positions, 10.0);
-  const auto pairs = grid.pairs_within();
+  const auto pairs = pairs_within(positions, 10.0);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0], (Pair{0, 1}));
 }
 
 TEST(SpatialGrid, BoundaryInclusive) {
   const std::vector<Vec3> positions{{0.0, 0.0, 0.0}, {10.0, 0.0, 0.0}};
-  const SpatialGrid grid(positions, 10.0);
-  EXPECT_EQ(grid.pairs_within().size(), 1u);
+  EXPECT_EQ(pairs_within(positions, 10.0).size(), 1u);
 }
 
 TEST(SpatialGrid, IgnoresAltitude) {
   const std::vector<Vec3> positions{{0.0, 0.0, 0.0}, {3.0, 0.0, 500.0}};
-  const SpatialGrid grid(positions, 10.0);
-  EXPECT_EQ(grid.pairs_within().size(), 1u);
+  EXPECT_EQ(pairs_within(positions, 10.0).size(), 1u);
 }
 
 TEST(SpatialGrid, NearPointMatchesBruteForce) {
@@ -60,7 +71,8 @@ TEST(SpatialGrid, NearPointMatchesBruteForce) {
     positions.push_back({static_cast<double>(rng.uniform_int(0, 256)),
                          static_cast<double>(rng.uniform_int(0, 256)), 22.0});
   }
-  const SpatialGrid grid(positions, kRadius);
+  PairKernel kernel;
+  kernel.build(positions, kRadius);
   std::vector<Vec3> queries;
   for (int q = 0; q < 100; ++q) {
     queries.push_back({rng.uniform(-50.0, 300.0), rng.uniform(-50.0, 300.0), 0.0});
@@ -73,7 +85,7 @@ TEST(SpatialGrid, NearPointMatchesBruteForce) {
   std::size_t on_boundary = 0;
   for (std::size_t q = 0; q < queries.size(); ++q) {
     got.clear();
-    grid.near_point(queries[q], got);
+    kernel.near(queries[q], got);
     std::sort(got.begin(), got.end());
     std::vector<std::uint32_t> expected;
     for (std::uint32_t i = 0; i < positions.size(); ++i) {
@@ -88,7 +100,9 @@ TEST(SpatialGrid, NearPointMatchesBruteForce) {
 
 TEST(SpatialGrid, ThrowsOnBadInput) {
   const std::vector<Vec3> positions{{0, 0, 0}};
-  EXPECT_THROW(SpatialGrid(positions, 0.0), std::invalid_argument);
+  PairKernel kernel;
+  EXPECT_THROW(kernel.build(positions, 0.0), std::invalid_argument);
+  EXPECT_THROW(kernel.run(positions, 0.0), std::invalid_argument);
 }
 
 class SpatialGridProperty
@@ -101,9 +115,8 @@ TEST_P(SpatialGridProperty, MatchesBruteForce) {
   for (int i = 0; i < count; ++i) {
     positions.push_back({rng.uniform(-50.0, 300.0), rng.uniform(-50.0, 300.0), 22.0});
   }
-  const SpatialGrid grid(positions, radius);
-  auto pairs = grid.pairs_within();
-  std::set<Pair> got(pairs.begin(), pairs.end());
+  const auto pairs = pairs_within(positions, radius);
+  const std::set<Pair> got(pairs.begin(), pairs.end());
   EXPECT_EQ(got.size(), pairs.size()) << "duplicate pairs reported";
   EXPECT_EQ(got, brute_force_pairs(positions, radius));
 }

@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.hpp"
+
 namespace slmob {
 namespace {
 
+// The trips of `t` as the analysis engine computes them, on one thread.
+TripAnalysis trips_of(const Trace& t) {
+  return analyze_trace(t, {}, kDefaultLandSize, 1).trips;
+}
+
 TEST(Trips, EmptyTrace) {
   const Trace t("x", 10.0);
-  const TripAnalysis a = analyze_trips(t);
+  const TripAnalysis a = trips_of(t);
   EXPECT_EQ(a.sessions, 0u);
   EXPECT_TRUE(a.travel_lengths.empty());
 }
@@ -20,7 +27,7 @@ TEST(Trips, OneMovingUser) {
     s.fixes = {{AvatarId{1}, {i * 20.0, 0.0, 22.0}}};  // 20 m per interval
     t.add(std::move(s));
   }
-  const TripAnalysis a = analyze_trips(t);
+  const TripAnalysis a = trips_of(t);
   ASSERT_EQ(a.sessions, 1u);
   EXPECT_DOUBLE_EQ(a.travel_lengths.median(), 60.0);
   EXPECT_DOUBLE_EQ(a.effective_travel_times.median(), 30.0);
@@ -36,7 +43,7 @@ TEST(Trips, PausesExcludedFromEffectiveTime) {
     s.fixes = {{AvatarId{1}, {xs[i], 0.0, 22.0}}};
     t.add(std::move(s));
   }
-  const TripAnalysis a = analyze_trips(t);
+  const TripAnalysis a = trips_of(t);
   EXPECT_DOUBLE_EQ(a.travel_times.median(), 40.0);
   EXPECT_DOUBLE_EQ(a.effective_travel_times.median(), 20.0);
   EXPECT_DOUBLE_EQ(a.travel_lengths.median(), 40.0);
@@ -51,7 +58,7 @@ TEST(Trips, SessionsSplitAcrossGaps) {
     s.fixes = {{AvatarId{1}, {time, 0.0, 22.0}}};
     t.add(std::move(s));
   }
-  const TripAnalysis a = analyze_trips(t);
+  const TripAnalysis a = trips_of(t);
   EXPECT_EQ(a.sessions, 2u);
 }
 
@@ -64,7 +71,7 @@ TEST(Trips, PerUserSamplesIndependent) {
                {AvatarId{2}, {i * 30.0, 0.0, 22.0}}};     // fast mover
     t.add(std::move(s));
   }
-  const TripAnalysis a = analyze_trips(t);
+  const TripAnalysis a = trips_of(t);
   ASSERT_EQ(a.sessions, 2u);
   EXPECT_DOUBLE_EQ(a.travel_lengths.min(), 0.0);
   EXPECT_DOUBLE_EQ(a.travel_lengths.max(), 60.0);

@@ -2,13 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/streaming.hpp"
+#include "core/experiment.hpp"
+
 namespace slmob {
 namespace {
+
+// The zones of `t` as the analysis engine computes them, on one thread, for
+// a 256 m land in 20 m cells.
+ZoneAnalysis zones_of(const Trace& t) {
+  return analyze_trace(t, {}, kDefaultLandSize, 1).zones;
+}
 
 TEST(Zones, GridDimensions) {
   Trace t("x", 10.0);
   t.add(Snapshot{0.0, {}});
-  const ZoneAnalysis z = analyze_zones(t, 256.0, 20.0);
+  const ZoneAnalysis z = zones_of(t);
   EXPECT_EQ(z.cells_per_side, 13u);  // ceil(256/20)
   EXPECT_EQ(z.mean_per_cell.size(), 169u);
 }
@@ -16,7 +25,7 @@ TEST(Zones, GridDimensions) {
 TEST(Zones, AllCellsEmptyWithoutUsers) {
   Trace t("x", 10.0);
   t.add(Snapshot{0.0, {}});
-  const ZoneAnalysis z = analyze_zones(t);
+  const ZoneAnalysis z = zones_of(t);
   EXPECT_DOUBLE_EQ(z.empty_fraction, 1.0);
   EXPECT_EQ(z.max_occupancy, 0u);
 }
@@ -31,7 +40,7 @@ TEST(Zones, CountsUsersPerCell) {
              {AvatarId{3}, {19.9, 19.9, 22.0}},
              {AvatarId{4}, {25.0, 5.0, 22.0}}};
   t.add(std::move(s));
-  const ZoneAnalysis z = analyze_zones(t);
+  const ZoneAnalysis z = zones_of(t);
   EXPECT_EQ(z.max_occupancy, 3u);
   EXPECT_DOUBLE_EQ(z.mean_per_cell[0], 3.0);
   EXPECT_DOUBLE_EQ(z.mean_per_cell[1], 1.0);
@@ -50,7 +59,7 @@ TEST(Zones, MeanAveragesOverSnapshots) {
   // cell empties in the second snapshot
   t.add(std::move(s1));
   t.add(std::move(s2));
-  const ZoneAnalysis z = analyze_zones(t);
+  const ZoneAnalysis z = zones_of(t);
   EXPECT_DOUBLE_EQ(z.mean_per_cell[0], 0.5);
 }
 
@@ -60,7 +69,7 @@ TEST(Zones, OutOfRangePositionsClamped) {
   s.time = 0.0;
   s.fixes = {{AvatarId{1}, {-5.0, 500.0, 22.0}}};
   t.add(std::move(s));
-  const ZoneAnalysis z = analyze_zones(t);
+  const ZoneAnalysis z = zones_of(t);
   EXPECT_EQ(z.max_occupancy, 1u);  // counted in an edge cell, not lost
 }
 
@@ -70,7 +79,7 @@ TEST(Zones, OccupancyCdfMatchesEmptyFraction) {
   s.time = 0.0;
   s.fixes = {{AvatarId{1}, {5.0, 5.0, 22.0}}, {AvatarId{2}, {100.0, 100.0, 22.0}}};
   t.add(std::move(s));
-  const ZoneAnalysis z = analyze_zones(t);
+  const ZoneAnalysis z = zones_of(t);
   EXPECT_DOUBLE_EQ(z.occupancy.cdf(0.0), z.empty_fraction);
   EXPECT_DOUBLE_EQ(z.occupancy.cdf(10.0), 1.0);
 }
@@ -89,16 +98,19 @@ TEST(Zones, UncoveredSnapshotsExcludedFromMean) {
   t.add(std::move(s2));
   t.add(std::move(s3));
   t.add_gap(5.0, 15.0);
-  const ZoneAnalysis z = analyze_zones(t);
+  const ZoneAnalysis z = zones_of(t);
   // Mean divides by the 2 covered snapshots, not all 3.
   EXPECT_DOUBLE_EQ(z.mean_per_cell[0], 1.0);
   EXPECT_EQ(z.occupancy.size(), 2u * 169u);
 }
 
 TEST(Zones, BadArgsThrow) {
-  Trace t("x", 10.0);
-  EXPECT_THROW((void)analyze_zones(t, 0.0, 20.0), std::invalid_argument);
-  EXPECT_THROW((void)analyze_zones(t, 256.0, -1.0), std::invalid_argument);
+  const Trace t("x", 10.0);
+  EXPECT_THROW((void)analyze_trace(t, {}, 0.0, 1), std::invalid_argument);
+  StreamingOptions options;
+  options.zone_cell_size = -1.0;
+  MemoryTraceStream stream(t);
+  EXPECT_THROW((void)analyze_stream(stream, options), std::invalid_argument);
 }
 
 }  // namespace

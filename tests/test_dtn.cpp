@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/experiment.hpp"
 
 namespace slmob {
@@ -137,6 +140,34 @@ TEST(Dtn, RejectsBadInput) {
   DtnConfig cfg;
   cfg.creation_window = 0.0;
   EXPECT_THROW((void)simulate_dtn(t, cfg), std::invalid_argument);
+
+  // A bad range is refused before the trace is looked at, even when no
+  // snapshot holds a pair for the proximity kernel to reject it on.
+  const Trace lonely = [] {
+    Trace out("x", 10.0);
+    for (const Seconds time : {0.0, 10.0, 20.0}) {
+      Snapshot s;
+      s.time = time;
+      if (time > 0.0) s.fixes.push_back({AvatarId{1}, {5.0, 5.0, 22.0}});
+      out.add(std::move(s));
+    }
+    return out;
+  }();
+  for (const double range : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    DtnConfig bad;
+    bad.range = range;
+    for (const Trace* trace : {&lonely, &t}) {
+      try {
+        (void)simulate_dtn(*trace, bad);
+        ADD_FAILURE() << "accepted range " << range;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("ranges must be positive and finite"),
+                  std::string::npos)
+            << "range " << range << ": " << e.what();
+      }
+    }
+  }
 }
 
 TEST(Dtn, SchemeNames) {

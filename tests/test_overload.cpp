@@ -23,8 +23,8 @@
 #include "server/sim_server.hpp"
 #include "trace/journal.hpp"
 #include "trace/serialize.hpp"
+#include "trace/stream.hpp"
 #include "trace/trace.hpp"
-#include "analysis/zones.hpp"
 #include "util/bytes.hpp"
 #include "util/sysinfo.hpp"
 #include "world/archetypes.hpp"
@@ -396,14 +396,26 @@ TEST(OverloadTrace, DegradationValidation) {
 }
 
 TEST(OverloadTrace, FactorLookupAndDegradedSeconds) {
+  // The factor in force for a snapshot is the one a stream consumer's
+  // DegradationTracker holds when the snapshot arrives.
   Trace trace("L", 10.0);
+  for (const Seconds t : {50.0, 100.0, 199.9, 200.0, 320.0}) {
+    Snapshot s;
+    s.time = t;
+    trace.add(std::move(s));
+  }
   trace.add_degradation(100.0, 200.0, 2);
   trace.add_degradation(300.0, 340.0, 4);
-  EXPECT_EQ(trace.degradation_factor_at(50.0), 1u);
-  EXPECT_EQ(trace.degradation_factor_at(100.0), 2u);
-  EXPECT_EQ(trace.degradation_factor_at(199.9), 2u);
-  EXPECT_EQ(trace.degradation_factor_at(200.0), 1u);  // half-open
-  EXPECT_EQ(trace.degradation_factor_at(320.0), 4u);
+  MemoryTraceStream stream(trace);
+  DegradationTracker rates;
+  std::vector<std::uint32_t> factors;
+  for (StreamEvent ev = stream.next(); ev.kind != StreamEventKind::kEnd; ev = stream.next()) {
+    if (ev.kind == StreamEventKind::kRateChange) rates.set_factor(ev.time, ev.factor);
+    if (ev.kind == StreamEventKind::kSnapshot) factors.push_back(rates.current_factor());
+  }
+  // Windows are half-open: the snapshot at 200 is back at the nominal rate.
+  EXPECT_EQ(factors, (std::vector<std::uint32_t>{1, 2, 2, 1, 4}));
+  EXPECT_EQ(rates.windows(), trace.degradations());
   EXPECT_DOUBLE_EQ(trace.degraded_seconds(), 140.0);
 }
 
@@ -513,8 +525,8 @@ TEST(OverloadAnalysis, ZoneWeightingEqualsSnapshotReplication) {
   }
   degraded.add_degradation(55.0, 140.0, 4);
 
-  const ZoneAnalysis a = analyze_zones(degraded);
-  const ZoneAnalysis b = analyze_zones(replicated);
+  const ZoneAnalysis a = analyze_trace(degraded, {}, kDefaultLandSize, 1).zones;
+  const ZoneAnalysis b = analyze_trace(replicated, {}, kDefaultLandSize, 1).zones;
   EXPECT_EQ(a.mean_per_cell, b.mean_per_cell);
   EXPECT_DOUBLE_EQ(a.empty_fraction, b.empty_fraction);
   EXPECT_EQ(a.max_occupancy, b.max_occupancy);

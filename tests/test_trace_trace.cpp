@@ -38,24 +38,6 @@ TEST(Trace, SummaryCountsUniqueAndConcurrent) {
   EXPECT_DOUBLE_EQ(s.duration, 10.0);
 }
 
-TEST(Trace, SnapshotFind) {
-  const Snapshot s = snap(0.0, {{7, {1.0, 2.0, 3.0}}});
-  const auto pos = s.find(AvatarId{7});
-  ASSERT_TRUE(pos.has_value());
-  EXPECT_EQ(*pos, (Vec3{1.0, 2.0, 3.0}));
-  EXPECT_FALSE(s.find(AvatarId{8}).has_value());
-}
-
-TEST(Trace, SliceHalfOpen) {
-  Trace t("x", 10.0);
-  for (int i = 0; i < 5; ++i) t.add(snap(i * 10.0, {{1, {}}}));
-  const Trace sliced = t.slice(10.0, 30.0);
-  ASSERT_EQ(sliced.size(), 2u);
-  EXPECT_DOUBLE_EQ(sliced.snapshots().front().time, 10.0);
-  EXPECT_DOUBLE_EQ(sliced.snapshots().back().time, 20.0);
-  EXPECT_EQ(sliced.land_name(), "x");
-}
-
 TEST(Trace, AddGapValidation) {
   Trace t("x", 10.0);
   EXPECT_THROW(t.add_gap(10.0, 10.0), std::invalid_argument);   // empty
@@ -91,20 +73,6 @@ TEST(Trace, SummaryReportsGaps) {
   const TraceSummary s = t.summary();
   EXPECT_EQ(s.gap_count, 2u);
   EXPECT_DOUBLE_EQ(s.gap_seconds, 130.0);
-}
-
-TEST(Trace, SliceClipsGaps) {
-  Trace t("x", 10.0);
-  for (int i = 0; i < 50; ++i) t.add(snap(i * 10.0, {{1, {}}}));
-  t.add_gap(50.0, 150.0);
-  t.add_gap(200.0, 300.0);
-  t.add_gap(400.0, 450.0);
-  const Trace sliced = t.slice(100.0, 250.0);
-  ASSERT_EQ(sliced.gaps().size(), 2u);
-  EXPECT_DOUBLE_EQ(sliced.gaps()[0].start, 100.0);  // clipped to slice start
-  EXPECT_DOUBLE_EQ(sliced.gaps()[0].end, 150.0);
-  EXPECT_DOUBLE_EQ(sliced.gaps()[1].start, 200.0);
-  EXPECT_DOUBLE_EQ(sliced.gaps()[1].end, 250.0);    // clipped to slice end
 }
 
 TEST(Trace, StripSittingFixesRemovesOriginOnly) {
