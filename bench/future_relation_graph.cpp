@@ -22,10 +22,11 @@ int main(int argc, char** argv) {
   for (const LandArchetype archetype : kAllArchetypes) {
     const ExperimentResults& res = land_results(archetype, options);
     const RelationGraph graph(res.analysis.contacts.at(kBluetoothRange).intervals);
-    Ecdf gaps;
+    EcdfAccumulator recontact;
     for (const auto& rel : graph.relations()) {
-      if (rel.encounters >= 2) gaps.add(rel.mean_recontact_gap());
+      if (rel.encounters >= 2) recontact.add(rel.mean_recontact_gap());
     }
+    const Ecdf gaps = recontact.finish();
     std::printf("%-14s %8zu %8zu %9.1f%% %12.0f %12.0f %14.0f\n",
                 res.trace.land_name().c_str(), graph.user_count(), graph.edge_count(),
                 graph.acquaintance_fraction() * 100.0,

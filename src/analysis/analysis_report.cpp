@@ -1,5 +1,6 @@
 #include "analysis/analysis_report.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 
@@ -33,17 +34,24 @@ std::string diff_count(const std::string& name, std::size_t a, std::size_t b) {
   return os.str();
 }
 
+// Walks both run lists in step, one stretch of samples at a time: `at` is
+// the sorted index where the current runs of both begin to overlap.
 std::string diff_ecdf(const std::string& name, const Ecdf& a, const Ecdf& b) {
   if (a.size() != b.size()) return diff_count(name + ".size", a.size(), b.size());
-  const auto sa = a.sorted();
-  const auto sb = b.sorted();
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    if (!bits_equal(sa[i], sb[i])) {
+  const auto ra = a.runs();
+  const auto rb = b.runs();
+  std::size_t i = 0;
+  std::size_t j = 0;
+  for (std::uint64_t at = 0; at < a.size();) {
+    if (!bits_equal(ra[i].value, rb[j].value)) {
       std::ostringstream os;
       os.precision(17);
-      os << name << "[" << i << "]: " << sa[i] << " != " << sb[i];
+      os << name << "[" << at << "]: " << ra[i].value << " != " << rb[j].value;
       return os.str();
     }
+    at = std::min(ra[i].cumulative, rb[j].cumulative);
+    if (ra[i].cumulative == at) ++i;
+    if (rb[j].cumulative == at) ++j;
   }
   return {};
 }
@@ -150,12 +158,15 @@ std::string diff_trips(const TripAnalysis& a, const TripAnalysis& b) {
   return diff_count("trips.sessions", a.sessions, b.sessions);
 }
 
+}  // namespace
+
 void put_ecdf(ByteWriter& w, const Ecdf& e) {
   w.u64(static_cast<std::uint64_t>(e.size()));
-  for (const double x : e.sorted()) w.f64(x);
+  std::uint64_t at = 0;
+  for (const EcdfRun& r : e.runs()) {
+    for (; at < r.cumulative; ++at) w.f64(r.value);
+  }
 }
-
-}  // namespace
 
 std::string analysis_diff(const AnalysisReport& a, const AnalysisReport& b) {
   if (auto d = diff_summary(a.summary, b.summary); !d.empty()) return d;

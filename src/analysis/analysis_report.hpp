@@ -11,10 +11,9 @@
 // every land, fault scenario and synthetic trace they cover, at any thread
 // count.
 //
-// Equality convention: Ecdfs compare by their sorted() sample sequence,
-// bitwise. Sample *insertion* order is not part of the contract, so no
-// reported quantity may depend on it (Ecdf::mean() is the only accessor
-// that does, and nothing report-facing uses it).
+// Equality convention: Ecdfs compare by their sorted sample sequence,
+// bitwise: the runs, each value repeated by its count. An Ecdf keeps no
+// insertion order, so no reported quantity can depend on it.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +27,8 @@
 #include "trace/trace.hpp"
 
 namespace slmob {
+
+class ByteWriter;
 
 struct AnalysisReport {
   TraceSummary summary;
@@ -47,10 +48,15 @@ struct AnalysisReport {
   return analysis_diff(a, b).empty();
 }
 
-// CRC-32 over a canonical serialization of the report (sorted Ecdf samples
-// as raw f64 bits). Two reports are fingerprint-equal iff analysis_equal —
+// CRC-32 over a canonical serialization of the report (Ecdfs as put_ecdf
+// writes them). Two reports are fingerprint-equal iff analysis_equal —
 // up to CRC collision — so a committed constant can stand for a whole
 // report.
 [[nodiscard]] std::uint32_t analysis_fingerprint(const AnalysisReport& report);
+
+// An Ecdf as every fingerprint serializes it: the sample count as u64, then
+// every sample in ascending order as raw f64 bits, each run's value written
+// once per sample it counts.
+void put_ecdf(ByteWriter& w, const Ecdf& e);
 
 }  // namespace slmob

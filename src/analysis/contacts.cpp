@@ -168,7 +168,7 @@ ContactStream::ContactStream(double range, Seconds tau, const GapTracker& gaps)
 void ContactStream::close_contact(std::uint32_t slot, Seconds end) {
   ContactInterval& interval = out_.intervals[slot];
   interval.end = end;
-  out_.contact_times.add(end - interval.start);
+  contact_times_.add(end - interval.start);
   if (epochs_active_) interval_epochs_[slot] = censor_epoch_;
 }
 
@@ -257,8 +257,8 @@ void ContactStream::on_snapshot(const Snapshot& snap, const ContactKeys& keys) {
 // order, and per pair they never overlap, so start order is the pair's
 // chronological order. A stable counting pass groups the interval indices
 // by the dense user index of `a`; each user's group, sorted as (b, index)
-// keys, then lists every pair of that user chronologically. Sample order is
-// invisible, as every consumer of an Ecdf reads it sorted.
+// keys, then lists every pair of that user chronologically. The order of the
+// samples is invisible: an Ecdf keeps counts per value.
 void ContactStream::derive_inter_contact_times() {
   const auto& intervals = out_.intervals;
   if (intervals.size() < 2) return;
@@ -287,7 +287,7 @@ void ContactStream::derive_inter_contact_times() {
       const auto prev = static_cast<std::uint32_t>(group[k - 1]);
       const auto cur = static_cast<std::uint32_t>(group[k]);
       if (epochs_active_ && interval_epochs_[prev] != interval_epochs_[cur]) continue;
-      out_.inter_contact_times.add(intervals[cur].start - intervals[prev].end);
+      inter_contact_times_.add(intervals[cur].start - intervals[prev].end);
     }
   }
 }
@@ -311,8 +311,11 @@ ContactAnalysis ContactStream::finish() {
     // FT = 0 would vanish on the paper's log axis; credit half a sampling
     // interval to a user already in contact at its first snapshot.
     const Seconds ft = first_contact_[u] - first_seen_[u];
-    out_.first_contact_times.add(ft > 0.0 ? ft : tau_ / 2.0);
+    first_contact_times_.add(ft > 0.0 ? ft : tau_ / 2.0);
   }
+  out_.contact_times = contact_times_.finish();
+  out_.inter_contact_times = inter_contact_times_.finish();
+  out_.first_contact_times = first_contact_times_.finish();
   out_.users_with_contact = out_.first_contact_times.size();
   return std::move(out_);
 }

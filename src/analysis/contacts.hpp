@@ -130,7 +130,10 @@ class ContactStream {
 
   Seconds tau_;
   const GapTracker* gaps_;
-  ContactAnalysis out_;
+  ContactAnalysis out_;  // its Ecdfs are built from these at finish()
+  EcdfAccumulator contact_times_;
+  EcdfAccumulator inter_contact_times_;
+  EcdfAccumulator first_contact_times_;
   // Users: avatar id -> dense index, looked up once per fix. Per user, the
   // time of its first (covered) appearance and of its first contact; NaN
   // means unset. A censor unsets first_seen_ for users still without a

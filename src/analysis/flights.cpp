@@ -1,7 +1,5 @@
 #include "analysis/flights.hpp"
 
-#include <algorithm>
-
 namespace slmob {
 
 FlightAnalysis analyze_flights(const Trace& trace, const FlightAnalysisOptions& options) {
@@ -14,10 +12,6 @@ FlightAnalysis analyze_flights(const Trace& trace, const FlightAnalysisOptions& 
 void FlightStream::on_session(const Session& session) {
   ++sessions_analyzed_;  // every session counts, even unusable ones
   if (session.positions.size() < 2) return;
-
-  Entry entry;
-  entry.avatar = session.avatar;
-  entry.login = session.login;
 
   // Classify each sampling interval as moving or paused; a pause ending
   // starts a flight, a flight ending starts a pause.
@@ -32,12 +26,12 @@ void FlightStream::on_session(const Session& session) {
     const bool moving = speed > options_.pause_speed_threshold;
     if (moving && in_pause) {
       const Seconds pause = session.times[i - 1] - pause_start;
-      if (pause > 0.0) entry.pause_times.push_back(pause);
+      if (pause > 0.0) pause_times_.add(pause);
       flight_start = session.positions[i - 1];
       in_pause = false;
     } else if (!moving && !in_pause) {
       const double length = session.positions[i - 1].distance_to(flight_start);
-      if (length >= options_.min_flight_length) entry.flight_lengths.push_back(length);
+      if (length >= options_.min_flight_length) flight_lengths_.add(length);
       pause_start = session.times[i - 1];
       in_pause = true;
     }
@@ -45,27 +39,18 @@ void FlightStream::on_session(const Session& session) {
   // Close whatever phase is open at logout.
   if (in_pause) {
     const Seconds pause = session.times.back() - pause_start;
-    if (pause > 0.0) entry.pause_times.push_back(pause);
+    if (pause > 0.0) pause_times_.add(pause);
   } else {
     const double length = session.positions.back().distance_to(flight_start);
-    if (length >= options_.min_flight_length) entry.flight_lengths.push_back(length);
-  }
-  if (!entry.flight_lengths.empty() || !entry.pause_times.empty()) {
-    entries_.push_back(std::move(entry));
+    if (length >= options_.min_flight_length) flight_lengths_.add(length);
   }
 }
 
 FlightAnalysis FlightStream::finish() {
-  std::sort(entries_.begin(), entries_.end(), [](const Entry& a, const Entry& b) {
-    if (a.avatar != b.avatar) return a.avatar < b.avatar;
-    return a.login < b.login;
-  });
   FlightAnalysis out;
   out.sessions_analyzed = sessions_analyzed_;
-  for (const Entry& e : entries_) {
-    for (const double length : e.flight_lengths) out.flight_lengths.add(length);
-    for (const Seconds pause : e.pause_times) out.pause_times.add(pause);
-  }
+  out.flight_lengths = flight_lengths_.finish();
+  out.pause_times = pause_times_.finish();
   if (!out.flight_lengths.empty()) {
     out.flight_fit =
         fit_power_law(out.flight_lengths.sorted(), options_.min_flight_length);

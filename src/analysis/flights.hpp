@@ -43,10 +43,9 @@ FlightAnalysis analyze_flights(const Trace& trace,
                                const FlightAnalysisOptions& options = {});
 
 // Incremental flight/pause decomposition fed by a SessionStream sink: the one
-// pause/flight state machine. Each session is decomposed on arrival (only
-// its samples are buffered, not the fixes); finish() replays the
-// per-session sample runs in (avatar, login) order, so the result does not
-// depend on closure order, fits included.
+// pause/flight state machine. Each session is decomposed and counted on
+// arrival; an Ecdf does not depend on the order of its samples, so neither
+// the result nor the fits depend on closure order.
 class FlightStream {
  public:
   explicit FlightStream(const FlightAnalysisOptions& options = {})
@@ -56,14 +55,9 @@ class FlightStream {
   [[nodiscard]] FlightAnalysis finish();
 
  private:
-  struct Entry {
-    AvatarId avatar;
-    Seconds login{0.0};
-    std::vector<double> flight_lengths;  // in-session emission order
-    std::vector<Seconds> pause_times;
-  };
   FlightAnalysisOptions options_;
-  std::vector<Entry> entries_;
+  EcdfAccumulator flight_lengths_;
+  EcdfAccumulator pause_times_;
   std::size_t sessions_analyzed_{0};
 };
 

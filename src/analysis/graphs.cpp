@@ -251,9 +251,9 @@ double GraphKernel::csr_clustering_sum(std::uint32_t n) {
 GraphMetrics GraphStream::finish() {
   GraphMetrics out;
   out.range = range_;
-  out.degrees = std::move(degrees_);
-  out.diameters = std::move(diameters_);
-  out.clustering = std::move(clustering_);
+  out.degrees = degrees_.finish();
+  out.diameters = diameters_.finish();
+  out.clustering = clustering_.finish();
   out.snapshots_analyzed = snapshots_analyzed_;
   out.isolated_fraction =
       degree_samples_ == 0

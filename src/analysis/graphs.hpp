@@ -118,9 +118,9 @@ class GraphStream {
 
  private:
   double range_;
-  Ecdf degrees_;
-  Ecdf diameters_;
-  Ecdf clustering_;
+  EcdfAccumulator degrees_;
+  EcdfAccumulator diameters_;
+  EcdfAccumulator clustering_;
   std::size_t snapshots_analyzed_{0};
   std::size_t isolated_{0};
   std::size_t degree_samples_{0};

@@ -57,21 +57,21 @@ std::size_t RelationGraph::degree(AvatarId user) const {
 }
 
 Ecdf RelationGraph::encounter_counts() const {
-  Ecdf out;
+  EcdfAccumulator out;
   for (const auto& rel : relations_) out.add(static_cast<double>(rel.encounters));
-  return out;
+  return out.finish();
 }
 
 Ecdf RelationGraph::tie_strengths() const {
-  Ecdf out;
+  EcdfAccumulator out;
   for (const auto& rel : relations_) out.add(rel.total_contact);
-  return out;
+  return out.finish();
 }
 
 Ecdf RelationGraph::acquaintance_degrees() const {
-  Ecdf out;
+  EcdfAccumulator out;
   for (const auto& [user, deg] : degree_) out.add(static_cast<double>(deg));
-  return out;
+  return out.finish();
 }
 
 std::vector<Relation> RelationGraph::strongest(std::size_t k) const {

@@ -27,7 +27,7 @@ StreamingAnalyzer::StreamingAnalyzer(StreamingOptions options)
     throw std::invalid_argument("StreamingAnalyzer: window must be >= 1");
   }
   // Bounded peak RSS is this engine's contract; make the allocator return
-  // freed pages and grow sample buffers without copying (see sysinfo.hpp).
+  // freed pages at once (see sysinfo.hpp).
   tune_malloc_for_streaming();
   window_.resize(options_.window);
   zones_ = std::make_unique<ZoneStream>(options_.land_size, options_.zone_cell_size);

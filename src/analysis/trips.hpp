@@ -3,7 +3,7 @@
 // reconstructed sessions.
 #pragma once
 
-#include <vector>
+#include <cstddef>
 
 #include "stats/ecdf.hpp"
 #include "trace/sessions.hpp"
@@ -19,9 +19,8 @@ struct TripAnalysis {
 };
 
 // Incremental trip analysis fed by a SessionStream sink. Sessions arrive in
-// closure order; per-session metrics are buffered (the session itself is
-// not) and emitted at finish() in (avatar, login) order — extract_sessions'
-// order — so Ecdf sample sequences do not depend on closure order.
+// closure order; each one's metrics are counted on arrival, and an Ecdf does
+// not depend on the order of its samples.
 class TripStream {
  public:
   explicit TripStream(const SessionExtractionOptions& options = {})
@@ -31,13 +30,11 @@ class TripStream {
   [[nodiscard]] TripAnalysis finish();
 
  private:
-  struct Entry {
-    AvatarId avatar;
-    Seconds login{0.0};
-    TripMetrics metrics;
-  };
   double movement_epsilon_;
-  std::vector<Entry> entries_;
+  EcdfAccumulator travel_lengths_;
+  EcdfAccumulator effective_travel_times_;
+  EcdfAccumulator travel_times_;
+  std::size_t sessions_{0};
 };
 
 }  // namespace slmob

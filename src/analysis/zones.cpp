@@ -32,9 +32,7 @@ void ZoneStream::on_snapshot(const std::vector<Vec3>& positions, std::uint32_t w
   }
   total_weight_ += weight;
   for (std::size_t c = 0; c < counts_.size(); ++c) {
-    for (std::uint32_t rep = 0; rep < weight; ++rep) {
-      out_.occupancy.add(static_cast<double>(counts_[c]));
-    }
+    occupancy_.add(static_cast<double>(counts_[c]), weight);
     out_.mean_per_cell[c] += static_cast<double>(weight) * static_cast<double>(counts_[c]);
     out_.max_occupancy = std::max(out_.max_occupancy, static_cast<std::size_t>(counts_[c]));
     if (counts_[c] == 0) empty_samples_ += weight;
@@ -43,6 +41,7 @@ void ZoneStream::on_snapshot(const std::vector<Vec3>& positions, std::uint32_t w
 }
 
 ZoneAnalysis ZoneStream::finish() {
+  out_.occupancy = occupancy_.finish();
   if (total_samples_ > 0) {
     out_.empty_fraction =
         static_cast<double>(empty_samples_) / static_cast<double>(total_samples_);

@@ -45,6 +45,7 @@ class ZoneStream {
  private:
   double land_size_;
   ZoneAnalysis out_;
+  EcdfAccumulator occupancy_;
   std::vector<std::uint32_t> counts_;
   std::size_t empty_samples_{0};
   std::size_t total_samples_{0};

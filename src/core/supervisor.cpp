@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -138,42 +139,60 @@ std::string describe(const char* what, Seconds at) {
 // Builds the rig for one attempt. The first attempt is a fresh start, like
 // every run that does not resume (start_durable_rig clears whatever an
 // earlier run left in the directory). A restart resumes from the best usable
-// checkpoint generation, else cold-starts. Corrupt checkpoints and
-// replay-verify mismatches are contained here — they demote the restart to
-// a cold restart (with a diagnostic) instead of failing the shard.
+// checkpoint generation, else cold-starts. No loadable generation (too early
+// for the first save, or every one corrupt) and replay-verify mismatches are
+// contained here — they demote the restart to a cold restart (with a
+// diagnostic) instead of failing the shard.
 DurableRig prepare_rig(ShardCtx& c) {
   if (c.rt.attempt.load(std::memory_order_relaxed) == 1) {
     return start_durable_rig(c.config, c.dir, c.opt.checkpoint_every, c.out_path);
   }
   try {
     DurableResume resumed = resume_durable_rig(c.dir, &c.config, &c);
-    if (!resumed.loaded.diagnostic.empty()) c.health.last_error = resumed.loaded.diagnostic;
-    if (resumed.rig) {
-      if (resumed.loaded.used_fallback) c.health.used_fallback_checkpoint = true;
-      // Later checkpoints carry this run's destination and interval.
-      resumed.rig->state.out_path = c.out_path;
-      resumed.rig->state.checkpoint_every = c.opt.checkpoint_every;
-      return std::move(*resumed.rig);
+    const std::string& rejected = resumed.loaded.diagnostic;
+    if (!resumed.rig) {
+      throw std::runtime_error(rejected.empty() ? "no checkpoint saved yet"
+                                                : "no checkpoint loads: " + rejected);
     }
-    // No loadable checkpoint at all (too early for the first save, or every
-    // generation corrupt): the restart replays nothing. Count it.
-    ++c.health.cold_restarts;
+    if (!rejected.empty()) c.health.last_error = rejected;
+    if (resumed.loaded.used_fallback) c.health.used_fallback_checkpoint = true;
+    // Later checkpoints carry this run's destination and interval.
+    resumed.rig->state.out_path = c.out_path;
+    resumed.rig->state.checkpoint_every = c.opt.checkpoint_every;
+    return std::move(*resumed.rig);
   } catch (const WatchdogAbort&) {
     throw;
   } catch (const std::exception& e) {
-    c.health.last_error = std::string("checkpoint unusable, cold-restarting: ") + e.what();
+    c.health.last_error = std::string("cold-restarting: ") + e.what();
     log_warn("supervisor", c.health.last_error);
     ++c.health.cold_restarts;
   }
   return start_durable_rig(c.config, c.dir, c.opt.checkpoint_every, c.out_path);
 }
 
+// Tears the newest `generations` checkpoint files (1: checkpoint.slck, 2:
+// both) by cutting their last byte, so the next resume rejects them as it
+// would a torn or bit-flipped file. A generation not saved yet is skipped.
+void tear_checkpoints(const std::string& dir, double generations) {
+  const std::string files[] = {dir + "/" + kCheckpointFileName,
+                               dir + "/" + kCheckpointPrevFileName};
+  for (std::size_t g = 0; g < 2 && static_cast<double>(g) < generations; ++g) {
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(files[g], ec);
+    if (!ec && size > 0) std::filesystem::resize_file(files[g], size - 1, ec);
+  }
+}
+
 // Fires the next due shard fault. Marks it fired *before* throwing so a
 // restarted attempt sails past the window, and records the fault event with
 // the snapshots captured so far (test_core_supervisor gates frames lost per
-// crash against it).
+// crash against it). A checkpoint tear only damages files and returns.
 void fire_injection(ShardCtx& c, Testbed& bed, const FaultWindow& w) {
   ++c.next_injection;  // at most once per run
+  if (w.kind == FaultKind::kCheckpointTear) {
+    tear_checkpoints(c.dir, w.magnitude);  // not a failure: the shard runs on
+    return;
+  }
   ShardFaultEvent ev;
   ev.at = w.start;
   ev.snapshots_at_fault = bed.crawler()->stats().snapshots_taken;
@@ -218,10 +237,11 @@ Seconds ShardCtx::before_step(Seconds t, Testbed& bed, const TraceJournalWriter*
     return std::numeric_limits<Seconds>::infinity();
   }
   if (canceled()) throw WatchdogAbort("watchdog canceled shard");
+  while (next_injection < injections.size() && injections[next_injection].start <= t + 1e-9) {
+    fire_injection(*this, bed, injections[next_injection]);
+  }
   if (next_injection == injections.size()) return std::numeric_limits<Seconds>::infinity();
-  const FaultWindow& w = injections[next_injection];
-  if (w.start <= t + 1e-9) fire_injection(*this, bed, w);
-  return w.start;
+  return injections[next_injection].start;
 }
 
 // Retry budget exhausted: salvage whatever the journal holds. The salvaged

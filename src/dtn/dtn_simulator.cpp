@@ -140,14 +140,16 @@ DtnResults simulate_dtn(const Trace& trace, const DtnConfig& config) {
   }
 
   double copies_total = 0.0;
+  EcdfAccumulator delays;
   for (std::uint32_t m = 0; m < config.message_count; ++m) {
     if (messages[m].expires < 0.0) continue;  // never created
     if (delivered[m]) {
       ++results.messages_delivered;
-      results.delays.add(outcomes[m].delay());
+      delays.add(outcomes[m].delay());
     }
     copies_total += static_cast<double>(outcomes[m].copies);
   }
+  results.delays = delays.finish();
   if (results.messages_created > 0) {
     results.delivery_ratio = static_cast<double>(results.messages_delivered) /
                              static_cast<double>(results.messages_created);

@@ -21,6 +21,7 @@ const char* fault_kind_name(FaultKind kind) {
     case FaultKind::kFlashCrowd: return "flash-crowd";
     case FaultKind::kShardCrash: return "shard-crash";
     case FaultKind::kShardStall: return "shard-stall";
+    case FaultKind::kCheckpointTear: return "checkpoint-tear";
   }
   return "unknown";
 }
@@ -123,7 +124,8 @@ double FaultSchedule::flash_crowd_factor_at(Seconds t) const {
 std::vector<FaultWindow> FaultSchedule::shard_faults() const {
   std::vector<FaultWindow> out;
   for (const auto& w : windows_) {
-    if (w.kind == FaultKind::kShardCrash || w.kind == FaultKind::kShardStall) {
+    if (w.kind == FaultKind::kShardCrash || w.kind == FaultKind::kShardStall ||
+        w.kind == FaultKind::kCheckpointTear) {
       out.push_back(w);
     }
   }

@@ -47,6 +47,8 @@ enum class FaultKind : std::uint8_t {
   // them entirely):
   kShardCrash,         // the shard's process dies when it reaches `start`
   kShardStall,         // the shard wedges at `start` until the watchdog kills it
+  kCheckpointTear,     // the shard's newest `magnitude` checkpoint generations
+                       // (1 or 2) are torn on disk at `start`
 };
 
 [[nodiscard]] const char* fault_kind_name(FaultKind kind);
@@ -57,7 +59,8 @@ struct FaultWindow {
   Seconds start{0.0};
   Seconds end{0.0};
   // kBurstLoss: loss rate in [0,1]; kLatencySpike: added seconds;
-  // kCapacityFlap: capacity factor in [0,1]. Ignored otherwise.
+  // kCapacityFlap: capacity factor in [0,1]; kCheckpointTear: generations
+  // torn. Ignored otherwise.
   double magnitude{1.0};
   // Partition target; a partition window without a node drops everything in
   // the given direction (equivalent to a blackout).
@@ -109,8 +112,8 @@ class FaultSchedule {
   [[nodiscard]] double flash_crowd_factor_at(Seconds t) const;
 
   // --- Supervisor queries (core/supervisor.hpp) -----------------------------
-  // Shard-process fault windows (kShardCrash + kShardStall) merged in start
-  // order. Each fires at most once per run: the supervisor injects the fault
+  // Shard-process fault windows (kShardCrash, kShardStall, kCheckpointTear)
+  // merged in start order. Each fires at most once per run: the supervisor injects the fault
   // when the shard first reaches `start` and never re-arms it after the
   // restart, mirroring a real crash that does not recur on replay.
   [[nodiscard]] std::vector<FaultWindow> shard_faults() const;

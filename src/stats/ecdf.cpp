@@ -1,113 +1,87 @@
 #include "stats/ecdf.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <new>
-#include <numeric>
+#include <iterator>
 #include <stdexcept>
 
 namespace slmob {
-namespace detail {
+namespace {
 
-SampleBuf::~SampleBuf() { std::free(data_); }
-
-void SampleBuf::grow(std::size_t need) {
-  std::size_t cap = cap_ == 0 ? 64 : cap_ * 2;
-  if (cap < need) cap = need;
-  auto* p = static_cast<double*>(std::realloc(data_, cap * sizeof(double)));
-  if (p == nullptr) throw std::bad_alloc();
-  data_ = p;
-  cap_ = cap;
+// MurmurHash3's 64-bit finalizer: small integers and multiples of tau
+// differ only in a few high bits, and every bit must reach the mask.
+std::uint64_t mix(std::uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdull;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ull;
+  k ^= k >> 33;
+  return k;
 }
 
-void SampleBuf::append(const double* src, std::size_t n) {
-  if (n == 0) return;
-  if (size_ + n > cap_) grow(size_ + n);
-  std::memcpy(data_ + size_, src, n * sizeof(double));
-  size_ += n;
+// An unsigned key whose order is the value order of non-NaN doubles, with
+// -0.0 just below +0.0: negative values have every bit flipped, the others
+// only the sign bit.
+std::uint64_t order_key(double x) {
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
 }
 
-}  // namespace detail
+}  // namespace
 
-Ecdf::Ecdf(std::vector<double> samples)
-    : samples_(samples), sorted_(false) {}
-
-void Ecdf::add(double sample) {
-  samples_.push_back(sample);
-  sorted_ = false;
-}
-
-void Ecdf::merge(const Ecdf& other) {
-  if (other.samples_.empty()) return;
-  samples_.append(other.samples_.begin(), other.samples_.size());
-  sorted_ = false;
-}
-
-void Ecdf::reserve(std::size_t n) { samples_.reserve(n); }
-
-void Ecdf::ensure_sorted() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
+Ecdf::Ecdf(const std::vector<double>& samples) {
+  EcdfAccumulator acc;
+  for (const double x : samples) acc.add(x);
+  *this = acc.finish();
 }
 
 double Ecdf::cdf(double x) const {
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
-  return static_cast<double>(it - samples_.begin()) / static_cast<double>(samples_.size());
+  if (runs_.empty()) return 0.0;
+  const auto it = std::upper_bound(runs_.begin(), runs_.end(), x,
+                                   [](double v, const EcdfRun& r) { return v < r.value; });
+  if (it == runs_.begin()) return 0.0;
+  return static_cast<double>(std::prev(it)->cumulative) / static_cast<double>(size());
 }
 
 double Ecdf::ccdf(double x) const { return 1.0 - cdf(x); }
 
 double Ecdf::quantile(double q) const {
-  if (samples_.empty()) throw std::logic_error("Ecdf::quantile on empty distribution");
-  ensure_sorted();
-  if (q <= 0.0) return samples_.front();
-  if (q >= 1.0) return samples_.back();
-  const auto idx = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(samples_.size())) - 1.0);
-  return samples_[std::min(idx, samples_.size() - 1)];
+  if (runs_.empty()) throw std::logic_error("Ecdf::quantile on empty distribution");
+  if (q <= 0.0) return runs_.front().value;
+  if (q >= 1.0) return runs_.back().value;
+  const std::size_t n = size();
+  const auto idx = std::min(
+      static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)) - 1.0), n - 1);
+  // The sample at sorted index idx lies in the first run past it.
+  const auto it = std::upper_bound(
+      runs_.begin(), runs_.end(), std::uint64_t{idx},
+      [](std::uint64_t i, const EcdfRun& r) { return i < r.cumulative; });
+  return it->value;
 }
 
 double Ecdf::min() const {
-  if (samples_.empty()) throw std::logic_error("Ecdf::min on empty distribution");
-  ensure_sorted();
-  return samples_.front();
+  if (runs_.empty()) throw std::logic_error("Ecdf::min on empty distribution");
+  return runs_.front().value;
 }
 
 double Ecdf::max() const {
-  if (samples_.empty()) throw std::logic_error("Ecdf::max on empty distribution");
-  ensure_sorted();
-  return samples_.back();
+  if (runs_.empty()) throw std::logic_error("Ecdf::max on empty distribution");
+  return runs_.back().value;
 }
 
-double Ecdf::mean() const {
-  if (samples_.empty()) throw std::logic_error("Ecdf::mean on empty distribution");
-  // Sum in sorted order: ensure_sorted() reorders samples_ lazily, so
-  // summing insertion order would make mean() depend on whether a sorting
-  // accessor (median/cdf/sorted) happened to run first — float addition is
-  // not associative, and call order must never change a reported metric.
-  ensure_sorted();
-  // slmob-lint: allow(float-determinism/accumulate) -- summed in sorted (canonical) order, see comment above
-  return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
-         static_cast<double>(samples_.size());
-}
-
-std::span<const double> Ecdf::sorted() const {
-  ensure_sorted();
-  return {samples_.begin(), samples_.size()};
+std::vector<double> Ecdf::sorted() const {
+  std::vector<double> out;
+  out.reserve(size());
+  for (const EcdfRun& r : runs_) out.resize(r.cumulative, r.value);
+  return out;
 }
 
 std::vector<EcdfPoint> Ecdf::cdf_series(std::size_t n) const {
   std::vector<EcdfPoint> out;
-  if (samples_.empty() || n < 2) return out;
-  ensure_sorted();
-  const double lo = samples_.front();
-  const double hi = samples_.back();
+  if (runs_.empty() || n < 2) return out;
+  const double lo = min();
+  const double hi = max();
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double x = lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(n - 1);
@@ -118,10 +92,9 @@ std::vector<EcdfPoint> Ecdf::cdf_series(std::size_t n) const {
 
 std::vector<EcdfPoint> Ecdf::ccdf_log_series(std::size_t n, double lo_floor) const {
   std::vector<EcdfPoint> out;
-  if (samples_.empty() || n < 2) return out;
-  ensure_sorted();
-  const double lo = std::max(samples_.front(), lo_floor);
-  const double hi = std::max(samples_.back(), lo * (1.0 + 1e-9));
+  if (runs_.empty() || n < 2) return out;
+  const double lo = std::max(min(), lo_floor);
+  const double hi = std::max(max(), lo * (1.0 + 1e-9));
   const double log_lo = std::log10(lo);
   const double log_hi = std::log10(hi);
   out.reserve(n);
@@ -132,6 +105,52 @@ std::vector<EcdfPoint> Ecdf::ccdf_log_series(std::size_t n, double lo_floor) con
     out.push_back({x, ccdf(x)});
   }
   return out;
+}
+
+void EcdfAccumulator::add(double x, std::uint64_t count) {
+  if (std::isnan(x)) throw std::invalid_argument("EcdfAccumulator::add: NaN sample");
+  if (count == 0) return;
+  if (2 * (used_ + 1) > slots_.size()) grow();
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  for (std::size_t i = mix(bits) & mask_;; i = (i + 1) & mask_) {
+    Slot& s = slots_[i];
+    if (s.count == 0) {
+      s = {bits, count};
+      ++used_;
+      return;
+    }
+    if (s.bits == bits) {
+      s.count += count;
+      return;
+    }
+  }
+}
+
+void EcdfAccumulator::grow() {
+  std::vector<Slot> old(slots_.empty() ? 16 : 2 * slots_.size());
+  old.swap(slots_);
+  mask_ = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.count == 0) continue;
+    std::size_t i = mix(s.bits) & mask_;
+    while (slots_[i].count != 0) i = (i + 1) & mask_;
+    slots_[i] = s;
+  }
+}
+
+Ecdf EcdfAccumulator::finish() {
+  std::vector<EcdfRun> runs;
+  runs.reserve(used_);
+  for (const Slot& s : slots_) {
+    if (s.count != 0) runs.push_back({std::bit_cast<double>(s.bits), s.count});
+  }
+  std::sort(runs.begin(), runs.end(), [](const EcdfRun& a, const EcdfRun& b) {
+    return order_key(a.value) < order_key(b.value);
+  });
+  std::uint64_t total = 0;
+  for (EcdfRun& r : runs) r.cumulative = total += r.cumulative;
+  *this = EcdfAccumulator();
+  return Ecdf(std::move(runs));
 }
 
 }  // namespace slmob

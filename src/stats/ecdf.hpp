@@ -1,11 +1,28 @@
 // Empirical distributions.
 //
 // Every figure in the paper is a CDF or CCDF of some per-user or per-pair
-// metric; Ecdf is the single representation behind all of them. Samples are
-// kept sorted; evaluation is O(log n).
+// metric; Ecdf is the single representation behind all of them. The
+// quantities are quantized (CT and ICT in steps of tau, integer degrees,
+// diameters and cell counts), so a distribution is kept as a histogram:
+// sorted runs of distinct values, each carrying the number of samples up to
+// and including it. Memory grows with the number of distinct values, not
+// with the number of samples, and every accessor is a binary search over
+// the runs. quantile, cdf, ccdf, min, max and both series are exact: they
+// equal what a sorted vector of every sample gives (EcdfOracle.* in
+// tests/test_stats_ecdf.cpp checks this bitwise).
+//
+// Values are matched by bit pattern and ordered by value; -0.0 is a run of
+// its own just before +0.0. NaN has no place in that order, so adding one
+// throws std::invalid_argument.
+//
+// An Ecdf is immutable. Producers add samples to an EcdfAccumulator, a
+// count table keyed by bit pattern, and call finish() once; only then are
+// the distinct values sorted into runs. The result does not depend on the
+// order of the adds.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -17,82 +34,23 @@ struct EcdfPoint {
   double y{0.0};  // F(x) for CDF output, 1 - F(x) for CCDF output
 };
 
-namespace detail {
-
-// Growable sample array on malloc/realloc instead of std::vector. The
-// allocator interface forbids realloc, so a growing vector always copies
-// into a second live buffer — transiently doubling resident memory — and
-// leaves the freed generation behind in the allocator. realloc lets glibc
-// grow mmap-backed chunks with mremap (pages are retagged, never copied),
-// which keeps a long accumulation's peak RSS at the size of the data it
-// actually holds. This matters for the streaming analysis engine, whose
-// whole-trace sample sets are the dominant term of its memory footprint.
-class SampleBuf {
- public:
-  SampleBuf() = default;
-  explicit SampleBuf(const std::vector<double>& v) { append(v.data(), v.size()); }
-  SampleBuf(const SampleBuf& other) { append(other.data_, other.size_); }
-  SampleBuf(SampleBuf&& other) noexcept
-      : data_(other.data_), size_(other.size_), cap_(other.cap_) {
-    other.data_ = nullptr;
-    other.size_ = 0;
-    other.cap_ = 0;
-  }
-  SampleBuf& operator=(SampleBuf other) noexcept {
-    swap(other);
-    return *this;
-  }
-  ~SampleBuf();
-
-  void swap(SampleBuf& other) noexcept {
-    std::swap(data_, other.data_);
-    std::swap(size_, other.size_);
-    std::swap(cap_, other.cap_);
-  }
-
-  void push_back(double x) {
-    if (size_ == cap_) grow(size_ + 1);
-    data_[size_++] = x;
-  }
-  void append(const double* src, std::size_t n);
-  void reserve(std::size_t n) {
-    if (n > cap_) grow(n);
-  }
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] double* begin() { return data_; }
-  [[nodiscard]] double* end() { return data_ + size_; }
-  [[nodiscard]] const double* begin() const { return data_; }
-  [[nodiscard]] const double* end() const { return data_ + size_; }
-  [[nodiscard]] double& operator[](std::size_t i) { return data_[i]; }
-  [[nodiscard]] const double& operator[](std::size_t i) const { return data_[i]; }
-  [[nodiscard]] double front() const { return data_[0]; }
-  [[nodiscard]] double back() const { return data_[size_ - 1]; }
-
- private:
-  void grow(std::size_t need);
-
-  double* data_{nullptr};
-  std::size_t size_{0};
-  std::size_t cap_{0};
+// One distinct value and the number of samples <= it. A run's own count is
+// its cumulative count minus the previous run's (0 before the first).
+struct EcdfRun {
+  double value{0.0};
+  std::uint64_t cumulative{0};
 };
-
-}  // namespace detail
 
 class Ecdf {
  public:
   Ecdf() = default;
-  explicit Ecdf(std::vector<double> samples);
+  // The distribution of `samples`. Throws std::invalid_argument on NaN.
+  explicit Ecdf(const std::vector<double>& samples);
 
-  void add(double sample);
-  // Appends another distribution's samples, preserving their insertion
-  // order. Used to merge per-chunk partial results of a parallel analysis
-  // back into snapshot order.
-  void merge(const Ecdf& other);
-  // Re-sorts after a batch of add() calls; called lazily by accessors.
-  [[nodiscard]] std::size_t size() const { return samples_.size(); }
-  [[nodiscard]] bool empty() const { return samples_.empty(); }
+  [[nodiscard]] std::size_t size() const {
+    return runs_.empty() ? 0 : static_cast<std::size_t>(runs_.back().cumulative);
+  }
+  [[nodiscard]] bool empty() const { return runs_.empty(); }
 
   // F(x) = P[X <= x].
   [[nodiscard]] double cdf(double x) const;
@@ -104,12 +62,12 @@ class Ecdf {
   [[nodiscard]] double median() const { return quantile(0.5); }
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
-  [[nodiscard]] double mean() const;
 
-  // Sorted view of the samples.
-  [[nodiscard]] std::span<const double> sorted() const;
-  // Pre-sizes the sample buffer (never shrinks).
-  void reserve(std::size_t n);
+  // The runs in ascending value order.
+  [[nodiscard]] std::span<const EcdfRun> runs() const { return runs_; }
+  // Every sample in ascending order: the runs expanded, size() doubles.
+  // For fits and tests; the accessors above never need it.
+  [[nodiscard]] std::vector<double> sorted() const;
 
   // Evaluates the CDF on `n` points linearly spaced over [min, max].
   [[nodiscard]] std::vector<EcdfPoint> cdf_series(std::size_t n) const;
@@ -118,9 +76,35 @@ class Ecdf {
   [[nodiscard]] std::vector<EcdfPoint> ccdf_log_series(std::size_t n, double lo_floor = 1.0) const;
 
  private:
-  void ensure_sorted() const;
-  mutable detail::SampleBuf samples_;
-  mutable bool sorted_{true};
+  friend class EcdfAccumulator;
+  explicit Ecdf(std::vector<EcdfRun> runs) : runs_(std::move(runs)) {}
+
+  std::vector<EcdfRun> runs_;
+};
+
+// Counts samples while a producer streams, and builds the Ecdf at the end.
+// An open-addressing table maps each distinct bit pattern to its count, so
+// an add is one hash probe and the table holds one slot per distinct value
+// (kept at most half full).
+class EcdfAccumulator {
+ public:
+  // Adds `count` samples equal to `x` (none when count is 0). Throws
+  // std::invalid_argument when x is NaN.
+  void add(double x, std::uint64_t count = 1);
+  // The distribution of every sample added so far. Leaves the accumulator
+  // empty.
+  [[nodiscard]] Ecdf finish();
+
+ private:
+  struct Slot {
+    std::uint64_t bits{0};
+    std::uint64_t count{0};  // 0: the slot is free
+  };
+  void grow();
+
+  std::vector<Slot> slots_;
+  std::size_t mask_{0};
+  std::size_t used_{0};
 };
 
 }  // namespace slmob

@@ -401,10 +401,7 @@ OracleContacts contact_oracle(const Trace& trace, double r) {
   return out;
 }
 
-std::vector<double> sorted_samples(const Ecdf& ecdf) {
-  const auto view = ecdf.sorted();
-  return {view.begin(), view.end()};
-}
+std::vector<double> sorted_samples(const Ecdf& ecdf) { return ecdf.sorted(); }
 
 void expect_matches_oracle(const ContactAnalysis& got, const OracleContacts& want,
                            const std::string& where) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/analysis_report.hpp"
 #include "analysis_goldens.hpp"
 #include "stats/samplers.hpp"
 #include "util/bytes.hpp"
@@ -10,19 +11,14 @@
 namespace slmob {
 namespace {
 
-void put_ecdf(ByteWriter& w, const Ecdf& e) {
-  w.u64(static_cast<std::uint64_t>(e.size()));
-  for (const double x : e.sorted()) w.f64(x);
-}
-
 void put_fit(ByteWriter& w, const PowerLawFit& f) {
   w.f64(f.alpha);
   w.f64(f.xmin);
   w.u64(static_cast<std::uint64_t>(f.n));
 }
 
-// CRC-32 over a canonical serialization of a FlightAnalysis (sorted Ecdf
-// samples as raw f64 bits), as golden::kFlights pins it.
+// CRC-32 over a canonical serialization of a FlightAnalysis (Ecdfs as the
+// report fingerprint writes them), as golden::kFlights pins it.
 std::uint32_t flights_fingerprint(const FlightAnalysis& f) {
   ByteWriter w;
   put_ecdf(w, f.flight_lengths);

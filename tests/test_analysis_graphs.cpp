@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#include <span>
 #include <string>
 
 #include "core/experiment.hpp"
@@ -37,10 +36,7 @@ GraphMetrics one_snapshot(const Snapshot& snapshot, double range) {
   return graphs_of(t, range);
 }
 
-std::vector<double> sorted_degrees(const GraphMetrics& m) {
-  const auto d = m.degrees.sorted();
-  return {d.begin(), d.end()};
-}
+std::vector<double> sorted_degrees(const GraphMetrics& m) { return m.degrees.sorted(); }
 
 TEST(GraphStream, EmptySnapshot) {
   const GraphMetrics m = one_snapshot(Snapshot{}, 10.0);
@@ -311,8 +307,7 @@ void expect_stream_matches_oracle(std::size_t n, const PairList& pairs) {
   const GraphMetrics got = stream.finish();
   const OracleMetrics want = graph_oracle(n, pairs);
   ASSERT_EQ(got.snapshots_analyzed, 1u);
-  const auto degrees = got.degrees.sorted();
-  EXPECT_EQ(std::vector<double>(degrees.begin(), degrees.end()), want.degrees);
+  EXPECT_EQ(got.degrees.sorted(), want.degrees);
   ASSERT_EQ(got.diameters.size(), 1u);
   EXPECT_EQ(got.diameters.min(), want.diameter);
   ASSERT_EQ(got.clustering.size(), 1u);
@@ -463,14 +458,11 @@ TEST(GraphOracle, MeasureOnSharedScratchMatchesOnSnapshot) {
   }
   const GraphMetrics want = direct.finish();
   const GraphMetrics got = split.finish();
-  const auto as_vector = [](std::span<const double> v) {
-    return std::vector<double>(v.begin(), v.end());
-  };
   EXPECT_EQ(got.snapshots_analyzed, want.snapshots_analyzed);
   EXPECT_EQ(got.snapshots_analyzed, 6u * 7u);
-  EXPECT_EQ(as_vector(got.degrees.sorted()), as_vector(want.degrees.sorted()));
-  EXPECT_EQ(as_vector(got.diameters.sorted()), as_vector(want.diameters.sorted()));
-  EXPECT_EQ(as_vector(got.clustering.sorted()), as_vector(want.clustering.sorted()));
+  EXPECT_EQ(got.degrees.sorted(), want.degrees.sorted());
+  EXPECT_EQ(got.diameters.sorted(), want.diameters.sorted());
+  EXPECT_EQ(got.clustering.sorted(), want.clustering.sorted());
   EXPECT_EQ(got.isolated_fraction, want.isolated_fraction);
 }
 
@@ -525,12 +517,9 @@ TEST(GraphOracle, ScratchReusedAcrossSnapshotSizes) {
     std::sort(v.begin(), v.end());
     return v;
   };
-  const auto as_vector = [](std::span<const double> s) {
-    return std::vector<double>(s.begin(), s.end());
-  };
-  EXPECT_EQ(as_vector(got.degrees.sorted()), sorted(want_degrees));
-  EXPECT_EQ(as_vector(got.diameters.sorted()), sorted(want_diameters));
-  EXPECT_EQ(as_vector(got.clustering.sorted()), sorted(want_clustering));
+  EXPECT_EQ(got.degrees.sorted(), sorted(want_degrees));
+  EXPECT_EQ(got.diameters.sorted(), sorted(want_diameters));
+  EXPECT_EQ(got.clustering.sorted(), sorted(want_clustering));
 }
 
 

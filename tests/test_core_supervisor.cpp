@@ -305,6 +305,60 @@ TEST(Supervisor, RestartBeforeTheFirstCheckpointColdRestartsAndCompletes) {
   EXPECT_EQ(h.last_error.find(kCheckpointFileName), std::string::npos) << h.last_error;
 }
 
+// A crash whose newest checkpoint generation is torn on disk: the restart
+// rejects checkpoint.slck, resumes from checkpoint.prev.slck (one segment
+// further back) and still reproduces the uninterrupted trace. The tear
+// fires at 449 s, after the 400 s save and before the 450 s crash, and no
+// save falls between, so the restart meets exactly the torn file.
+TEST(Supervisor, TornNewestCheckpointResumesFromTheFallbackGeneration) {
+  auto one = three_lands("none");
+  one.resize(1);
+  ShardRunOptions plain;
+  plain.threads = 1;
+  const auto reference = digests(run_sharded(one, plain));
+
+  one[0].testbed.faults.add({FaultKind::kCheckpointTear, 449.0, 450.0, 1.0, {}});
+  one[0].testbed.faults.add({FaultKind::kShardCrash, 450.0, 451.0, 1.0, {}});
+  SupervisorOptions opt = test_options(fresh_dir("supervisor-torn-newest"));
+  opt.threads = 1;
+  const SupervisedRun run = run_supervised(one, opt);
+
+  ASSERT_TRUE(run.all_completed());
+  EXPECT_EQ(digests(run.shards), reference);
+  const ShardHealth& h = run.health[0];
+  EXPECT_EQ(h.restarts, 1u);
+  EXPECT_TRUE(h.used_fallback_checkpoint);
+  EXPECT_EQ(h.cold_restarts, 0u);
+  EXPECT_NE(h.last_error.find(kCheckpointFileName), std::string::npos) << h.last_error;
+}
+
+// Both generations torn: no checkpoint loads, so the restart cold-restarts
+// from zero with a diagnostic naming both files, instead of failing the
+// shard, and the trace is still the uninterrupted one.
+TEST(Supervisor, BothCheckpointGenerationsTornColdRestarts) {
+  auto one = three_lands("none");
+  one.resize(1);
+  ShardRunOptions plain;
+  plain.threads = 1;
+  const auto reference = digests(run_sharded(one, plain));
+
+  one[0].testbed.faults.add({FaultKind::kCheckpointTear, 449.0, 450.0, 2.0, {}});
+  one[0].testbed.faults.add({FaultKind::kShardCrash, 450.0, 451.0, 1.0, {}});
+  SupervisorOptions opt = test_options(fresh_dir("supervisor-torn-both"));
+  opt.threads = 1;
+  const SupervisedRun run = run_supervised(one, opt);
+
+  ASSERT_TRUE(run.all_completed());
+  EXPECT_EQ(digests(run.shards), reference);
+  const ShardHealth& h = run.health[0];
+  EXPECT_EQ(h.restarts, 1u);
+  EXPECT_EQ(h.crashes, 1u);
+  EXPECT_EQ(h.cold_restarts, 1u);
+  EXPECT_FALSE(h.used_fallback_checkpoint);
+  EXPECT_NE(h.last_error.find(kCheckpointFileName), std::string::npos) << h.last_error;
+  EXPECT_NE(h.last_error.find(kCheckpointPrevFileName), std::string::npos) << h.last_error;
+}
+
 // Running the same supervised config twice in one directory is two fresh
 // runs: the second never resumes the first one's checkpoints (which would
 // fire every shard fault scheduled before that frontier at the frontier,
