@@ -45,19 +45,22 @@ struct GraphSample {
 // against an adjacency-matrix oracle, and the golden fingerprints of
 // tests/analysis_goldens.hpp pin the aggregate.
 //
-// Each snapshot is rebuilt in place into a flat CSR adjacency, which gives
-// the degree samples and the largest component. Up to kBitsetMaxNodes nodes,
-// diameter and clustering then come from a bitset kernel: one row of
-// ceil(n/64) 64-bit words per node. The diameter is a level-synchronous BFS
-// from each node of the largest component, whose next frontier is the OR of
-// the frontier's rows minus the seen set. popcount(row_i & row_j) counts
-// the triangles on edge (i, j); summed over i's edges it is twice the
-// number of links among i's neighbours. Larger snapshots fall back to BFS
-// and neighbour marking over the CSR. Both paths compute the same exact
-// integers and sum the clustering coefficients in node order, so they give
-// bit-identical metrics. All scratch is reused across calls: measure() sizes
-// it, its helpers never allocate, and a warm kernel makes zero allocations
-// per snapshot.
+// Up to kBitsetMaxNodes nodes, every metric comes from a bitset kernel: one
+// row of ceil(n/64) 64-bit words per node. A degree is the popcount of a
+// row. One level-synchronous BFS, whose next frontier is the OR of the
+// frontier's rows minus the seen set, finds the largest component (a BFS
+// from each node not yet reached) and the eccentricities. The diameter
+// needs only a few of those: lower and upper eccentricity bounds from each
+// BFS drop every node that cannot have a larger eccentricity than the
+// largest one found. popcount(row_i & row_j) counts the triangles on edge
+// (i, j); summed over i's edges it is twice the number of links among i's
+// neighbours. Larger snapshots are rebuilt into a flat CSR adjacency and
+// take BFS from every node of the largest component and neighbour
+// marking. Both paths compute the same exact integers and sum the
+// clustering coefficients in node order, so they give bit-identical
+// metrics. All scratch is reused across calls: measure() sizes it, its
+// helpers never allocate, and a warm kernel makes zero allocations per
+// snapshot.
 class GraphKernel {
  public:
   // Largest snapshot the bitset kernel takes. Rows cost n^2/8 bytes, and a
@@ -70,37 +73,61 @@ class GraphKernel {
   // fixes. A snapshot with no fixes leaves out.degrees empty.
   void measure(std::size_t node_count, const GraphPairList& pairs, GraphSample& out);
 
+  // BFS runs the last measure() made for the diameter after finding the
+  // largest component: on the bitset path the ones the bounds could not
+  // prune, above the node limit one per node of the component.
+  [[nodiscard]] std::size_t diameter_sweeps() const { return diameter_sweeps_; }
+
  private:
+  // One BFS: its source, the source's eccentricity and the nodes reached.
+  struct Sweep {
+    std::uint32_t source{0};
+    std::uint32_t eccentricity{0};
+    std::size_t reached{0};
+  };
+  // Word blocks of sweep_, `words` words each.
+  enum SweepBlock : std::size_t { kFrontier, kNext, kSeen, kVisited, kComponent, kSweepBlocks };
+
+  void measure_bitset(const GraphPairList& pairs, std::uint32_t n, GraphSample& out);
+  Sweep bitset_bfs(std::uint32_t src, std::size_t words, std::size_t reach);
+  Sweep bitset_largest_component(std::uint32_t n, std::size_t words);
+  [[nodiscard]] std::size_t bitset_diameter(std::size_t words, const Sweep& first);
+  [[nodiscard]] double bitset_clustering_sum(const GraphPairList& pairs,
+                                             const std::vector<std::uint32_t>& degrees,
+                                             std::size_t words);
+
+  void measure_csr(const GraphPairList& pairs, std::uint32_t n, GraphSample& out);
   [[nodiscard]] std::uint32_t nbr_begin(std::uint32_t i) const { return csr_offsets_[i]; }
   [[nodiscard]] std::uint32_t nbr_end(std::uint32_t i) const { return csr_offsets_[i + 1]; }
   void build_csr(const GraphPairList& pairs, std::uint32_t n);
   void find_largest_component(std::uint32_t n);
-  void build_rows(const GraphPairList& pairs, std::size_t words);
-  [[nodiscard]] std::size_t bitset_diameter(std::size_t words);
-  [[nodiscard]] double bitset_clustering_sum(const GraphPairList& pairs, std::uint32_t n,
-                                             std::size_t words);
   [[nodiscard]] std::size_t csr_diameter();
   [[nodiscard]] double csr_clustering_sum(std::uint32_t n);
 
-  // Per-snapshot scratch, sized to the snapshot by measure(). CSR layout:
-  // neighbours of node i occupy csr_adj_[csr_offsets_[i] .. csr_offsets_[i + 1]).
+  // Per-snapshot scratch, sized to the snapshot by measure(). On both
+  // paths dist_[v] is v's hop count in the last BFS that reached it.
+  std::vector<std::int32_t> dist_;
+  std::size_t diameter_sweeps_{0};
+  // Bitset kernel: rows_ holds `words` words per node; sweep_ holds the
+  // SweepBlocks (the visited block holds the diameter's candidates once
+  // the component is found); level_ lists a BFS frontier's nodes;
+  // upper_/lower_ are the eccentricity bounds; twice_links_[i] is twice
+  // the number of links among i's neighbours.
+  std::vector<std::uint64_t> rows_;
+  std::vector<std::uint64_t> sweep_;
+  std::vector<std::uint32_t> level_;
+  std::vector<std::uint32_t> upper_;
+  std::vector<std::uint32_t> lower_;
+  std::vector<std::uint32_t> twice_links_;
+  // CSR layout: neighbours of node i occupy
+  // csr_adj_[csr_offsets_[i] .. csr_offsets_[i + 1]).
   std::vector<std::uint32_t> csr_offsets_;
   std::vector<std::uint32_t> csr_cursor_;
   std::vector<std::uint32_t> csr_adj_;
   std::vector<std::uint32_t> comp_;     // BFS worklist of the current component
   std::vector<std::uint32_t> largest_;  // biggest component so far
-  std::vector<std::int32_t> dist_;
   std::vector<char> visited_;
   std::vector<char> marked_;
-  // Bitset kernel scratch: rows_ holds `words` words per node; sweep_ holds
-  // the BFS frontier, next frontier, seen set and the largest component's
-  // nodes, `words` words each;
-  // level_ lists the frontier's nodes; twice_links_[i] is twice the number
-  // of links among i's neighbours.
-  std::vector<std::uint64_t> rows_;
-  std::vector<std::uint64_t> sweep_;
-  std::vector<std::uint32_t> level_;
-  std::vector<std::uint32_t> twice_links_;
 };
 
 // Graph metrics over a snapshot stream: add() every covered snapshot's

@@ -56,7 +56,7 @@ void PairKernel::build(std::span<const Vec3> positions, double r_max) {
   n_ = positions.size();
   cell_ = r_max;
   threshold2_ = squared_radius_threshold(r_max);
-  hits_.clear();
+  hit_count_ = 0;
   xs_.resize(n_);
   ys_.resize(n_);
   idx_.resize(n_);
@@ -163,7 +163,7 @@ void PairKernel::build_sparse(std::span<const Vec3> positions) {
 }
 
 void PairKernel::enumerate() {
-  hits_.clear();
+  hit_count_ = 0;
   if (n_ < 2) return;
   if (dense_) {
     enumerate_dense();
@@ -228,74 +228,82 @@ void PairKernel::enumerate_sparse() {
   }
 }
 
+// Makes room for `candidates` more hits past hit_count_: tile and tile_self
+// write every candidate there and keep the ones within range by advancing
+// hit_count_, so the buffer must hold all of them.
+void PairKernel::reserve_hits(std::size_t candidates) {
+  const std::size_t need = hit_count_ + candidates;
+  // slmob-lint: allow(alloc-free) -- hits_ keeps its size across runs; warm calls never allocate (gated)
+  if (hits_.size() < need) hits_.resize(std::max(need, 2 * hits_.size()));
+}
+
 // slmob:alloc-free -- pair enumeration inner loop; gated by the WarmPath ctest
 void PairKernel::tile(std::size_t a0, std::size_t a1, std::size_t b0, std::size_t b1) {
   const std::size_t m = b1 - b0;
   if (m == 0) return;
-  // slmob-lint: allow(alloc-free) -- d2buf_/hits_ keep their capacity across runs; warm calls never allocate (gated)
-  if (d2buf_.size() < m) d2buf_.resize(m);
+  reserve_hits((a1 - a0) * m);
   const double* bx = xs_.data() + b0;
   const double* by = ys_.data() + b0;
-  double* buf = d2buf_.data();
+  const std::uint32_t* bi = idx_.data() + b0;
+  Hit* out = hits_.data();
+  std::size_t count = hit_count_;
   for (std::size_t a = a0; a < a1; ++a) {
     const double ax = xs_[a];
     const double ay = ys_[a];
-    // Branch-free comparison-only lanes: the compiler vectorizes this loop;
-    // hits are collected in a second, rare-branch pass.
+    const std::uint32_t ia = idx_[a];
+    // Every candidate is written at the tail; only those within range
+    // advance the count, so no branch depends on the distance.
     for (std::size_t k = 0; k < m; ++k) {
       const double dx = ax - bx[k];
       const double dy = ay - by[k];
-      buf[k] = dx * dx + dy * dy;
-    }
-    const std::uint32_t ia = idx_[a];
-    for (std::size_t k = 0; k < m; ++k) {
-      if (buf[k] <= threshold2_) {
-        const std::uint32_t ib = idx_[b0 + k];
-        // slmob-lint: allow(alloc-free) -- hits_ capacity is retained across runs; warm calls never allocate (gated)
-        hits_.push_back({ia < ib ? ia : ib, ia < ib ? ib : ia, buf[k]});
-      }
+      const double d2 = dx * dx + dy * dy;
+      out[count] = {std::min(ia, bi[k]), std::max(ia, bi[k]), d2};
+      count += static_cast<std::size_t>(d2 <= threshold2_);
     }
   }
+  hit_count_ = count;
 }
 
 // slmob:alloc-free -- same-cell enumeration; gated by the WarmPath ctest
 void PairKernel::tile_self(std::size_t s, std::size_t e) {
   if (e - s < 2) return;
-  // slmob-lint: allow(alloc-free) -- d2buf_ keeps its capacity across runs; warm calls never allocate (gated)
-  if (d2buf_.size() < e - s - 1) d2buf_.resize(e - s - 1);
-  double* buf = d2buf_.data();
+  reserve_hits((e - s) * (e - s - 1) / 2);
+  Hit* out = hits_.data();
+  std::size_t count = hit_count_;
   for (std::size_t a = s; a + 1 < e; ++a) {
     const double ax = xs_[a];
     const double ay = ys_[a];
-    const double* bx = xs_.data() + a + 1;
-    const double* by = ys_.data() + a + 1;
-    const std::size_t m = e - a - 1;
-    for (std::size_t k = 0; k < m; ++k) {
-      const double dx = ax - bx[k];
-      const double dy = ay - by[k];
-      buf[k] = dx * dx + dy * dy;
-    }
-    for (std::size_t k = 0; k < m; ++k) {
-      // Within a cell the lanes are sorted by original index: i < j already.
-      // slmob-lint: allow(alloc-free) -- hits_ capacity is retained across runs; warm calls never allocate (gated)
-      if (buf[k] <= threshold2_) hits_.push_back({idx_[a], idx_[a + 1 + k], buf[k]});
+    const std::uint32_t ia = idx_[a];
+    // Within a cell the lanes are sorted by original index: i < j already.
+    for (std::size_t b = a + 1; b < e; ++b) {
+      const double dx = ax - xs_[b];
+      const double dy = ay - ys_[b];
+      const double d2 = dx * dx + dy * dy;
+      out[count] = {ia, idx_[b], d2};
+      count += static_cast<std::size_t>(d2 <= threshold2_);
     }
   }
+  hit_count_ = count;
 }
 
 // slmob:alloc-free -- multi-radius hit classification; gated by the WarmPath ctest
 void PairKernel::classify(std::span<const double> ranges, PairList* lists) {
-  // slmob-lint: allow(alloc-free) -- range_t2_ holds <= 4 radii and keeps capacity; warm calls never allocate (gated)
-  range_t2_.resize(ranges.size());
+  const std::span<const Hit> hits = this->hits();
   for (std::size_t ri = 0; ri < ranges.size(); ++ri) {
-    range_t2_[ri] = squared_radius_threshold(ranges[ri]);
-  }
-  const std::size_t nr = ranges.size();
-  for (const Hit& h : hits_) {
-    std::size_t ri = 0;
-    while (ri < nr && range_t2_[ri] < h.d2) ++ri;
+    const double t2 = squared_radius_threshold(ranges[ri]);
+    PairList& list = lists[ri];
+    const std::size_t base = list.size();
     // slmob-lint: allow(alloc-free) -- caller-owned lists are reused by snapshot_proximity; warm calls never allocate (gated)
-    for (; ri < nr; ++ri) lists[ri].emplace_back(h.i, h.j);
+    list.resize(base + hits.size());
+    // As in tile: every hit is written, those within range are kept.
+    auto* out = list.data() + base;
+    std::size_t count = 0;
+    for (const Hit& h : hits) {
+      out[count] = {h.i, h.j};
+      count += static_cast<std::size_t>(h.d2 <= t2);
+    }
+    // slmob-lint: allow(alloc-free) -- shrinks the list to the kept hits; never allocates
+    list.resize(base + count);
   }
 }
 

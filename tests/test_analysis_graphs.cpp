@@ -522,6 +522,122 @@ TEST(GraphOracle, ScratchReusedAcrossSnapshotSizes) {
   EXPECT_EQ(got.clustering.sorted(), sorted(want_clustering));
 }
 
+// Graphs that are hard for the diameter's eccentricity bounds. In a cycle
+// every node has the same eccentricity, so no bound prunes a node before
+// its own BFS. The others put the lowest node, the first BFS source, where
+// its eccentricity is below the diameter: lower bounds taken for upper
+// bounds would stop there.
+PairList cycle_over(const std::vector<std::uint32_t>& nodes) {
+  PairList pairs = path_over(nodes);
+  pairs.push_back(ordered(nodes.front(), nodes.back()));
+  return pairs;
+}
+
+// Nodes 1..k, then 0, then k+1..n-1: node 0 sits in the middle of the list.
+std::vector<std::uint32_t> zero_in_the_middle(std::size_t n, std::size_t k) {
+  std::vector<std::uint32_t> nodes(n);
+  std::iota(nodes.begin(), nodes.end(), 0u);
+  std::rotate(nodes.begin(), nodes.begin() + 1, nodes.begin() + static_cast<std::ptrdiff_t>(k) + 1);
+  return nodes;
+}
+
+// A clique on `clique` nodes with a path of `tail` more nodes hanging off
+// node 0, the clique's node where the tail attaches. Diameter tail + 1.
+PairList lollipop(std::size_t clique, std::size_t tail) {
+  std::vector<std::uint32_t> head(clique);
+  std::iota(head.begin(), head.end(), 0u);
+  std::vector<std::uint32_t> stick(tail + 1);
+  std::iota(stick.begin(), stick.end(), static_cast<std::uint32_t>(clique - 1));
+  stick.front() = 0;
+  PairList pairs = clique_over(head);
+  const PairList path = path_over(stick);
+  pairs.insert(pairs.end(), path.begin(), path.end());
+  return pairs;
+}
+
+// Two cliques on `clique` nodes each, joined by a path of `bridge` edges
+// between one node of each; node 0 is the bridge's middle node (`bridge`
+// even). Diameter bridge + 2.
+PairList barbell(std::size_t clique, std::size_t bridge) {
+  std::vector<std::uint32_t> path = zero_in_the_middle(bridge + 1, bridge / 2);
+  std::vector<std::uint32_t> left(clique);
+  std::iota(left.begin(), left.end(), static_cast<std::uint32_t>(bridge));
+  left.front() = path.front();
+  std::vector<std::uint32_t> right(clique);
+  std::iota(right.begin(), right.end(), static_cast<std::uint32_t>(bridge + clique - 1));
+  right.front() = path.back();
+  PairList pairs = path_over(path);
+  for (const auto& side : {left, right}) {
+    const PairList k = clique_over(side);
+    pairs.insert(pairs.end(), k.begin(), k.end());
+  }
+  return pairs;
+}
+
+class GraphOracleCycles : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GraphOracleCycles, EveryNodeHasTheSameEccentricity) {
+  const std::size_t n = GetParam();
+  Rng rng(200 + n);
+  std::vector<std::uint32_t> in_order(n);
+  std::iota(in_order.begin(), in_order.end(), 0u);
+  expect_stream_matches_oracle(n, cycle_over(in_order));
+  expect_stream_matches_oracle(n, cycle_over(shuffled_nodes(n, rng)));
+  EXPECT_EQ(graph_oracle(n, cycle_over(in_order)).diameter, static_cast<double>(n / 2));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, GraphOracleCycles,
+                         ::testing::Values(63, 64, 65, 127, 128, 129));
+
+TEST(GraphOracle, LollipopWithTheLowestNodeWhereTheTailAttaches) {
+  for (const std::size_t tail : {1u, 2u, 45u, 70u}) {
+    const PairList pairs = lollipop(20, tail);
+    expect_stream_matches_oracle(20 + tail, pairs);
+    EXPECT_EQ(graph_oracle(20 + tail, pairs).diameter, static_cast<double>(tail + 1));
+  }
+}
+
+TEST(GraphOracle, BarbellWithTheLowestNodeMidBridge) {
+  for (const std::size_t bridge : {2u, 10u, 40u, 100u}) {
+    const PairList pairs = barbell(15, bridge);
+    expect_stream_matches_oracle(bridge + 2 * 15 - 1, pairs);
+    EXPECT_EQ(graph_oracle(bridge + 2 * 15 - 1, pairs).diameter,
+              static_cast<double>(bridge + 2));
+  }
+}
+
+TEST(GraphOracle, PathWithTheLowestNodeInTheMiddle) {
+  for (const std::size_t n : {5u, 64u, 65u, 129u, 130u}) {
+    for (const std::size_t k : {n / 2, n / 3}) {
+      expect_stream_matches_oracle(n, path_over(zero_in_the_middle(n, k)));
+    }
+  }
+}
+
+TEST(GraphOracle, BoundsSkipMostEccentricitySweeps) {
+  // The bounds do their work: on these graphs the diameter takes a few BFS
+  // besides the component search, not one per node. A cycle is the worst
+  // case, where every other node needs its own.
+  GraphKernel kernel;
+  GraphSample sample;
+  const auto sweeps = [&](std::size_t n, const PairList& pairs) {
+    kernel.measure(n, pairs, sample);
+    return kernel.diameter_sweeps();
+  };
+  EXPECT_LE(sweeps(129, path_over(zero_in_the_middle(129, 64))), 2u);
+  EXPECT_LE(sweeps(130, path_over(zero_in_the_middle(130, 43))), 4u);
+  EXPECT_LE(sweeps(90, lollipop(20, 70)), 4u);
+  EXPECT_LE(sweeps(129, barbell(15, 100)), 4u);
+  PairList star;
+  for (std::uint32_t leaf = 1; leaf < 100; ++leaf) star.emplace_back(0, leaf);
+  EXPECT_LE(sweeps(100, star), 2u);
+  std::vector<std::uint32_t> in_order(65);
+  std::iota(in_order.begin(), in_order.end(), 0u);
+  EXPECT_EQ(sweeps(65, cycle_over(in_order)), 64u);
+  // Above the node limit the CSR loops run one BFS per component node.
+  const std::size_t n = GraphKernel::kBitsetMaxNodes + 1;
+  EXPECT_EQ(sweeps(n, path_over(zero_in_the_middle(n, n / 2))), n);
+}
 
 }  // namespace
 }  // namespace slmob
