@@ -6,6 +6,9 @@
 namespace slmob {
 namespace {
 
+// A CoarseLocationUpdate entry: u32 agent id, then x, y and z/4 as u8.
+constexpr std::size_t kCoarseEntryBytes = 7;
+
 struct TypeVisitor {
   MessageType operator()(const LoginRequest&) const { return MessageType::kLoginRequest; }
   MessageType operator()(const LoginResponse&) const { return MessageType::kLoginResponse; }
@@ -134,9 +137,9 @@ void encode_message_to(const Message& msg, ByteWriter& w) {
 }
 
 Message decode_message(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  const auto type = static_cast<MessageType>(r.u8());
-  return decode_rest(r, type);
+  Message out;
+  decode_message_into(bytes, out);
+  return out;
 }
 
 void decode_message_into(std::span<const std::uint8_t> bytes, Message& out) {
@@ -151,7 +154,12 @@ void decode_message_into(std::span<const std::uint8_t> bytes, Message& out) {
       m = &std::get<CoarseLocationUpdate>(out);
     }
     m->entries.clear();
+    // The count comes from the datagram: it is checked against the bytes
+    // left before anything is sized by it.
     const std::uint16_t n = r.u16();
+    if (kCoarseEntryBytes * n > r.remaining()) {
+      throw DecodeError("decode_message: truncated CoarseLocationUpdate");
+    }
     m->entries.reserve(n);
     for (std::uint16_t i = 0; i < n; ++i) {
       CoarseEntry e;
@@ -168,6 +176,8 @@ void decode_message_into(std::span<const std::uint8_t> bytes, Message& out) {
 
 namespace {
 
+// Every type but CoarseLocationUpdate, which decode_message_into decodes in
+// place.
 Message decode_rest(ByteReader& r, MessageType type) {
   switch (type) {
     case MessageType::kLoginRequest:
@@ -202,20 +212,8 @@ Message decode_rest(ByteReader& r, MessageType type) {
       m.flags = r.u8();
       return m;
     }
-    case MessageType::kCoarseLocationUpdate: {
-      CoarseLocationUpdate m;
-      const std::uint16_t n = r.u16();
-      m.entries.reserve(n);
-      for (std::uint16_t i = 0; i < n; ++i) {
-        CoarseEntry e;
-        e.agent_id = r.u32();
-        e.x = r.u8();
-        e.y = r.u8();
-        e.z4 = r.u8();
-        m.entries.push_back(e);
-      }
-      return m;
-    }
+    case MessageType::kCoarseLocationUpdate:
+      break;
     case MessageType::kChatFromViewer: {
       ChatFromViewer m;
       m.agent_id = r.u32();

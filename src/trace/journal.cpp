@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "trace/codec.hpp"
 #include "trace/stream.hpp"
 
 namespace slmob {
@@ -62,7 +63,8 @@ TraceJournalWriter::TraceJournalWriter(TraceJournalWriter&& other) noexcept
       file_(other.file_),
       offset_(other.offset_),
       planned_end_(other.planned_end_),
-      begun_(other.begun_) {
+      begun_(other.begun_),
+      frame_(std::move(other.frame_)) {
   other.file_ = nullptr;
 }
 
@@ -71,98 +73,72 @@ TraceJournalWriter::~TraceJournalWriter() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-void TraceJournalWriter::append_frame(const ByteWriter& payload) {
+template <typename Put>
+void TraceJournalWriter::append(JournalRecord type, const Put& put) {
+  if (!begun_ && type != JournalRecord::kBegin) {
+    throw std::logic_error("TraceJournalWriter: record before begin()");
+  }
   if (file_ == nullptr) {
     throw std::runtime_error("TraceJournalWriter: writer is closed");
   }
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.u32(crc32(payload.bytes()));
-  frame.raw(payload.bytes());
-  write_or_throw(file_, path_, frame.bytes());
-  offset_ += frame.size();
+  frame_.clear();
+  frame_.u32(0);  // payload length and CRC, filled in once the payload is known
+  frame_.u32(0);
+  frame_.u8(static_cast<std::uint8_t>(type));
+  put(frame_);
+  const auto payload = std::span{frame_.bytes()}.subspan(kFrameHeadBytes);
+  frame_.u32_at(0, static_cast<std::uint32_t>(payload.size()));
+  frame_.u32_at(4, crc32(payload));
+  write_or_throw(file_, path_, frame_.bytes());
+  offset_ += frame_.size();
 }
 
 void TraceJournalWriter::begin(const std::string& land_name, Seconds sampling_interval) {
   if (begun_) throw std::logic_error("TraceJournalWriter::begin: already begun");
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(JournalRecord::kBegin));
-  w.str(land_name);
-  w.f64(sampling_interval);
-  w.f64(planned_end_);
-  append_frame(w);
+  append(JournalRecord::kBegin, [&](ByteWriter& w) {
+    w.str(land_name);
+    w.f64(sampling_interval);
+    w.f64(planned_end_);
+  });
   begun_ = true;
 }
 
 void TraceJournalWriter::append_snapshot(const Snapshot& snapshot) {
-  if (!begun_) throw std::logic_error("TraceJournalWriter: record before begin()");
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(JournalRecord::kSnapshot));
-  w.f64(snapshot.time);
-  w.u32(static_cast<std::uint32_t>(snapshot.fixes.size()));
-  for (const auto& fix : snapshot.fixes) {
-    w.u32(fix.id.value);
-    w.f32(static_cast<float>(fix.pos.x));
-    w.f32(static_cast<float>(fix.pos.y));
-    w.f32(static_cast<float>(fix.pos.z));
-  }
-  append_frame(w);
+  append(JournalRecord::kSnapshot, [&](ByteWriter& w) { put_snapshot(w, snapshot); });
 }
 
 void TraceJournalWriter::append_gap_open(Seconds start) {
-  if (!begun_) throw std::logic_error("TraceJournalWriter: record before begin()");
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(JournalRecord::kGapOpen));
-  w.f64(start);
-  append_frame(w);
+  append(JournalRecord::kGapOpen, [&](ByteWriter& w) { w.f64(start); });
 }
 
 void TraceJournalWriter::append_gap_close(Seconds start, Seconds end) {
-  if (!begun_) throw std::logic_error("TraceJournalWriter: record before begin()");
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(JournalRecord::kGapClose));
-  w.f64(start);
-  w.f64(end);
-  append_frame(w);
+  append(JournalRecord::kGapClose, [&](ByteWriter& w) { put_gap(w, {start, end}); });
 }
 
 void TraceJournalWriter::append_degrade_open(Seconds start, std::uint32_t factor) {
-  if (!begun_) throw std::logic_error("TraceJournalWriter: record before begin()");
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(JournalRecord::kDegradeOpen));
-  w.f64(start);
-  w.u32(factor);
-  append_frame(w);
+  append(JournalRecord::kDegradeOpen, [&](ByteWriter& w) {
+    w.f64(start);
+    w.u32(factor);
+  });
 }
 
 void TraceJournalWriter::append_degrade_close(Seconds start, Seconds end,
                                               std::uint32_t factor) {
-  if (!begun_) throw std::logic_error("TraceJournalWriter: record before begin()");
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(JournalRecord::kDegradeClose));
-  w.f64(start);
-  w.f64(end);
-  w.u32(factor);
-  append_frame(w);
+  append(JournalRecord::kDegradeClose,
+         [&](ByteWriter& w) { put_window(w, {start, end, factor}); });
 }
 
 void TraceJournalWriter::append_session(Seconds time, SessionEvent event,
                                         const std::string& detail) {
-  if (!begun_) throw std::logic_error("TraceJournalWriter: record before begin()");
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(JournalRecord::kSession));
-  w.f64(time);
-  w.u8(static_cast<std::uint8_t>(event));
-  w.str(detail);
-  append_frame(w);
+  append(JournalRecord::kSession, [&](ByteWriter& w) {
+    w.f64(time);
+    w.u8(static_cast<std::uint8_t>(event));
+    w.str(detail);
+  });
 }
 
 void TraceJournalWriter::append_end(Seconds time) {
-  if (!begun_) throw std::logic_error("TraceJournalWriter: record before begin()");
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(JournalRecord::kEnd));
-  w.f64(time);
-  append_frame(w);
+  append(JournalRecord::kEnd, [&](ByteWriter& w) { w.f64(time); });
 }
 
 JournalSalvage salvage_journal(const std::string& path) {

@@ -10,15 +10,16 @@
 // File layout:
 //   magic "SLTJ" | u16 version
 //   frame*           frame = u32 payload_len | u32 crc32(payload) | payload
-// Payloads (ByteWriter encoding, little-endian):
+// Payloads (ByteWriter encoding, little-endian; the snapshot, gap and
+// window records are laid out in trace/codec.hpp, shared with .slt):
 //   kBegin    u8 type | str land | f64 sampling_interval | f64 planned_end
-//   kSnapshot u8 type | f64 time | u32 n | n x (u32 id, f32 x, f32 y, f32 z)
+//   kSnapshot u8 type | snapshot record
 //   kGapOpen  u8 type | f64 start
-//   kGapClose u8 type | f64 start | f64 end
+//   kGapClose u8 type | gap record
 //   kSession  u8 type | f64 time | u8 code | str detail
 //   kEnd      u8 type | f64 time
 //   kDegradeOpen  u8 type | f64 start | u32 factor
-//   kDegradeClose u8 type | f64 start | f64 end | u32 factor
+//   kDegradeClose u8 type | window record
 //
 // Salvage never throws on a torn or bit-flipped tail: frames are read until
 // the first frame that is truncated, oversized, fails its CRC or holds a
@@ -43,6 +44,8 @@ namespace slmob {
 inline constexpr std::uint8_t kJournalMagic[4] = {'S', 'L', 'T', 'J'};
 inline constexpr std::uint16_t kJournalVersion = 1;
 inline constexpr std::size_t kJournalHeaderBytes = 6;
+// Each frame opens with its u32 payload length and u32 payload CRC.
+inline constexpr std::size_t kFrameHeadBytes = 8;
 
 enum class JournalRecord : std::uint8_t {
   kBegin = 0,
@@ -108,13 +111,17 @@ class TraceJournalWriter {
 
  private:
   TraceJournalWriter() = default;
-  void append_frame(const ByteWriter& payload);
+  // Writes one frame: the type byte, then what `put` writes, framed and
+  // flushed. Every record goes through here.
+  template <typename Put>
+  void append(JournalRecord type, const Put& put);
 
   std::string path_;
   std::FILE* file_{nullptr};
   std::uint64_t offset_{0};
   Seconds planned_end_{0.0};
   bool begun_{false};
+  ByteWriter frame_;  // reused, so a warm writer appends without allocating
 };
 
 // Result of reading a journal back, torn tail and all.

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "trace/codec.hpp"
 #include "trace/stream.hpp"
 #include "util/bytes.hpp"
 #include "util/csv.hpp"
@@ -20,27 +21,11 @@ std::vector<std::uint8_t> encode_trace(const Trace& trace) {
   w.str(trace.land_name());
   w.f64(trace.sampling_interval());
   w.u32(static_cast<std::uint32_t>(trace.snapshots().size()));
-  for (const auto& snap : trace.snapshots()) {
-    w.f64(snap.time);
-    w.u32(static_cast<std::uint32_t>(snap.fixes.size()));
-    for (const auto& fix : snap.fixes) {
-      w.u32(fix.id.value);
-      w.f32(static_cast<float>(fix.pos.x));
-      w.f32(static_cast<float>(fix.pos.y));
-      w.f32(static_cast<float>(fix.pos.z));
-    }
-  }
+  for (const auto& snap : trace.snapshots()) put_snapshot(w, snap);
   w.u32(static_cast<std::uint32_t>(trace.gaps().size()));
-  for (const auto& gap : trace.gaps()) {
-    w.f64(gap.start);
-    w.f64(gap.end);
-  }
+  for (const auto& gap : trace.gaps()) put_gap(w, gap);
   w.u32(static_cast<std::uint32_t>(trace.degradations().size()));
-  for (const auto& d : trace.degradations()) {
-    w.f64(d.start);
-    w.f64(d.end);
-    w.u32(d.factor);
-  }
+  for (const auto& d : trace.degradations()) put_window(w, d);
   return w.take();
 }
 

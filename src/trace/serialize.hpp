@@ -16,12 +16,11 @@
 namespace slmob {
 
 // Binary encoding. Layout: magic "SLTR", u16 version, land name, f64
-// sampling interval, u32 snapshot count, then per snapshot: f64 time, u32 fix
-// count, per fix: u32 avatar id, 3x f32 position. Version 2 appends the
-// coverage gaps: u32 gap count, per gap f64 start, f64 end. Version 3 appends
-// the sampling degradations: u32 count, per window f64 start, f64 end,
-// u32 factor. Versions 1 and 2 still load, as gap-free and
-// degradation-free traces.
+// sampling interval, u32 snapshot count and that many snapshot records,
+// then (version 2 on) u32 gap count and that many gap records, then
+// (version 3 on) u32 count and that many degradation window records. The
+// records are laid out in trace/codec.hpp. Versions 1 and 2 still load, as
+// gap-free and degradation-free traces.
 inline constexpr std::uint8_t kSltMagic[4] = {'S', 'L', 'T', 'R'};
 inline constexpr std::uint16_t kSltVersion = 3;
 std::vector<std::uint8_t> encode_trace(const Trace& trace);

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <fstream>
 #include <iterator>
-#include <limits>
 #include <stdexcept>
 
+#include "trace/codec.hpp"
 #include "trace/journal.hpp"
 #include "trace/serialize.hpp"
 #include "util/bytes.hpp"
@@ -17,33 +17,10 @@ namespace {
 // Frames are one snapshot (or less); a length beyond this is torn garbage,
 // not a record.
 constexpr std::uint32_t kMaxFramePayload = 16u * 1024u * 1024u;
-// Wire sizes shared by .slt and .sltj: a fix is u32 id + 3 x f32 position,
-// a gap f64 start + f64 end, a degradation window those plus u32 factor.
-constexpr std::size_t kFixBytes = 16;
-constexpr std::size_t kGapBytes = 16;
-constexpr std::size_t kDegradationBytes = 20;
 
 bool has_suffix(const std::string& s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-// The count comes from the file: it is checked against the bytes left
-// before anything is sized by it. A NaN or infinite coordinate is no
-// position, so the block is rejected like a non-finite snapshot time.
-void decode_fixes(ByteReader& r, std::uint32_t count, Snapshot& out) {
-  if (kFixBytes * count > r.remaining()) throw DecodeError("truncated fix block");
-  out.fixes.clear();
-  out.fixes.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    AvatarFix fix;
-    fix.id = AvatarId{r.u32()};
-    fix.pos.x = r.f32();
-    fix.pos.y = r.f32();
-    fix.pos.z = r.f32();
-    if (!fix.pos.finite()) throw DecodeError("non-finite fix coordinate");
-    out.fixes.push_back(fix);
-  }
 }
 
 }  // namespace
@@ -51,26 +28,15 @@ void decode_fixes(ByteReader& r, std::uint32_t count, Snapshot& out) {
 // ---------------------------------------------------------------------------
 // DegradationTracker
 
-void DegradationTracker::set_factor(Seconds time, std::uint32_t factor) {
-  if (factor == factor_) return;
-  if (factor_ > 1) {
-    if (!(open_start_ < time)) {
-      throw std::invalid_argument("Trace::add_degradation: window must have start < end");
-    }
-    if (!windows_.empty() && open_start_ < windows_.back().end) {
-      throw std::invalid_argument(
-          "Trace::add_degradation: windows must be ordered and disjoint");
-    }
-    windows_.push_back({open_start_, time, factor_});
-  }
-  factor_ = factor;
-  open_start_ = time;
+bool DegradationTracker::accepts(Seconds time, std::uint32_t factor) const {
+  return factor == factor_ || factor_ < 2 || windows_.admits({open_start_, time, factor_});
 }
 
-Seconds DegradationTracker::degraded_seconds() const {
-  Seconds total = 0.0;
-  for (const auto& w : windows_) total += w.length();
-  return total;
+void DegradationTracker::set_factor(Seconds time, std::uint32_t factor) {
+  if (factor == factor_) return;
+  if (factor_ > 1) windows_.add({open_start_, time, factor_});
+  factor_ = factor;
+  open_start_ = time;
 }
 
 // ---------------------------------------------------------------------------
@@ -162,7 +128,7 @@ StreamEvent MemoryTraceStream::next() {
 // ---------------------------------------------------------------------------
 // SltFileStream
 
-SltFileStream::SltFileStream(const std::string& path) : path_(path) {
+SltFileStream::SltFileStream(const std::string& path) {
   file_ = std::fopen(path.c_str(), "rb");
   if (file_ == nullptr) {
     throw std::runtime_error("open_trace_stream: cannot open " + path);
@@ -177,53 +143,33 @@ SltFileStream::SltFileStream(const std::string& path) : path_(path) {
   const auto bytes_left = [&] { return static_cast<std::uint64_t>(file_size - std::ftell(file_)); };
 
   // Header: magic, version, land name, sampling interval, snapshot count.
-  read_exact(6);
-  if (!std::equal(buf_.begin(), buf_.begin() + 4, kSltMagic)) {
+  if (!std::ranges::equal(read(sizeof kSltMagic).rest(), kSltMagic)) {
     throw DecodeError("load_trace: bad magic");
   }
-  std::uint16_t version = 0;
-  {
-    ByteReader r(std::span{buf_}.subspan(4, 2));
-    version = r.u16();
-  }
+  const std::uint16_t version = read(2).u16();
   if (version < 1 || version > kSltVersion) {
     throw DecodeError("load_trace: unsupported version");
   }
-  read_exact(2);
-  std::uint16_t land_len = 0;
-  {
-    ByteReader r(buf_);
-    land_len = r.u16();
-  }
-  read_exact(land_len);
-  land_.assign(reinterpret_cast<const char*>(buf_.data()), land_len);
-  read_exact(12);
-  {
-    ByteReader r(buf_);
-    interval_ = r.f64();
-    snap_count_ = r.u32();
-  }
+  const std::uint16_t land_len = read(2).u16();
+  const auto land = read(land_len).rest();
+  land_.assign(reinterpret_cast<const char*>(land.data()), land.size());
+  interval_ = read(8).f64();
+  snap_count_ = read(4).u32();
   const long data_offset = std::ftell(file_);
 
-  // Skip-scan: walk the snapshot headers (seeking over the fixes) to reach
+  // Skip-scan: walk the snapshot heads (seeking over the fixes) to reach
   // the gap and degradation blocks and validate framing, then rewind. This
   // touches 12 bytes per snapshot, so it is I/O-cheap even for very long
   // traces.
   Seconds prev_time = 0.0;
   for (std::uint32_t i = 0; i < snap_count_; ++i) {
-    read_exact(12);
-    Seconds time = 0.0;
-    std::uint32_t fix_count = 0;
-    {
-      ByteReader r(buf_);
-      time = r.f64();
-      fix_count = r.u32();
-    }
-    if (i > 0 && !(time >= prev_time)) {
+    ByteReader r = read(kSnapshotHeadBytes);
+    const SnapshotHead head = get_snapshot_head(r);
+    if (i > 0 && !(head.time >= prev_time)) {
       throw DecodeError("load_trace: snapshot times go backwards");
     }
-    prev_time = time;
-    const std::uint64_t fix_bytes = kFixBytes * fix_count;
+    prev_time = head.time;
+    const std::uint64_t fix_bytes = kFixBytes * head.fixes;
     if (fix_bytes > bytes_left()) {
       throw DecodeError("load_trace: truncated snapshot block");
     }
@@ -231,53 +177,29 @@ SltFileStream::SltFileStream(const std::string& path) : path_(path) {
       throw std::runtime_error("open_trace_stream: cannot seek " + path);
     }
   }
-  if (version >= 2) {
-    read_exact(4);
-    std::uint32_t gap_count = 0;
-    {
-      ByteReader r(buf_);
-      gap_count = r.u32();
+  // A trailing block is a u32 count and that many records, read whole once
+  // the count fits the bytes left.
+  const auto block = [&](std::size_t record_bytes, const char* name) {
+    const std::uint32_t count = read(4).u32();
+    if (record_bytes * count > bytes_left()) {
+      throw DecodeError(std::string("load_trace: truncated ") + name + " block");
     }
-    if (kGapBytes * gap_count > bytes_left()) {
-      throw DecodeError("load_trace: truncated gap block");
-    }
-    gaps_.reserve(gap_count);
-    for (std::uint32_t i = 0; i < gap_count; ++i) {
-      read_exact(kGapBytes);
-      ByteReader r(buf_);
-      const Seconds start = r.f64();
-      const Seconds end = r.f64();
-      if (!(start < end) || (!gaps_.empty() && !(start >= gaps_.back().end))) {
-        throw DecodeError("load_trace: gaps must be non-empty, ordered and disjoint");
+    return read(record_bytes * count);
+  };
+  try {
+    if (version >= 2) {
+      for (ByteReader r = block(kGapBytes, "gap"); !r.at_end();) {
+        const CoverageGap gap = get_gap(r);
+        gaps_.add(gap.start, gap.end);
       }
-      gaps_.push_back({start, end});
     }
-  }
-  if (version >= 3) {
-    read_exact(4);
-    std::uint32_t degr_count = 0;
-    {
-      ByteReader r(buf_);
-      degr_count = r.u32();
-    }
-    if (kDegradationBytes * degr_count > bytes_left()) {
-      throw DecodeError("load_trace: truncated degradation block");
-    }
-    degradations_.reserve(degr_count);
-    for (std::uint32_t i = 0; i < degr_count; ++i) {
-      read_exact(kDegradationBytes);
-      ByteReader r(buf_);
-      const Seconds start = r.f64();
-      const Seconds end = r.f64();
-      const std::uint32_t factor = r.u32();
-      if (!(start < end) || factor < 2 ||
-          (!degradations_.empty() && !(start >= degradations_.back().end))) {
-        throw DecodeError(
-            "load_trace: degradation windows must be non-empty, ordered, disjoint "
-            "and have factor >= 2");
+    if (version >= 3) {
+      for (ByteReader r = block(kWindowBytes, "degradation"); !r.at_end();) {
+        degradations_.add(get_window(r));
       }
-      degradations_.push_back({start, end, factor});
     }
+  } catch (const std::invalid_argument& e) {
+    throw DecodeError(std::string("load_trace: ") + e.what());  // a record its rule refuses
   }
   if (std::ftell(file_) != file_size) {
     throw DecodeError("load_trace: trailing bytes");
@@ -292,33 +214,24 @@ SltFileStream::~SltFileStream() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-void SltFileStream::read_exact(std::size_t n) {
+ByteReader SltFileStream::read(std::size_t n) {
   buf_.resize(n);
   if (n > 0 && std::fread(buf_.data(), 1, n, file_) != n) {
     throw DecodeError("load_trace: unexpected end of file");
   }
-}
-
-void SltFileStream::decode_next_snapshot() {
-  read_exact(12);
-  std::uint32_t fix_count = 0;
-  {
-    ByteReader r(buf_);
-    current_.time = r.f64();
-    fix_count = r.u32();
-  }
-  read_exact(kFixBytes * static_cast<std::size_t>(fix_count));
-  ByteReader r(buf_);
-  decode_fixes(r, fix_count, current_);
+  return ByteReader(buf_);
 }
 
 StreamEvent SltFileStream::next() {
   if (!have_pending_ && snaps_emitted_ < snap_count_) {
-    decode_next_snapshot();
+    ByteReader head_reader = read(kSnapshotHeadBytes);
+    const SnapshotHead head = get_snapshot_head(head_reader);
+    ByteReader r = read(kFixBytes * static_cast<std::size_t>(head.fixes));
+    get_fixes(r, head, current_);
     have_pending_ = true;
   }
-  const StreamEvent ev = merge_next(have_pending_ ? &current_ : nullptr, gaps_, gap_next_,
-                                    degradations_, rate_next_);
+  const StreamEvent ev = merge_next(have_pending_ ? &current_ : nullptr, gaps_.gaps(),
+                                    gap_next_, degradations_.windows(), rate_next_);
   if (ev.kind == StreamEventKind::kSnapshot) {
     have_pending_ = false;
     ++snaps_emitted_;
@@ -329,7 +242,7 @@ StreamEvent SltFileStream::next() {
 // ---------------------------------------------------------------------------
 // JournalFileStream
 
-JournalFileStream::JournalFileStream(const std::string& path) : path_(path) {
+JournalFileStream::JournalFileStream(const std::string& path) {
   file_ = std::fopen(path.c_str(), "rb");
   if (file_ == nullptr) {
     throw std::runtime_error("open_trace_stream: cannot open " + path);
@@ -339,11 +252,8 @@ JournalFileStream::JournalFileStream(const std::string& path) : path_(path) {
       !std::equal(header, header + 4, kJournalMagic)) {
     throw DecodeError("salvage_journal: bad magic");
   }
-  {
-    ByteReader r(std::span{header}.subspan(4, 2));
-    if (r.u16() != kJournalVersion) {
-      throw DecodeError("salvage_journal: unsupported version");
-    }
+  if (ByteReader(std::span{header}.subspan(4, 2)).u16() != kJournalVersion) {
+    throw DecodeError("salvage_journal: unsupported version");
   }
   bytes_kept_ = kJournalHeaderBytes;
 
@@ -368,7 +278,7 @@ JournalFileStream::JournalFileStream(const std::string& path) : path_(path) {
   if (!(interval_ > 0.0) || !std::isfinite(interval_) || !std::isfinite(planned_end_)) {
     throw DecodeError("salvage_journal: begin frame has an unusable interval or end");
   }
-  bytes_kept_ += 8 + frame_buf_.size();
+  bytes_kept_ += kFrameHeadBytes + frame_buf_.size();
   frames_read_ = 1;
 }
 
@@ -379,54 +289,33 @@ JournalFileStream::~JournalFileStream() {
 
 bool JournalFileStream::read_frame() {
   if (torn_) return false;
-  std::uint8_t head[8];
+  std::uint8_t head[kFrameHeadBytes];
   const std::size_t got = std::fread(head, 1, sizeof head, file_);
   if (got < sizeof head) {
     torn_ = got > 0;  // leftover bytes after the last whole frame are a tear
     return false;
   }
-  std::uint32_t len = 0;
-  std::uint32_t crc = 0;
-  {
-    ByteReader r(head);
-    len = r.u32();
-    crc = r.u32();
-  }
+  ByteReader r(head);
+  const std::uint32_t len = r.u32();
+  const std::uint32_t crc = r.u32();
   if (len > kMaxFramePayload) {
     torn_ = true;
     return false;
   }
   frame_buf_.resize(len);
-  if (len > 0 && std::fread(frame_buf_.data(), 1, len, file_) != len) {
-    torn_ = true;
-    return false;
-  }
-  if (crc32(frame_buf_) != crc) {
-    torn_ = true;
-    return false;
-  }
-  return true;
+  torn_ = (len > 0 && std::fread(frame_buf_.data(), 1, len, file_) != len) ||
+          crc32(frame_buf_) != crc;
+  return !torn_;
 }
 
 bool JournalFileStream::gap_start_ok(Seconds start) const {
-  // Gaps are ordered and disjoint, and go out before any snapshot at or
-  // past their start (the ordering contract).
-  return std::isfinite(start) && !(have_gap_ && start < last_gap_end_) &&
-         !(have_snapshot_ && start <= last_snapshot_time_);
-}
-
-bool JournalFileStream::rate_change_ok(Seconds time, std::uint32_t factor) const {
-  // DegradationTracker's rules: changes never go back in time, and one that
-  // closes a window comes strictly after the window opened.
-  if (factor == rate_factor_) return true;
-  return rate_factor_ > 1 ? time > rate_since_ : time >= rate_since_;
+  // A gap goes out before any snapshot at or past its start (the ordering
+  // contract), and its bounds must be finite to compute censoring from.
+  return std::isfinite(start) && !(have_snapshot_ && start <= last_snapshot_time_);
 }
 
 StreamEvent JournalFileStream::rate_change(Seconds time, std::uint32_t factor) {
-  if (factor != rate_factor_) {
-    rate_factor_ = factor;
-    rate_since_ = time;
-  }
+  rates_.set_factor(time, factor);
   StreamEvent ev;
   ev.kind = StreamEventKind::kRateChange;
   ev.time = time;
@@ -443,9 +332,10 @@ StreamEvent JournalFileStream::finalize() {
     // starts later). Analyses then never mistake "the process was killed"
     // for "the land emptied".
     if (!clean_end_ && have_snapshot_) {
-      const Seconds start =
-          gap_pending_ ? gap_pending_start_
-                       : std::max(last_snapshot_time_ + interval_, last_gap_end_);
+      const Seconds last_gap_end = gaps_.any() ? gaps_.gaps().back().end : 0.0;
+      const Seconds start = gap_pending_
+                                ? gap_pending_start_
+                                : std::max(last_snapshot_time_ + interval_, last_gap_end);
       trailing_gap_ = {start, std::max(planned_end_, start + interval_)};
       // Only times too large to add an interval to leave it empty.
       have_trailing_gap_ = trailing_gap_.start < trailing_gap_.end;
@@ -453,7 +343,7 @@ StreamEvent JournalFileStream::finalize() {
       // boundary: the degraded snapshots already captured stay
       // rate-corrected, the unrun remainder is covered by the gap, and the
       // rate change back to 1 precedes it.
-      have_trailing_rate_ = rate_factor_ > 1 && rate_since_ < start;
+      have_trailing_rate_ = rates_.current_factor() > 1 && rates_.accepts(start, 1);
       trailing_rate_time_ = start;
     }
   }
@@ -485,16 +375,13 @@ StreamEvent JournalFileStream::next() {
       const auto type = static_cast<JournalRecord>(r.u8());
       switch (type) {
         case JournalRecord::kSnapshot: {
-          const Seconds time = r.f64();
-          const std::uint32_t n = r.u32();
-          if (!std::isfinite(time) || (have_snapshot_ && time < last_snapshot_time_) ||
-              (gap_pending_ && time >= gap_pending_start_)) {
+          get_snapshot(r, current_);
+          if ((have_snapshot_ && current_.time < last_snapshot_time_) ||
+              (gap_pending_ && current_.time >= gap_pending_start_)) {
             frame_ok = false;
             break;
           }
-          decode_fixes(r, n, current_);
-          current_.time = time;
-          last_snapshot_time_ = time;
+          last_snapshot_time_ = current_.time;
           have_snapshot_ = true;
           ++snapshot_frames_;
           ev.kind = StreamEventKind::kSnapshot;
@@ -504,7 +391,7 @@ StreamEvent JournalFileStream::next() {
         }
         case JournalRecord::kGapOpen: {
           const Seconds start = r.f64();
-          if (!gap_start_ok(start)) {
+          if (!gap_start_ok(start) || !gaps_.admits({start, kOpenEnd})) {
             frame_ok = false;
             break;
           }
@@ -513,30 +400,33 @@ StreamEvent JournalFileStream::next() {
           break;
         }
         case JournalRecord::kGapClose: {
-          const Seconds start = r.f64();
-          const Seconds end = r.f64();
-          if (!gap_start_ok(start) || !(start < end) || !std::isfinite(end)) {
+          const CoverageGap gap = get_gap(r);
+          if (!gap_start_ok(gap.start) || !std::isfinite(gap.end) || !gaps_.admits(gap)) {
             frame_ok = false;
             break;
           }
-          last_gap_end_ = end;
-          have_gap_ = true;
+          gaps_.add(gap.start, gap.end);
           gap_pending_ = false;
           ev.kind = StreamEventKind::kGap;
-          ev.gap = {start, end};
+          ev.gap = gap;
           have_event = true;
           break;
         }
         case JournalRecord::kSession:
+          // The whole record decodes, or the frame is the tear; only the
+          // time is kept.
+          ev.time = r.f64();
+          (void)r.u8();   // event code
+          (void)r.str();  // detail
           ++session_events_;
           ev.kind = StreamEventKind::kSessionEvent;
-          ev.time = r.remaining() >= 8 ? r.f64() : 0.0;
           have_event = true;
           break;
         case JournalRecord::kDegradeOpen: {
           const Seconds start = r.f64();
           const std::uint32_t factor = r.u32();
-          if (factor < 2 || !rate_change_ok(start, factor)) {
+          if (!rates_.admits({start, kOpenEnd, factor}) ||
+              !rates_.accepts(start, factor)) {
             frame_ok = false;
             break;
           }
@@ -545,14 +435,14 @@ StreamEvent JournalFileStream::next() {
           break;
         }
         case JournalRecord::kDegradeClose: {
-          const Seconds start = r.f64();
-          const Seconds end = r.f64();
-          const std::uint32_t factor = r.u32();
-          if (!(start < end) || factor < 2 || !rate_change_ok(end, 1)) {
+          // The record names the window it closes; the rate change closes
+          // the window open since the last change.
+          const SamplingDegradation window = get_window(r);
+          if (!rates_.admits(window) || !rates_.accepts(window.end, 1)) {
             frame_ok = false;
             break;
           }
-          ev = rate_change(end, 1);
+          ev = rate_change(window.end, 1);
           have_event = true;
           break;
         }
@@ -573,7 +463,7 @@ StreamEvent JournalFileStream::next() {
       torn_ = true;
       return finalize();
     }
-    bytes_kept_ += 8 + frame_buf_.size();
+    bytes_kept_ += kFrameHeadBytes + frame_buf_.size();
     ++frames_read_;
     if (have_event) return ev;
   }

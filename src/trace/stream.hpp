@@ -7,11 +7,14 @@
 // reaches the analysis engine (analysis/streaming.hpp), in-memory ones
 // included.
 //
-// The file readers here are the only decoders of their formats:
-// load_trace and salvage_journal are collect_trace over SltFileStream and
-// JournalFileStream, so every command reads a file the same way. Malformed
-// content never escapes as anything but DecodeError (.slt) or a tear
-// (.sltj): counts read from a file are checked against the bytes left
+// The file readers here are the only readers of their formats: load_trace
+// and salvage_journal are collect_trace over SltFileStream and
+// JournalFileStream, so every command reads a file the same way. Both
+// decode each snapshot, gap and degradation window through its one decoder
+// in trace/codec.hpp, and both ask GapTracker and DegradationWindows
+// (trace/trace.hpp) whether a gap or window may follow the previous one.
+// Malformed content never escapes as anything but DecodeError (.slt) or a
+// tear (.sltj): counts read from a file are checked against the bytes left
 // before anything is sized by them, and records that would break the
 // ordering contract below are rejected rather than handed on.
 //
@@ -39,13 +42,13 @@
 #pragma once
 
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "trace/trace.hpp"
+#include "util/bytes.hpp"
 
 namespace slmob {
 
@@ -79,22 +82,27 @@ class TraceStream {
 // Incrementally collected sampling-degradation windows, fed by rate-change
 // events. current_factor() answers the factor in force for the snapshot
 // being processed (per the rate-change ordering contract); windows() equals
-// Trace::degradations() once the stream has closed its last window.
+// Trace::degradations() once the stream has closed its last window. The
+// windows it closes are kept in a DegradationWindows, whose rule decides
+// which changes it takes.
 class DegradationTracker {
  public:
-  // Same validation as Trace::add_degradation via the window it closes;
-  // throws std::invalid_argument on out-of-order changes.
+  // Whether `w` may follow the windows closed so far.
+  [[nodiscard]] bool admits(const SamplingDegradation& w) const { return windows_.admits(w); }
+  // Whether the factor may change to `factor` at `time`: the window the
+  // change closes, if one is open, must be admitted.
+  [[nodiscard]] bool accepts(Seconds time, std::uint32_t factor) const;
+  // Applies the change; throws std::invalid_argument unless accepts() it.
   void set_factor(Seconds time, std::uint32_t factor);
 
-  [[nodiscard]] bool any() const { return !windows_.empty() || factor_ > 1; }
   [[nodiscard]] std::uint32_t current_factor() const { return factor_; }
   [[nodiscard]] const std::vector<SamplingDegradation>& windows() const {
-    return windows_;
+    return windows_.windows();
   }
-  [[nodiscard]] Seconds degraded_seconds() const;
+  [[nodiscard]] Seconds degraded_seconds() const { return windows_.degraded_seconds(); }
 
  private:
-  std::vector<SamplingDegradation> windows_;
+  DegradationWindows windows_;
   std::uint32_t factor_{1};
   Seconds open_start_{0.0};
 };
@@ -178,13 +186,13 @@ class MemoryTraceStream final : public TraceStream {
 
 // Streams a binary .slt trace file (layout in trace/serialize.hpp) without
 // materialising it. The gap and degradation blocks trail the snapshots, so
-// construction makes one cheap skip-scan pass (read each snapshot's header,
+// construction makes one cheap skip-scan pass (read each snapshot's head,
 // seek over its fixes) to collect them and validate framing, then rewinds;
 // snapshots decode one at a time on demand. Throws DecodeError on any
 // malformed content: bad magic or version, truncation, trailing bytes,
-// snapshot times going backwards, gap or degradation records that are
-// empty, out of order or (degradations) have a factor below 2, and (from
-// next()) a fix with a non-finite coordinate.
+// snapshot times that are not finite or go backwards, gaps or degradation
+// windows their rule refuses (empty, out of order, a factor below 2), and
+// (from next()) a fix with a non-finite coordinate.
 class SltFileStream final : public TraceStream {
  public:
   explicit SltFileStream(const std::string& path);
@@ -197,18 +205,17 @@ class SltFileStream final : public TraceStream {
   StreamEvent next() override;
 
  private:
-  void read_exact(std::size_t n);
-  void decode_next_snapshot();
+  // Reads the next `n` bytes of the file into buf_, to be decoded.
+  ByteReader read(std::size_t n);
 
-  std::string path_;
   std::FILE* file_{nullptr};
   std::string land_;
   Seconds interval_{10.0};
   std::uint32_t snap_count_{0};
   std::uint32_t snaps_emitted_{0};
-  std::vector<CoverageGap> gaps_;
+  GapTracker gaps_;
   std::size_t gap_next_{0};
-  std::vector<SamplingDegradation> degradations_;
+  DegradationWindows degradations_;
   std::size_t rate_next_{0};  // rate-change boundary cursor
   Snapshot current_;
   bool have_pending_{false};
@@ -221,10 +228,8 @@ class SltFileStream final : public TraceStream {
 // truncated, oversized, fails its CRC or cannot be decoded, and also when
 // its record would break the ordering contract or the trace it forms: a
 // second kBegin, a snapshot time going backwards or inside a gap left open,
-// a fix count larger than the frame, a fix with a non-finite coordinate, a
-// gap that is empty, overlaps an earlier gap or starts at or before an
-// emitted snapshot, a degradation factor below 2, or a rate change that
-// goes back in time or closes a window at its own start.
+// a gap starting at or before an emitted snapshot, or a gap or window its
+// rule refuses (empty, overlapping, a factor below 2).
 // A journal that did not end with kEnd gets a synthetic trailing gap
 // censoring the unrun remainder of the planned run. Throws DecodeError only
 // when the header or kBegin frame is unreadable.
@@ -253,12 +258,10 @@ class JournalFileStream final : public TraceStream {
   // Reads one frame into frame_buf_; false on clean EOF or tear (torn_ set).
   bool read_frame();
   [[nodiscard]] bool gap_start_ok(Seconds start) const;
-  [[nodiscard]] bool rate_change_ok(Seconds time, std::uint32_t factor) const;
   // Records an emitted rate change and returns its event.
   StreamEvent rate_change(Seconds time, std::uint32_t factor);
   StreamEvent finalize();
 
-  std::string path_;
   std::FILE* file_{nullptr};
   std::string land_;
   Seconds interval_{10.0};
@@ -266,14 +269,13 @@ class JournalFileStream final : public TraceStream {
   Snapshot current_;
   std::vector<std::uint8_t> frame_buf_;
   Seconds last_snapshot_time_{0.0};
-  Seconds last_gap_end_{0.0};
   bool have_snapshot_{false};
-  bool have_gap_{false};
   bool gap_pending_{false};
   Seconds gap_pending_start_{0.0};
-  // Factor in force after the last emitted rate change, and its time.
-  std::uint32_t rate_factor_{1};
-  Seconds rate_since_{-std::numeric_limits<double>::infinity()};
+  // The gaps and rate changes emitted so far: their rules decide which
+  // records the stream takes.
+  GapTracker gaps_;
+  DegradationTracker rates_;
   bool clean_end_{false};
   bool torn_{false};
   bool finalized_{false};

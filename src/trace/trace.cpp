@@ -14,26 +14,6 @@ void Trace::add(Snapshot snapshot) {
   snapshots_.push_back(std::move(snapshot));
 }
 
-void Trace::add_degradation(Seconds start, Seconds end, std::uint32_t factor) {
-  if (!(start < end)) {
-    throw std::invalid_argument("Trace::add_degradation: window must have start < end");
-  }
-  if (factor < 2) {
-    throw std::invalid_argument("Trace::add_degradation: factor must be >= 2");
-  }
-  if (!degradations_.empty() && start < degradations_.back().end) {
-    throw std::invalid_argument(
-        "Trace::add_degradation: windows must be ordered and disjoint");
-  }
-  degradations_.push_back({start, end, factor});
-}
-
-Seconds Trace::degraded_seconds() const {
-  Seconds total = 0.0;
-  for (const auto& d : degradations_) total += d.length();
-  return total;
-}
-
 TraceSummary Trace::summary() const {
   MemoryTraceStream stream(*this);
   return summarize(stream);
@@ -56,12 +36,13 @@ std::size_t Trace::strip_sitting_fixes() {
 // ---------------------------------------------------------------------------
 // GapTracker
 
+bool GapTracker::admits(const CoverageGap& gap) const {
+  return gap.start < gap.end && (gaps_.empty() || gap.start >= gaps_.back().end);
+}
+
 void GapTracker::add(Seconds start, Seconds end) {
-  if (!(start < end)) {
-    throw std::invalid_argument("Trace::add_gap: gap must have start < end");
-  }
-  if (!gaps_.empty() && start < gaps_.back().end) {
-    throw std::invalid_argument("Trace::add_gap: gaps must be ordered and disjoint");
+  if (!admits({start, end})) {
+    throw std::invalid_argument("GapTracker::add: gaps must be non-empty, ordered and disjoint");
   }
   gaps_.push_back({start, end});
 }
@@ -92,6 +73,29 @@ Seconds GapTracker::next_gap_start(Seconds t) const {
 Seconds GapTracker::gap_seconds() const {
   Seconds total = 0.0;
   for (const auto& gap : gaps_) total += gap.length();
+  return total;
+}
+
+// ---------------------------------------------------------------------------
+// DegradationWindows
+
+bool DegradationWindows::admits(const SamplingDegradation& window) const {
+  return window.start < window.end && window.factor >= 2 &&
+         (windows_.empty() || window.start >= windows_.back().end);
+}
+
+void DegradationWindows::add(const SamplingDegradation& window) {
+  if (!admits(window)) {
+    throw std::invalid_argument(
+        "DegradationWindows::add: windows must be non-empty, ordered, disjoint and have "
+        "factor >= 2");
+  }
+  windows_.push_back(window);
+}
+
+Seconds DegradationWindows::degraded_seconds() const {
+  Seconds total = 0.0;
+  for (const auto& w : windows_) total += w.length();
   return total;
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -58,15 +59,22 @@ struct SamplingDegradation {
   friend bool operator==(const SamplingDegradation&, const SamplingDegradation&) = default;
 };
 
+// The end of a gap or window still open: an opening record asks admits()
+// with it, since only its start is known yet.
+inline constexpr Seconds kOpenEnd = std::numeric_limits<Seconds>::infinity();
+
 // A trace's coverage gaps, recorded in order: the one implementation of
-// the gap predicates. A Trace keeps its gaps in one; a streaming consumer
-// fills one from the gaps seen so far, which by the stream ordering
-// contract (trace/stream.hpp) answers exactly as the finished trace's would.
+// the gap predicates and of the gap validity rule. A Trace keeps its gaps
+// in one; a streaming consumer fills one from the gaps seen so far, which by
+// the stream ordering contract (trace/stream.hpp) answers exactly as the
+// finished trace's would.
 class GapTracker {
  public:
-  // Records the gap [start, end). Gaps must be well-formed (start < end)
-  // and arrive in order, non-overlapping (throws std::invalid_argument
-  // otherwise).
+  // Whether `gap` may follow the recorded gaps: it is well-formed
+  // (start < end) and starts at or after the last one's end.
+  [[nodiscard]] bool admits(const CoverageGap& gap) const;
+  // Records the gap [start, end); throws std::invalid_argument unless
+  // admits() it.
   void add(Seconds start, Seconds end);
 
   [[nodiscard]] bool any() const { return !gaps_.empty(); }
@@ -84,6 +92,25 @@ class GapTracker {
 
  private:
   std::vector<CoverageGap> gaps_;  // ordered, non-overlapping
+};
+
+// A trace's sampling-degradation windows, recorded in order: the one window
+// validity rule. A Trace, a DegradationTracker (trace/stream.hpp) and the
+// .slt reader keep their windows in one.
+class DegradationWindows {
+ public:
+  // Whether `window` may follow the recorded windows: it is well-formed
+  // (start < end, factor >= 2) and starts at or after the last one's end.
+  [[nodiscard]] bool admits(const SamplingDegradation& window) const;
+  // Records `window`; throws std::invalid_argument unless admits() it.
+  void add(const SamplingDegradation& window);
+
+  [[nodiscard]] const std::vector<SamplingDegradation>& windows() const { return windows_; }
+  // Total degraded time.
+  [[nodiscard]] Seconds degraded_seconds() const;
+
+ private:
+  std::vector<SamplingDegradation> windows_;  // ordered, non-overlapping
 };
 
 struct TraceSummary {
@@ -111,18 +138,19 @@ class Trace {
   // Records a coverage gap (GapTracker::add).
   void add_gap(Seconds start, Seconds end) { gaps_.add(start, end); }
 
-  // Records a sampling-degradation window [start, end) with the given
-  // effective-interval factor. Windows must be well-formed (start < end,
-  // factor >= 2) and arrive in order, non-overlapping (throws
-  // std::invalid_argument otherwise). Degradations may overlap coverage
-  // gaps: a crawler can degrade, then lose the land entirely.
-  void add_degradation(Seconds start, Seconds end, std::uint32_t factor);
+  // Records the sampling-degradation window [start, end) with the given
+  // effective-interval factor (DegradationWindows::add). Degradations may
+  // overlap coverage gaps: a crawler can degrade, then lose the land
+  // entirely.
+  void add_degradation(Seconds start, Seconds end, std::uint32_t factor) {
+    degradations_.add({start, end, factor});
+  }
 
   [[nodiscard]] const std::vector<SamplingDegradation>& degradations() const {
-    return degradations_;
+    return degradations_.windows();
   }
   // Total degraded time.
-  [[nodiscard]] Seconds degraded_seconds() const;
+  [[nodiscard]] Seconds degraded_seconds() const { return degradations_.degraded_seconds(); }
 
   // The gap predicates, answered by the trace's GapTracker.
   [[nodiscard]] const std::vector<CoverageGap>& gaps() const { return gaps_.gaps(); }
@@ -151,7 +179,7 @@ class Trace {
   Seconds sampling_interval_{10.0};
   std::vector<Snapshot> snapshots_;
   GapTracker gaps_;
-  std::vector<SamplingDegradation> degradations_;  // ordered, non-overlapping
+  DegradationWindows degradations_;
 };
 
 }  // namespace slmob

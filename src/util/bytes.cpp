@@ -73,6 +73,12 @@ void ByteWriter::u32(std::uint32_t v) {
   }
 }
 
+void ByteWriter::u32_at(std::size_t offset, std::uint32_t v) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    buf_.at(offset++) = static_cast<std::uint8_t>((v >> shift) & 0xff);
+  }
+}
+
 void ByteWriter::u64(std::uint64_t v) {
   for (int shift = 0; shift < 64; shift += 8) {
     buf_.push_back(static_cast<std::uint8_t>((v >> shift) & 0xff));

@@ -30,6 +30,9 @@ class ByteWriter {
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
+  // Overwrites the four bytes at `offset` with `v`: fills in a length or
+  // checksum written ahead as a placeholder.
+  void u32_at(std::size_t offset, std::uint32_t v);
   void u64(std::uint64_t v);
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f32(float v);

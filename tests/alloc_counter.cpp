@@ -7,15 +7,21 @@
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_bytes{0};
+
+void count(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 
 void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   if (void* p = std::malloc(size != 0 ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_aligned_alloc(std::size_t size, std::size_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count(size);
   void* p = nullptr;
   if (posix_memalign(&p, align, size != 0 ? size : align) != 0) throw std::bad_alloc();
   return p;
@@ -29,6 +35,8 @@ std::size_t allocation_count() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
+std::size_t allocated_bytes() { return g_bytes.load(std::memory_order_relaxed); }
+
 }  // namespace slmob::bench
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
@@ -40,7 +48,20 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_aligned_alloc(size, static_cast<std::size_t>(align));
 }
 
+// The nothrow forms too: left to the runtime, a sanitizer's nothrow new
+// would pair with the free() below.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  count(size);
+  return std::malloc(size != 0 ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  count(size);
+  return std::malloc(size != 0 ? size : 1);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }

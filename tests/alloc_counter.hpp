@@ -1,9 +1,9 @@
 // Process-wide heap allocation counter, for the zero-allocation gates on the
 // warm paths. The counting operator new/delete overrides live in
-// alloc_counter.cpp, which is compiled ONLY into the test executable that
-// lists it as a source (test_warm_path) — the library targets are never
-// built with the override, so production binaries keep the system
-// allocator untouched.
+// alloc_counter.cpp, which is compiled ONLY into the test executables that
+// list it as a source (test_warm_path, test_net_messages) — the library
+// targets are never built with the override, so production binaries keep
+// the system allocator untouched.
 #pragma once
 
 #include <cstddef>
@@ -13,5 +13,7 @@ namespace slmob::bench {
 // Number of operator-new calls (scalar + array + aligned) since process
 // start, all threads combined.
 std::size_t allocation_count();
+// Bytes those calls asked for, all threads combined.
+std::size_t allocated_bytes();
 
 }  // namespace slmob::bench

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.hpp"
+
 namespace slmob {
 namespace {
 
@@ -117,6 +119,29 @@ TEST(Messages, DecodeTruncatedThrows) {
   auto bytes = encode_message(Message{LoginResponse{}});
   bytes.resize(3);
   EXPECT_THROW((void)decode_message(bytes), DecodeError);
+}
+
+// A CoarseLocationUpdate claiming 65535 entries with none behind them: both
+// decoders refuse it before sizing anything by the count (it would ask for
+// 65535 x 8 bytes).
+TEST(Messages, InflatedCoarseCountThrowsBeforeAllocating) {
+  const std::vector<std::uint8_t> bytes{
+      static_cast<std::uint8_t>(MessageType::kCoarseLocationUpdate), 0xff, 0xff};
+  const auto bytes_allocated_by = [](const auto& decode) {
+    const std::size_t before = bench::allocated_bytes();
+    bool threw = false;
+    try {
+      decode();
+    } catch (const DecodeError&) {
+      threw = true;
+    }
+    EXPECT_TRUE(threw);
+    return bench::allocated_bytes() - before;
+  };
+  Message out;
+  // The exception's message is the only allocation left.
+  EXPECT_LT(bytes_allocated_by([&] { decode_message_into(bytes, out); }), 1024u);
+  EXPECT_LT(bytes_allocated_by([&] { (void)decode_message(bytes); }), 1024u);
 }
 
 TEST(Coarse, QuantizationFloorsToMetres) {

@@ -276,6 +276,24 @@ TEST(CraftedInput, SltNanCoordinate) {
   expect_rejected_slt(w.bytes(), 101);
 }
 
+// A non-finite time is no instant: the snapshot head's decoder, shared by
+// both formats, rejects it.
+TEST(CraftedInput, SltInfiniteSnapshotTime) {
+  // v3: one empty snapshot at t = +inf; no gaps, no degradation windows.
+  // 21 header + 12 snapshot + 8 block bytes.
+  ByteWriter w;
+  w.raw(kSltMagic);
+  w.u16(3);
+  w.str("x");
+  w.f64(10.0);
+  w.u32(1);
+  w.f64(std::numeric_limits<double>::infinity());
+  w.u32(0);
+  w.u32(0);
+  w.u32(0);
+  expect_rejected_slt(w.bytes(), 41);
+}
+
 TEST(CraftedInput, JournalNanCoordinate) {
   // The snapshot frame at t = 10 carries x = NaN: it is the tear, and the
   // run is censored from t = 10.

@@ -256,6 +256,28 @@ TEST(TraceJournal, RecordsTheTraceCannotTakeAreTheTear) {
   EXPECT_TRUE(s.torn);
   EXPECT_EQ(s.trace.degradations(), (std::vector<SamplingDegradation>{{5.0, 15.0, 2}}));
   EXPECT_EQ(s.trace.gaps(), (std::vector<CoverageGap>{{20.0, 100.0}}));
+
+  // A CRC-valid session frame too short for its time, code and detail.
+  const std::string path = temp_path("journal_short_session.sltj");
+  {
+    TraceJournalWriter writer(path, 100.0);
+    writer.begin("land", 10.0);
+    writer.append_snapshot(make_snapshot(0.0, 1, 1));
+  }
+  std::vector<std::uint8_t> bytes = read_file_bytes(path);
+  const std::vector<std::uint8_t> session{static_cast<std::uint8_t>(JournalRecord::kSession),
+                                          0, 0, 0, 0};
+  ByteWriter frame;
+  frame.u32(static_cast<std::uint32_t>(session.size()));
+  frame.u32(crc32(session));
+  frame.raw(session);
+  bytes.insert(bytes.end(), frame.bytes().begin(), frame.bytes().end());
+  s = salvage_bytes(bytes);
+  EXPECT_TRUE(s.torn);
+  EXPECT_EQ(s.session_events, 0u);
+  EXPECT_EQ(s.snapshots, 1u);
+  EXPECT_EQ(s.bytes_kept, bytes.size() - frame.size());
+  EXPECT_EQ(s.trace.gaps(), (std::vector<CoverageGap>{{10.0, 100.0}}));
 }
 
 TEST(TraceJournal, BeginWithoutUsableIntervalRejected) {

@@ -17,6 +17,7 @@
 #include "core/experiment.hpp"
 #include "frozen_world.hpp"
 #include "server/sim_server.hpp"
+#include "trace/journal.hpp"
 
 namespace slmob {
 namespace {
@@ -150,6 +151,32 @@ TEST(WarmPath, PacketPathDoesNotAllocate) {
   }
   EXPECT_EQ(packet_allocs, 0u);
   EXPECT_GT(server.stats().coarse_updates_sent, coarse_before);
+}
+
+// A journal writer's second pass of snapshot, gap and degradation appends,
+// after the first has grown its frame buffer, must not allocate.
+TEST(WarmPath, JournalAppendDoesNotAllocate) {
+  const std::string path = ::testing::TempDir() + "/warm_path_journal.sltj";
+  TraceJournalWriter writer(path, 1000.0);
+  writer.begin("land", 10.0);
+  Snapshot snap;
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    snap.fixes.push_back({AvatarId{i}, {1.0 * i, 2.0 * i, 22.0}});
+  }
+  const auto pass = [&](Seconds t0) {
+    snap.time = t0;
+    writer.append_snapshot(snap);
+    writer.append_gap_open(t0 + 10.0);
+    writer.append_gap_close(t0 + 10.0, t0 + 20.0);
+    writer.append_degrade_open(t0 + 20.0, 2);
+    writer.append_degrade_close(t0 + 20.0, t0 + 40.0, 2);
+  };
+  pass(0.0);
+  const std::size_t before = allocation_count();
+  pass(100.0);
+  EXPECT_EQ(allocation_count() - before, 0u);
+  EXPECT_GT(writer.offset(), kJournalHeaderBytes);
+  std::remove(path.c_str());
 }
 
 }  // namespace
