@@ -7,6 +7,7 @@
 #include <mutex>
 #include <utility>
 
+#include "core/shards.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
@@ -29,17 +30,16 @@ std::map<CacheKey, ExperimentResults>& cache() {
   return instance;
 }
 
-ExperimentResults run_land(LandArchetype archetype, const BenchOptions& options,
-                           std::size_t analysis_threads) {
+// The land's experiment, announced on stderr as it is about to run.
+ExperimentConfig land_config(LandArchetype archetype, const BenchOptions& options) {
   ExperimentConfig cfg;
   cfg.archetype = archetype;
   cfg.duration = options.hours * kSecondsPerHour;
   cfg.seed = options.seed;
-  cfg.analysis_threads = analysis_threads;
   std::fprintf(stderr, "[bench] simulating %s (%.1f h, seed %llu)...\n",
                archetype_name(archetype).c_str(), options.hours,
                static_cast<unsigned long long>(options.seed));
-  return run_experiment(cfg);
+  return cfg;
 }
 
 }  // namespace
@@ -76,7 +76,7 @@ const ExperimentResults& land_results(LandArchetype archetype,
     const auto it = cache().find(key);
     if (it != cache().end()) return it->second;
   }
-  ExperimentResults res = run_land(archetype, options, /*analysis_threads=*/0);
+  ExperimentResults res = run_experiment(land_config(archetype, options));
   const std::lock_guard<std::mutex> lock(cache_mutex);
   // emplace is a no-op if another thread raced us to the same key.
   return cache().emplace(key, std::move(res)).first->second;
@@ -95,10 +95,10 @@ void prewarm_lands(const std::vector<LandArchetype>& archetypes,
     for (const LandArchetype a : missing) (void)land_results(a, options);
     return;
   }
-  ThreadPool pool(std::min(ThreadPool::default_concurrency(), missing.size()));
-  auto all = parallel_map<ExperimentResults>(pool, missing.size(), [&](std::size_t i) {
-    return run_land(missing[i], options, /*analysis_threads=*/1);
-  });
+  std::vector<ExperimentConfig> configs;
+  for (const LandArchetype a : missing) configs.push_back(land_config(a, options));
+  auto all = run_experiments_sharded(
+      configs, std::min(ThreadPool::default_concurrency(), missing.size()));
   const std::lock_guard<std::mutex> lock(cache_mutex);
   for (std::size_t i = 0; i < missing.size(); ++i) {
     cache().emplace(CacheKey{missing[i], options.hours, options.seed}, std::move(all[i]));

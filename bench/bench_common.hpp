@@ -29,10 +29,11 @@ struct BenchOptions {
 // Thread-safe: may be called from pool workers.
 const ExperimentResults& land_results(LandArchetype archetype, const BenchOptions& options);
 
-// Runs the experiments for several lands concurrently (one pool slot per
-// land, single-threaded analysis inside each) and fills the land_results
-// cache, so multi-land benches pay max() instead of sum() of the land
-// simulation times. Honours SLMOB_THREADS.
+// Runs the experiments for several lands concurrently through
+// run_experiments_sharded (one pool slot per land, single-threaded analysis
+// inside each) and fills the land_results cache, so multi-land benches pay
+// max() instead of sum() of the land simulation times. Honours
+// SLMOB_THREADS.
 void prewarm_lands(const std::vector<LandArchetype>& archetypes,
                    const BenchOptions& options);
 

@@ -44,13 +44,9 @@ struct AnalysisReport {
 // doubles), Ecdfs by sorted sample sequence, interval lists elementwise.
 [[nodiscard]] std::string analysis_diff(const AnalysisReport& a, const AnalysisReport& b);
 
-[[nodiscard]] inline bool analysis_equal(const AnalysisReport& a, const AnalysisReport& b) {
-  return analysis_diff(a, b).empty();
-}
-
 // CRC-32 over a canonical serialization of the report (Ecdfs as put_ecdf
-// writes them). Two reports are fingerprint-equal iff analysis_equal —
-// up to CRC collision — so a committed constant can stand for a whole
+// writes them). Two reports are fingerprint-equal iff analysis_diff is
+// empty — up to CRC collision — so a committed constant can stand for a whole
 // report.
 [[nodiscard]] std::uint32_t analysis_fingerprint(const AnalysisReport& report);
 

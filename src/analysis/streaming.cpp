@@ -89,43 +89,26 @@ void StreamingAnalyzer::on_begin(const std::string& /*land_name*/,
 void StreamingAnalyzer::on_snapshot(const Snapshot& snapshot) {
   if (!begun_) throw std::logic_error("StreamingAnalyzer: on_begin was not called");
 
-  const Snapshot* use = &snapshot;
-  if (options_.strip_sitting_fixes) {
-    stripped_.time = snapshot.time;
-    stripped_.fixes.clear();
-    for (const auto& fix : snapshot.fixes) {
-      const bool origin = fix.pos.x == 0.0 && fix.pos.y == 0.0 && fix.pos.z == 0.0;
-      if (!origin) stripped_.fixes.push_back(fix);
-    }
-    use = &stripped_;
-  }
-
   // Every snapshot counts toward the summary, covered or not.
-  summary_.on_snapshot(*use);
-  ++progress_.snapshots;
-  const bool covered = summary_.gaps().covered_at(use->time);
-  if (covered) ++progress_.covered_snapshots;
-  progress_.users_seen = summary_.users_seen();
-  progress_.max_concurrent = summary_.max_concurrent();
-  progress_.last_time = use->time;
+  summary_.on_snapshot(snapshot);
 
   // A snapshot inside a recorded coverage gap carries no valid observation:
   // every consumer skips it (it still counted toward the summary above).
   // The stream ordering contract guarantees any gap covering this snapshot
   // is already known, so the gaps-so-far answer equals the finished
   // trace's.
-  if (!covered) return;
+  if (!summary_.gaps().covered_at(snapshot.time)) return;
 
   // Buffer the snapshot; its per-snapshot stages and the consumers run when
   // the window fills (or in finish). Deferring is safe: by the stream ordering
   // contract every gap relevant to this snapshot is already known, and
-  // gaps arriving later start strictly after use->time, so every censor
+  // gaps arriving later start strictly after snapshot.time, so every censor
   // predicate a consumer evaluates at flush time answers exactly as it
   // would have here. Copy-assignment into a reused entry keeps the window's
   // allocations warm after the first lap.
   WindowEntry& entry = window_[win_used_];
-  entry.snap.time = use->time;
-  entry.snap.fixes = use->fixes;
+  entry.snap.time = snapshot.time;
+  entry.snap.fixes = snapshot.fixes;
   entry.weight = summary_.rates().current_factor();
   if (++win_used_ == window_.size()) flush_window();
 }
@@ -192,7 +175,6 @@ void StreamingAnalyzer::on_gap(Seconds start, Seconds end) {
   // Consumers in flight read the gap list, and adding may reallocate it.
   join_window();
   summary_.on_gap(start, end);
-  ++progress_.gaps;
 }
 
 void StreamingAnalyzer::on_rate_change(Seconds time, std::uint32_t factor) {
@@ -240,14 +222,9 @@ AnalysisReport analyze_stream(TraceStream& stream, const StreamingOptions& optio
 }
 
 AnalysisReport analyze_stream_file(const std::string& path,
-                                   const StreamingOptions& options,
-                                   StreamingProgress* progress_out) {
+                                   const StreamingOptions& options) {
   const auto stream = open_trace_stream(path);
-  StreamingAnalyzer analyzer(options);
-  drive_stream(*stream, analyzer);
-  AnalysisReport report = analyzer.finish();
-  if (progress_out != nullptr) *progress_out = analyzer.progress();
-  return report;
+  return analyze_stream(*stream, options);
 }
 
 }  // namespace slmob

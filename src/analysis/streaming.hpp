@@ -1,12 +1,14 @@
 // The analysis engine: the one implementation of every §3 metric.
 //
 // StreamingAnalyzer consumes a trace one snapshot at a time (as a
-// LiveTraceSink — fed by drive_stream over any TraceStream, or live by the
-// crawler) and produces its AnalysisReport. An in-memory Trace goes through
-// the same engine via MemoryTraceStream (analyze_trace in
-// core/experiment.hpp). Correctness is pinned by brute-force oracles per
-// consumer (ProximityOracle, ContactOracle, GraphOracle) and by committed
-// golden fingerprints of whole reports (tests/analysis_goldens.hpp).
+// LiveTraceSink fed by drive_stream over any TraceStream) and produces its
+// AnalysisReport. A capture still being written is analysed through its
+// journal: JournalFileStream reads a live or torn .sltj up to its last
+// intact frame. An in-memory Trace goes through the same engine via
+// MemoryTraceStream (analyze_trace in core/experiment.hpp). Correctness is
+// pinned by brute-force oracles per consumer (ProximityOracle,
+// ContactOracle, GraphOracle) and by committed golden fingerprints of whole
+// reports (tests/analysis_goldens.hpp).
 // Memory is bounded by *concurrent* users — per-consumer open records,
 // buffered per-session samples and a fixed-size snapshot window — never by
 // trace duration; no snapshot is retained beyond its window.
@@ -93,22 +95,7 @@ struct StreamingOptions {
   // at the price of `window` retained snapshots; results are identical for
   // every value.
   std::size_t window{64};
-  // Drop (0,0,0) fixes per snapshot — equals Trace::strip_sitting_fixes on
-  // the whole trace, which run_experiment applies before analyzing. The CLI
-  // does not strip.
-  bool strip_sitting_fixes{false};
   SessionExtractionOptions sessions;
-};
-
-// Monotonic counters, readable between snapshots (e.g. by the crawler's
-// status line while an attached analyzer is running).
-struct StreamingProgress {
-  std::size_t snapshots{0};
-  std::size_t covered_snapshots{0};  // snapshots outside any known gap
-  std::size_t gaps{0};
-  std::size_t users_seen{0};
-  std::size_t max_concurrent{0};
-  Seconds last_time{0.0};
 };
 
 class StreamingAnalyzer final : public LiveTraceSink {
@@ -136,15 +123,12 @@ class StreamingAnalyzer final : public LiveTraceSink {
   // last event.
   [[nodiscard]] AnalysisReport finish();
 
-  [[nodiscard]] StreamingProgress progress() const { return progress_; }
-
  private:
   struct RangeConsumers;  // per-range contact + graph streams
 
-  // One covered snapshot held for deferred consumption: the (possibly
-  // stripped) snapshot itself plus its per-snapshot stages, filled by
-  // measure_window. Entries are reused across flushes, so their vectors
-  // keep capacity.
+  // One covered snapshot held for deferred consumption: the snapshot
+  // itself plus its per-snapshot stages, filled by measure_window. Entries
+  // are reused across flushes, so their vectors keep capacity.
   struct WindowEntry {
     Snapshot snap;
     std::vector<Vec3> positions;
@@ -186,8 +170,6 @@ class StreamingAnalyzer final : public LiveTraceSink {
   bool in_flight_{false};           // guarded by drain_mutex_
   std::exception_ptr drain_error_;  // guarded by drain_mutex_
 
-  StreamingProgress progress_;
-  Snapshot stripped_;  // scratch for strip_sitting_fixes
   bool begun_{false};
   bool finished_{false};
 };
@@ -196,10 +178,8 @@ class StreamingAnalyzer final : public LiveTraceSink {
 [[nodiscard]] AnalysisReport analyze_stream(TraceStream& stream,
                                             const StreamingOptions& options = {});
 
-// Opens `path` (.slt / .sltj / .csv) and streams it. `progress_out`, when
-// non-null, receives the final progress counters (snapshots/s inputs).
+// Opens `path` (.slt / .sltj / .csv) and streams it.
 [[nodiscard]] AnalysisReport analyze_stream_file(const std::string& path,
-                                                 const StreamingOptions& options = {},
-                                                 StreamingProgress* progress_out = nullptr);
+                                                 const StreamingOptions& options = {});
 
 }  // namespace slmob

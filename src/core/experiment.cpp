@@ -1,7 +1,5 @@
 #include "core/experiment.hpp"
 
-#include <stdexcept>
-
 #include "analysis/streaming.hpp"
 
 namespace slmob {
@@ -10,7 +8,6 @@ TestbedConfig make_testbed_config(const ExperimentConfig& config) {
   TestbedConfig tb = config.testbed;
   tb.archetype = config.archetype;
   tb.seed = config.seed;
-  if (config.analyze_ground_truth) tb.with_ground_truth = true;
   if (tb.faults.empty() && config.fault_scenario != "none") {
     const std::uint64_t fseed =
         config.fault_seed != 0 ? config.fault_seed : config.seed;
@@ -23,16 +20,7 @@ ExperimentResults run_experiment(const ExperimentConfig& config) {
   Testbed bed(make_testbed_config(config));
   bed.run_until(config.duration);
 
-  Trace trace;
-  if (config.analyze_ground_truth) {
-    trace = bed.ground_truth()->take_trace();
-  } else if (bed.crawler() != nullptr) {
-    trace = bed.crawler()->take_trace();
-  } else if (bed.ground_truth() != nullptr) {
-    trace = bed.ground_truth()->take_trace();
-  } else {
-    throw std::logic_error("run_experiment: no trace source configured");
-  }
+  Trace trace = bed.take_trace();
   trace.strip_sitting_fixes();
 
   ExperimentResults results;
@@ -40,9 +28,6 @@ ExperimentResults run_experiment(const ExperimentConfig& config) {
   results.analysis = analyze_trace(trace, config.ranges, bed.world().land().size(),
                                    config.analysis_threads);
   results.trace = std::move(trace);
-  if (!config.analyze_ground_truth && bed.ground_truth() != nullptr) {
-    results.ground_truth = bed.ground_truth()->take_trace();
-  }
   return results;
 }
 

@@ -12,7 +12,6 @@
 //   res.analysis.contacts.at(kBluetoothRange).contact_times.median();
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,9 +30,6 @@ struct ExperimentConfig {
   std::uint64_t seed{42};
   std::vector<double> ranges{kBluetoothRange, kWifiRange};
   TestbedConfig testbed;  // archetype/seed fields here are overwritten
-  // Analyse the ground-truth trace instead of the crawler's (for
-  // architecture-comparison studies).
-  bool analyze_ground_truth{false};
   // Total threads for the analysis pipeline (the simulation itself stays
   // single-threaded for determinism). 0 = SLMOB_THREADS env var if set,
   // else hardware_concurrency(). Results are identical for any value.
@@ -49,7 +45,6 @@ struct ExperimentConfig {
 struct ExperimentResults : RigStats {
   Trace trace;              // the analysed trace
   AnalysisReport analysis;  // every §3 metric of `trace`
-  std::optional<Trace> ground_truth;
 };
 
 // The exact TestbedConfig run_experiment builds from `config` (archetype,
@@ -57,7 +52,9 @@ struct ExperimentResults : RigStats {
 // (core/checkpoint.hpp) wires a bit-identical rig.
 TestbedConfig make_testbed_config(const ExperimentConfig& config);
 
-// Runs the testbed for cfg.duration and computes all analyses.
+// Runs the testbed for cfg.duration, takes its trace (Testbed::take_trace:
+// the crawler's, else the ground-truth recorder's), drops sitting fixes and
+// computes all analyses.
 ExperimentResults run_experiment(const ExperimentConfig& config);
 
 // Runs the §3 analyses on an in-memory trace: the trace streams through one

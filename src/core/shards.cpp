@@ -19,13 +19,7 @@ ShardResult run_shard_in_memory(const ExperimentConfig& config) {
   static_cast<RigStats&>(result) = bed.stats();
   result.archetype = config.archetype;
   result.seed = config.seed;
-  if (bed.crawler() != nullptr) {
-    result.trace = bed.crawler()->take_trace();
-  } else if (bed.ground_truth() != nullptr) {
-    result.trace = bed.ground_truth()->take_trace();
-  } else {
-    throw std::logic_error("run_sharded: shard has no trace source configured");
-  }
+  result.trace = bed.take_trace();
   return result;
 }
 

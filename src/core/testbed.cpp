@@ -1,5 +1,7 @@
 #include "core/testbed.hpp"
 
+#include <stdexcept>
+
 namespace slmob {
 
 Testbed::Testbed(const TestbedConfig& config)
@@ -54,6 +56,12 @@ void Testbed::run_until(Seconds until) {
     if (crawler_) crawler_->start();
   }
   engine_.run_until(until);
+}
+
+Trace Testbed::take_trace() {
+  if (crawler_) return crawler_->take_trace();
+  if (ground_truth_) return ground_truth_->take_trace();
+  throw std::logic_error("Testbed::take_trace: no trace source configured");
 }
 
 RigStats Testbed::stats() const {

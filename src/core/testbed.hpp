@@ -63,6 +63,10 @@ class Testbed {
   [[nodiscard]] MetaverseClient* client() { return client_.get(); }
   [[nodiscard]] GroundTruthRecorder* ground_truth() { return ground_truth_.get(); }
   [[nodiscard]] const TestbedConfig& config() const { return config_; }
+  // Hands over the rig's trace: the crawler's when there is a crawler, else
+  // the ground-truth recorder's. Throws std::logic_error when the rig has
+  // neither.
+  [[nodiscard]] Trace take_trace();
   // Every component's counters as they stand now.
   [[nodiscard]] RigStats stats() const;
 

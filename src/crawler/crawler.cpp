@@ -80,23 +80,12 @@ void Crawler::journal_begin_if_needed() {
   }
 }
 
-void Crawler::live_begin_if_needed() {
-  if (live_sink_ != nullptr && !live_begun_) {
-    live_begun_ = true;
-    live_sink_->on_begin(trace_.land_name(), config_.sample_interval);
-  }
-}
-
 Trace Crawler::take_trace() {
   if (gap_open_ && last_tick_ > gap_start_) {
     trace_.add_gap(gap_start_, last_tick_);
     gap_open_ = false;
     ++stats_.coverage_gaps;
     if (journal_ != nullptr) journal_->append_gap_close(gap_start_, last_tick_);
-    if (live_sink_ != nullptr) {
-      live_begin_if_needed();
-      live_sink_->on_gap(gap_start_, last_tick_);
-    }
   }
   if (degrade_factor_ > 1) {
     // A degradation window still open at hand-over closes after the trailing
@@ -107,10 +96,6 @@ Trace Crawler::take_trace() {
     trace_.add_degradation(degrade_start_, end, degrade_factor_);
     if (journal_ != nullptr) {
       journal_->append_degrade_close(degrade_start_, end, degrade_factor_);
-    }
-    if (live_sink_ != nullptr) {
-      live_begin_if_needed();
-      live_sink_->on_rate_change(end, 1);
     }
     degrade_factor_ = 1;
   }
@@ -136,10 +121,6 @@ void Crawler::set_degrade_factor(Seconds now, std::uint32_t factor) {
     }
   }
   degrade_factor_ = factor;
-  if (live_sink_ != nullptr) {
-    live_begin_if_needed();
-    live_sink_->on_rate_change(now, factor);
-  }
   log_info("crawler", factor > 1
                           ? "overload: sampling degraded to 1/" +
                                 std::to_string(factor) + " rate"
@@ -253,16 +234,12 @@ void Crawler::tick(Seconds now, Seconds dt) {
     }
     if (gap_open_) {
       // Sampling recovered: the gap closes at this snapshot, which is the
-      // first covered instant after the outage. The sink hears the gap
+      // first covered instant after the outage. The journal gets the gap
       // before the snapshot, preserving the stream ordering contract.
       trace_.add_gap(gap_start_, now);
       gap_open_ = false;
       ++stats_.coverage_gaps;
       if (journal_ != nullptr) journal_->append_gap_close(gap_start_, now);
-      if (live_sink_ != nullptr) {
-        live_begin_if_needed();
-        live_sink_->on_gap(gap_start_, now);
-      }
     }
     if (backoff_level_ > 0) {
       backoff_level_ = 0;
@@ -300,10 +277,6 @@ void Crawler::tick(Seconds now, Seconds dt) {
     if (journal_ != nullptr) {
       journal_begin_if_needed();
       journal_->append_snapshot(snap);
-    }
-    if (live_sink_ != nullptr) {
-      live_begin_if_needed();
-      live_sink_->on_snapshot(snap);
     }
     trace_.add(std::move(snap));
     ++stats_.snapshots_taken;

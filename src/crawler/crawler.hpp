@@ -14,6 +14,11 @@
 // Robustness: if the circuit dies (packet loss bursts — the paper blames
 // libsecondlife instabilities for interrupted long traces), the crawler
 // re-logs-in automatically and the trace simply has a short gap.
+//
+// Mirror: the write-ahead journal (attach_journal) is the crawler's only
+// output besides the in-memory trace. To analyse a capture while it runs,
+// or after a crash, run `slmob analyze` on its .sltj: the journal reader
+// salvages up to the last intact frame.
 #pragma once
 
 #include <string>
@@ -21,7 +26,6 @@
 
 #include "client/metaverse_client.hpp"
 #include "trace/journal.hpp"
-#include "trace/stream.hpp"
 #include "trace/trace.hpp"
 
 namespace slmob {
@@ -118,8 +122,6 @@ class Crawler {
   // Re-login pacing state; checkpoints record it so a resumed run can prove
   // the replayed crawler is in the same state as the one that crashed.
   [[nodiscard]] std::uint32_t backoff_level() const { return backoff_level_; }
-  // Effective sampling factor currently in force (1 = nominal rate).
-  [[nodiscard]] std::uint32_t degrade_factor() const { return degrade_factor_; }
 
   // Attaches a write-ahead journal (non-owning; nullptr detaches). Every
   // snapshot, gap and session event is mirrored to the journal as it is
@@ -130,29 +132,14 @@ class Crawler {
   // code path.
   void attach_journal(TraceJournalWriter* journal) { journal_ = journal; }
 
-  // Attaches a live analysis sink (non-owning; nullptr detaches), fed at
-  // the same hook points as the journal: on_begin lazily with the first
-  // snapshot (once the land name is known), every snapshot as it is
-  // recorded, every coverage gap as it closes (including the trailing gap
-  // take_trace records for an outage still open at hand-over). Events
-  // arrive per the stream ordering contract of trace/stream.hpp, so an
-  // attached StreamingAnalyzer computes during the run the exact report
-  // analyze_trace would compute from take_trace(). Snapshots are forwarded
-  // unstripped — a sink comparing against run_experiment (which strips
-  // sitting fixes) should enable its own strip option. The sink draws
-  // nothing from the crawler's RNG: runs are bit-identical with or without
-  // one attached.
-  void attach_live_sink(LiveTraceSink* sink) { live_sink_ = sink; }
-
  private:
   void on_coarse(Seconds now, const CoarseLocationUpdate& update);
   void act_human(Seconds now);
   void open_gap_if_needed(Seconds now);
   void note_sampling_outage(Seconds now);
   void journal_begin_if_needed();
-  void live_begin_if_needed();
   // Overload ladder: hysteresis counters feed set_degrade_factor, which
-  // closes/opens the trace window and mirrors the change to journal + sink.
+  // closes/opens the trace window and mirrors the change to the journal.
   void update_degradation(Seconds now, bool pressured);
   void set_degrade_factor(Seconds now, std::uint32_t factor);
   [[nodiscard]] Seconds effective_interval() const {
@@ -188,8 +175,6 @@ class Crawler {
   std::uint32_t clean_samples_{0};
   Seconds last_tick_{0.0};
   TraceJournalWriter* journal_{nullptr};
-  LiveTraceSink* live_sink_{nullptr};
-  bool live_begun_{false};
   CrawlerStats stats_;
 };
 

@@ -157,7 +157,6 @@ void Interpreter::fire_http_response(const std::string& request_key, std::int64_
 }
 
 void Interpreter::charge(int line) {
-  ++total_ops_;
   if (++ops_this_event_ > budget_per_event_) {
     throw LslError("instruction budget exceeded (runaway script?)", line, 0);
   }

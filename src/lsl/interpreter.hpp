@@ -81,7 +81,6 @@ class Interpreter {
   // All globals (used by hosts for script-memory accounting).
   [[nodiscard]] const std::map<std::string, Value>& globals() const { return globals_; }
   void set_instruction_budget(std::uint64_t budget) { budget_per_event_ = budget; }
-  [[nodiscard]] std::uint64_t instructions_executed() const { return total_ops_; }
 
  private:
   enum class Flow { kNormal, kReturn, kStateChange };
@@ -111,7 +110,6 @@ class Interpreter {
   Value return_value_;
   std::uint64_t budget_per_event_{500000};
   std::uint64_t ops_this_event_{0};
-  std::uint64_t total_ops_{0};
   bool started_{false};
   int call_depth_{0};
 };

@@ -22,14 +22,15 @@
 //   kDegradeClose u8 type | window record
 //
 // Salvage never throws on a torn or bit-flipped tail: frames are read until
-// the first frame that is truncated, oversized, fails its CRC or holds a
-// record the trace cannot take (JournalFileStream in trace/stream.hpp lists
-// the rules, a second kBegin included); that frame and everything after it
-// are discarded, and the reconstructed Trace gets a trailing CoverageGap
-// marking the censored remainder of the planned run. Only a file whose
-// header or kBegin frame is unreadable is rejected (DecodeError) — such a
-// file never held a single complete record. JournalFileStream is the one
-// reader: salvage_journal collects it.
+// the first frame that is truncated, oversized, fails its CRC, does not end
+// where its record ends or holds a record the trace cannot take
+// (JournalFileStream in trace/stream.hpp lists the rules, a second kBegin
+// included); that frame and everything after it are discarded, and the
+// reconstructed Trace gets a trailing CoverageGap marking the censored
+// remainder of the planned run. Only a file whose header or kBegin frame is
+// unreadable is rejected (DecodeError) — such a file never held a single
+// complete record. JournalFileStream is the one reader: salvage_journal
+// collects it.
 #pragma once
 
 #include <cstdio>

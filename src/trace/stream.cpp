@@ -270,6 +270,7 @@ JournalFileStream::JournalFileStream(const std::string& path) {
     land_ = r.str();
     interval_ = r.f64();
     planned_end_ = r.f64();
+    if (!r.at_end()) throw DecodeError("trailing bytes");
   } catch (const DecodeError&) {
     throw DecodeError("salvage_journal: no intact begin frame");
   }
@@ -376,7 +377,7 @@ StreamEvent JournalFileStream::next() {
       switch (type) {
         case JournalRecord::kSnapshot: {
           get_snapshot(r, current_);
-          if ((have_snapshot_ && current_.time < last_snapshot_time_) ||
+          if (!r.at_end() || (have_snapshot_ && current_.time < last_snapshot_time_) ||
               (gap_pending_ && current_.time >= gap_pending_start_)) {
             frame_ok = false;
             break;
@@ -391,7 +392,7 @@ StreamEvent JournalFileStream::next() {
         }
         case JournalRecord::kGapOpen: {
           const Seconds start = r.f64();
-          if (!gap_start_ok(start) || !gaps_.admits({start, kOpenEnd})) {
+          if (!r.at_end() || !gap_start_ok(start) || !gaps_.admits({start, kOpenEnd})) {
             frame_ok = false;
             break;
           }
@@ -401,7 +402,8 @@ StreamEvent JournalFileStream::next() {
         }
         case JournalRecord::kGapClose: {
           const CoverageGap gap = get_gap(r);
-          if (!gap_start_ok(gap.start) || !std::isfinite(gap.end) || !gaps_.admits(gap)) {
+          if (!r.at_end() || !gap_start_ok(gap.start) || !std::isfinite(gap.end) ||
+              !gaps_.admits(gap)) {
             frame_ok = false;
             break;
           }
@@ -418,6 +420,10 @@ StreamEvent JournalFileStream::next() {
           ev.time = r.f64();
           (void)r.u8();   // event code
           (void)r.str();  // detail
+          if (!r.at_end()) {
+            frame_ok = false;
+            break;
+          }
           ++session_events_;
           ev.kind = StreamEventKind::kSessionEvent;
           have_event = true;
@@ -425,7 +431,7 @@ StreamEvent JournalFileStream::next() {
         case JournalRecord::kDegradeOpen: {
           const Seconds start = r.f64();
           const std::uint32_t factor = r.u32();
-          if (!rates_.admits({start, kOpenEnd, factor}) ||
+          if (!r.at_end() || !rates_.admits({start, kOpenEnd, factor}) ||
               !rates_.accepts(start, factor)) {
             frame_ok = false;
             break;
@@ -438,7 +444,7 @@ StreamEvent JournalFileStream::next() {
           // The record names the window it closes; the rate change closes
           // the window open since the last change.
           const SamplingDegradation window = get_window(r);
-          if (!rates_.admits(window) || !rates_.accepts(window.end, 1)) {
+          if (!r.at_end() || !rates_.admits(window) || !rates_.accepts(window.end, 1)) {
             frame_ok = false;
             break;
           }
@@ -447,6 +453,11 @@ StreamEvent JournalFileStream::next() {
           break;
         }
         case JournalRecord::kEnd:
+          (void)r.f64();  // end time: decoded only to find the record's end
+          if (!r.at_end()) {
+            frame_ok = false;
+            break;
+          }
           clean_end_ = true;
           break;
         default:

@@ -1,4 +1,4 @@
-// Streaming trace access: event-at-a-time readers and live sinks.
+// Streaming trace access: event-at-a-time readers and the sinks they feed.
 //
 // A TraceStream yields snapshots, coverage gaps and session events one at a
 // time from a .slt file, a .sltj journal or an in-memory trace, so a single
@@ -35,10 +35,11 @@
 // gap that could contain t or start before t is already known, and gaps
 // still unseen start strictly after t, so covered_at / spans_gap /
 // next_gap_start answer exactly as they would on the finished Trace. That
-// equivalence is why a file, a journal and a live capture analyze exactly
-// like the in-memory trace they form; tests/test_trace_stream.cpp checks
-// every reader against independently built expectations, and the golden
-// fingerprints of tests/analysis_goldens.hpp pin the resulting reports.
+// equivalence is why a file and a journal, finished, torn or still being
+// written, analyze exactly like the in-memory trace they form;
+// tests/test_trace_stream.cpp checks every reader against independently
+// built expectations, and the golden fingerprints of
+// tests/analysis_goldens.hpp pin the resulting reports.
 #pragma once
 
 #include <cstdio>
@@ -107,9 +108,9 @@ class DegradationTracker {
   Seconds open_start_{0.0};
 };
 
-// Push-based consumer of a live capture: the crawler (or drive_stream)
-// forwards each snapshot and gap as it is recorded. on_begin is called once,
-// before any other callback.
+// Push-based consumer of a stream: drive_stream forwards each snapshot, gap
+// and rate change in stream order. on_begin is called once, before any
+// other callback.
 class LiveTraceSink {
  public:
   virtual ~LiveTraceSink() = default;
@@ -142,9 +143,6 @@ class SummaryTracker final : public LiveTraceSink {
 
   [[nodiscard]] const GapTracker& gaps() const { return gaps_; }
   [[nodiscard]] const DegradationTracker& rates() const { return rates_; }
-  [[nodiscard]] std::size_t snapshots() const { return snapshots_; }
-  [[nodiscard]] std::size_t users_seen() const { return users_.size(); }
-  [[nodiscard]] std::size_t max_concurrent() const { return max_concurrent_; }
   [[nodiscard]] TraceSummary summary() const;
 
  private:
@@ -225,11 +223,12 @@ class SltFileStream final : public TraceStream {
 // Streams a .sltj write-ahead journal (layout in trace/journal.hpp) with
 // salvage semantics: frames are decoded until the first torn frame, which
 // (with everything after it) is discarded. A frame is torn when it is
-// truncated, oversized, fails its CRC or cannot be decoded, and also when
-// its record would break the ordering contract or the trace it forms: a
-// second kBegin, a snapshot time going backwards or inside a gap left open,
-// a gap starting at or before an emitted snapshot, or a gap or window its
-// rule refuses (empty, overlapping, a factor below 2).
+// truncated, oversized, fails its CRC, cannot be decoded or holds bytes
+// past the end of its record, and also when its record would break the
+// ordering contract or the trace it forms: a second kBegin, a snapshot time
+// going backwards or inside a gap left open, a gap starting at or before an
+// emitted snapshot, or a gap or window its rule refuses (empty,
+// overlapping, a factor below 2).
 // A journal that did not end with kEnd gets a synthetic trailing gap
 // censoring the unrun remainder of the planned run. Throws DecodeError only
 // when the header or kBegin frame is unreadable.

@@ -19,9 +19,4 @@ constexpr Seconds kSecondsPerMinute = 60.0;
 constexpr Seconds kSecondsPerHour = 3600.0;
 constexpr Seconds kSecondsPerDay = 86400.0;
 
-// Converts a tick index to virtual seconds given the engine's tick length.
-constexpr Seconds tick_to_seconds(Tick tick, Seconds tick_length) {
-  return static_cast<Seconds>(tick) * tick_length;
-}
-
 }  // namespace slmob

@@ -54,8 +54,6 @@ struct Avatar {
   bool externally_controlled{false};  // protocol client drives this avatar
   bool debug_pinned{false};  // test avatar: stationary, never pooled for revisits
   Seconds last_intentional_move{0.0};  // last waypoint change (activity signal)
-
-  [[nodiscard]] bool is_synthetic() const { return !externally_controlled; }
 };
 
 // Advances one avatar by dt of kinematics only (no decisions): travelling

@@ -58,7 +58,6 @@ class Land {
 
   // Ground altitude; avatars move on this plane.
   [[nodiscard]] double ground_z() const { return ground_z_; }
-  void set_ground_z(double z) { ground_z_ = z; }
 
   // Clamps a point into the land's [0, size) x [0, size) square (z forced to
   // ground level). Positions must never leave the region.

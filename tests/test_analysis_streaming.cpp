@@ -1,9 +1,9 @@
 // StreamingAnalyzer, the one implementation of the §3 analysis: its reports
 // must reproduce the committed golden fingerprints (analysis_goldens.hpp) at
 // 1, 2 and 4 threads — on gap-free and gapped synthetic traces, on every land
-// archetype and under fault scenarios — and every way of feeding it (files,
-// a salvaged torn journal, a live crawler, per-snapshot stripping) must give
-// the report of the equivalent in-memory trace. Failures print
+// archetype and under fault scenarios — and every way of feeding it (.slt
+// files, a salvaged torn journal) must give the report of the equivalent
+// in-memory trace. Failures print
 // analysis_diff, which names the first differing field.
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include "analysis/streaming.hpp"
 #include "analysis_goldens.hpp"
 #include "core/experiment.hpp"
-#include "core/testbed.hpp"
 #include "trace/journal.hpp"
 #include "trace/serialize.hpp"
 
@@ -60,23 +59,6 @@ TEST(StreamingEquivalence, GappedTraceAt1And2And4Threads) {
   const Trace trace = golden::gapped_trace();
   ASSERT_EQ(trace.gaps().size(), 2u);
   expect_golden_at_every_thread_count(trace, golden::kGapped);
-}
-
-TEST(StreamingEquivalence, StripSittingFixesMatchesWholeTraceStrip) {
-  // A trace with origin fixes: streaming's per-snapshot strip must equal
-  // Trace::strip_sitting_fixes on the whole trace before analysis.
-  Trace trace = seeded_trace(21, 60, 30);
-  Trace polluted(trace.land_name(), trace.sampling_interval());
-  for (const auto& snap : trace.snapshots()) {
-    Snapshot copy = snap;
-    copy.fixes.push_back({AvatarId{9999}, {0.0, 0.0, 0.0}});
-    polluted.add(std::move(copy));
-  }
-  Trace stripped = polluted;  // deep copy, then strip whole-trace
-  stripped.strip_sitting_fixes();
-  StreamingOptions opt;
-  opt.strip_sitting_fixes = true;
-  expect_equivalent(stream_report(stripped), stream_report(polluted, opt));
 }
 
 // One run_experiment per land / scenario, shared across tests.
@@ -151,7 +133,6 @@ TEST(StreamingPipeline, DestroyingMidStreamWithAWindowInFlightIsClean) {
       StreamingAnalyzer analyzer(opt);
       analyzer.on_begin(trace.land_name(), trace.sampling_interval());
       for (const Snapshot& snap : trace.snapshots()) analyzer.on_snapshot(snap);
-      EXPECT_EQ(analyzer.progress().snapshots, trace.snapshots().size());
     }
   }
 }
@@ -187,10 +168,9 @@ TEST(StreamingEquivalence, SalvagedTornJournal) {
   EXPECT_TRUE(salvage.torn);
   ASSERT_FALSE(salvage.trace.gaps().empty());  // trailing censoring gap
 
-  StreamingProgress progress;
-  const AnalysisReport streamed = analyze_stream_file(path, {}, &progress);
+  const AnalysisReport streamed = analyze_stream_file(path);
   expect_equivalent(stream_report(salvage.trace), streamed);
-  EXPECT_EQ(progress.snapshots, salvage.trace.snapshots().size());
+  EXPECT_EQ(streamed.summary.snapshot_count, salvage.trace.snapshots().size());
   std::remove(path.c_str());
 }
 
@@ -205,52 +185,27 @@ TEST(StreamingEquivalence, SltFileMatchesInMemory) {
   std::remove(path.c_str());
 }
 
-TEST(StreamingEquivalence, CrawlerLiveSinkMatchesTakenTrace) {
-  // The crawler feeds an attached analyzer the same events it records; at
-  // take_trace time the live report must equal the analysis of the taken
-  // trace (stripped on both sides, as run_experiment does).
-  TestbedConfig cfg;
-  cfg.archetype = LandArchetype::kApfelLand;
-  cfg.seed = 11;
-  Testbed bed(cfg);
-  ASSERT_NE(bed.crawler(), nullptr);
-
-  StreamingOptions opt;
-  opt.strip_sitting_fixes = true;
-  StreamingAnalyzer live(opt);
-  bed.crawler()->attach_live_sink(&live);
-  bed.run_until(1.0 * kSecondsPerHour);
-
-  Trace trace = bed.crawler()->take_trace();
-  trace.strip_sitting_fixes();
-  const AnalysisReport taken = stream_report(trace);
-  const AnalysisReport streamed = live.finish();
-  const std::string diff = analysis_diff(taken, streamed);
-  EXPECT_TRUE(diff.empty()) << diff;
-  EXPECT_GT(streamed.summary.snapshot_count, 0u);
-}
-
 TEST(StreamingAnalyzer, ProgressCountersTrackTheStream) {
   Trace trace = seeded_trace(3, 30, 20);
   trace.add_gap(95.0, 125.0);  // covers snapshots at t=100, 110, 120
   StreamingAnalyzer analyzer;
   MemoryTraceStream stream(trace);
   drive_stream(stream, analyzer);
-
-  const StreamingProgress p = analyzer.progress();
-  const TraceSummary want = trace.summary();
-  EXPECT_EQ(p.snapshots, trace.snapshots().size());
-  EXPECT_EQ(p.covered_snapshots, trace.snapshots().size() - 3);
-  EXPECT_EQ(p.gaps, 1u);
-  EXPECT_EQ(p.users_seen, want.unique_users);
-  EXPECT_EQ(p.max_concurrent, want.max_concurrent);
-  EXPECT_EQ(p.last_time, trace.snapshots().back().time);
-  EXPECT_GT(p.covered_snapshots, 0u);
-
   const AnalysisReport report = analyzer.finish();
-  EXPECT_EQ(report.summary.snapshot_count, want.snapshot_count);
-  EXPECT_EQ(report.summary.gap_count, want.gap_count);
+
+  // The summary counts every snapshot; the graph consumers see only the
+  // covered ones.
+  const TraceSummary want = trace.summary();
+  EXPECT_EQ(report.summary.snapshot_count, trace.snapshots().size());
+  EXPECT_EQ(report.summary.unique_users, want.unique_users);
+  EXPECT_EQ(report.summary.max_concurrent, want.max_concurrent);
+  EXPECT_EQ(report.summary.duration, want.duration);
+  EXPECT_EQ(report.summary.gap_count, 1u);
   EXPECT_EQ(report.summary.gap_seconds, want.gap_seconds);
+  for (const double r : {kBluetoothRange, kWifiRange}) {
+    EXPECT_EQ(report.graphs.at(r).snapshots_analyzed, trace.snapshots().size() - 3)
+        << "range " << r;
+  }
 }
 
 TEST(StreamingAnalyzer, EmptyStreamYieldsEmptyReport) {
@@ -292,7 +247,7 @@ TEST(AnalysisReportDiff, NamesTheFirstDifferingField) {
   const Trace trace = seeded_trace(5, 20, 15);
   const AnalysisReport a = stream_report(trace);
   AnalysisReport b = a;
-  EXPECT_TRUE(analysis_equal(a, b));
+  EXPECT_TRUE(analysis_diff(a, b).empty());
   b.summary.snapshot_count += 1;
   const std::string diff = analysis_diff(a, b);
   EXPECT_FALSE(diff.empty());

@@ -45,9 +45,12 @@ TEST(Experiment, SeedsChangeOutcome) {
 }
 
 TEST(Experiment, GroundTruthAnalysisMode) {
+  // A rig without a crawler analyses the ground-truth recorder's trace.
   ExperimentConfig cfg = short_config(LandArchetype::kDanceIsland);
-  cfg.analyze_ground_truth = true;
+  cfg.testbed.with_crawler = false;
+  cfg.testbed.with_ground_truth = true;
   const ExperimentResults res = run_experiment(cfg);
+  EXPECT_GT(res.analysis.summary.snapshot_count, 0u);
   // Ground-truth positions are not metre-quantised.
   bool fractional_found = false;
   for (const auto& snap : res.trace.snapshots()) {

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "trace/codec.hpp"
+
 namespace slmob {
 namespace {
 
@@ -31,6 +33,16 @@ Snapshot make_snapshot(Seconds time, std::uint32_t base_id, std::size_t count) {
 }
 
 std::string temp_path(const std::string& name) { return ::testing::TempDir() + "/" + name; }
+
+// Appends `payload` to `bytes` as one CRC-valid frame.
+void append_frame(std::vector<std::uint8_t>& bytes,
+                         std::span<const std::uint8_t> payload) {
+  ByteWriter frame;
+  frame.u32(static_cast<std::uint32_t>(payload.size()));
+  frame.u32(crc32(payload));
+  frame.raw(payload);
+  bytes.insert(bytes.end(), frame.bytes().begin(), frame.bytes().end());
+}
 
 // Salvages `bytes` through a file named after the running test (ctest runs
 // tests in parallel): salvage_journal is the one journal reader.
@@ -187,6 +199,22 @@ TEST(TraceJournal, UnreadableHeaderOrBeginRejected) {
   std::vector<std::uint8_t> bytes = read_file_bytes(path);
   bytes.resize(bytes.size() - 1);
   EXPECT_THROW(salvage_bytes(bytes), DecodeError);
+
+  // A CRC-valid kBegin frame with a byte past its record is no intact begin.
+  ByteWriter begin;
+  begin.u8(static_cast<std::uint8_t>(JournalRecord::kBegin));
+  begin.str("land");
+  begin.f64(10.0);
+  begin.f64(100.0);
+  begin.u8(0);
+  bytes.resize(kJournalHeaderBytes);
+  append_frame(bytes, begin.bytes());
+  try {
+    (void)salvage_bytes(bytes);
+    ADD_FAILURE() << "trailing byte in kBegin accepted";
+  } catch (const DecodeError& e) {
+    EXPECT_STREQ(e.what(), "salvage_journal: no intact begin frame");
+  }
 }
 
 // CRC-valid frames whose records would break the stream ordering contract
@@ -257,27 +285,68 @@ TEST(TraceJournal, RecordsTheTraceCannotTakeAreTheTear) {
   EXPECT_EQ(s.trace.degradations(), (std::vector<SamplingDegradation>{{5.0, 15.0, 2}}));
   EXPECT_EQ(s.trace.gaps(), (std::vector<CoverageGap>{{20.0, 100.0}}));
 
-  // A CRC-valid session frame too short for its time, code and detail.
-  const std::string path = temp_path("journal_short_session.sltj");
+  // CRC-valid frames whose record cannot be decoded, or does not fill the
+  // frame, appended after one intact snapshot.
+  const std::string path = temp_path("journal_one_snapshot.sltj");
   {
     TraceJournalWriter writer(path, 100.0);
     writer.begin("land", 10.0);
     writer.append_snapshot(make_snapshot(0.0, 1, 1));
   }
-  std::vector<std::uint8_t> bytes = read_file_bytes(path);
-  const std::vector<std::uint8_t> session{static_cast<std::uint8_t>(JournalRecord::kSession),
-                                          0, 0, 0, 0};
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(session.size()));
-  frame.u32(crc32(session));
-  frame.raw(session);
-  bytes.insert(bytes.end(), frame.bytes().begin(), frame.bytes().end());
-  s = salvage_bytes(bytes);
-  EXPECT_TRUE(s.torn);
-  EXPECT_EQ(s.session_events, 0u);
-  EXPECT_EQ(s.snapshots, 1u);
-  EXPECT_EQ(s.bytes_kept, bytes.size() - frame.size());
-  EXPECT_EQ(s.trace.gaps(), (std::vector<CoverageGap>{{10.0, 100.0}}));
+  const std::vector<std::uint8_t> intact = read_file_bytes(path);
+  const auto salvage_with = [&intact](const ByteWriter& payload) {
+    std::vector<std::uint8_t> bytes = intact;
+    append_frame(bytes, payload.bytes());
+    return salvage_bytes(bytes);
+  };
+  const auto expect_torn_after_one_snapshot = [&intact](const JournalSalvage& got) {
+    EXPECT_TRUE(got.torn);
+    EXPECT_FALSE(got.clean_end);
+    EXPECT_EQ(got.session_events, 0u);
+    EXPECT_EQ(got.snapshots, 1u);
+    EXPECT_EQ(got.bytes_kept, intact.size());
+    EXPECT_EQ(got.trace.gaps(), (std::vector<CoverageGap>{{10.0, 100.0}}));
+  };
+
+  // A session frame too short for its time, code and detail.
+  ByteWriter session;
+  session.u8(static_cast<std::uint8_t>(JournalRecord::kSession));
+  session.u32(0);
+  expect_torn_after_one_snapshot(salvage_with(session));
+
+  // A snapshot frame with three bytes past its one fix.
+  ByteWriter snapshot;
+  snapshot.u8(static_cast<std::uint8_t>(JournalRecord::kSnapshot));
+  put_snapshot(snapshot, make_snapshot(10.0, 1, 1));
+  snapshot.u8(0);
+  snapshot.u8(0);
+  snapshot.u8(0);
+  expect_torn_after_one_snapshot(salvage_with(snapshot));
+
+  // A kEnd frame with a byte past its time is no clean end.
+  ByteWriter end;
+  end.u8(static_cast<std::uint8_t>(JournalRecord::kEnd));
+  end.f64(100.0);
+  end.u8(0);
+  expect_torn_after_one_snapshot(salvage_with(end));
+
+  // Gap and window records that would be taken without their extra byte.
+  ByteWriter gap_open;
+  gap_open.u8(static_cast<std::uint8_t>(JournalRecord::kGapOpen));
+  gap_open.f64(15.0);
+  ByteWriter gap_close;
+  gap_close.u8(static_cast<std::uint8_t>(JournalRecord::kGapClose));
+  put_gap(gap_close, {15.0, 25.0});
+  ByteWriter degrade_open;
+  degrade_open.u8(static_cast<std::uint8_t>(JournalRecord::kDegradeOpen));
+  degrade_open.f64(15.0);
+  degrade_open.u32(2);
+  for (ByteWriter* record : {&gap_open, &gap_close, &degrade_open}) {
+    record->u8(0);
+    const JournalSalvage got = salvage_with(*record);
+    expect_torn_after_one_snapshot(got);
+    EXPECT_TRUE(got.trace.degradations().empty());
+  }
 }
 
 TEST(TraceJournal, BeginWithoutUsableIntervalRejected) {
