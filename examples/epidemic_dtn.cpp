@@ -5,7 +5,7 @@
 // Collects a trace from the Isle Of View event (or loads one saved by
 // quickstart), then races three forwarding schemes over the same contacts.
 //
-//   ./examples/epidemic_dtn [trace.slt]
+//   ./examples/epidemic_dtn [trace.sltj]
 #include <cstdio>
 
 #include "core/experiment.hpp"
@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
     std::printf("Loading trace from %s...\n", argv[1]);
     trace = load_trace(argv[1]);
   } else {
-    std::printf("Collecting a 3 h Isle Of View trace (pass a .slt file to reuse one)...\n");
+    std::printf("Collecting a 3 h Isle Of View trace (pass a .sltj file to reuse one)...\n");
     ExperimentConfig cfg;
     cfg.archetype = LandArchetype::kIsleOfView;
     cfg.duration = 3.0 * kSecondsPerHour;

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
                 res.analysis.trips.travel_times.median(), res.analysis.trips.travel_times.max());
   }
 
-  const std::string path = "dance_island.slt";
+  const std::string path = "dance_island.sltj";
   save_trace(res.trace, path);
   std::printf("\ntrace saved to %s (binary; trace_to_csv() exports CSV)\n", path.c_str());
   return 0;

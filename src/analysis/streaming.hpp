@@ -178,7 +178,7 @@ class StreamingAnalyzer final : public LiveTraceSink {
 [[nodiscard]] AnalysisReport analyze_stream(TraceStream& stream,
                                             const StreamingOptions& options = {});
 
-// Opens `path` (.slt / .sltj / .csv) and streams it.
+// Opens `path` (a trace journal, or .csv) and streams it.
 [[nodiscard]] AnalysisReport analyze_stream_file(const std::string& path,
                                                  const StreamingOptions& options = {});
 

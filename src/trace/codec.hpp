@@ -1,8 +1,9 @@
-// The trace records .slt and .sltj share, one encoder and one decoder each.
+// The trace records, one encoder and one decoder each.
 //
-// A .slt file (trace/serialize.hpp) is a header and three blocks of these
-// records; a .sltj journal (trace/journal.hpp) carries them as frame
-// payloads after the type byte. ByteWriter encoding, little-endian:
+// A trace file, a journal (trace/journal.hpp), carries them as frame
+// payloads after the type byte; a trace's canonical bytes (encode_trace,
+// trace/serialize.hpp) are a header and three blocks of them. ByteWriter
+// encoding, little-endian:
 //
 //   snapshot  f64 time | u32 n | n x (u32 id, f32 x, f32 y, f32 z)
 //   gap       f64 start | f64 end

@@ -82,13 +82,7 @@ void TraceJournalWriter::append(JournalRecord type, const Put& put) {
     throw std::runtime_error("TraceJournalWriter: writer is closed");
   }
   frame_.clear();
-  frame_.u32(0);  // payload length and CRC, filled in once the payload is known
-  frame_.u32(0);
-  frame_.u8(static_cast<std::uint8_t>(type));
-  put(frame_);
-  const auto payload = std::span{frame_.bytes()}.subspan(kFrameHeadBytes);
-  frame_.u32_at(0, static_cast<std::uint32_t>(payload.size()));
-  frame_.u32_at(4, crc32(payload));
+  put_frame(frame_, type, put);
   write_or_throw(file_, path_, frame_.bytes());
   offset_ += frame_.size();
 }

@@ -1,17 +1,20 @@
-// Write-ahead trace journal (.sltj): crash-safe capture for long runs.
+// Trace journal: the one binary trace file format, and crash-safe capture
+// for long runs.
 //
 // The paper's 24 h traces were "interrupted several times" and had to be
 // restarted by hand; an in-memory trace loses the whole run when the
 // capture process dies. The journal makes capture durable: every record
 // (snapshot, gap open/close, session event) is appended as one CRC32-framed,
 // length-prefixed frame and flushed immediately, so a SIGKILL at any byte
-// loses at most the frame being written.
+// loses at most the frame being written. A capture's journal (.sltj) grows
+// frame by frame; a saved trace (save_trace, trace/serialize.hpp) is a
+// closed journal, written whole: kBegin, the records in stream order, kEnd.
 //
 // File layout:
 //   magic "SLTJ" | u16 version
 //   frame*           frame = u32 payload_len | u32 crc32(payload) | payload
 // Payloads (ByteWriter encoding, little-endian; the snapshot, gap and
-// window records are laid out in trace/codec.hpp, shared with .slt):
+// window records are laid out in trace/codec.hpp):
 //   kBegin    u8 type | str land | f64 sampling_interval | f64 planned_end
 //   kSnapshot u8 type | snapshot record
 //   kGapOpen  u8 type | f64 start
@@ -34,6 +37,8 @@
 #pragma once
 
 #include <cstdio>
+#include <span>
+#include <stdexcept>
 #include <string>
 
 #include "trace/trace.hpp"
@@ -47,6 +52,9 @@ inline constexpr std::uint16_t kJournalVersion = 1;
 inline constexpr std::size_t kJournalHeaderBytes = 6;
 // Each frame opens with its u32 payload length and u32 payload CRC.
 inline constexpr std::size_t kFrameHeadBytes = 8;
+// Frames are one snapshot (or less); a longer payload is torn garbage, not
+// a record, so no writer makes one.
+inline constexpr std::uint32_t kMaxFramePayload = 16u * 1024u * 1024u;
 
 enum class JournalRecord : std::uint8_t {
   kBegin = 0,
@@ -61,6 +69,25 @@ enum class JournalRecord : std::uint8_t {
   kDegradeOpen = 6,
   kDegradeClose = 7,
 };
+
+// Appends one frame to `out`: its head, the type byte, then what `put`
+// writes. Every journal frame is written here, by TraceJournalWriter and by
+// save_trace. Throws std::length_error on a payload over kMaxFramePayload,
+// which no reader would take.
+template <typename Put>
+void put_frame(ByteWriter& out, JournalRecord type, const Put& put) {
+  const std::size_t head = out.size();
+  out.u32(0);  // payload length and CRC, filled in once the payload is known
+  out.u32(0);
+  out.u8(static_cast<std::uint8_t>(type));
+  put(out);
+  const auto payload = std::span{out.bytes()}.subspan(head + kFrameHeadBytes);
+  if (payload.size() > kMaxFramePayload) {
+    throw std::length_error("put_frame: record larger than a journal frame holds");
+  }
+  out.u32_at(head, static_cast<std::uint32_t>(payload.size()));
+  out.u32_at(head + 4, crc32(payload));
+}
 
 // Session-event codes carried by kSession frames (diagnostic only; salvage
 // counts them but they do not affect the reconstructed trace).
@@ -112,8 +139,8 @@ class TraceJournalWriter {
 
  private:
   TraceJournalWriter() = default;
-  // Writes one frame: the type byte, then what `put` writes, framed and
-  // flushed. Every record goes through here.
+  // Writes one frame (put_frame) and flushes it. Every record goes through
+  // here.
   template <typename Put>
   void append(JournalRecord type, const Put& put);
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "trace/codec.hpp"
+#include "trace/journal.hpp"
 #include "trace/stream.hpp"
 #include "util/bytes.hpp"
 #include "util/csv.hpp"
@@ -13,11 +14,18 @@
 #include "util/strings.hpp"
 
 namespace slmob {
+namespace {
+
+// The header of the canonical bytes (serialize.hpp).
+constexpr std::uint8_t kCanonicalMagic[4] = {'S', 'L', 'T', 'R'};
+constexpr std::uint16_t kCanonicalVersion = 3;
+
+}  // namespace
 
 std::vector<std::uint8_t> encode_trace(const Trace& trace) {
   ByteWriter w;
-  w.raw(kSltMagic);
-  w.u16(kSltVersion);
+  w.raw(kCanonicalMagic);
+  w.u16(kCanonicalVersion);
   w.str(trace.land_name());
   w.f64(trace.sampling_interval());
   w.u32(static_cast<std::uint32_t>(trace.snapshots().size()));
@@ -107,9 +115,48 @@ Trace trace_from_csv(std::string_view text, std::string land_name,
 }
 
 void save_trace(const Trace& trace, const std::string& path) {
-  // Atomic: a crash mid-save must not leave a truncated .slt at the final
+  const auto& snaps = trace.snapshots();
+  const Seconds end = snaps.empty() ? 0.0 : snaps.back().time;
+  ByteWriter w;
+  w.raw(kJournalMagic);
+  w.u16(kJournalVersion);
+  put_frame(w, JournalRecord::kBegin, [&](ByteWriter& p) {
+    p.str(trace.land_name());
+    p.f64(trace.sampling_interval());
+    p.f64(end);  // planned end: the run is over
+  });
+  MemoryTraceStream stream(trace);
+  SamplingDegradation open{};  // the window a rate change back to 1 closes
+  for (StreamEvent ev = stream.next(); ev.kind != StreamEventKind::kEnd; ev = stream.next()) {
+    switch (ev.kind) {
+      case StreamEventKind::kSnapshot:
+        put_frame(w, JournalRecord::kSnapshot,
+                  [&](ByteWriter& p) { put_snapshot(p, *ev.snapshot); });
+        break;
+      case StreamEventKind::kGap:
+        put_frame(w, JournalRecord::kGapClose, [&](ByteWriter& p) { put_gap(p, ev.gap); });
+        break;
+      case StreamEventKind::kRateChange:
+        if (ev.factor > 1) {
+          open = {ev.time, ev.time, ev.factor};
+          put_frame(w, JournalRecord::kDegradeOpen, [&](ByteWriter& p) {
+            p.f64(open.start);
+            p.u32(open.factor);
+          });
+        } else {
+          open.end = ev.time;
+          put_frame(w, JournalRecord::kDegradeClose, [&](ByteWriter& p) { put_window(p, open); });
+        }
+        break;
+      case StreamEventKind::kSessionEvent:
+      case StreamEventKind::kEnd:
+        break;
+    }
+  }
+  put_frame(w, JournalRecord::kEnd, [&](ByteWriter& p) { p.f64(end); });
+  // Atomic: a crash mid-save must not leave a truncated trace at the final
   // path (the paper's runs died often enough to make this a real hazard).
-  write_file_atomic(path, encode_trace(trace));
+  write_file_atomic(path, w.bytes());
 }
 
 void save_trace_csv(const Trace& trace, const std::string& path) {
@@ -117,8 +164,13 @@ void save_trace_csv(const Trace& trace, const std::string& path) {
 }
 
 Trace load_trace(const std::string& path) {
-  SltFileStream stream(path);
-  return collect_trace(stream);
+  JournalFileStream stream(path);
+  Trace trace = collect_trace(stream);
+  if (stream.torn() || !stream.clean_end()) {
+    throw DecodeError("load_trace: not a closed journal; intact up to byte " +
+                      std::to_string(stream.bytes_kept()));
+  }
+  return trace;
 }
 
 }  // namespace slmob

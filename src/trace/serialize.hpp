@@ -1,8 +1,9 @@
 // Trace persistence.
 //
 // Two formats:
-//  * binary (".slt"): compact, versioned, exact round-trip — the working
-//    format for saving/replaying experiments;
+//  * binary: a closed journal (trace/journal.hpp), the one binary trace
+//    format — exact round-trip of the f32 positions, for saving and
+//    replaying experiments; a capture's .sltj is the same format, growing;
 //  * CSV: one row per fix (time,avatar,x,y,z) — for external tools (R,
 //    gnuplot, the DTN simulators the paper's traces were published for).
 #pragma once
@@ -15,14 +16,12 @@
 
 namespace slmob {
 
-// Binary encoding. Layout: magic "SLTR", u16 version, land name, f64
-// sampling interval, u32 snapshot count and that many snapshot records,
-// then (version 2 on) u32 gap count and that many gap records, then
-// (version 3 on) u32 count and that many degradation window records. The
-// records are laid out in trace/codec.hpp. Versions 1 and 2 still load, as
-// gap-free and degradation-free traces.
-inline constexpr std::uint8_t kSltMagic[4] = {'S', 'L', 'T', 'R'};
-inline constexpr std::uint16_t kSltVersion = 3;
+// The canonical bytes of a trace, which trace digests hash: magic "SLTR",
+// u16 version 3, land name, f64 sampling interval, u32 snapshot count and
+// that many snapshot records, u32 gap count and that many gap records, u32
+// count and that many degradation window records (records laid out in
+// trace/codec.hpp). No file holds these bytes any more and nothing decodes
+// them: they stay only so every committed digest stays valid.
 std::vector<std::uint8_t> encode_trace(const Trace& trace);
 
 // CSV with header "time,avatar,x,y,z". Coverage gaps are emitted as trailing
@@ -37,9 +36,13 @@ std::string trace_to_csv(const Trace& trace);
 Trace trace_from_csv(std::string_view text, std::string land_name,
                      Seconds sampling_interval);
 
-// File helpers (binary format). Throw std::runtime_error on I/O failure;
-// load_trace throws DecodeError on malformed content. load_trace collects
-// an SltFileStream (trace/stream.hpp), the one .slt decoder.
+// File helpers (binary format). save_trace writes a closed journal: the
+// header, kBegin, every snapshot, gap and degradation window frame in
+// stream order (MemoryTraceStream's), then kEnd, built in memory and
+// written atomically. load_trace collects a JournalFileStream
+// (trace/stream.hpp) and throws DecodeError, naming the bytes kept, unless
+// the file is a closed journal: it ends with kEnd and has no torn frame.
+// Both throw std::runtime_error on I/O failure.
 void save_trace(const Trace& trace, const std::string& path);
 Trace load_trace(const std::string& path);
 

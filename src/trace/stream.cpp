@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
@@ -12,18 +13,6 @@
 #include "util/bytes.hpp"
 
 namespace slmob {
-namespace {
-
-// Frames are one snapshot (or less); a length beyond this is torn garbage,
-// not a record.
-constexpr std::uint32_t kMaxFramePayload = 16u * 1024u * 1024u;
-
-bool has_suffix(const std::string& s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // DegradationTracker
@@ -66,175 +55,46 @@ TraceSummary SummaryTracker::summary() const {
   return s;
 }
 
-namespace {
+// ---------------------------------------------------------------------------
+// MemoryTraceStream
 
-// The one event merge of a stored trace, shared by MemoryTraceStream and
-// SltFileStream. `pending` is the next snapshot (null once they have run
-// out); the cursors index `gaps` and the rate-change boundaries of
-// `windows` (boundary 2k is window k's start, where the factor becomes
-// windows[k].factor; 2k+1 its end, where it falls back to 1) and advance
-// past the event returned. A rate change goes out before the first
+// The rate-change cursor walks the windows' boundaries: boundary 2k is
+// window k's start, where the factor becomes windows[k].factor; 2k+1 its
+// end, where it falls back to 1. A rate change goes out before the first
 // snapshot at or past its time, and before any gap at or past it
 // (boundaries and gaps never interleave ambiguously: the crawler closes
 // degradation windows at gap edges). A gap goes out before the first
 // snapshot at or past its start (the ordering contract in the header
-// comment). Boundaries past the last snapshot still go out, so every opened
-// window is closed before kEnd. A kSnapshot event points at `pending`; the
-// caller advances its snapshot cursor.
-StreamEvent merge_next(const Snapshot* pending, const std::vector<CoverageGap>& gaps,
-                       std::size_t& gap_next,
-                       const std::vector<SamplingDegradation>& windows,
-                       std::size_t& rate_next) {
+// comment). Boundaries and gaps past the last snapshot still go out, so
+// every opened window is closed before kEnd.
+StreamEvent MemoryTraceStream::next() {
+  const auto& snaps = trace_->snapshots();
+  const auto& gaps = trace_->gaps();
+  const auto& windows = trace_->degradations();
+  const Snapshot* pending = snap_next_ < snaps.size() ? &snaps[snap_next_] : nullptr;
   StreamEvent ev;
-  const std::size_t w = rate_next / 2;
+  const std::size_t w = rate_next_ / 2;
   if (w < windows.size()) {
-    const bool opens = rate_next % 2 == 0;
+    const bool opens = rate_next_ % 2 == 0;
     const Seconds time = opens ? windows[w].start : windows[w].end;
     if ((pending == nullptr || time <= pending->time) &&
-        (gap_next >= gaps.size() || time <= gaps[gap_next].start)) {
-      ++rate_next;
+        (gap_next_ >= gaps.size() || time <= gaps[gap_next_].start)) {
+      ++rate_next_;
       ev.kind = StreamEventKind::kRateChange;
       ev.time = time;
       ev.factor = opens ? windows[w].factor : 1;
       return ev;
     }
   }
-  if (gap_next < gaps.size() && (pending == nullptr || gaps[gap_next].start <= pending->time)) {
+  if (gap_next_ < gaps.size() && (pending == nullptr || gaps[gap_next_].start <= pending->time)) {
     ev.kind = StreamEventKind::kGap;
-    ev.gap = gaps[gap_next++];
+    ev.gap = gaps[gap_next_++];
     return ev;
   }
   if (pending != nullptr) {
     ev.kind = StreamEventKind::kSnapshot;
     ev.snapshot = pending;
-  }
-  return ev;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// MemoryTraceStream
-
-StreamEvent MemoryTraceStream::next() {
-  const auto& snaps = trace_->snapshots();
-  const Snapshot* pending = snap_next_ < snaps.size() ? &snaps[snap_next_] : nullptr;
-  const StreamEvent ev =
-      merge_next(pending, trace_->gaps(), gap_next_, trace_->degradations(), rate_next_);
-  if (ev.kind == StreamEventKind::kSnapshot) ++snap_next_;
-  return ev;
-}
-
-// ---------------------------------------------------------------------------
-// SltFileStream
-
-SltFileStream::SltFileStream(const std::string& path) {
-  file_ = std::fopen(path.c_str(), "rb");
-  if (file_ == nullptr) {
-    throw std::runtime_error("open_trace_stream: cannot open " + path);
-  }
-  if (std::fseek(file_, 0, SEEK_END) != 0) {
-    throw std::runtime_error("open_trace_stream: cannot seek " + path);
-  }
-  const long file_size = std::ftell(file_);
-  std::rewind(file_);
-  // Counts read from the file are checked against this before anything is
-  // sized or skipped by them.
-  const auto bytes_left = [&] { return static_cast<std::uint64_t>(file_size - std::ftell(file_)); };
-
-  // Header: magic, version, land name, sampling interval, snapshot count.
-  if (!std::ranges::equal(read(sizeof kSltMagic).rest(), kSltMagic)) {
-    throw DecodeError("load_trace: bad magic");
-  }
-  const std::uint16_t version = read(2).u16();
-  if (version < 1 || version > kSltVersion) {
-    throw DecodeError("load_trace: unsupported version");
-  }
-  const std::uint16_t land_len = read(2).u16();
-  const auto land = read(land_len).rest();
-  land_.assign(reinterpret_cast<const char*>(land.data()), land.size());
-  interval_ = read(8).f64();
-  snap_count_ = read(4).u32();
-  const long data_offset = std::ftell(file_);
-
-  // Skip-scan: walk the snapshot heads (seeking over the fixes) to reach
-  // the gap and degradation blocks and validate framing, then rewind. This
-  // touches 12 bytes per snapshot, so it is I/O-cheap even for very long
-  // traces.
-  Seconds prev_time = 0.0;
-  for (std::uint32_t i = 0; i < snap_count_; ++i) {
-    ByteReader r = read(kSnapshotHeadBytes);
-    const SnapshotHead head = get_snapshot_head(r);
-    if (i > 0 && !(head.time >= prev_time)) {
-      throw DecodeError("load_trace: snapshot times go backwards");
-    }
-    prev_time = head.time;
-    const std::uint64_t fix_bytes = kFixBytes * head.fixes;
-    if (fix_bytes > bytes_left()) {
-      throw DecodeError("load_trace: truncated snapshot block");
-    }
-    if (std::fseek(file_, static_cast<long>(fix_bytes), SEEK_CUR) != 0) {
-      throw std::runtime_error("open_trace_stream: cannot seek " + path);
-    }
-  }
-  // A trailing block is a u32 count and that many records, read whole once
-  // the count fits the bytes left.
-  const auto block = [&](std::size_t record_bytes, const char* name) {
-    const std::uint32_t count = read(4).u32();
-    if (record_bytes * count > bytes_left()) {
-      throw DecodeError(std::string("load_trace: truncated ") + name + " block");
-    }
-    return read(record_bytes * count);
-  };
-  try {
-    if (version >= 2) {
-      for (ByteReader r = block(kGapBytes, "gap"); !r.at_end();) {
-        const CoverageGap gap = get_gap(r);
-        gaps_.add(gap.start, gap.end);
-      }
-    }
-    if (version >= 3) {
-      for (ByteReader r = block(kWindowBytes, "degradation"); !r.at_end();) {
-        degradations_.add(get_window(r));
-      }
-    }
-  } catch (const std::invalid_argument& e) {
-    throw DecodeError(std::string("load_trace: ") + e.what());  // a record its rule refuses
-  }
-  if (std::ftell(file_) != file_size) {
-    throw DecodeError("load_trace: trailing bytes");
-  }
-  if (std::fseek(file_, data_offset, SEEK_SET) != 0) {
-    throw std::runtime_error("open_trace_stream: cannot seek " + path);
-  }
-}
-
-SltFileStream::~SltFileStream() {
-  // slmob-lint: allow(checked-durability) -- read-only stream; close failure cannot lose data
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-ByteReader SltFileStream::read(std::size_t n) {
-  buf_.resize(n);
-  if (n > 0 && std::fread(buf_.data(), 1, n, file_) != n) {
-    throw DecodeError("load_trace: unexpected end of file");
-  }
-  return ByteReader(buf_);
-}
-
-StreamEvent SltFileStream::next() {
-  if (!have_pending_ && snaps_emitted_ < snap_count_) {
-    ByteReader head_reader = read(kSnapshotHeadBytes);
-    const SnapshotHead head = get_snapshot_head(head_reader);
-    ByteReader r = read(kFixBytes * static_cast<std::size_t>(head.fixes));
-    get_fixes(r, head, current_);
-    have_pending_ = true;
-  }
-  const StreamEvent ev = merge_next(have_pending_ ? &current_ : nullptr, gaps_.gaps(),
-                                    gap_next_, degradations_.windows(), rate_next_);
-  if (ev.kind == StreamEventKind::kSnapshot) {
-    have_pending_ = false;
-    ++snaps_emitted_;
+    ++snap_next_;
   }
   return ev;
 }
@@ -247,6 +107,9 @@ JournalFileStream::JournalFileStream(const std::string& path) {
   if (file_ == nullptr) {
     throw std::runtime_error("open_trace_stream: cannot open " + path);
   }
+  std::error_code ec;
+  file_size_ = std::filesystem::file_size(path, ec);
+  if (ec) throw std::runtime_error("open_trace_stream: cannot stat " + path);
   std::uint8_t header[kJournalHeaderBytes];
   if (std::fread(header, 1, kJournalHeaderBytes, file_) != kJournalHeaderBytes ||
       !std::equal(header, header + 4, kJournalMagic)) {
@@ -288,18 +151,20 @@ JournalFileStream::~JournalFileStream() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
+// bytes_kept_ is the read position here: every frame read so far was kept.
+// The file is read as it was at open, so a frame longer than the bytes left
+// then is the tear, found before anything is sized by its length.
 bool JournalFileStream::read_frame() {
-  if (torn_) return false;
+  if (torn_ || bytes_kept_ == file_size_) return false;
   std::uint8_t head[kFrameHeadBytes];
-  const std::size_t got = std::fread(head, 1, sizeof head, file_);
-  if (got < sizeof head) {
-    torn_ = got > 0;  // leftover bytes after the last whole frame are a tear
+  if (std::fread(head, 1, sizeof head, file_) != sizeof head) {
+    torn_ = true;  // leftover bytes after the last whole frame
     return false;
   }
   ByteReader r(head);
   const std::uint32_t len = r.u32();
   const std::uint32_t crc = r.u32();
-  if (len > kMaxFramePayload) {
+  if (len > kMaxFramePayload || kFrameHeadBytes + len > file_size_ - bytes_kept_) {
     torn_ = true;
     return false;
   }
@@ -483,10 +348,7 @@ StreamEvent JournalFileStream::next() {
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<TraceStream> open_trace_stream(const std::string& path) {
-  if (has_suffix(path, ".sltj")) {
-    return std::make_unique<JournalFileStream>(path);
-  }
-  if (has_suffix(path, ".csv")) {
+  if (path.ends_with(".csv")) {
     // CSV has no incremental framing worth exploiting; load and stream from
     // memory with the same land/interval defaults read_any uses.
     std::ifstream in(path, std::ios::binary);
@@ -495,7 +357,7 @@ std::unique_ptr<TraceStream> open_trace_stream(const std::string& path) {
                      std::istreambuf_iterator<char>()};
     return std::make_unique<MemoryTraceStream>(trace_from_csv(text, path, 10.0));
   }
-  return std::make_unique<SltFileStream>(path);
+  return std::make_unique<JournalFileStream>(path);
 }
 
 Trace collect_trace(TraceStream& stream) {

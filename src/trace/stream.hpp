@@ -1,22 +1,29 @@
 // Streaming trace access: event-at-a-time readers and the sinks they feed.
 //
 // A TraceStream yields snapshots, coverage gaps and session events one at a
-// time from a .slt file, a .sltj journal or an in-memory trace, so a single
-// forward pass can analyze traces of any length with memory bounded by
-// *concurrent* users rather than trace duration. It is how every trace
-// reaches the analysis engine (analysis/streaming.hpp), in-memory ones
-// included.
+// time from a trace file or an in-memory trace, so a single forward pass
+// can analyze traces of any length with memory bounded by *concurrent*
+// users rather than trace duration. It is how every trace reaches the
+// analysis engine (analysis/streaming.hpp), in-memory ones included.
 //
-// The file readers here are the only readers of their formats: load_trace
-// and salvage_journal are collect_trace over SltFileStream and
-// JournalFileStream, so every command reads a file the same way. Both
-// decode each snapshot, gap and degradation window through its one decoder
-// in trace/codec.hpp, and both ask GapTracker and DegradationWindows
-// (trace/trace.hpp) whether a gap or window may follow the previous one.
-// Malformed content never escapes as anything but DecodeError (.slt) or a
-// tear (.sltj): counts read from a file are checked against the bytes left
-// before anything is sized by them, and records that would break the
-// ordering contract below are rejected rather than handed on.
+// One binary format: a trace file is a journal (trace/journal.hpp). A
+// capture's .sltj grows frame by frame; save_trace writes a closed one,
+// ended by kEnd. JournalFileStream is its only reader: load_trace and
+// salvage_journal are collect_trace over it, so every command reads a file
+// the same way. It decodes each snapshot, gap and degradation window
+// through its one decoder in trace/codec.hpp, and asks GapTracker and
+// DegradationWindows (trace/trace.hpp) whether a gap or window may follow
+// the previous one. Malformed content never escapes as anything but a tear
+// (or DecodeError, when the header or kBegin frame is unreadable): lengths
+// and counts read from a file are checked against the bytes left before
+// anything is sized by them, and records that would break the ordering
+// contract below are rejected rather than handed on. load_trace alone is
+// strict: a file that is not a closed journal is a DecodeError there.
+//
+// No file of the older .slt format (magic "SLTR", versions 1-3) is read;
+// its magic is a DecodeError. The repository holds no such file, and a
+// trace is regenerated bit for bit from its land, seed, hours and fault
+// scenario (`slmob run`).
 //
 // Every stream honours one ordering contract consumers may rely on:
 //
@@ -35,8 +42,8 @@
 // gap that could contain t or start before t is already known, and gaps
 // still unseen start strictly after t, so covered_at / spans_gap /
 // next_gap_start answer exactly as they would on the finished Trace. That
-// equivalence is why a file and a journal, finished, torn or still being
-// written, analyze exactly like the in-memory trace they form;
+// equivalence is why a journal, finished, torn or still being written,
+// analyzes exactly like the in-memory trace it forms;
 // tests/test_trace_stream.cpp checks every reader against independently
 // built expectations, and the golden fingerprints of
 // tests/analysis_goldens.hpp pin the resulting reports.
@@ -182,53 +189,17 @@ class MemoryTraceStream final : public TraceStream {
   std::size_t rate_next_{0};  // rate-change boundary cursor
 };
 
-// Streams a binary .slt trace file (layout in trace/serialize.hpp) without
-// materialising it. The gap and degradation blocks trail the snapshots, so
-// construction makes one cheap skip-scan pass (read each snapshot's head,
-// seek over its fixes) to collect them and validate framing, then rewinds;
-// snapshots decode one at a time on demand. Throws DecodeError on any
-// malformed content: bad magic or version, truncation, trailing bytes,
-// snapshot times that are not finite or go backwards, gaps or degradation
-// windows their rule refuses (empty, out of order, a factor below 2), and
-// (from next()) a fix with a non-finite coordinate.
-class SltFileStream final : public TraceStream {
- public:
-  explicit SltFileStream(const std::string& path);
-  ~SltFileStream() override;
-  SltFileStream(const SltFileStream&) = delete;
-  SltFileStream& operator=(const SltFileStream&) = delete;
-
-  [[nodiscard]] const std::string& land_name() const override { return land_; }
-  [[nodiscard]] Seconds sampling_interval() const override { return interval_; }
-  StreamEvent next() override;
-
- private:
-  // Reads the next `n` bytes of the file into buf_, to be decoded.
-  ByteReader read(std::size_t n);
-
-  std::FILE* file_{nullptr};
-  std::string land_;
-  Seconds interval_{10.0};
-  std::uint32_t snap_count_{0};
-  std::uint32_t snaps_emitted_{0};
-  GapTracker gaps_;
-  std::size_t gap_next_{0};
-  DegradationWindows degradations_;
-  std::size_t rate_next_{0};  // rate-change boundary cursor
-  Snapshot current_;
-  bool have_pending_{false};
-  std::vector<std::uint8_t> buf_;
-};
-
-// Streams a .sltj write-ahead journal (layout in trace/journal.hpp) with
-// salvage semantics: frames are decoded until the first torn frame, which
-// (with everything after it) is discarded. A frame is torn when it is
-// truncated, oversized, fails its CRC, cannot be decoded or holds bytes
-// past the end of its record, and also when its record would break the
-// ordering contract or the trace it forms: a second kBegin, a snapshot time
-// going backwards or inside a gap left open, a gap starting at or before an
-// emitted snapshot, or a gap or window its rule refuses (empty,
-// overlapping, a factor below 2).
+// Streams a trace journal (layout in trace/journal.hpp): a saved trace or
+// a capture's .sltj, finished, torn or still being written. The file is read
+// as it was at open, with salvage semantics: frames are decoded until the
+// first torn frame, which (with everything after it) is discarded. A frame
+// is torn when it is truncated (longer than the bytes left at open, found
+// before anything is sized by its length), oversized, fails its CRC, cannot
+// be decoded or holds bytes past the end of its record, and also when its
+// record would break the ordering contract or the trace it forms: a second
+// kBegin, a snapshot time going backwards or inside a gap left open, a gap
+// starting at or before an emitted snapshot, or a gap or window its rule
+// refuses (empty, overlapping, a factor below 2).
 // A journal that did not end with kEnd gets a synthetic trailing gap
 // censoring the unrun remainder of the planned run. Throws DecodeError only
 // when the header or kBegin frame is unreadable.
@@ -262,6 +233,7 @@ class JournalFileStream final : public TraceStream {
   StreamEvent finalize();
 
   std::FILE* file_{nullptr};
+  std::uint64_t file_size_{0};  // at open
   std::string land_;
   Seconds interval_{10.0};
   Seconds planned_end_{0.0};
@@ -291,9 +263,9 @@ class JournalFileStream final : public TraceStream {
   std::uint64_t bytes_kept_{0};
 };
 
-// Opens the right stream for a path by extension: .sltj -> journal stream,
-// .csv -> an owning in-memory stream (CSV has no incremental framing), else
-// binary .slt stream.
+// Opens the right stream for a path by extension: .csv -> an owning
+// in-memory stream (CSV has no incremental framing), anything else -> a
+// journal stream, whatever its name (.slt, .sltj).
 std::unique_ptr<TraceStream> open_trace_stream(const std::string& path);
 
 // Materialises every event of `stream` as a Trace: snapshots, gaps, and the

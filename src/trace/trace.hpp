@@ -95,8 +95,8 @@ class GapTracker {
 };
 
 // A trace's sampling-degradation windows, recorded in order: the one window
-// validity rule. A Trace, a DegradationTracker (trace/stream.hpp) and the
-// .slt reader keep their windows in one.
+// validity rule. A Trace and a DegradationTracker (trace/stream.hpp) keep
+// their windows in one.
 class DegradationWindows {
  public:
   // Whether `window` may follow the recorded windows: it is well-formed

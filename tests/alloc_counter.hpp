@@ -1,9 +1,9 @@
 // Process-wide heap allocation counter, for the zero-allocation gates on the
 // warm paths. The counting operator new/delete overrides live in
 // alloc_counter.cpp, which is compiled ONLY into the test executables that
-// list it as a source (test_warm_path, test_net_messages) — the library
-// targets are never built with the override, so production binaries keep
-// the system allocator untouched.
+// list it as a source (test_warm_path, test_net_messages,
+// test_trace_crafted) — the library targets are never built with the
+// override, so production binaries keep the system allocator untouched.
 #pragma once
 
 #include <cstddef>

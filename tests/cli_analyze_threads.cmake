@@ -2,7 +2,7 @@
 # default ranges (10 m and 80 m) prints the same report, byte for byte, at
 # one thread and at four.
 #
-#   cmake -DSLMOB=path/to/slmob -DFIXTURE=cli_fixture.slt -P cli_analyze_threads.cmake
+#   cmake -DSLMOB=path/to/slmob -DFIXTURE=cli_fixture.sltj -P cli_analyze_threads.cmake
 function(analyze threads into)
   execute_process(COMMAND "${SLMOB}" analyze "${FIXTURE}" --threads ${threads}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

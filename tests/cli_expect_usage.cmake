@@ -2,7 +2,7 @@
 # BenchOptions) with the arguments after `--` and fails unless it exits with
 # status 2 and prints the usage text:
 #
-#   cmake -DSLMOB=path/to/slmob -P cli_expect_usage.cmake -- analyze t.slt --threads -1
+#   cmake -DSLMOB=path/to/slmob -P cli_expect_usage.cmake -- analyze t.sltj --threads -1
 set(args "")
 set(collect OFF)
 foreach(i RANGE 1 ${CMAKE_ARGC})

@@ -3,7 +3,7 @@
 # --hours 0.1 --seed 1): journaled, checkpointed, resumed from that
 # checkpoint directory, and as the dance shard of a supervised two-land run.
 #
-#   cmake -DSLMOB=path/to/slmob -DFIXTURE=cli_fixture.slt -DWORK=scratch/dir \
+#   cmake -DSLMOB=path/to/slmob -DFIXTURE=cli_fixture.sltj -DWORK=scratch/dir \
 #         -P cli_run_modes.cmake
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
@@ -22,13 +22,13 @@ function(run_and_compare trace)
   endif()
 endfunction()
 
-run_and_compare("${WORK}/journal.slt"
-  ${dance} --journal "${WORK}/run.sltj" --out "${WORK}/journal.slt")
+run_and_compare("${WORK}/journal.sltj"
+  ${dance} --journal "${WORK}/run.sltj" --out "${WORK}/journal.sltj")
 # 120 s intervals leave checkpoints at 120 s and 240 s of the 360 s run, so
 # the resume below replays to 240 s and captures the last two minutes again.
-run_and_compare("${WORK}/checkpoint.slt"
-  ${dance} --checkpoint "${WORK}/ck" --checkpoint-every 120 --out "${WORK}/checkpoint.slt")
-run_and_compare("${WORK}/resume.slt" --resume "${WORK}/ck" --out "${WORK}/resume.slt")
-run_and_compare("${WORK}/x-dance.slt"
+run_and_compare("${WORK}/checkpoint.sltj"
+  ${dance} --checkpoint "${WORK}/ck" --checkpoint-every 120 --out "${WORK}/checkpoint.sltj")
+run_and_compare("${WORK}/resume.sltj" --resume "${WORK}/ck" --out "${WORK}/resume.sltj")
+run_and_compare("${WORK}/x-dance.sltj"
   --land dance,isle --hours 0.1 --seed 1 --supervise --checkpoint "${WORK}/ck2"
-  --out "${WORK}/x-{land}.slt")
+  --out "${WORK}/x-{land}.sltj")

@@ -5,7 +5,7 @@
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
 execute_process(COMMAND "${SLMOB}" run --land isle --hours 0.1 --seed 42 --faults overload
-                        --stats-csv "${WORK}/overload.csv" --out "${WORK}/isle_surge.slt"
+                        --stats-csv "${WORK}/overload.csv" --out "${WORK}/isle_surge.sltj"
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "slmob run --stats-csv: exit ${rc}\n${out}${err}")

@@ -1,15 +1,16 @@
 // StreamingAnalyzer, the one implementation of the §3 analysis: its reports
 // must reproduce the committed golden fingerprints (analysis_goldens.hpp) at
 // 1, 2 and 4 threads — on gap-free and gapped synthetic traces, on every land
-// archetype and under fault scenarios — and every way of feeding it (.slt
-// files, a salvaged torn journal) must give the report of the equivalent
-// in-memory trace. Failures print
+// archetype and under fault scenarios — and every way of feeding it (saved
+// trace files, a salvaged torn journal) must give the report of the
+// equivalent in-memory trace. Failures print
 // analysis_diff, which names the first differing field.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <optional>
@@ -179,10 +180,59 @@ TEST(StreamingEquivalence, SltFileMatchesInMemory) {
   trace.add_gap(125.0, 165.0);
   const std::string path = ::testing::TempDir() + "streaming_file.slt";
   save_trace(trace, path);
-  // .slt stores f32 positions, so equivalence is against the loaded trace,
-  // not the pre-save doubles.
+  // A trace file stores f32 positions, so equivalence is against the loaded
+  // trace, not the pre-save doubles.
   expect_equivalent(stream_report(load_trace(path)), analyze_stream_file(path));
   std::remove(path.c_str());
+}
+
+// `trace` with every coordinate moved to a 1/256 m grid, which the f32
+// positions of a trace file hold exactly.
+Trace as_stored(const Trace& trace) {
+  const auto grid = [](double v) { return std::round(v * 256.0) / 256.0; };
+  Trace out(trace.land_name(), trace.sampling_interval());
+  for (Snapshot snap : trace.snapshots()) {
+    for (AvatarFix& fix : snap.fixes) fix.pos = {grid(fix.pos.x), grid(fix.pos.y), grid(fix.pos.z)};
+    out.add(std::move(snap));
+  }
+  for (const auto& g : trace.gaps()) out.add_gap(g.start, g.end);
+  for (const auto& d : trace.degradations()) out.add_degradation(d.start, d.end, d.factor);
+  return out;
+}
+
+// Saves `trace`, whose positions are f32 already: the file loads to the
+// same trace digest and analyses like the trace in memory.
+void expect_saved_like_memory(const Trace& trace) {
+  const std::string path = ::testing::TempDir() + "streaming_saved_" +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           ".slt";
+  save_trace(trace, path);
+  EXPECT_EQ(crc32(encode_trace(load_trace(path))), crc32(encode_trace(trace)));
+  expect_equivalent(stream_report(trace), analyze_stream_file(path));
+  std::remove(path.c_str());
+}
+
+TEST(StreamingEquivalence, SavedChaosDanceTraceMatchesInMemory) {
+  ExperimentConfig cfg;
+  cfg.archetype = LandArchetype::kDanceIsland;
+  cfg.duration = 2.0 * kSecondsPerHour;
+  cfg.seed = 42;
+  cfg.ranges = {};
+  cfg.fault_scenario = "chaos";
+  const Trace trace = run_experiment(cfg).trace;
+  ASSERT_FALSE(trace.gaps().empty());
+  expect_saved_like_memory(trace);
+}
+
+TEST(StreamingEquivalence, SavedEmptyTraceMatchesInMemory) {
+  expect_saved_like_memory(Trace("empty", 10.0));
+}
+
+TEST(StreamingEquivalence, SavedTraceWithTrailingGapMatchesInMemory) {
+  Trace trace = as_stored(seeded_trace(17, 50, 30));  // snapshots at 0..490 s
+  trace.add_gap(125.0, 165.0);
+  trace.add_gap(600.0, 700.0);
+  expect_saved_like_memory(trace);
 }
 
 TEST(StreamingAnalyzer, ProgressCountersTrackTheStream) {

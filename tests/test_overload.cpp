@@ -11,6 +11,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "analysis/streaming.hpp"
 #include "client/metaverse_client.hpp"
 #include "core/experiment.hpp"
 #include "core/shards.hpp"
@@ -563,6 +564,20 @@ TEST(OverloadScenario, LadderEngagesAndRecordsDegradation) {
   // The run is still deterministic under the full ladder.
   const ExperimentResults again = run_experiment(overload_config("overload"));
   EXPECT_EQ(crc32(encode_trace(r.trace)), crc32(encode_trace(again.trace)));
+}
+
+// A saved trace keeps its degradation windows: the file loads to the same
+// digest and analyses like the trace in memory.
+TEST(OverloadScenario, SavedTraceMatchesInMemory) {
+  const Trace trace = run_experiment(overload_config("overload")).trace;
+  ASSERT_FALSE(trace.degradations().empty());
+  const std::string path = ::testing::TempDir() + "/overload_saved.slt";
+  save_trace(trace, path);
+  EXPECT_EQ(crc32(encode_trace(load_trace(path))), crc32(encode_trace(trace)));
+  MemoryTraceStream stream(trace);
+  EXPECT_EQ(analysis_fingerprint(analyze_stream(stream)),
+            analysis_fingerprint(analyze_stream_file(path)));
+  std::remove(path.c_str());
 }
 
 TEST(OverloadScenario, FaultFreeRunKeepsEveryProtectionCounterAtZero) {

@@ -2,8 +2,9 @@
 // salvage_journal, the analysis entry point (analyze_stream_file), and the
 // `slmob summary`, `slmob analyze` and `slmob salvage` commands. Each input
 // must give a value or a DecodeError — never std::bad_alloc from a count
-// read in the file, never std::invalid_argument from a record the trace
-// cannot take — and every surface must report the same snapshots and gaps.
+// or frame length read in the file, never std::invalid_argument from a
+// record the trace cannot take — and every surface must report the same
+// snapshots and gaps.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "analysis/streaming.hpp"
 #include "trace/journal.hpp"
 #include "trace/serialize.hpp"
@@ -29,9 +31,9 @@ class JournalBytes {
     out_.raw(kJournalMagic);
     out_.u16(kJournalVersion);
   }
-  JournalBytes& begin() {
+  JournalBytes& begin(const char* land = "crafted") {
     ByteWriter p = record(JournalRecord::kBegin);
-    p.str("crafted");
+    p.str(land);
     p.f64(10.0);   // sampling interval
     p.f64(100.0);  // planned end
     return frame(p);
@@ -45,6 +47,19 @@ class JournalBytes {
     if (n == 1) {
       p.u32(7);
       p.f32(x);
+      p.f32(20.0F);
+      p.f32(22.0F);
+    }
+    return frame(p);
+  }
+  // A snapshot frame holding `n` fixes: avatars 1..n at (10 + i, 20, 22).
+  JournalBytes& snapshot_of(Seconds time, std::uint32_t n) {
+    ByteWriter p = record(JournalRecord::kSnapshot);
+    p.f64(time);
+    p.u32(n);
+    for (std::uint32_t i = 1; i <= n; ++i) {
+      p.u32(i);
+      p.f32(10.0F + static_cast<float>(i));
       p.f32(20.0F);
       p.f32(22.0F);
     }
@@ -67,6 +82,12 @@ class JournalBytes {
     p.u32(factor);
     return frame(p);
   }
+  // A frame head alone: a payload of `len` bytes is declared, none follows.
+  JournalBytes& frame_head(std::uint32_t len, std::uint32_t crc) {
+    out_.u32(len);
+    out_.u32(crc);
+    return *this;
+  }
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return out_.bytes(); }
 
  private:
@@ -83,17 +104,6 @@ class JournalBytes {
   }
   ByteWriter out_;
 };
-
-// The .slt header up to and including the (empty) snapshot block.
-ByteWriter slt_header(std::uint16_t version) {
-  ByteWriter w;
-  w.raw(kSltMagic);
-  w.u16(version);
-  w.str("x");
-  w.f64(10.0);
-  w.u32(0);  // snapshots
-  return w;
-}
 
 // Writes `bytes` to a file named after the running test; removed on scope
 // exit.
@@ -144,11 +154,12 @@ long number_after(const std::string& text, const std::string& label, std::size_t
              : std::strtol(text.c_str() + pos + label.size(), nullptr, 10);
 }
 
-// A .slt the reader must reject: DecodeError from the library, exit 1 with
-// the file named from every command (salvage: not a journal).
-void expect_rejected_slt(const std::vector<std::uint8_t>& bytes, std::size_t size) {
-  ASSERT_EQ(bytes.size(), size);
-  const CraftedFile file(bytes, ".slt");
+// A file of the retired .slt format: DecodeError from the library, exit 1
+// with the file named from every command, and no journal to salvage.
+TEST(CraftedInput, OldSltFile) {
+  Trace trace("x", 10.0);
+  trace.add({0.0, {{AvatarId{7}, {10.0, 20.0, 22.0}}}});
+  const CraftedFile file(encode_trace(trace), ".slt");
   EXPECT_THROW((void)load_trace(file.path()), DecodeError);
   EXPECT_THROW((void)analyze_stream_file(file.path()), DecodeError);
   for (const char* command : {"summary", "analyze"}) {
@@ -206,19 +217,23 @@ void expect_salvaged(const JournalBytes& journal, std::size_t snapshots,
       << salvage.output;
 }
 
-TEST(CraftedInput, SltInflatedGapCount) {
-  // v2, no snapshots, 2^32 - 1 gaps and no gap bytes: 25 bytes.
-  ByteWriter w = slt_header(2);
-  w.u32(0xffffffffu);
-  expect_rejected_slt(w.bytes(), 25);
-}
-
-TEST(CraftedInput, SltInflatedDegradationCount) {
-  // v3, no snapshots, no gaps, 2^32 - 1 degradation windows: 29 bytes.
-  ByteWriter w = slt_header(3);
-  w.u32(0);
-  w.u32(0xffffffffu);
-  expect_rejected_slt(w.bytes(), 29);
+// A frame head declaring 16 MiB with nothing behind it, after three
+// intact frames: 175 bytes. The head is the tear, found before anything is
+// sized by its length.
+TEST(CraftedInput, JournalFrameLongerThanTheFile) {
+  JournalBytes j;
+  j.begin("Isle Of View").snapshot_of(0.0, 2).snapshot_of(10.0, 3).frame_head(16u << 20, 0);
+  ASSERT_EQ(j.bytes().size(), 175u);
+  {
+    const CraftedFile file(j.bytes(), ".sltj");
+    const std::size_t before = bench::allocated_bytes();
+    const JournalSalvage s = salvage_journal(file.path());
+    const std::size_t allocated = bench::allocated_bytes() - before;
+    EXPECT_TRUE(s.torn);
+    EXPECT_EQ(s.snapshots, 2u);
+    EXPECT_LT(allocated, 4096u);
+  }
+  expect_salvaged(j, 2, {{20.0, 100.0}});
 }
 
 TEST(CraftedInput, JournalInflatedFixCount) {
@@ -247,53 +262,15 @@ TEST(CraftedInput, JournalSecondBegin) {
   expect_salvaged(j, 1, {{10.0, 100.0}});
 }
 
-// A fix with a NaN coordinate is no position: the readers reject it before
+// A non-finite time is no instant: the snapshot head's decoder rejects it.
+TEST(CraftedInput, JournalInfiniteSnapshotTime) {
+  JournalBytes j;
+  j.begin().snapshot(0.0).snapshot(std::numeric_limits<double>::infinity());
+  expect_salvaged(j, 1, {{10.0, 100.0}});
+}
+
+// A fix with a NaN coordinate is no position: the reader rejects it before
 // it can reach the proximity kernel's cell arithmetic.
-TEST(CraftedInput, SltNanCoordinate) {
-  // v3: two snapshots, the second holding a fix at x = NaN; no gaps, no
-  // degradation windows. 21 header + 28 + 44 snapshot + 8 block bytes.
-  ByteWriter w;
-  w.raw(kSltMagic);
-  w.u16(3);
-  w.str("x");
-  w.f64(10.0);
-  w.u32(2);
-  const auto fix = [&w](std::uint32_t id, float x) {
-    w.u32(id);
-    w.f32(x);
-    w.f32(20.0F);
-    w.f32(22.0F);
-  };
-  w.f64(0.0);
-  w.u32(1);
-  fix(7, 10.0F);
-  w.f64(10.0);
-  w.u32(2);
-  fix(7, 11.0F);
-  fix(8, std::numeric_limits<float>::quiet_NaN());
-  w.u32(0);
-  w.u32(0);
-  expect_rejected_slt(w.bytes(), 101);
-}
-
-// A non-finite time is no instant: the snapshot head's decoder, shared by
-// both formats, rejects it.
-TEST(CraftedInput, SltInfiniteSnapshotTime) {
-  // v3: one empty snapshot at t = +inf; no gaps, no degradation windows.
-  // 21 header + 12 snapshot + 8 block bytes.
-  ByteWriter w;
-  w.raw(kSltMagic);
-  w.u16(3);
-  w.str("x");
-  w.f64(10.0);
-  w.u32(1);
-  w.f64(std::numeric_limits<double>::infinity());
-  w.u32(0);
-  w.u32(0);
-  w.u32(0);
-  expect_rejected_slt(w.bytes(), 41);
-}
-
 TEST(CraftedInput, JournalNanCoordinate) {
   // The snapshot frame at t = 10 carries x = NaN: it is the tear, and the
   // run is censored from t = 10.

@@ -5,58 +5,101 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
 
+#include "trace/codec.hpp"
+#include "trace/journal.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace slmob {
 namespace {
 
-// Loads `bytes` through a file named after the running test (ctest runs
-// tests in parallel): load_trace is the one .slt decoder.
-Trace load_bytes(const std::vector<std::uint8_t>& bytes) {
+// The file path for the running test (ctest runs tests in parallel).
+std::string test_path() {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
   std::string name = std::string(info->test_suite_name()) + "." + info->name();
   std::replace(name.begin(), name.end(), '/', '_');
-  const std::string path = ::testing::TempDir() + "/slmob_" + name + ".slt";
+  return ::testing::TempDir() + "/slmob_" + name + ".slt";
+}
+
+struct RemoveOnExit {
+  const std::string& path;
+  ~RemoveOnExit() { std::remove(path.c_str()); }
+};
+
+// Loads `bytes` through a file: load_trace is the one trace file decoder.
+Trace load_bytes(const std::vector<std::uint8_t>& bytes) {
+  const std::string path = test_path();
   {
     std::ofstream out(path, std::ios::binary);
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
   }
-  struct Remove {
-    const std::string& path;
-    ~Remove() { std::remove(path.c_str()); }
-  } remove{path};
+  const RemoveOnExit remove{path};
   return load_trace(path);
 }
 
-// A version-3 .slt with one fixless snapshot per time, then the given gap
-// and degradation records verbatim (no validation on the writing side).
-std::vector<std::uint8_t> crafted_slt(const std::vector<double>& times,
-                                      const std::vector<CoverageGap>& gaps,
-                                      const std::vector<SamplingDegradation>& degradations) {
+// The file save_trace writes for `trace`.
+std::vector<std::uint8_t> saved_bytes(const Trace& trace) {
+  const std::string path = test_path();
+  const RemoveOnExit remove{path};
+  save_trace(trace, path);
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::uint32_t trace_digest(const Trace& trace) { return crc32(encode_trace(trace)); }
+
+// Saves `trace`, loads it back, and checks the digest survives.
+Trace round_trip(const Trace& trace) {
+  const std::string path = test_path();
+  const RemoveOnExit remove{path};
+  save_trace(trace, path);
+  Trace loaded = load_trace(path);
+  EXPECT_EQ(trace_digest(loaded), trace_digest(trace));
+  return loaded;
+}
+
+// A journal header and kBegin frame, land "x", interval 10 s.
+ByteWriter begun_journal() {
   ByteWriter w;
-  w.raw(kSltMagic);
-  w.u16(3);
-  w.str("x");
-  w.f64(10.0);
-  w.u32(static_cast<std::uint32_t>(times.size()));
+  w.raw(kJournalMagic);
+  w.u16(kJournalVersion);
+  put_frame(w, JournalRecord::kBegin, [](ByteWriter& p) {
+    p.str("x");
+    p.f64(10.0);
+    p.f64(0.0);
+  });
+  return w;
+}
+
+void put_end(ByteWriter& w) {
+  put_frame(w, JournalRecord::kEnd, [](ByteWriter& p) { p.f64(0.0); });
+}
+
+// A closed journal with one fixless snapshot frame per time, then the given
+// gap and degradation window frames verbatim (no validation on the writing
+// side), then kEnd.
+std::vector<std::uint8_t> crafted_journal(const std::vector<double>& times,
+                                          const std::vector<CoverageGap>& gaps,
+                                          const std::vector<SamplingDegradation>& degradations) {
+  ByteWriter w = begun_journal();
   for (const double t : times) {
-    w.f64(t);
-    w.u32(0);
+    put_frame(w, JournalRecord::kSnapshot, [t](ByteWriter& p) { put_snapshot(p, {t, {}}); });
   }
-  w.u32(static_cast<std::uint32_t>(gaps.size()));
   for (const auto& g : gaps) {
-    w.f64(g.start);
-    w.f64(g.end);
+    put_frame(w, JournalRecord::kGapClose, [&g](ByteWriter& p) { put_gap(p, g); });
   }
-  w.u32(static_cast<std::uint32_t>(degradations.size()));
   for (const auto& d : degradations) {
-    w.f64(d.start);
-    w.f64(d.end);
-    w.u32(d.factor);
+    put_frame(w, JournalRecord::kDegradeOpen, [&d](ByteWriter& p) {
+      p.f64(d.start);
+      p.u32(d.factor);
+    });
+    put_frame(w, JournalRecord::kDegradeClose, [&d](ByteWriter& p) { put_window(p, d); });
   }
+  put_end(w);
   return w.take();
 }
 
@@ -98,9 +141,7 @@ class SerializeRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SerializeRoundTrip, Binary) {
   const Trace original = make_random_trace(GetParam(), 30);
-  const auto bytes = encode_trace(original);
-  const Trace decoded = load_bytes(bytes);
-  expect_traces_equal(original, decoded, 1e-4);  // f32 storage
+  expect_traces_equal(original, round_trip(original), 1e-4);  // f32 storage
 }
 
 TEST_P(SerializeRoundTrip, Csv) {
@@ -122,36 +163,65 @@ TEST(Serialize, BadMagicThrows) {
   EXPECT_THROW((void)load_bytes(bytes), DecodeError);
 }
 
+// load_trace takes a closed journal only: a torn file, one without kEnd,
+// one with a frame after kEnd and one of the old .slt format are errors.
 TEST(Serialize, TruncatedThrows) {
-  const Trace t = make_random_trace(9, 5);
-  auto bytes = encode_trace(t);
+  auto bytes = saved_bytes(make_random_trace(9, 5));
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW((void)load_bytes(bytes), DecodeError);
 }
 
-TEST(Serialize, InflatedFixCountThrowsBeforeAllocating) {
-  // One snapshot claiming 2^32 - 1 fixes (~64 GiB once decoded) with no fix
-  // bytes behind it: the count must be rejected, not reserved.
-  ByteWriter w;
-  w.raw(kSltMagic);
-  w.u16(3);
-  w.str("x");
-  w.f64(10.0);
-  w.u32(1);
-  w.f64(0.0);
-  w.u32(0xffffffffu);
-  const auto bytes = w.take();
+TEST(Serialize, JournalWithoutEndThrows) {
+  auto bytes = crafted_journal({0.0, 10.0}, {}, {});
+  EXPECT_EQ(load_bytes(bytes).size(), 2u);
+  bytes.resize(bytes.size() - (kFrameHeadBytes + 9));  // the kEnd frame
   try {
     (void)load_bytes(bytes);
+    FAIL() << "load_trace accepted a journal without kEnd";
+  } catch (const DecodeError& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(bytes.size())), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Serialize, FrameAfterEndThrows) {
+  ByteWriter w;
+  w.raw(crafted_journal({0.0, 10.0}, {}, {}));
+  EXPECT_EQ(load_bytes(w.bytes()).size(), 2u);
+  put_frame(w, JournalRecord::kSnapshot, [](ByteWriter& p) { put_snapshot(p, {20.0, {}}); });
+  EXPECT_THROW((void)load_bytes(w.bytes()), DecodeError);
+}
+
+TEST(Serialize, OldSltFileThrows) {
+  // The canonical bytes are what the retired .slt format wrote.
+  const auto bytes = encode_trace(make_random_trace(9, 5));
+  ASSERT_EQ(bytes[0], 'S');
+  ASSERT_EQ(bytes[3], 'R');
+  EXPECT_THROW((void)load_bytes(bytes), DecodeError);
+}
+
+TEST(Serialize, InflatedFixCountThrowsBeforeAllocating) {
+  // One snapshot frame claiming 2^32 - 1 fixes (~64 GiB once decoded) with
+  // no fix bytes behind it: the count must be rejected, not reserved. The
+  // frame is the tear, so the error names the bytes before it.
+  ByteWriter w = begun_journal();
+  const std::size_t kept = w.size();
+  put_frame(w, JournalRecord::kSnapshot, [](ByteWriter& p) {
+    p.f64(0.0);
+    p.u32(0xffffffffu);
+  });
+  put_end(w);
+  try {
+    (void)load_bytes(w.bytes());
     FAIL() << "load_trace accepted an inflated fix count";
   } catch (const DecodeError& e) {
-    EXPECT_STREQ(e.what(), "load_trace: truncated snapshot block");
+    EXPECT_EQ(std::string(e.what()), "load_trace: not a closed journal; intact up to byte " +
+                                         std::to_string(kept));
   }
 }
 
 TEST(Serialize, TrailingBytesThrow) {
-  const Trace t = make_random_trace(9, 2);
-  auto bytes = encode_trace(t);
+  auto bytes = saved_bytes(make_random_trace(9, 2));
   bytes.push_back(0);
   EXPECT_THROW((void)load_bytes(bytes), DecodeError);
 }
@@ -160,35 +230,52 @@ TEST(Serialize, GapsRoundTripBinary) {
   Trace original = make_random_trace(21, 30);
   original.add_gap(35.0, 60.0);
   original.add_gap(120.0, 155.0);
-  const Trace decoded = load_bytes(encode_trace(original));
+  const Trace decoded = round_trip(original);
   expect_traces_equal(original, decoded, 1e-4);
   ASSERT_EQ(decoded.gaps().size(), 2u);
   EXPECT_EQ(decoded.gaps()[0], (CoverageGap{35.0, 60.0}));
   EXPECT_EQ(decoded.gaps()[1], (CoverageGap{120.0, 155.0}));
 }
 
+TEST(Serialize, EmptyTraceRoundTrips) {
+  const Trace decoded = round_trip(Trace("Empty Land", 20.0));
+  EXPECT_EQ(decoded.land_name(), "Empty Land");
+  EXPECT_EQ(decoded.sampling_interval(), 20.0);
+  EXPECT_TRUE(decoded.snapshots().empty());
+}
+
+TEST(Serialize, GapsAndWindowsPastTheLastSnapshotRoundTrip) {
+  Trace original = make_random_trace(22, 10);  // snapshots at 0..90
+  original.add_degradation(60.0, 120.0, 2);
+  original.add_gap(125.0, 200.0);
+  const Trace decoded = round_trip(original);
+  EXPECT_EQ(decoded.gaps(), original.gaps());
+  EXPECT_EQ(decoded.degradations(), original.degradations());
+}
+
 // Malformed content is a DecodeError, never the std::invalid_argument the
-// Trace mutators throw: the reader validates every record it hands on.
+// Trace mutators throw: the reader takes a record its rule refuses as the
+// tear, and load_trace refuses a torn file.
 TEST(Serialize, SnapshotTimeGoingBackwardsThrows) {
-  EXPECT_NO_THROW((void)load_bytes(crafted_slt({0.0, 10.0, 10.0}, {}, {})));
-  EXPECT_THROW((void)load_bytes(crafted_slt({0.0, 10.0, 5.0}, {}, {})), DecodeError);
+  EXPECT_NO_THROW((void)load_bytes(crafted_journal({0.0, 10.0, 10.0}, {}, {})));
+  EXPECT_THROW((void)load_bytes(crafted_journal({0.0, 10.0, 5.0}, {}, {})), DecodeError);
 }
 
 TEST(Serialize, EmptyOrOutOfOrderGapsThrow) {
-  EXPECT_NO_THROW((void)load_bytes(crafted_slt({0.0}, {{10.0, 20.0}, {20.0, 30.0}}, {})));
-  EXPECT_THROW((void)load_bytes(crafted_slt({0.0}, {{10.0, 10.0}}, {})), DecodeError);
-  EXPECT_THROW((void)load_bytes(crafted_slt({0.0}, {{30.0, 40.0}, {10.0, 20.0}}, {})),
+  EXPECT_NO_THROW((void)load_bytes(crafted_journal({0.0}, {{10.0, 20.0}, {20.0, 30.0}}, {})));
+  EXPECT_THROW((void)load_bytes(crafted_journal({0.0}, {{10.0, 10.0}}, {})), DecodeError);
+  EXPECT_THROW((void)load_bytes(crafted_journal({0.0}, {{30.0, 40.0}, {10.0, 20.0}}, {})),
                DecodeError);
-  EXPECT_THROW((void)load_bytes(crafted_slt({0.0}, {{10.0, 30.0}, {20.0, 40.0}}, {})),
+  EXPECT_THROW((void)load_bytes(crafted_journal({0.0}, {{10.0, 30.0}, {20.0, 40.0}}, {})),
                DecodeError);
 }
 
 TEST(Serialize, EmptyOrOutOfOrderDegradationsThrow) {
   EXPECT_NO_THROW(
-      (void)load_bytes(crafted_slt({0.0}, {}, {{10.0, 20.0, 2}, {20.0, 30.0, 4}})));
-  EXPECT_THROW((void)load_bytes(crafted_slt({0.0}, {}, {{10.0, 10.0, 2}})), DecodeError);
-  EXPECT_THROW((void)load_bytes(crafted_slt({0.0}, {}, {{10.0, 20.0, 1}})), DecodeError);
-  EXPECT_THROW((void)load_bytes(crafted_slt({0.0}, {}, {{30.0, 40.0, 2}, {10.0, 20.0, 2}})),
+      (void)load_bytes(crafted_journal({0.0}, {}, {{10.0, 20.0, 2}, {20.0, 30.0, 4}})));
+  EXPECT_THROW((void)load_bytes(crafted_journal({0.0}, {}, {{10.0, 10.0, 2}})), DecodeError);
+  EXPECT_THROW((void)load_bytes(crafted_journal({0.0}, {}, {{10.0, 20.0, 1}})), DecodeError);
+  EXPECT_THROW((void)load_bytes(crafted_journal({0.0}, {}, {{30.0, 40.0, 2}, {10.0, 20.0, 2}})),
                DecodeError);
 }
 
@@ -206,37 +293,11 @@ TEST(Serialize, GapsRoundTripCsv) {
   ASSERT_EQ(decoded.size(), 1u);
 }
 
-TEST(Serialize, Version1BytesStillDecode) {
-  // A v1 file is a v3 file minus the trailing gap and degradation blocks;
-  // old traces must keep loading (as gap-free) forever.
-  const Trace original = make_random_trace(13, 8);
-  auto bytes = encode_trace(original);
-  bytes.resize(bytes.size() - 8);  // drop the u32 gap + degradation counts (0)
-  bytes[4] = 1;                    // patch version u16 (little-endian) to 1
-  const Trace decoded = load_bytes(bytes);
-  expect_traces_equal(original, decoded, 1e-4);
-  EXPECT_TRUE(decoded.gaps().empty());
-}
-
-TEST(Serialize, Version2BytesStillDecode) {
-  // A v2 file is a v3 file minus the trailing degradation block; traces
-  // written before sampling degradation existed must keep loading.
-  Trace original = make_random_trace(13, 8);
-  original.add_gap(12.0, 30.0);
-  auto bytes = encode_trace(original);
-  bytes.resize(bytes.size() - 4);  // drop the u32 degradation count (0)
-  bytes[4] = 2;                    // patch version u16 (little-endian) to 2
-  const Trace decoded = load_bytes(bytes);
-  expect_traces_equal(original, decoded, 1e-4);
-  ASSERT_EQ(decoded.gaps().size(), 1u);
-  EXPECT_TRUE(decoded.degradations().empty());
-}
-
 TEST(Serialize, TruncatedGapBlockThrows) {
-  Trace t = make_random_trace(9, 5);
-  t.add_gap(12.0, 24.0);
-  auto bytes = encode_trace(t);
-  bytes.resize(bytes.size() - 8);  // cut into the gap record
+  Trace t = make_random_trace(9, 5);  // snapshots at 0..40
+  t.add_gap(50.0, 60.0);              // its frame is the last before kEnd
+  auto bytes = saved_bytes(t);
+  bytes.resize(bytes.size() - (kFrameHeadBytes + 9) - 8);  // cut into the gap record
   EXPECT_THROW((void)load_bytes(bytes), DecodeError);
 }
 

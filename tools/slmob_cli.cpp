@@ -2,12 +2,16 @@
 // without writing C++.
 //
 //   slmob run     --land <l>[,<l>...] [--hours H] [--seed S] [--jobs J]
-//                 [--faults <scenario>] [--fault-seed S] --out t.slt
-//   slmob summary <trace.slt|journal.sltj>
-//   slmob analyze <trace.slt> [--range R]... [--threads N]
+//                 [--faults <scenario>] [--fault-seed S] --out T.sltj
+//   slmob summary <T.sltj>
+//   slmob analyze <T.sltj> [--range R]... [--threads N]
 //   slmob sweep   --land <l>[,<l>...] --seeds N [--hours H] [--jobs J]
-//   slmob convert <trace.slt> <trace.csv>   (direction by extension)
-//   slmob dtn     <trace.slt> [--scheme epidemic|two-hop|direct] [--messages N]
+//   slmob convert <T.sltj> <T.csv>   (direction by extension)
+//   slmob dtn     <T.sltj> [--scheme epidemic|two-hop|direct] [--messages N]
+//
+// Every binary trace is a journal: a saved trace is a closed one, a
+// capture's --journal a growing one, and each command reads either, torn
+// tail and all.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -46,18 +50,18 @@ int usage() {
                "            [--fault-seed S]\n"
                "            [--journal J.sltj | --checkpoint DIR [--checkpoint-every SEC]]\n"
                "            [--supervise [--max-restarts N] [--watchdog-timeout SEC]]\n"
-               "            [--stats-csv F.csv] --out T.slt\n"
+               "            [--stats-csv F.csv] --out T.sltj\n"
                "    (multi-land runs shard across threads; shard i uses seed S+i and\n"
                "     --out must disambiguate with {land} and/or {seed} placeholders)\n"
-               "  slmob run --resume DIR [--jobs J] [--out T.slt]\n"
-               "  slmob salvage <journal.sltj> [--out T.slt]\n"
-               "  slmob summary <trace.slt|journal.sltj>\n"
-               "  slmob analyze <trace.slt|journal.sltj> [--range R]... [--threads N]\n"
+               "  slmob run --resume DIR [--jobs J] [--out T.sltj]\n"
+               "  slmob salvage <J.sltj> [--out T.sltj]\n"
+               "  slmob summary <T.sltj>\n"
+               "  slmob analyze <T.sltj> [--range R]... [--threads N]\n"
                "  slmob sweep --land <l>[,<l>...] --seeds N [--seed-base S] [--hours H]\n"
                "              [--jobs J]\n"
-               "  slmob convert <in.(slt|csv)> <out.(csv|slt)>\n"
-               "  slmob dtn <trace.slt> [--scheme epidemic|two-hop|direct] [--messages N]\n"
-               "  slmob report <trace.slt> <report.md> [--series]\n");
+               "  slmob convert <in.(sltj|csv)> <out.(csv|sltj)>\n"
+               "  slmob dtn <T.sltj> [--scheme epidemic|two-hop|direct] [--messages N]\n"
+               "  slmob report <T.sltj> <report.md> [--series]\n");
   return 2;
 }
 
@@ -156,9 +160,9 @@ void warn_if_torn(const TraceStream* reader, const std::string& path) {
 }
 
 // Opens a trace in any format, deciding by extension, and hands its stream
-// to `consume`. A .sltj journal reads with salvage semantics (torn tail
-// truncated, trailing gap added), so every command works directly on the
-// journal of a crashed run. Malformed input (truncated file, bad magic,
+// to `consume`. A journal, saved or captured, reads with salvage semantics
+// (torn tail truncated, trailing gap added), so every command works
+// directly on the journal of a crashed run. Malformed input (truncated file, bad magic,
 // corrupt rows or fixes), found at open or while streaming, is reported
 // with the file name.
 template <typename Fn>
